@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the analysis engine itself:
  * cycle-simulation throughput on the full core, single-cycle
- * timing-aware simulation, per-wire cone re-simulation, STA
- * statically-reachable queries, and snapshot/restore — the primitives
+ * timing-aware simulation (with and without waveforms), per-wire cone
+ * re-simulation, STA statically-reachable queries, and
+ * snapshot/restore — the primitives
  * whose costs the two-step method (§V-B/V-C) is designed around — plus
  * the end-to-end GroupACE sweep comparison between the scalar and the
  * bit-parallel continuation paths (docs/PERFORMANCE.md).
@@ -90,6 +91,21 @@ BM_TimedSimFullCycle(benchmark::State &state)
         rig.tsim.simulateCycle(pre, post, period, wf);
 }
 BENCHMARK(BM_TimedSimFullCycle);
+
+void
+BM_TimedSimArrivalOnly(benchmark::State &state)
+{
+    Rig &rig = Rig::instance();
+    CycleSimulator sim(rig.soc.netlist());
+    for (int i = 0; i < 500; ++i)
+        sim.step();
+    const auto pre = sim.netValues_();
+    sim.step();
+    const auto post = sim.netValues_();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rig.tsim.maxEndpointArrival(pre, post));
+}
+BENCHMARK(BM_TimedSimArrivalOnly);
 
 void
 BM_ConeResim(benchmark::State &state)

@@ -81,25 +81,54 @@ TimedSimulator::simulateCycle(const std::vector<uint8_t> &pre_edge,
                               const std::vector<uint8_t> &post_edge,
                               double period, CycleWaveforms &out) const
 {
+    (void)period; // No cutoff: see runCycle().
+    out.preEdge = pre_edge;
+    out.netEvents.resize(nl->numNets());
+    for (std::vector<NetEvent> &events : out.netEvents)
+        events.clear();
+    runCycle(pre_edge, post_edge, &out.netEvents);
+
+    // Establish the sorted-waveform invariant at construction, so every
+    // replaying consumer can cut its scan at the clock edge instead of
+    // filtering the whole list per call. Emission order is already
+    // time-sorted per net (one driver, monotone queue), so this is a
+    // verification scan, not a sort.
+    out.sortEvents();
+}
+
+double
+TimedSimulator::maxEndpointArrival(const std::vector<uint8_t> &pre_edge,
+                                   const std::vector<uint8_t> &post_edge)
+    const
+{
+    return runCycle(pre_edge, post_edge, nullptr);
+}
+
+double
+TimedSimulator::runCycle(const std::vector<uint8_t> &pre_edge,
+                         const std::vector<uint8_t> &post_edge,
+                         std::vector<std::vector<NetEvent>> *net_events)
+    const
+{
     const Netlist &netlist = *nl;
     davf_assert(pre_edge.size() == netlist.numNets()
                     && post_edge.size() == netlist.numNets(),
                 "net value vector size mismatch");
 
-    out.preEdge = pre_edge;
-    out.netEvents.assign(netlist.numNets(), {});
-
-    // Per-pin current values and per-net last scheduled waveform value.
-    std::vector<std::vector<uint8_t>> pin_vals(netlist.numCells());
-    for (CellId id = 0; id < netlist.numCells(); ++id) {
-        const Cell &cell = netlist.cell(id);
-        pin_vals[id].resize(cell.inputs.size());
-        for (size_t pin = 0; pin < cell.inputs.size(); ++pin)
-            pin_vals[id][pin] = pre_edge[cell.inputs[pin]];
-    }
+    // Current value at every input pin (indexed by the pin's WireId) and
+    // per-net last scheduled waveform value.
+    std::vector<uint8_t> pin_vals(netlist.numWires());
+    for (WireId wire = 0; wire < netlist.numWires(); ++wire)
+        pin_vals[wire] = pre_edge[netlist.wire(wire).net];
     std::vector<uint8_t> sched = pre_edge;
 
-    EventQueue queue;
+    // One up-front allocation sized to cover the queue's peak (~3k
+    // events for ~9.8k nets on the core): growing by doubling would
+    // leave every smaller buffer behind in the malloc arena of each
+    // golden-pass worker thread, all resident at once.
+    std::vector<PinEvent> storage;
+    storage.reserve(netlist.numNets() / 2);
+    EventQueue queue(PinEventLater{}, std::move(storage));
     uint64_t sequence = 0;
 
     // Note: no clock-period cutoff here. Nets on dangling combinational
@@ -107,7 +136,8 @@ TimedSimulator::simulateCycle(const std::vector<uint8_t> &pre_edge,
     // after the edge, and the golden waveforms must end at the settled
     // values; consumers apply their own at-the-edge filtering.
     auto emit_net_event = [&](NetId net, double time, bool value) {
-        out.netEvents[net].push_back({time, value});
+        if (net_events)
+            (*net_events)[net].push_back({time, value});
         const Net &net_ref = netlist.net(net);
         for (uint32_t s = 0; s < net_ref.sinks.size(); ++s) {
             const Sink &sink = net_ref.sinks[s];
@@ -127,15 +157,28 @@ TimedSimulator::simulateCycle(const std::vector<uint8_t> &pre_edge,
         }
     }
 
+    double latest_endpoint = 0.0;
     while (!queue.empty()) {
         const PinEvent event = queue.top();
         queue.pop();
-        pin_vals[event.cell][event.pin] = event.value ? 1 : 0;
         const Cell &cell = netlist.cell(event.cell);
-        if (!cellIsCombinational(cell.type))
-            continue; // Endpoint pins just record their waveform (below).
-        const bool new_out =
-            evalFromPins(cell.type, pin_vals[event.cell].data());
+        if (!cellIsCombinational(cell.type)) {
+            // Endpoint pin: every pushed event is popped here with the
+            // time (event time + wire delay) it was pushed with. A pin's
+            // events are its driver's waveform shifted by one wire
+            // delay, and fl(t + w) is monotone in t, so this running
+            // max equals the last-event-per-pin scan over the recorded
+            // waveforms bit for bit.
+            if (isEndpointCell(cell.type))
+                latest_endpoint = std::max(latest_endpoint, event.time);
+            continue;
+        }
+        pin_vals[netlist.inputWire(event.cell, event.pin)] =
+            event.value ? 1 : 0;
+        uint8_t pins[3] = {0, 0, 0};
+        for (uint16_t pin = 0; pin < cell.inputs.size(); ++pin)
+            pins[pin] = pin_vals[netlist.inputWire(event.cell, pin)];
+        const bool new_out = evalFromPins(cell.type, pins);
         const NetId out_net = cell.outputs[0];
         if ((sched[out_net] != 0) == new_out)
             continue;
@@ -143,13 +186,7 @@ TimedSimulator::simulateCycle(const std::vector<uint8_t> &pre_edge,
         emit_net_event(out_net, event.time + delays->cellDelay(event.cell),
                        new_out);
     }
-
-    // Establish the sorted-waveform invariant at construction, so every
-    // replaying consumer can cut its scan at the clock edge instead of
-    // filtering the whole list per call. Emission order is already
-    // time-sorted per net (one driver, monotone queue), so this is a
-    // verification scan, not a sort.
-    out.sortEvents();
+    return latest_endpoint;
 }
 
 void

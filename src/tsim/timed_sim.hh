@@ -11,7 +11,9 @@
  *
  *  - simulateCycle() runs the whole netlist fault-free for one cycle and
  *    records the transition waveform of every net. This is done once per
- *    injection cycle.
+ *    injection cycle. Its arrival-only sibling, maxEndpointArrival(),
+ *    runs the same event loop without recording waveforms; the golden
+ *    capture uses it on every golden cycle to find the observed period.
  *  - simulateCone() re-simulates only the fanout cone of one faulted wire,
  *    replaying the recorded golden waveforms at the cone boundary (the
  *    injected delay cannot change anything upstream of the wire), with the
@@ -85,11 +87,22 @@ class TimedSimulator
      *                  (sequential outputs, primary inputs) are read —
      *                  they transition to their post-edge value at clkToQ.
      * @param period    the clock period.
-     * @param out       receives all per-net waveforms.
+     * @param out       receives all per-net waveforms; its per-net
+     *                  event buffers are reused across calls.
      */
     void simulateCycle(const std::vector<uint8_t> &pre_edge,
                        const std::vector<uint8_t> &post_edge,
                        double period, CycleWaveforms &out) const;
+
+    /**
+     * The latest arrival of any transition at a sampled endpoint pin in
+     * the fault-free cycle pre_edge -> post_edge (0 when no endpoint
+     * sees a transition). Bit-identical to scanning simulateCycle()'s
+     * waveforms for each endpoint pin's last driver event plus its wire
+     * delay, but records no waveforms. Thread-safe.
+     */
+    double maxEndpointArrival(const std::vector<uint8_t> &pre_edge,
+                              const std::vector<uint8_t> &post_edge) const;
 
     /**
      * Re-simulate the fanout cone of @p injected with its wire delay
@@ -110,6 +123,16 @@ class TimedSimulator
     const DelayModel &delayModel() const { return *delays; }
 
   private:
+    /**
+     * The fault-free event loop shared by simulateCycle() and
+     * maxEndpointArrival(). Appends each net transition to
+     * (*net_events)[net] when @p net_events is non-null, and returns the
+     * latest endpoint-pin arrival.
+     */
+    double runCycle(const std::vector<uint8_t> &pre_edge,
+                    const std::vector<uint8_t> &post_edge,
+                    std::vector<std::vector<NetEvent>> *net_events) const;
+
     const DelayModel *delays;
     const Netlist *nl;
 };

@@ -8,12 +8,14 @@
 #ifndef DAVF_TESTS_HELPERS_HH
 #define DAVF_TESTS_HELPERS_HH
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "builder/builder.hh"
 #include "core/workload.hh"
 #include "netlist/netlist.hh"
+#include "tsim/timed_sim.hh"
 #include "util/rng.hh"
 
 namespace davf::test {
@@ -128,6 +130,35 @@ makeRandomCircuit(uint64_t seed, unsigned num_flops = 12,
     circuit.workload = std::make_unique<TraceWorkload>(circuit.sinkCell,
                                                        num_cycles);
     return circuit;
+}
+
+/**
+ * Reference for TimedSimulator::maxEndpointArrival(): the latest arrival
+ * at any sampled endpoint pin, scanned from recorded waveforms as each
+ * pin's last driver event plus its wire delay.
+ */
+inline double
+scanEndpointArrival(const DelayModel &delays, const CycleWaveforms &wf)
+{
+    const Netlist &netlist = delays.netlist();
+    double worst = 0.0;
+    for (CellId id = 0; id < netlist.numCells(); ++id) {
+        const Cell &cell = netlist.cell(id);
+        const bool endpoint = cell.type == CellType::Dff
+            || cell.type == CellType::Dffe || cell.type == CellType::Behav
+            || cell.type == CellType::Output;
+        if (!endpoint)
+            continue;
+        for (uint16_t pin = 0; pin < cell.inputs.size(); ++pin) {
+            const auto &events = wf.netEvents[cell.inputs[pin]];
+            if (events.empty())
+                continue;
+            const double arrive = events.back().time
+                + delays.wireDelay(netlist.inputWire(id, pin));
+            worst = std::max(worst, arrive);
+        }
+    }
+    return worst;
 }
 
 } // namespace davf::test

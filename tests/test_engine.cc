@@ -381,6 +381,47 @@ TEST(Engine, ObservedPeriodModeTightensTheClock)
               sta_engine.goldenOutput());
 }
 
+TEST(Engine, ObservedPeriodMatchesSerialReference)
+{
+    // The timed golden pass runs in parallel batches of kGoldenBatch
+    // cycles; its period must equal, bit for bit, a serial full timed
+    // simulation of every golden cycle with the endpoint scan. The
+    // lengths cover a lone cycle, a partial first batch, an exact
+    // batch, and full batches followed by a remainder flush.
+    constexpr uint64_t kBatch = VulnerabilityEngine::kGoldenBatch;
+    for (uint64_t cycles : {uint64_t{1}, kBatch - 1, kBatch, kBatch + 1,
+                            3 * kBatch + 5}) {
+        const auto circuit =
+            test::makeRandomCircuit(95 + cycles, 12, 90, cycles);
+        const Netlist &nl = *circuit.netlist;
+        EngineOptions options;
+        options.periodMode =
+            EngineOptions::PeriodMode::ObservedMaxPlusMargin;
+        const VulnerabilityEngine engine(
+            nl, CellLibrary::defaultLibrary(), *circuit.workload, options);
+        ASSERT_EQ(engine.goldenCycles(), cycles);
+
+        DelayModel delays(nl, CellLibrary::defaultLibrary());
+        TimedSimulator tsim(delays);
+        CycleSimulator sim(nl);
+        CycleWaveforms wf;
+        double observed = 0.0;
+        for (uint64_t cycle = 0; cycle < cycles; ++cycle) {
+            const std::vector<uint8_t> pre = sim.netValues_();
+            sim.step();
+            tsim.simulateCycle(pre, sim.netValues_(), engine.clockPeriod(),
+                               wf);
+            observed = std::max(observed,
+                                test::scanEndpointArrival(delays, wf));
+        }
+        EXPECT_EQ(engine.observedMaxArrival(), observed)
+            << cycles << " golden cycles";
+        EXPECT_EQ(engine.clockPeriod(),
+                  observed * (1.0 + options.periodMargin))
+            << cycles << " golden cycles";
+    }
+}
+
 TEST(Engine, TwoStepMatchesBruteForceUnderObservedPeriod)
 {
     // The exactness property must hold at any valid clock period.

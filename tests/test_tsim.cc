@@ -408,6 +408,76 @@ TEST(TimedSim, SortEventsRestoresReplayInvariant)
     }
 }
 
+void
+expectSameWaveforms(const CycleWaveforms &a, const CycleWaveforms &b)
+{
+    EXPECT_EQ(a.preEdge, b.preEdge);
+    ASSERT_EQ(a.netEvents.size(), b.netEvents.size());
+    for (size_t net = 0; net < a.netEvents.size(); ++net) {
+        ASSERT_EQ(a.netEvents[net].size(), b.netEvents[net].size())
+            << "net " << net;
+        for (size_t e = 0; e < a.netEvents[net].size(); ++e) {
+            EXPECT_EQ(a.netEvents[net][e].time, b.netEvents[net][e].time);
+            EXPECT_EQ(a.netEvents[net][e].value,
+                      b.netEvents[net][e].value);
+        }
+    }
+}
+
+TEST(TimedSim, ArrivalOnlyMatchesWaveformScanBitExact)
+{
+    // The arrival-only kernel must reproduce, to the last bit, the
+    // endpoint scan over the full simulation's recorded waveforms, on
+    // every cycle of a long run (quiet and busy cycles alike).
+    for (uint64_t seed = 71; seed <= 76; ++seed) {
+        const auto circuit = test::makeRandomCircuit(seed, 12, 90, 0, 3);
+        const Netlist &nl = *circuit.netlist;
+        DelayModel delays(nl, CellLibrary::defaultLibrary());
+        Sta sta(delays);
+        TimedSimulator tsim(delays);
+        const double period = sta.maxPath();
+
+        CycleSimulator sim(nl);
+        Rng stimulus(seed);
+        CycleWaveforms wf;
+        unsigned active = 0;
+        for (int cycle = 0; cycle < 60; ++cycle) {
+            for (NetId in : circuit.inputs)
+                sim.setInput(in, stimulus.chance(0.5));
+            const std::vector<uint8_t> pre = sim.netValues_();
+            sim.step();
+            const std::vector<uint8_t> &post = sim.netValues_();
+            tsim.simulateCycle(pre, post, period, wf);
+            const double expect = test::scanEndpointArrival(delays, wf);
+            EXPECT_EQ(tsim.maxEndpointArrival(pre, post), expect)
+                << "seed " << seed << " cycle " << cycle;
+            active += expect > 0.0;
+        }
+        EXPECT_GT(active, 0u) << "seed " << seed;
+    }
+}
+
+TEST(TimedSim, ReusedWaveformsMatchFresh)
+{
+    // simulateCycle keeps its per-net buffers across calls; a reused
+    // CycleWaveforms must carry nothing over from the previous cycle.
+    const auto circuit = test::makeRandomCircuit(77, 12, 90);
+    const Netlist &nl = *circuit.netlist;
+    DelayModel delays(nl, CellLibrary::defaultLibrary());
+    Sta sta(delays);
+    TimedSimulator tsim(delays);
+    const double period = sta.maxPath();
+
+    CycleWaveforms reused;
+    for (uint64_t cycle : {5, 2, 2, 9}) {
+        const CyclePrep prep = prepCycle(nl, cycle);
+        tsim.simulateCycle(prep.preEdge, prep.postEdge, period, reused);
+        CycleWaveforms fresh;
+        tsim.simulateCycle(prep.preEdge, prep.postEdge, period, fresh);
+        expectSameWaveforms(reused, fresh);
+    }
+}
+
 TEST(TimedSim, ConeAgreesWithFullSimUnderFault)
 {
     // Cross-check simulateCone against a full-netlist timed simulation

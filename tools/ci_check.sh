@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 CI gate: build the tree in the default (RelWithDebInfo)
 # configuration and under address+undefined sanitizers, and run the
-# full ctest suite in both. Any failure fails the script.
+# full ctest suite in both; then race-check the concurrent engine
+# suites under ThreadSanitizer. Any failure fails the script.
 #
 # Usage: tools/ci_check.sh [jobs]
 set -eu
@@ -18,6 +19,22 @@ run_config() {
     cmake --build "$build_dir" -j "$jobs"
     echo "=== test $build_dir" >&2
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+}
+
+# ThreadSanitizer race check of the suites that exercise concurrency:
+# every engine construction runs the batched parallel golden timing
+# pass, and the injection cycles fan out over the thread pool with
+# cross-delay sweep reuse shared between workers.
+tsan_check() {
+    build_dir="$1"
+    echo "=== configure $build_dir (ThreadSanitizer)" >&2
+    cmake -B "$build_dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DDAVF_SANITIZE=thread
+    echo "=== build $build_dir" >&2
+    cmake --build "$build_dir" -j "$jobs"
+    echo "=== test $build_dir" >&2
+    ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
+        -R '^(Engine|TimedSim|ThreadPool|SweepReuse)\.'
 }
 
 # Process-isolation smoke: run a tiny campaign with worker processes
@@ -834,5 +851,6 @@ store_index_smoke "$root/build-ci-asan"
 net_smoke "$root/build-ci-asan"
 attr_smoke "$root/build-ci-asan"
 crash_soak "$root/build-ci-asan"
+tsan_check "$root/build-ci-tsan"
 
 echo "=== ci_check: all configurations passed" >&2
