@@ -15,20 +15,25 @@
  *    scheduler was given a worker command line — and the fresh outcome
  *    is written back to the store as it completes.
  *
- * Aggregation always goes through VulnerabilityEngine::delayAvf() with
- * the outcomes supplied as DelayAvfProgress::completed — the proven
- * checkpoint-resume path — so a reply assembled from cached shards is
- * bit-identical to a cold evaluation at any thread or worker count.
+ * Aggregation is VulnerabilityEngine::aggregateDelayAvf() over the
+ * cell's outcomes, a pure function of them: the same bytes delayAvf()
+ * returns with the outcomes supplied as DelayAvfProgress::completed (the
+ * proven checkpoint-resume path), so a reply assembled from cached
+ * shards is bit-identical to a cold evaluation at any thread or worker
+ * count. Only when no outcome is quarantine-free does aggregation fall
+ * back to delayAvf(), which runs the STA filter.
  *
  * Concurrency: the engine's delayAvf/delayAvfCycle entry points share
- * mutable snapshot state and must not run concurrently, so one mutex
- * serializes all *compute* (each compute still fans out internally
- * across the engine thread pool). Store hits are served without that
- * lock, so warm queries from many clients proceed in parallel. A miss
- * re-checks the store after acquiring the compute lock: identical
- * shards requested by concurrent clients are therefore computed once —
- * the second client finds them already stored (tallied as
- * inFlightHits) and only aggregates.
+ * mutable snapshot and STA state and must not run concurrently, so one
+ * mutex serializes all *compute* (each compute still fans out
+ * internally across the engine thread pool) and the STA fallback. A
+ * cell whose every shard is a store hit is looked up and aggregated
+ * without that lock, so warm queries proceed in parallel with each
+ * other and with another client's misses. A miss re-checks the store
+ * after acquiring the compute lock: identical shards requested by
+ * concurrent clients are therefore computed once — the second client
+ * finds them already stored (tallied as inFlightHits, a subset of
+ * shardHits) and only aggregates, still under the lock.
  */
 
 #ifndef DAVF_SERVICE_SCHEDULER_HH
@@ -38,6 +43,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,7 +76,8 @@ struct SchedulerStats
 {
     uint64_t queries = 0;       ///< Queries answered successfully.
     uint64_t shardHits = 0;     ///< Shards served from the store.
-    uint64_t inFlightHits = 0;  ///< Misses resolved by another client's
+    uint64_t inFlightHits = 0;  ///< Of shardHits: first-lookup misses
+                                ///< resolved by another client's
                                 ///< concurrent compute of the same shard.
     uint64_t shardsComputed = 0; ///< Shards simulated here.
     uint64_t cancelled = 0;      ///< Queries stopped cooperatively.
@@ -156,6 +164,17 @@ class QueryScheduler
                                    const QuerySpec &query,
                                    const std::atomic<bool> *cancel,
                                    QueryReply &reply);
+
+    /**
+     * Aggregate a cell whose every cycle is in @p completed, without
+     * the compute lock (VulnerabilityEngine::aggregateDelayAvf);
+     * std::nullopt when it needs the STA fallback, which only
+     * delayAvf() under engineMutex may run.
+     */
+    std::optional<DelayAvfResult>
+    aggregateHits(const Structure &structure,
+                  const SamplingConfig &sampling,
+                  std::span<const InjectionCycleOutcome> completed);
 
     /** Persist one freshly computed outcome under its shard key. */
     void storeOutcome(ShardSpec spec,

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "builder/builder.hh"
+#include "core/vulnerability.hh"
 #include "core/workload.hh"
 #include "netlist/netlist.hh"
 #include "tsim/timed_sim.hh"
@@ -160,6 +162,58 @@ scanEndpointArrival(const DelayModel &delays, const CycleWaveforms &wf)
     }
     return worst;
 }
+
+/**
+ * A deterministic, stateless AttributionTap for random circuits, which
+ * run no instructions: the "instruction" in flight at cycle c is
+ * "op<c % 3>" at pc 4 * (c % 3), and a divergence walk injected at c
+ * reports the one in flight at c + 2 (or ends first). Thread-safe.
+ */
+class CycleAttributionTap : public AttributionTap
+{
+  public:
+    static InFlight
+    at(uint64_t cycle)
+    {
+        return {4 * (cycle % 3), "op" + std::to_string(cycle % 3)};
+    }
+
+    InFlight inFlight(uint64_t cycle) override { return at(cycle); }
+
+    Walk
+    beginWalk(uint64_t cycle) override
+    {
+        Walk walk;
+        walk.cursor = cycle;
+        return walk;
+    }
+
+    bool
+    observe(Walk &walk, const CycleSimulator &sim) override
+    {
+        if (sim.cycle() < walk.cursor + 2)
+            return false;
+        const InFlight site = at(walk.cursor + 2);
+        walk.found = true;
+        walk.event.pc = site.pc;
+        walk.event.mnemonic = site.mnemonic;
+        walk.event.dest = "state";
+        return true;
+    }
+
+    CycleAttribution::Event
+    finish(Walk &walk, WalkEnd end) override
+    {
+        if (walk.found)
+            return walk.event;
+        const InFlight site = at(walk.cursor);
+        CycleAttribution::Event event;
+        event.pc = site.pc;
+        event.mnemonic = site.mnemonic;
+        event.dest = end == WalkEnd::Done ? "out" : "uarch";
+        return event;
+    }
+};
 
 } // namespace davf::test
 

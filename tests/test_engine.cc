@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 
 #include "src/builder/ecc.hh"
@@ -1260,6 +1261,339 @@ TEST(Observability, EngineCountersAreDeterministicAcrossSchedules)
               vector1.at("engine.memo_hits_group"));
     EXPECT_EQ(scalar1.at("engine.memo_hits_orace"),
               vector1.at("engine.memo_hits_orace"));
+}
+
+/// @}
+/**
+ * @name Aggregation without the engine
+ *
+ * delayAvf() with every cycle already completed, and
+ * aggregateDelayAvf(), aggregate without STA: the static-wire count is
+ * read off a quarantine-free outcome. These tests pin the invariant
+ * that makes that exact (on both continuation paths) and compare the
+ * STA-free results against STA-backed aggregation of the same outcomes.
+ */
+/// @{
+
+/** Everything a DelayAvfResult carries, report bytes first. */
+void
+expectSameResult(const DelayAvfResult &expected,
+                 const DelayAvfResult &actual)
+{
+    auto json = [](const DelayAvfResult &result) {
+        ReportRow row;
+        row.benchmark = "rnd";
+        row.structure = "Rnd";
+        row.delayFraction = 0.6;
+        row.davf = result;
+        return reportJson({row});
+    };
+    EXPECT_EQ(json(expected), json(actual));
+    EXPECT_EQ(expected.staticWireFraction, actual.staticWireFraction);
+    EXPECT_EQ(expected.staticInjections, actual.staticInjections);
+    EXPECT_EQ(expected.delayAceInjections, actual.delayAceInjections);
+    EXPECT_EQ(expected.orAceInjections, actual.orAceInjections);
+    EXPECT_EQ(expected.skippedNoToggle, actual.skippedNoToggle);
+    EXPECT_EQ(expected.uniqueGroupSims, actual.uniqueGroupSims);
+    EXPECT_EQ(expected.skippedErrors, actual.skippedErrors);
+    EXPECT_EQ(expected.skipReasons, actual.skipReasons);
+    EXPECT_EQ(expected.stopped, actual.stopped);
+    EXPECT_EQ(expected.wiresInjected, actual.wiresInjected);
+    EXPECT_EQ(expected.cyclesInjected, actual.cyclesInjected);
+    EXPECT_EQ(expected.injectedWires, actual.injectedWires);
+    EXPECT_EQ(expected.perWireAce, actual.perWireAce);
+    EXPECT_EQ(expected.attrValid, actual.attrValid);
+    EXPECT_EQ(expected.attribution, actual.attribution);
+}
+
+/** Sampled-wire indices whose static set at @p delay_fraction is
+ *  non-empty (engine.sta() is the reference STA filter). */
+std::vector<size_t>
+staticWireIndices(const VulnerabilityEngine &engine,
+                  const std::vector<WireId> &wires, double delay_fraction)
+{
+    const double period = engine.clockPeriod();
+    std::vector<size_t> indices;
+    std::vector<StateElemId> reachable;
+    for (size_t i = 0; i < wires.size(); ++i) {
+        engine.sta().staticallyReachable(wires[i], delay_fraction * period,
+                                         period, reachable);
+        if (!reachable.empty())
+            indices.push_back(i);
+    }
+    return indices;
+}
+
+uint64_t
+staFallbacks()
+{
+    return obs::MetricsRegistry::instance().snapshot().counters.at(
+        "engine.aggregate.sta_fallbacks");
+}
+
+TEST(Aggregation, StaticInjectionsCountNonEmptyStaticSets)
+{
+    // The invariant behind STA-free aggregation: a cycle outcome that
+    // quarantined nothing counted one staticInjection per sampled wire
+    // with a non-empty static set — on both continuation paths, and
+    // also when injections time out after the STA gate.
+    for (uint64_t seed : {601u, 602u, 603u}) {
+        const auto circuit = test::makeRandomCircuit(seed, 10, 70, 16);
+        VulnerabilityEngine engine(*circuit.netlist,
+                                   CellLibrary::defaultLibrary(),
+                                   *circuit.workload);
+        StructureRegistry registry(*circuit.netlist);
+        const Structure &structure = registry.add("Rnd", "rnd/");
+
+        SamplingConfig config;
+        config.cycleFraction = 0.3;
+        config.maxInjectionCycles = 3;
+        config.threads = 1;
+        const std::vector<WireId> wires =
+            engine.sampledWires(structure, config);
+        for (double d : {0.2, 0.5, 0.9}) {
+            const std::vector<size_t> nonempty =
+                staticWireIndices(engine, wires, d);
+            ASSERT_FALSE(nonempty.empty()) << "seed " << seed;
+            // Quarantining a wire with a non-empty static set removes
+            // its staticInjection, so such outcomes cannot be used.
+            const std::vector<size_t> quarantined = {nonempty.front()};
+            for (uint64_t cycle : engine.injectionCycles(config)) {
+                for (bool vectorize : {false, true}) {
+                    engine.setVectorMode(vectorize);
+                    const InjectionCycleOutcome clean =
+                        engine.delayAvfCycle(structure, d, cycle, config);
+                    EXPECT_EQ(clean.staticInjections, nonempty.size())
+                        << "seed " << seed << " d " << d << " cycle "
+                        << cycle << " vector " << vectorize;
+                    EXPECT_FALSE(clean.skipReasons.contains("quarantined"));
+                    const InjectionCycleOutcome skipped =
+                        engine.delayAvfCycle(structure, d, cycle, config, 0,
+                                             SIZE_MAX, quarantined);
+                    EXPECT_EQ(skipped.staticInjections, nonempty.size() - 1);
+                }
+                SamplingConfig timed = config;
+                timed.injectionTimeoutMs = 1e-9;
+                const InjectionCycleOutcome timed_out =
+                    engine.delayAvfCycle(structure, d, cycle, timed);
+                EXPECT_EQ(timed_out.staticInjections, nonempty.size());
+            }
+        }
+    }
+}
+
+TEST(Aggregation, CompletedOutcomesMatchStaBackedRun)
+{
+    // A cold delayAvf() runs the STA filter and counts the static-wire
+    // fraction from its sets; re-aggregating its outcomes (in any
+    // order, through either entry point) must reproduce it byte for
+    // byte without STA — with attribution and per-wire recording on.
+    obs::MetricsRegistry::instance().reset();
+    obs::MetricsRegistry::setEnabled(true);
+    test::CycleAttributionTap tap;
+    uint64_t ace = 0;
+    size_t attr_rows = 0;
+    for (uint64_t seed : {611u, 612u, 613u}) {
+        const auto circuit = test::makeRandomCircuit(seed, 10, 70, 16);
+        VulnerabilityEngine engine(*circuit.netlist,
+                                   CellLibrary::defaultLibrary(),
+                                   *circuit.workload);
+        engine.setAttributionTap(&tap);
+        StructureRegistry registry(*circuit.netlist);
+        const Structure &structure = registry.add("Rnd", "rnd/");
+
+        for (int variant = 0; variant < 4; ++variant) {
+            SamplingConfig config;
+            config.cycleFraction = 0.3;
+            config.maxInjectionCycles = 4;
+            config.threads = 2;
+            config.attribution = variant & 1;
+            config.recordPerWire = variant & 2;
+            engine.setVectorMode(variant != 0);
+
+            DelayAvfProgress capture;
+            const DelayAvfResult cold =
+                engine.delayAvf(structure, 0.6, config, &capture);
+            ASSERT_FALSE(cold.stopped);
+            ASSERT_EQ(capture.completed.size(),
+                      engine.injectionCycles(config).size());
+            EXPECT_EQ(cold.attrValid, config.attribution);
+            ace += cold.delayAceInjections;
+            attr_rows += cold.attribution.size();
+
+            std::vector<InjectionCycleOutcome> reversed(
+                capture.completed.rbegin(), capture.completed.rend());
+            const auto aggregated =
+                engine.aggregateDelayAvf(structure, config, reversed);
+            ASSERT_TRUE(aggregated.has_value());
+            expectSameResult(cold, *aggregated);
+
+            const uint64_t fallbacks = staFallbacks();
+            DelayAvfProgress resume;
+            resume.completed = reversed;
+            expectSameResult(cold, engine.delayAvf(structure, 0.6, config,
+                                                   &resume));
+            EXPECT_EQ(staFallbacks(), fallbacks);
+        }
+    }
+    EXPECT_GT(ace, 0u);
+    EXPECT_GT(attr_rows, 0u);
+    obs::MetricsRegistry::setEnabled(false);
+    obs::MetricsRegistry::instance().reset();
+}
+
+TEST(Aggregation, QuarantineInSomeCyclesIsDerivedFromTheOthers)
+{
+    const auto circuit = test::makeRandomCircuit(621, 10, 70, 16);
+    VulnerabilityEngine engine(*circuit.netlist,
+                               CellLibrary::defaultLibrary(),
+                               *circuit.workload);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+
+    SamplingConfig config;
+    config.cycleFraction = 0.3;
+    config.maxInjectionCycles = 4;
+    config.threads = 2;
+    config.recordPerWire = true;
+    const std::vector<uint64_t> cycles = engine.injectionCycles(config);
+    ASSERT_GE(cycles.size(), 3u);
+    const std::vector<WireId> wires =
+        engine.sampledWires(structure, config);
+    const std::vector<size_t> nonempty =
+        staticWireIndices(engine, wires, 0.6);
+    ASSERT_GE(nonempty.size(), 2u);
+
+    // The first two scheduled cycles quarantine wires that pass the STA
+    // filter, so their staticInjections undercount the static wires.
+    std::vector<InjectionCycleOutcome> outcomes;
+    for (size_t i = 0; i < cycles.size(); ++i) {
+        std::vector<size_t> quarantined;
+        if (i < 2)
+            quarantined = {nonempty.front(), nonempty.back()};
+        outcomes.push_back(engine.delayAvfCycle(
+            structure, 0.6, cycles[i], config, 0, SIZE_MAX, quarantined));
+    }
+
+    // STA-backed reference: resume from the quarantined cycles only, so
+    // delayAvf() computes the rest and counts static wires from its sets.
+    DelayAvfProgress partial;
+    partial.completed = {outcomes[0], outcomes[1]};
+    const DelayAvfResult reference =
+        engine.delayAvf(structure, 0.6, config, &partial);
+    ASSERT_EQ(partial.completed, outcomes);
+    EXPECT_LT(outcomes[0].staticInjections, outcomes[2].staticInjections);
+    EXPECT_EQ(reference.skipReasons.at("quarantined"), 4u);
+
+    const auto aggregated =
+        engine.aggregateDelayAvf(structure, config, outcomes);
+    ASSERT_TRUE(aggregated.has_value());
+    expectSameResult(reference, *aggregated);
+    DelayAvfProgress all;
+    all.completed = outcomes;
+    expectSameResult(reference,
+                     engine.delayAvf(structure, 0.6, config, &all));
+}
+
+TEST(Aggregation, QuarantineInEveryCycleFallsBackToSta)
+{
+    const auto circuit = test::makeRandomCircuit(622, 10, 70, 16);
+    VulnerabilityEngine engine(*circuit.netlist,
+                               CellLibrary::defaultLibrary(),
+                               *circuit.workload);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+
+    SamplingConfig config;
+    config.cycleFraction = 0.3;
+    config.maxInjectionCycles = 4;
+    config.threads = 2;
+    const std::vector<uint64_t> cycles = engine.injectionCycles(config);
+    const std::vector<WireId> wires =
+        engine.sampledWires(structure, config);
+    const std::vector<size_t> nonempty =
+        staticWireIndices(engine, wires, 0.6);
+    ASSERT_FALSE(nonempty.empty());
+
+    const std::vector<size_t> quarantined = {nonempty.front()};
+    std::vector<InjectionCycleOutcome> outcomes;
+    for (uint64_t cycle : cycles) {
+        outcomes.push_back(engine.delayAvfCycle(structure, 0.6, cycle,
+                                                config, 0, SIZE_MAX,
+                                                quarantined));
+    }
+    EXPECT_FALSE(
+        engine.aggregateDelayAvf(structure, config, outcomes).has_value());
+
+    obs::MetricsRegistry::instance().reset();
+    obs::MetricsRegistry::setEnabled(true);
+    DelayAvfProgress all;
+    all.completed = outcomes;
+    const DelayAvfResult fallback =
+        engine.delayAvf(structure, 0.6, config, &all);
+    EXPECT_EQ(staFallbacks(), 1u);
+    obs::MetricsRegistry::setEnabled(false);
+    obs::MetricsRegistry::instance().reset();
+
+    // The fallback's static fraction is the STA filter's, as in a cold
+    // run; every other field aggregates the quarantined outcomes.
+    const DelayAvfResult cold = engine.delayAvf(structure, 0.6, config);
+    EXPECT_EQ(fallback.staticWireFraction, cold.staticWireFraction);
+    EXPECT_EQ(fallback.staticWireFraction,
+              static_cast<double>(nonempty.size())
+                  / static_cast<double>(wires.size()));
+    EXPECT_EQ(fallback.skipReasons.at("quarantined"), cycles.size());
+    EXPECT_EQ(fallback.staticInjections + cycles.size(),
+              cold.staticInjections);
+    EXPECT_FALSE(fallback.stopped);
+}
+
+TEST(Aggregation, StoppedCellMatchesStaBackedRun)
+{
+    const auto circuit = test::makeRandomCircuit(623, 10, 70, 16);
+    VulnerabilityEngine engine(*circuit.netlist,
+                               CellLibrary::defaultLibrary(),
+                               *circuit.workload);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+
+    // One thread runs cycles in schedule order; stopping after the
+    // first leaves a stopped cell with exactly one completed outcome.
+    std::atomic<bool> stop{false};
+    SamplingConfig config;
+    config.cycleFraction = 0.3;
+    config.maxInjectionCycles = 4;
+    config.threads = 1;
+    config.stopFlag = &stop;
+    DelayAvfProgress progress;
+    progress.onCycleDone = [&](const InjectionCycleOutcome &) {
+        stop = true;
+    };
+    const DelayAvfResult stopped =
+        engine.delayAvf(structure, 0.6, config, &progress);
+    ASSERT_TRUE(stopped.stopped);
+    ASSERT_EQ(progress.completed.size(), 1u);
+
+    const auto aggregated =
+        engine.aggregateDelayAvf(structure, config, progress.completed);
+    ASSERT_TRUE(aggregated.has_value());
+    expectSameResult(stopped, *aggregated);
+
+    // A stopped cell whose only outcome quarantined a static wire needs
+    // the STA filter.
+    const std::vector<size_t> nonempty = staticWireIndices(
+        engine, engine.sampledWires(structure, config), 0.6);
+    ASSERT_FALSE(nonempty.empty());
+    SamplingConfig unstopped = config;
+    unstopped.stopFlag = nullptr;
+    const std::vector<size_t> quarantined = {nonempty.front()};
+    const std::vector<InjectionCycleOutcome> skipped = {
+        engine.delayAvfCycle(structure, 0.6,
+                             progress.completed.front().cycle, unstopped,
+                             0, SIZE_MAX, quarantined)};
+    EXPECT_FALSE(
+        engine.aggregateDelayAvf(structure, config, skipped).has_value());
+    EXPECT_FALSE(engine.aggregateDelayAvf(structure, config, {}).has_value());
 }
 
 /// @}

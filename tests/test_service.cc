@@ -13,8 +13,9 @@
  *  - the query scheduler: cold queries compute and persist, warm
  *    queries are served entirely from the store with byte-identical
  *    reports, results match a direct engine evaluation bit-for-bit,
- *    concurrent identical queries simulate each shard once, and
- *    cancellation surfaces as a recoverable error.
+ *    concurrent identical queries simulate each shard once, all-hit
+ *    queries never wait for the compute lock, and cancellation
+ *    surfaces as a recoverable error.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +24,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -619,12 +622,73 @@ TEST_F(SchedulerFixture, ConcurrentIdenticalQueriesComputeEachShardOnce)
 
     // The in-flight dedupe: every shard was simulated exactly once;
     // the other client's copies came from the store — either as plain
-    // hits or, when it raced the compute, as in-flight hits.
+    // hits or, when it raced the compute, as in-flight hits, which are
+    // a subset of the shard hits.
     const SchedulerStats stats = scheduler->stats();
     EXPECT_EQ(stats.shardsComputed, shards);
-    EXPECT_EQ(stats.shardHits + stats.inFlightHits
-                  + stats.shardsComputed,
-              2 * shards);
+    EXPECT_EQ(stats.shardHits + stats.shardsComputed, 2 * shards);
+    EXPECT_LE(stats.inFlightHits, stats.shardHits);
+}
+
+TEST_F(SchedulerFixture, AllHitQueryDoesNotWaitForTheComputeLock)
+{
+    // A tap that parks every attribution pass until released: a query
+    // with attribution on then holds the compute lock (it is inside
+    // delayAvf) for as long as the test wants.
+    class ParkingTap : public test::CycleAttributionTap
+    {
+      public:
+        InFlight
+        inFlight(uint64_t cycle) override
+        {
+            if (!entered.exchange(true))
+                parked.set_value();
+            release.wait();
+            return CycleAttributionTap::inFlight(cycle);
+        }
+
+        std::atomic<bool> entered{false};
+        std::promise<void> parked;
+        std::shared_future<void> release;
+    };
+    ParkingTap tap;
+    std::promise<void> release;
+    tap.release = release.get_future().share();
+    engine->setAttributionTap(&tap);
+
+    const QuerySpec warm = query();
+    auto cold = scheduler->run(warm);
+    ASSERT_TRUE(cold.ok()) << cold.error().what();
+
+    QuerySpec attributed = warm;
+    attributed.sampling.attribution = true;
+    std::thread computing([&] {
+        auto reply = scheduler->run(attributed);
+        EXPECT_TRUE(reply.ok()) << reply.error().what();
+    });
+    // Bounded waits only turn a regression into a failure, not a hang.
+    const auto bound = std::chrono::seconds(30);
+    const bool parked = tap.parked.get_future().wait_for(bound)
+        == std::future_status::ready;
+
+    // The compute lock is held now; an all-hit query must still return.
+    std::future<Result<QueryScheduler::QueryReply>> hit;
+    bool returned = false;
+    if (parked) {
+        hit = std::async(std::launch::async,
+                         [&] { return scheduler->run(warm); });
+        returned = hit.wait_for(bound) == std::future_status::ready;
+    }
+    release.set_value();
+    computing.join();
+    engine->setAttributionTap(nullptr);
+
+    ASSERT_TRUE(parked) << "the attributed query never reached the tap";
+    ASSERT_TRUE(returned) << "an all-hit query waited for the compute lock";
+    auto reply = hit.get();
+    ASSERT_TRUE(reply.ok()) << reply.error().what();
+    EXPECT_EQ(reply.value().storeHits, numShards(warm));
+    EXPECT_EQ(reply.value().reportJson, cold.value().reportJson);
 }
 
 TEST_F(SchedulerFixture, AFreshSchedulerServesFromThePersistedStore)

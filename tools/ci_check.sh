@@ -23,8 +23,10 @@ run_config() {
 
 # ThreadSanitizer race check of the suites that exercise concurrency:
 # every engine construction runs the batched parallel golden timing
-# pass, and the injection cycles fan out over the thread pool with
-# cross-delay sweep reuse shared between workers.
+# pass, the injection cycles fan out over the thread pool with
+# cross-delay sweep reuse shared between workers, and the query
+# scheduler aggregates store hits without its compute lock while
+# another client computes.
 tsan_check() {
     build_dir="$1"
     echo "=== configure $build_dir (ThreadSanitizer)" >&2
@@ -34,7 +36,7 @@ tsan_check() {
     cmake --build "$build_dir" -j "$jobs"
     echo "=== test $build_dir" >&2
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
-        -R '^(Engine|TimedSim|ThreadPool|SweepReuse)\.'
+        -R '^(Engine|TimedSim|ThreadPool|SweepReuse|SchedulerFixture|Aggregation)\.'
 }
 
 # Process-isolation smoke: run a tiny campaign with worker processes
