@@ -1,5 +1,6 @@
 #include "campaign.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -7,6 +8,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/atomic_file.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace davf {
@@ -32,20 +34,6 @@ campaignMetrics()
 {
     static CampaignMetrics *const metrics = new CampaignMetrics();
     return *metrics;
-}
-
-/** FNV-1a 64, printed as hex: the journal's config fingerprint. */
-std::string
-fnv1aHex(const std::string &text)
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    std::ostringstream os;
-    os << std::hex << hash;
-    return os.str();
 }
 
 double
@@ -77,7 +65,7 @@ campaignConfigHash(const CampaignOptions &options)
     // journals written before the flag existed so they stay resumable.
     if (options.sampling.attribution)
         os << ";attr=1";
-    return fnv1aHex(os.str());
+    return fnv1a64Hex(os.str());
 }
 
 Campaign::Campaign(VulnerabilityEngine &the_engine,
@@ -228,34 +216,23 @@ Campaign::run()
             && options.stopFlag->load(std::memory_order_relaxed);
     };
 
-    // Process isolation: known-bad injections from earlier runs keep
-    // their exclusions, so a resumed campaign converges instead of
-    // re-crashing on the same cell. Records from other configurations
-    // are ignored (their sampled-wire indices mean something else).
-    const bool process_mode = options.isolate == IsolationMode::Process;
-    const bool net_mode = options.isolate == IsolationMode::Net;
-    if (net_mode) {
+    // The isolated modes hand whole cells to one dispatcher; thread
+    // mode computes them in-process.
+    ShardDispatcher *dispatcher = nullptr;
+    if (options.isolate == IsolationMode::Net) {
         davf_assert(options.dispatcher != nullptr,
                     "IsolationMode::Net needs a ShardDispatcher");
-    }
-    std::vector<QuarantineRecord> knownQuarantine;
-    if (process_mode && !options.supervisor.quarantineDir.empty()) {
-        for (QuarantineRecord &record :
-             loadQuarantineRecords(options.supervisor.quarantineDir)) {
-            if (record.configHash == journal.configHash)
-                knownQuarantine.push_back(std::move(record));
-        }
-    }
-    auto ensure_supervisor = [&]() {
-        if (supervisor)
-            return;
+        dispatcher = options.dispatcher;
+    } else if (options.isolate == IsolationMode::Process) {
         SupervisorOptions sup = options.supervisor;
         sup.configHash = journal.configHash;
         sup.benchmark = options.benchmark;
         sup.seed = options.sampling.seed;
         sup.stopFlag = options.stopFlag;
-        supervisor = std::make_unique<Supervisor>(std::move(sup));
-    };
+        supervisor =
+            std::make_unique<Supervisor>(*engine, *registry, std::move(sup));
+        dispatcher = supervisor.get();
+    }
 
     // A campaign sweeps every structure across the same delay list, so
     // the engine can reuse per-cycle golden context and verdicts across
@@ -306,38 +283,19 @@ Campaign::run()
         cell.key = planned.key;
         cell.delay = planned.delay;
 
+        // Each kind of cell runs dispatched or in-process.
+        bool stopped = false;
         if (planned.key.kind == "savf") {
-            if (net_mode) {
-                ShardDispatcher::CellResult shard =
-                    options.dispatcher->runSavfCell(
-                        planned.key.structure, config, cell.savf);
-                if (shard.stopped) {
-                    summary.interrupted = true;
-                    save();
-                    break;
-                }
-                cell.failed = shard.failed;
-                cell.failReason = shard.failReason;
-            } else if (process_mode) {
-                ensure_supervisor();
-                Supervisor::SavfCellResult shard =
-                    supervisor->runSavfCell(planned.key.structure,
-                                            config);
-                if (shard.stopped) {
-                    summary.interrupted = true;
-                    save();
-                    break;
-                }
-                cell.savf = shard.savf;
+            if (dispatcher) {
+                const ShardDispatcher::CellResult shard =
+                    dispatcher->runSavfCell(planned.key.structure, config,
+                                            cell.savf);
+                stopped = shard.stopped;
                 cell.failed = shard.failed;
                 cell.failReason = shard.failReason;
             } else {
                 cell.savf = engine->savf(*planned.structure, config);
-                if (cell.savf.stopped) {
-                    summary.interrupted = true;
-                    save();
-                    break;
-                }
+                stopped = cell.savf.stopped;
             }
         } else {
             DelayAvfProgress progress;
@@ -347,7 +305,7 @@ Campaign::run()
             }
             // Journal every completed injection cycle: an interruption
             // (even SIGKILL) loses at most one cycle of work. Calls are
-            // serialized by the engine.
+            // serialized by the engine or the dispatcher.
             progress.onCycleDone =
                 [&](const InjectionCycleOutcome &outcome) {
                     if (!journal.hasPartial
@@ -365,8 +323,8 @@ Campaign::run()
                     save();
                 };
 
-            // Aggregation from completed outcomes is shared by both
-            // isolation modes; catching ExcessiveFailures (the cell is
+            // Aggregation from completed outcomes is shared by every
+            // mode; catching ExcessiveFailures (the cell is
             // untrustworthy) records why and moves on.
             auto aggregate = [&](DelayAvfProgress *with) {
                 try {
@@ -381,70 +339,37 @@ Campaign::run()
                 }
             };
 
-            if (process_mode || net_mode) {
+            if (dispatcher) {
                 // Dispatch only the cycles the journal does not already
-                // have; workers compute, the supervisor/coordinator
-                // retries and quarantines, and every completed outcome
-                // is journaled through the same onCycleDone as thread
-                // mode.
+                // have; workers compute, the dispatcher retries (and,
+                // for processes, quarantines), and every completed
+                // outcome is journaled through the same onCycleDone as
+                // thread mode.
                 std::vector<uint64_t> todo;
                 for (uint64_t cycle : engine->injectionCycles(config)) {
-                    bool have = false;
-                    for (const InjectionCycleOutcome &out :
-                         progress.completed) {
-                        if (out.cycle == cycle) {
-                            have = true;
-                            break;
-                        }
-                    }
-                    if (!have)
+                    if (std::none_of(progress.completed.begin(),
+                                     progress.completed.end(),
+                                     [&](const InjectionCycleOutcome &out) {
+                                         return out.cycle == cycle;
+                                     }))
                         todo.push_back(cycle);
                 }
 
-                bool shard_failed = false;
-                std::string shard_fail_reason;
-                bool shard_stopped = false;
-                if (net_mode) {
-                    ShardDispatcher::CellResult shard =
-                        options.dispatcher->runDavfCell(
-                            planned.key.structure, planned.delay, todo,
-                            config, progress.onCycleDone);
-                    shard_failed = shard.failed;
-                    shard_fail_reason = std::move(shard.failReason);
-                    shard_stopped = shard.stopped;
-                } else {
-                    ensure_supervisor();
-                    const std::vector<WireId> wires =
-                        engine->sampledWires(*planned.structure, config);
-
-                    Supervisor::DavfCellResult shard =
-                        supervisor->runDavfCell(
-                            planned.key.structure, planned.delay, todo,
-                            wires, config, knownQuarantine,
-                            progress.onCycleDone);
-                    for (QuarantineRecord &record : shard.quarantined) {
-                        knownQuarantine.push_back(record);
-                        summary.quarantined.push_back(std::move(record));
-                    }
-                    shard_failed = shard.failed;
-                    shard_fail_reason = std::move(shard.failReason);
-                    shard_stopped = shard.stopped;
-                }
-
-                if (shard_stopped) {
-                    summary.interrupted = true;
-                    save();
-                    flushCsv(summary);
-                    break;
-                }
-                if (shard_failed) {
+                ShardDispatcher::CellResult shard =
+                    dispatcher->runDavfCell(planned.key.structure,
+                                            planned.delay, todo, config,
+                                            progress.onCycleDone);
+                for (QuarantineRecord &record : shard.quarantined)
+                    summary.quarantined.push_back(std::move(record));
+                stopped = shard.stopped;
+                if (shard.failed) {
                     cell.failed = true;
-                    cell.failReason = shard_fail_reason;
-                } else {
+                    cell.failReason = std::move(shard.failReason);
+                } else if (!stopped) {
                     // Every outcome is in the journal now; the engine
                     // call only aggregates (no cycle is re-simulated),
-                    // which keeps process mode bit-identical to thread
-                    // mode at any worker count.
+                    // which keeps the isolated modes bit-identical to
+                    // thread mode at any worker count.
                     DelayAvfProgress completed;
                     if (journal.hasPartial
                         && journal.partialKey == planned.key) {
@@ -454,17 +379,15 @@ Campaign::run()
                 }
             } else {
                 aggregate(&progress);
-
-                if (!cell.failed && cell.davf.stopped) {
-                    // Partial cycles are already journaled via
-                    // onCycleDone; flush once more for good measure and
-                    // stop cleanly.
-                    summary.interrupted = true;
-                    save();
-                    flushCsv(summary);
-                    break;
-                }
+                stopped = !cell.failed && cell.davf.stopped;
             }
+        }
+        if (stopped) {
+            // Completed cycles are already journaled via onCycleDone;
+            // save once more and stop cleanly.
+            summary.interrupted = true;
+            save();
+            break;
         }
 
         // The cell is final (completed or failed): promote it to the

@@ -64,43 +64,6 @@ enum class IsolationMode : uint8_t {
     Net,
 };
 
-/**
- * Remote-execution hook for IsolationMode::Net. The campaign stays
- * transport-agnostic: it hands whole cells to this interface and
- * journals the per-cycle outcomes it gets back exactly as in the other
- * modes. Implemented by net::Coordinator.
- */
-class ShardDispatcher
-{
-  public:
-    /** One dispatched cell's outcome (mirrors the supervisor's). */
-    struct CellResult
-    {
-        bool failed = false; ///< A shard failed beyond repair.
-        std::string failReason;
-        bool stopped = false; ///< The stop flag interrupted the cell.
-    };
-
-    virtual ~ShardDispatcher() = default;
-
-    /**
-     * Compute the given injection cycles of one (structure, delay)
-     * cell across the fleet. Every completed outcome is delivered
-     * through @p on_cycle_done (serialized; any thread).
-     */
-    virtual CellResult runDavfCell(
-        const std::string &structure, double delay_fraction,
-        const std::vector<uint64_t> &cycles,
-        const SamplingConfig &sampling,
-        const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done) = 0;
-
-    /** Compute one sAVF cell on the fleet; @p out on success. */
-    virtual CellResult runSavfCell(const std::string &structure,
-                                   const SamplingConfig &sampling,
-                                   SavfResult &out) = 0;
-};
-
 /** What to run and how to survive it. */
 struct CampaignOptions
 {
@@ -178,8 +141,9 @@ struct CampaignOptions
     SupervisorOptions supervisor;
 
     /**
-     * Remote dispatch hook, required for IsolationMode::Net; the
-     * caller owns it (and its node fleet) and it must outlive run().
+     * Remote dispatch hook (shard_link.hh), required for
+     * IsolationMode::Net; the caller owns it (and its node fleet) and
+     * it must outlive run().
      */
     ShardDispatcher *dispatcher = nullptr;
 };
@@ -241,7 +205,7 @@ class Campaign
     const StructureRegistry *registry;
     CampaignOptions options;
     Checkpoint journal;
-    std::unique_ptr<Supervisor> supervisor; ///< Process mode, lazy.
+    std::unique_ptr<Supervisor> supervisor; ///< Process mode's dispatcher.
 };
 
 } // namespace davf

@@ -1,13 +1,12 @@
 #include "checkpoint.hh"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "util/atomic_file.hh"
 #include "util/crashpoint.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace davf {
 
@@ -22,23 +21,6 @@ checkToken(const std::string &token, const char *what)
         davf_throw(ErrorKind::BadArgument, "checkpoint ", what, " '",
                    token, "' is empty or contains whitespace");
     }
-}
-
-std::string
-doubleToText(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%a", value);
-    return buffer;
-}
-
-bool
-textToDouble(const std::string &text, double &out)
-{
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    out = std::strtod(begin, &end);
-    return end == begin + text.size() && !text.empty();
 }
 
 /**
@@ -262,11 +244,11 @@ readAttrTable(std::istream &is,
 void
 writeDavfResult(std::ostream &os, const DelayAvfResult &result)
 {
-    os << ' ' << doubleToText(result.delayAvf) << ' '
-       << doubleToText(result.orDelayAvf) << ' '
-       << doubleToText(result.staticWireFraction) << ' '
-       << doubleToText(result.dynamicWireFraction) << ' '
-       << doubleToText(result.groupAceWireFraction) << ' '
+    os << ' ' << hexDouble(result.delayAvf) << ' '
+       << hexDouble(result.orDelayAvf) << ' '
+       << hexDouble(result.staticWireFraction) << ' '
+       << hexDouble(result.dynamicWireFraction) << ' '
+       << hexDouble(result.groupAceWireFraction) << ' '
        << result.injections << ' ' << result.staticInjections << ' '
        << result.errorInjections << ' ' << result.multiBitInjections
        << ' ' << result.delayAceInjections << ' '
@@ -314,7 +296,7 @@ readDavfResult(std::istream &is, DelayAvfResult &result)
 void
 writeSavfFields(std::ostream &os, const SavfResult &result)
 {
-    os << doubleToText(result.savf) << ' ' << result.injections << ' '
+    os << hexDouble(result.savf) << ' ' << result.injections << ' '
        << result.aceInjections << ' ' << result.sdc << ' ' << result.due
        << ' ' << result.skippedErrors;
 }
@@ -407,7 +389,7 @@ Checkpoint::find(const CheckpointKey &key) const
 std::string
 canonicalDelay(double delay)
 {
-    return doubleToText(delay);
+    return hexDouble(delay);
 }
 
 std::string

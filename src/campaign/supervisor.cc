@@ -1,13 +1,10 @@
 #include "supervisor.hh"
 
 #include <signal.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,55 +12,21 @@
 #include <sstream>
 #include <thread>
 
-#include "campaign/checkpoint.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/atomic_file.hh"
+#include "util/clock.hh"
 #include "util/crashpoint.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace davf {
 
 namespace {
 
-constexpr double kHeartbeatIntervalMs = 200.0;
 constexpr double kQuitGraceMs = 2000.0;
 constexpr double kKillGraceMs = 500.0;
-
-std::string
-hexDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%a", value);
-    return buffer;
-}
-
-bool
-textToDouble(const std::string &text, double &out)
-{
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    out = std::strtod(begin, &end);
-    return end == begin + text.size() && !text.empty();
-}
-
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-uint64_t
-fnv1a(const std::string &text, uint64_t hash = 0xcbf29ce484222325ull)
-{
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
 
 /**
  * Supervisor metric handles (docs/OBSERVABILITY.md). In `--isolate
@@ -73,21 +36,16 @@ fnv1a(const std::string &text, uint64_t hash = 0xcbf29ce484222325ull)
  */
 struct SupervisorMetrics
 {
+    LinkMetrics link{"supervisor"};
     obs::Counter workersSpawned{"supervisor.workers_spawned"};
     obs::Counter workersRetired{"supervisor.workers_retired"};
-    obs::Counter dispatches{"supervisor.dispatches"};
     obs::Counter retries{"supervisor.retries"};
-    obs::Counter heartbeats{"supervisor.heartbeats"};
-    obs::Counter backoffWaits{"supervisor.backoff_waits"};
     obs::Counter bisectProbes{"supervisor.bisect_probes"};
     obs::Counter quarantines{"supervisor.quarantines"};
     obs::Counter quarantineWriteFailures{
         "supervisor.quarantine_write_failures"};
     obs::Counter quarantineSkippedRecords{
         "supervisor.quarantine_skipped_records"};
-    obs::Counter dispatchNs{"supervisor.time.dispatch_ns"};
-    obs::Counter backoffNs{"supervisor.time.backoff_ns"};
-    obs::ValueHistogram shardWallUs{"supervisor.shard_wall_us"};
 };
 
 SupervisorMetrics &
@@ -116,6 +74,39 @@ outcomeCounter(std::string_view name)
 }
 
 } // namespace
+
+const char *
+workerOutcomeName(WorkerOutcome outcome)
+{
+    switch (outcome) {
+    case WorkerOutcome::Ok: return "ok";
+    case WorkerOutcome::Crash: return "crash";
+    case WorkerOutcome::Timeout: return "timeout";
+    case WorkerOutcome::Oom: return "oom";
+    case WorkerOutcome::BadOutput: return "bad-output";
+    case WorkerOutcome::Error: return "error";
+    case WorkerOutcome::Stopped: return "stopped";
+    }
+    return "?";
+}
+
+WorkerOutcome
+classifyWorkerReply(ShardReply::Status status, const ExitStatus &exit)
+{
+    using Status = ShardReply::Status;
+    switch (status) {
+    case Status::Ok: return WorkerOutcome::Ok;
+    case Status::WorkerError: return WorkerOutcome::Error;
+    case Status::Torn:
+    case Status::BadReply: return WorkerOutcome::BadOutput;
+    case Status::Silent:
+    case Status::Deadline: return WorkerOutcome::Timeout;
+    case Status::SendFailed:
+    case Status::Eof: break;
+    }
+    return exit.exited && exit.code == 86 ? WorkerOutcome::Oom
+                                          : WorkerOutcome::Crash;
+}
 
 std::string
 serializeQuarantineRecord(const QuarantineRecord &record)
@@ -170,8 +161,8 @@ saveQuarantineRecord(const std::string &dir,
     std::ostringstream name;
     name << "q-" << record.structure << "-c" << record.cycle << "-w"
          << record.wireIndex << "-" << std::hex
-         << fnv1a(record.configHash + ':' + record.benchmark + ':'
-                  + hexDouble(record.delayFraction))
+         << fnv1a64(record.configHash + ':' + record.benchmark + ':'
+                    + hexDouble(record.delayFraction))
          << ".qr";
     const std::filesystem::path path =
         std::filesystem::path(dir) / name.str();
@@ -234,45 +225,19 @@ struct Supervisor::Slot
     bool ready = false; ///< The worker said hello and is idle.
 };
 
-struct Supervisor::Attempt
+/** One shard dispatch: the exchange, classified, plus its wall time.
+ *  The rusage fields come from the reply or from the reaped worker. */
+struct Supervisor::Attempt : ShardReply
 {
-    enum class Outcome : uint8_t {
-        Ok,        ///< A well-formed reply arrived.
-        Crash,     ///< The worker died (signal or nonzero exit).
-        Timeout,   ///< Heartbeat or shard deadline expired; killed.
-        Oom,       ///< The worker exceeded its memory cap.
-        BadOutput, ///< The worker replied with something unparseable.
-        Error,     ///< The worker reported a deterministic DavfError.
-        Stopped,   ///< The cooperative stop flag interrupted us.
-    };
-
-    Outcome outcome = Outcome::Error;
-    std::string detail;
-    InjectionCycleOutcome cycleOutcome; ///< Valid for Ok davf shards.
-    SavfResult savfOutcome;             ///< Valid for Ok savf shards.
+    WorkerOutcome outcome = WorkerOutcome::Error;
     double wallMs = 0.0;
-    long rssKb = 0;
-    double userSec = 0.0;
-    double sysSec = 0.0;
 
     bool retryable() const
     {
-        return outcome == Outcome::Crash || outcome == Outcome::Timeout
-            || outcome == Outcome::Oom || outcome == Outcome::BadOutput;
-    }
-
-    const char *outcomeName() const
-    {
-        switch (outcome) {
-        case Outcome::Ok: return "ok";
-        case Outcome::Crash: return "crash";
-        case Outcome::Timeout: return "timeout";
-        case Outcome::Oom: return "oom";
-        case Outcome::BadOutput: return "bad-output";
-        case Outcome::Error: return "error";
-        case Outcome::Stopped: return "stopped";
-        }
-        return "?";
+        return outcome == WorkerOutcome::Crash
+            || outcome == WorkerOutcome::Timeout
+            || outcome == WorkerOutcome::Oom
+            || outcome == WorkerOutcome::BadOutput;
     }
 };
 
@@ -286,13 +251,27 @@ struct Supervisor::CellState
     bool stopped = false;
 };
 
-Supervisor::Supervisor(SupervisorOptions the_options)
-    : options(std::move(the_options))
+Supervisor::Supervisor(const VulnerabilityEngine &the_engine,
+                       const StructureRegistry &the_registry,
+                       SupervisorOptions the_options)
+    : engine(&the_engine), registry(&the_registry),
+      options(std::move(the_options))
 {
     davf_assert(!options.workerArgv.empty(),
                 "supervisor needs a worker command line");
     if (options.workers == 0)
         options.workers = 1;
+    // Known-bad injections from earlier runs keep their exclusions, so
+    // a resumed campaign converges instead of re-crashing on the same
+    // cell. Records from other configurations are ignored (their
+    // sampled-wire indices mean something else).
+    if (!options.quarantineDir.empty()) {
+        for (QuarantineRecord &record :
+             loadQuarantineRecords(options.quarantineDir)) {
+            if (record.configHash == options.configHash)
+                known.push_back(std::move(record));
+        }
+    }
     // A dead worker surfaces as EPIPE on write, not a process-fatal
     // SIGPIPE.
     ::signal(SIGPIPE, SIG_IGN);
@@ -345,7 +324,7 @@ Supervisor::ensureWorker(Slot &slot)
     // included), so it gets its own generous budget.
     std::string frame;
     const Subprocess::ReadStatus st =
-        slot.proc->readFrame(frame, options.startTimeoutMs);
+        slot.proc->read(frame, options.startTimeoutMs);
     if (st != Subprocess::ReadStatus::Frame || frame != "hello") {
         std::string detail;
         if (st == Subprocess::ReadStatus::Timeout) {
@@ -368,25 +347,19 @@ Supervisor::ensureWorker(Slot &slot)
 Supervisor::Attempt
 Supervisor::dispatchOnce(Slot &slot, const ShardSpec &spec)
 {
-    const obs::Span span("supervisor.dispatch",
-                         &supervisorMetrics().dispatchNs);
-    supervisorMetrics().dispatches.add(1);
+    const LinkMetrics &lm = supervisorMetrics().link;
+    const obs::Span span(lm.dispatchSpan.c_str(), &lm.dispatchNs);
+    lm.dispatches.add(1);
 
     Attempt attempt;
     const double started = nowMs();
-    auto finish = [&](Attempt::Outcome outcome, std::string detail) {
+    auto finish = [&](WorkerOutcome outcome) {
         attempt.outcome = outcome;
-        attempt.detail = std::move(detail);
         attempt.wallMs = nowMs() - started;
-        outcomeCounter(attempt.outcomeName()).add(1);
-        supervisorMetrics().shardWallUs.observe(
+        outcomeCounter(workerOutcomeName(outcome)).add(1);
+        lm.shardWallUs.observe(
             static_cast<uint64_t>(attempt.wallMs * 1000.0));
         return attempt;
-    };
-    auto absorbStatus = [&](const ExitStatus &status) {
-        attempt.rssKb = status.maxRssKb;
-        attempt.userSec = status.userSec;
-        attempt.sysSec = status.sysSec;
     };
 
     try {
@@ -394,143 +367,36 @@ Supervisor::dispatchOnce(Slot &slot, const ShardSpec &spec)
     } catch (const DavfError &error) {
         // A worker that cannot even start is indistinguishable from a
         // startup crash; the retry path respawns it.
-        return finish(Attempt::Outcome::Crash, error.what());
+        attempt.detail = error.what();
+        return finish(WorkerOutcome::Crash);
     }
 
-    try {
-        slot.proc->sendFrame("shard " + serializeShardSpec(spec));
-    } catch (const DavfError &) {
-        const ExitStatus status = slot.proc->terminate(kKillGraceMs);
+    static_cast<ShardReply &>(attempt) =
+        exchangeShard(*slot.proc, spec, options.heartbeatTimeoutMs,
+                      options.shardTimeoutMs, started, lm);
+    using Status = ShardReply::Status;
+    ExitStatus exit;
+    if (attempt.status == Status::BadReply) {
+        // Protocol corruption: retire the worker so the retry starts
+        // from a clean process.
+        retireWorker(slot, kKillGraceMs);
+    } else if (attempt.status != Status::Ok
+               && attempt.status != Status::WorkerError) {
+        // The worker is gone, wedged, or out of frame sync: reap it
+        // for its exit status and rusage.
+        exit = attempt.status == Status::Eof
+            ? slot.proc->wait()
+            : slot.proc->terminate(kKillGraceMs);
         slot.proc.reset();
         slot.ready = false;
-        absorbStatus(status);
-        if (status.exited && status.code == 86)
-            return finish(Attempt::Outcome::Oom, status.describe());
-        return finish(Attempt::Outcome::Crash, status.describe());
+        attempt.rssKb = exit.maxRssKb;
+        attempt.userSec = exit.userSec;
+        attempt.sysSec = exit.sysSec;
+        if (attempt.status == Status::Eof
+            || attempt.status == Status::SendFailed)
+            attempt.detail = exit.describe();
     }
-
-    const double shard_deadline = options.shardTimeoutMs > 0.0
-        ? started + options.shardTimeoutMs
-        : 0.0;
-    std::string frame;
-    for (;;) {
-        double budget = options.heartbeatTimeoutMs;
-        if (shard_deadline > 0.0) {
-            const double remaining = shard_deadline - nowMs();
-            if (remaining <= 0.0) {
-                const ExitStatus status =
-                    slot.proc->terminate(kKillGraceMs);
-                slot.proc.reset();
-                slot.ready = false;
-                absorbStatus(status);
-                return finish(Attempt::Outcome::Timeout,
-                              "shard exceeded its "
-                                  + std::to_string(options.shardTimeoutMs)
-                                  + " ms budget");
-            }
-            budget = std::min(budget, remaining);
-        }
-
-        Subprocess::ReadStatus st;
-        try {
-            st = slot.proc->readFrame(frame, budget);
-        } catch (const DavfError &error) {
-            // Torn stream or read failure: the worker is unusable.
-            const ExitStatus status = slot.proc->terminate(kKillGraceMs);
-            slot.proc.reset();
-            slot.ready = false;
-            absorbStatus(status);
-            return finish(Attempt::Outcome::BadOutput, error.what());
-        }
-
-        if (st == Subprocess::ReadStatus::Eof) {
-            const ExitStatus status = slot.proc->wait();
-            slot.proc.reset();
-            slot.ready = false;
-            absorbStatus(status);
-            if (status.exited && status.code == 86)
-                return finish(Attempt::Outcome::Oom, status.describe());
-            return finish(Attempt::Outcome::Crash, status.describe());
-        }
-        if (st == Subprocess::ReadStatus::Timeout) {
-            if (shard_deadline > 0.0 && nowMs() < shard_deadline)
-                continue; // The heartbeat window is rearmed per frame.
-            const ExitStatus status = slot.proc->terminate(kKillGraceMs);
-            slot.proc.reset();
-            slot.ready = false;
-            absorbStatus(status);
-            return finish(Attempt::Outcome::Timeout,
-                          shard_deadline > 0.0
-                              ? "shard exceeded its "
-                                  + std::to_string(options.shardTimeoutMs)
-                                  + " ms budget"
-                              : "no heartbeat within "
-                                  + std::to_string(
-                                        options.heartbeatTimeoutMs)
-                                  + " ms");
-        }
-
-        if (frame == "hb") {
-            supervisorMetrics().heartbeats.add(1);
-            continue;
-        }
-
-        std::istringstream is(frame);
-        std::string tag;
-        is >> tag;
-        if (tag == "err") {
-            std::string kind;
-            is >> kind;
-            std::string message;
-            std::getline(is, message);
-            if (!message.empty() && message.front() == ' ')
-                message.erase(0, 1);
-            return finish(Attempt::Outcome::Error,
-                          kind + ": " + message);
-        }
-        if (tag == "ok") {
-            std::string what;
-            is >> what;
-            bool ok = false;
-            if (what == "davf" && spec.kind == ShardSpec::Kind::Cycle)
-                ok = parseOutcomeFields(is, attempt.cycleOutcome);
-            else if (what == "savf" && spec.kind == ShardSpec::Kind::Savf)
-                ok = parseSavfFields(is, attempt.savfOutcome);
-            std::string rss_tag;
-            if (ok && (is >> rss_tag) && rss_tag == "rss")
-                is >> attempt.rssKb >> attempt.userSec
-                    >> attempt.sysSec;
-            if (ok)
-                return finish(Attempt::Outcome::Ok, "");
-        }
-        // Anything else is protocol corruption: retire the worker so
-        // the retry starts from a clean process.
-        retireWorker(slot, kKillGraceMs);
-        return finish(Attempt::Outcome::BadOutput,
-                      "unparseable reply: " + frame.substr(0, 120));
-    }
-}
-
-void
-Supervisor::backoff(const ShardSpec &spec, unsigned attempt) const
-{
-    if (options.backoffBaseMs <= 0.0)
-        return;
-    double delay_ms =
-        options.backoffBaseMs * static_cast<double>(1u << attempt);
-    // Deterministic jitter: no shared clock or RNG state, yet distinct
-    // shards desynchronize their retries.
-    const uint64_t jitter_seed = fnv1a(
-        spec.structure + ':' + std::to_string(spec.cycle) + ':'
-        + std::to_string(attempt) + ':' + std::to_string(options.seed));
-    delay_ms +=
-        static_cast<double>(jitter_seed % 1000) / 1000.0
-        * options.backoffBaseMs;
-    SupervisorMetrics &sm = supervisorMetrics();
-    sm.backoffWaits.add(1);
-    const obs::Span span("supervisor.backoff", &sm.backoffNs);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(delay_ms));
+    return finish(classifyWorkerReply(attempt.status, exit));
 }
 
 void
@@ -557,7 +423,8 @@ Supervisor::recordMetrics(const ShardSpec &spec, unsigned attempt,
          << ',' << spec.cycle << ',' << spec.wireBegin << ','
          << (spec.wireEnd == SIZE_MAX ? std::string("-")
                                       : std::to_string(spec.wireEnd))
-         << ',' << attempt << ',' << outcome.outcomeName() << ','
+         << ',' << attempt << ',' << workerOutcomeName(outcome.outcome)
+         << ','
          << wall << ',' << outcome.rssKb << ',' << user << ',' << sys
          << '\n';
 }
@@ -568,7 +435,7 @@ Supervisor::dispatchWithRetries(Slot &slot, const ShardSpec &spec)
     Attempt attempt;
     for (unsigned n = 0;; ++n) {
         if (stopRequested()) {
-            attempt.outcome = Attempt::Outcome::Stopped;
+            attempt.outcome = WorkerOutcome::Stopped;
             attempt.detail = "stop requested";
             return attempt;
         }
@@ -580,7 +447,8 @@ Supervisor::dispatchWithRetries(Slot &slot, const ShardSpec &spec)
         davf_warn("shard ", spec.structure, " cycle ", spec.cycle,
                   " attempt ", n, " failed (", attempt.detail,
                   "); retrying");
-        backoff(spec, n);
+        sleepRetryBackoff(options.backoffBaseMs, spec, n, options.seed,
+                          supervisorMetrics().link);
     }
 }
 
@@ -607,14 +475,14 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
     Attempt last;
     for (;;) {
         if (stopRequested()) {
-            last.outcome = Attempt::Outcome::Stopped;
+            last.outcome = WorkerOutcome::Stopped;
             last.detail = "stop requested";
             return last;
         }
         {
             const std::lock_guard<std::mutex> lock(cell.mutex);
             if (cell.quarantined.size() >= options.maxQuarantinePerCell) {
-                last.outcome = Attempt::Outcome::Crash;
+                last.outcome = WorkerOutcome::Crash;
                 last.detail = "quarantine budget ("
                     + std::to_string(options.maxQuarantinePerCell)
                     + " per cell) exhausted";
@@ -634,7 +502,7 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
             else
                 lo = mid;
             if (stopRequested()) {
-                last.outcome = Attempt::Outcome::Stopped;
+                last.outcome = WorkerOutcome::Stopped;
                 last.detail = "stop requested";
                 return last;
             }
@@ -643,7 +511,7 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
         if (hi - lo != 1 || !probe_fails(lo, hi, last)) {
             // The failure does not reproduce on any single injection —
             // flaky hardware, or a crash that needs cross-wire state.
-            last.outcome = Attempt::Outcome::Crash;
+            last.outcome = WorkerOutcome::Crash;
             last.detail = "crash did not bisect to a single injection";
             return last;
         }
@@ -692,25 +560,36 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
     }
 }
 
-Supervisor::DavfCellResult
+Supervisor::CellResult
 Supervisor::runDavfCell(
     const std::string &structure, double delay_fraction,
-    const std::vector<uint64_t> &cycles, const std::vector<WireId> &wires,
-    const SamplingConfig &sampling,
-    const std::vector<QuarantineRecord> &prior,
+    const std::vector<uint64_t> &cycles, const SamplingConfig &sampling,
     const std::function<void(const InjectionCycleOutcome &)>
         &on_cycle_done)
 {
-    DavfCellResult result;
+    CellResult result;
     if (cycles.empty())
         return result;
 
+    // Bisection reports culprits by their place in the sampled-wire
+    // order.
+    const Structure *resolved = registry->find(structure);
+    davf_assert(resolved != nullptr, "supervisor: unknown structure '",
+                structure, "'");
+    const std::vector<WireId> wires =
+        engine->sampledWires(*resolved, sampling);
+
     // Exclusions apply per cycle: a quarantined injection names one
-    // (cycle, wire index) pair.
+    // (cycle, wire index) pair. A record read from disk applies only
+    // while its index still names its wire in this cell's sampled
+    // order; the config hash does not cover the netlist.
     std::vector<std::vector<size_t>> exclusions(cycles.size());
-    for (const QuarantineRecord &record : prior) {
+    for (const QuarantineRecord &record : known) {
         if (record.structure != structure
-            || record.delayFraction != delay_fraction)
+            || record.delayFraction != delay_fraction
+            || record.seed != sampling.seed
+            || record.wireIndex >= wires.size()
+            || wires[record.wireIndex] != record.wire)
             continue;
         for (size_t i = 0; i < cycles.size(); ++i) {
             if (cycles[i] == record.cycle)
@@ -750,16 +629,16 @@ Supervisor::runDavfCell(
                 attempt = bisectAndQuarantine(slot, spec, wires, cell);
 
             const std::lock_guard<std::mutex> lock(cell.mutex);
-            if (attempt.outcome == Attempt::Outcome::Ok) {
+            if (attempt.outcome == WorkerOutcome::Ok) {
                 if (on_cycle_done)
                     on_cycle_done(attempt.cycleOutcome);
-            } else if (attempt.outcome == Attempt::Outcome::Stopped) {
+            } else if (attempt.outcome == WorkerOutcome::Stopped) {
                 cell.stopped = true;
             } else if (!cell.failed) {
                 cell.failed = true;
                 cell.failReason = "cycle "
                     + std::to_string(cycles[job]) + ": "
-                    + std::string(attempt.outcomeName()) + " ("
+                    + workerOutcomeName(attempt.outcome) + " ("
                     + attempt.detail + ")";
             }
         }
@@ -782,24 +661,24 @@ Supervisor::runDavfCell(
     return result;
 }
 
-Supervisor::SavfCellResult
+Supervisor::CellResult
 Supervisor::runSavfCell(const std::string &structure,
-                        const SamplingConfig &sampling)
+                        const SamplingConfig &sampling, SavfResult &out)
 {
-    SavfCellResult result;
+    CellResult result;
     ShardSpec spec;
     spec.kind = ShardSpec::Kind::Savf;
     spec.structure = structure;
     spec.sampling = sampling;
 
     const Attempt attempt = dispatchWithRetries(*slots[0], spec);
-    if (attempt.outcome == Attempt::Outcome::Ok) {
-        result.savf = attempt.savfOutcome;
-    } else if (attempt.outcome == Attempt::Outcome::Stopped) {
+    if (attempt.outcome == WorkerOutcome::Ok) {
+        out = attempt.savfOutcome;
+    } else if (attempt.outcome == WorkerOutcome::Stopped) {
         result.stopped = true;
     } else {
         result.failed = true;
-        result.failReason = std::string(attempt.outcomeName())
+        result.failReason = std::string(workerOutcomeName(attempt.outcome))
             + " (" + attempt.detail + ")";
     }
     return result;
@@ -808,39 +687,12 @@ Supervisor::runSavfCell(const std::string &structure,
 void
 Supervisor::shutdown()
 {
+    std::vector<FrameLink *> links;
     for (const std::unique_ptr<Slot> &slot : slots) {
-        if (!slot->proc || !slot->proc->running())
-            continue;
-        try {
-            slot->proc->sendFrame("quit");
-            slot->proc->closeWrite();
-        } catch (const DavfError &) {
-            // Already dead; terminate() below reaps it.
-        }
+        if (slot->proc && slot->proc->running())
+            links.push_back(slot->proc.get());
     }
-    // Drain each worker's stream until its EOF (within the quit
-    // grace) before terminating: a reply frame racing the quit is
-    // consumed here instead of being misread as a failure, and a
-    // worker blocked flushing that reply into a full pipe can finish
-    // writing and exit cleanly instead of being killed mid-write.
-    const double deadline = nowMs() + kQuitGraceMs;
-    for (const std::unique_ptr<Slot> &slot : slots) {
-        if (!slot->proc || !slot->proc->running())
-            continue;
-        try {
-            std::string frame;
-            for (;;) {
-                const double remaining = deadline - nowMs();
-                if (remaining <= 0.0)
-                    break;
-                if (slot->proc->readFrame(frame, remaining)
-                    != Subprocess::ReadStatus::Frame)
-                    break; // EOF (clean exit) or a hung worker.
-            }
-        } catch (const DavfError &) {
-            // A torn tail at shutdown is not worth reporting.
-        }
-    }
+    quitAndDrain(links, kQuitGraceMs);
     for (const std::unique_ptr<Slot> &slot : slots) {
         if (slot->proc && slot->proc->running())
             slot->proc->terminate(kQuitGraceMs);
@@ -849,140 +701,15 @@ Supervisor::shutdown()
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * Sends "hb" frames while a shard computes, so the supervisor can tell
- * a slow shard from a dead worker. Frame writes from this thread and
- * the main reply path share one mutex: frames must never interleave.
- */
-class Heartbeat
-{
-  public:
-    Heartbeat(std::mutex &the_mutex) : writeMutex(the_mutex)
-    {
-        thread = std::thread([this] { run(); });
-    }
-
-    ~Heartbeat()
-    {
-        done.store(true, std::memory_order_relaxed);
-        thread.join();
-    }
-
-  private:
-    void run()
-    {
-        double last_beat = nowMs();
-        while (!done.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            if (nowMs() - last_beat < kHeartbeatIntervalMs)
-                continue;
-            last_beat = nowMs();
-            try {
-                const std::lock_guard<std::mutex> lock(writeMutex);
-                writeFrameFd(STDOUT_FILENO, "hb");
-            } catch (const DavfError &) {
-                return; // The supervisor hung up; stop beating.
-            }
-        }
-    }
-
-    std::mutex &writeMutex;
-    std::atomic<bool> done{false};
-    std::thread thread;
-};
-
-std::string
-selfRusageSuffix()
-{
-    struct rusage ru = {};
-    ::getrusage(RUSAGE_SELF, &ru);
-    char buffer[96];
-    std::snprintf(buffer, sizeof buffer, " rss %ld %.3f %.3f",
-                  ru.ru_maxrss,
-                  static_cast<double>(ru.ru_utime.tv_sec)
-                      + static_cast<double>(ru.ru_utime.tv_usec) * 1e-6,
-                  static_cast<double>(ru.ru_stime.tv_sec)
-                      + static_cast<double>(ru.ru_stime.tv_usec) * 1e-6);
-    return buffer;
-}
-
-} // namespace
-
 int
 runCampaignWorker(VulnerabilityEngine &engine,
                   const StructureRegistry &registry)
 {
     ::signal(SIGPIPE, SIG_IGN);
-    std::mutex write_mutex;
-    auto send = [&](const std::string &payload) {
-        const std::lock_guard<std::mutex> lock(write_mutex);
-        writeFrameFd(STDOUT_FILENO, payload);
-    };
-
+    FdFrameLink link(STDIN_FILENO, STDOUT_FILENO);
     try {
-        send("hello");
-        std::string frame;
-        while (readFrameFd(STDIN_FILENO, frame)) {
-            if (frame == "quit")
-                break;
-            if (frame.rfind("shard ", 0) != 0) {
-                send("err bad-input unknown frame");
-                continue;
-            }
-            Result<ShardSpec> parsed = parseShardSpec(frame.substr(6));
-            if (!parsed) {
-                send(std::string("err bad-input ")
-                     + parsed.error().what());
-                continue;
-            }
-            const ShardSpec &spec = parsed.value();
-            const Structure *structure = registry.find(spec.structure);
-            if (!structure) {
-                send("err not-found unknown structure '" + spec.structure
-                     + "'");
-                continue;
-            }
-
-            // Workers compute one shard at a time; inner threading
-            // would multiply processes times threads.
-            SamplingConfig sampling = spec.sampling;
-            sampling.threads = 1;
-
-            std::string reply;
-            try {
-                const Heartbeat heartbeat(write_mutex);
-                if (spec.kind == ShardSpec::Kind::Cycle) {
-                    const InjectionCycleOutcome out = engine.delayAvfCycle(
-                        *structure, spec.delayFraction, spec.cycle,
-                        sampling, spec.wireBegin, spec.wireEnd,
-                        spec.quarantined);
-                    reply = "ok davf " + serializeOutcomeFields(out);
-                } else {
-                    const SavfResult out =
-                        engine.savf(*structure, sampling);
-                    reply = "ok savf " + serializeSavfFields(out);
-                }
-                reply += selfRusageSuffix();
-            } catch (const std::bad_alloc &) {
-                // The conventional OOM exit: the supervisor reads exit
-                // code 86 as "memory cap tripped", distinct from a
-                // crash.
-                ::_exit(86);
-            } catch (const DavfError &error) {
-                reply = std::string("err ")
-                    + std::string(errorKindName(error.kind())) + " "
-                    + error.what();
-            } catch (const std::exception &error) {
-                reply = std::string("err exception ") + error.what();
-            }
-            send(reply);
-        }
+        link.send("hello");
+        serveShards(link, engine, registry);
     } catch (const DavfError &error) {
         std::fprintf(stderr, "campaign worker: fatal: %s\n",
                      error.what());

@@ -8,8 +8,8 @@
  * inside disposable workers:
  *
  *  - the campaign re-executes its own binary in a hidden worker mode
- *    (the worker builds the same engine, then serves shards over a
- *    length-prefixed pipe protocol with heartbeats);
+ *    (the worker builds the same engine, then serves shards through
+ *    the shard link, shard_link.hh, over its stdin/stdout pipes);
  *  - each shard (one injection cycle, or one whole sAVF evaluation) is
  *    dispatched to a pool of N workers; a worker that crashes, hangs
  *    past its deadline, or trips its memory cap is killed and respawned;
@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/shard_link.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
 #include "netlist/structure.hh"
@@ -97,26 +98,6 @@ struct SupervisorOptions
     const std::atomic<bool> *stopFlag = nullptr;
 };
 
-/**
- * One quarantined injection: everything needed to reproduce it in
- * isolation (the whole engine configuration is implied by configHash;
- * the record pins the cell and the exact sampled-wire index).
- */
-struct QuarantineRecord
-{
-    std::string configHash;
-    std::string benchmark;
-    std::string structure;
-    double delayFraction = 0.0;
-    uint64_t cycle = 0;
-    size_t wireIndex = 0; ///< Index into the sampled-wire order.
-    WireId wire = 0;      ///< The underlying wire, for reproduction.
-    uint64_t seed = 0;    ///< Sampling seed the index is relative to.
-    std::string reason;   ///< e.g. "killed by signal 6 (Aborted)".
-
-    bool operator==(const QuarantineRecord &) const = default;
-};
-
 /** One-line text form (the "davf-quarantine v1" record). */
 std::string serializeQuarantineRecord(const QuarantineRecord &record);
 
@@ -131,57 +112,68 @@ void saveQuarantineRecord(const std::string &dir,
 std::vector<QuarantineRecord>
 loadQuarantineRecords(const std::string &dir);
 
+/** The process-mode failure taxonomy (docs/ROBUSTNESS.md). */
+enum class WorkerOutcome : uint8_t {
+    Ok,        ///< A well-formed reply arrived.
+    Crash,     ///< The worker died (signal or nonzero exit).
+    Timeout,   ///< Heartbeat or shard deadline expired; killed.
+    Oom,       ///< The worker exceeded its memory cap (exit 86).
+    BadOutput, ///< A torn or oversized frame, or an unparseable reply.
+    Error,     ///< The worker reported a deterministic DavfError.
+    Stopped,   ///< The cooperative stop flag interrupted us.
+};
+
+/** The metrics-CSV name of @p outcome ("ok", "crash", ...). */
+const char *workerOutcomeName(WorkerOutcome outcome);
+
+/**
+ * Classify one exchange with a worker process; @p exit is the reaped
+ * worker's status, which decides crash vs. oom once the exchange lost
+ * the worker (Eof, SendFailed).
+ */
+WorkerOutcome classifyWorkerReply(ShardReply::Status status,
+                                  const ExitStatus &exit);
+
 /** The worker pool + failure policy (see file comment). */
-class Supervisor
+class Supervisor : public ShardDispatcher
 {
   public:
-    explicit Supervisor(SupervisorOptions options);
-    ~Supervisor();
+    /**
+     * Bisection resolves sampled wires through @p engine and
+     * @p registry, which must outlive the supervisor. Quarantine
+     * records under options.quarantineDir whose config hash matches
+     * options.configHash are loaded here and excluded up front.
+     * Records found later are only returned, never applied to later
+     * cells: a campaign dispatches each (structure, delay) cell once,
+     * and the query scheduler's cells each bring their own sampling.
+     */
+    Supervisor(const VulnerabilityEngine &engine,
+               const StructureRegistry &registry,
+               SupervisorOptions options);
+    ~Supervisor() override;
 
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
 
-    /** Outcome of one DelayAVF cell run under supervision. */
-    struct DavfCellResult
-    {
-        /** Newly quarantined injections (already persisted). */
-        std::vector<QuarantineRecord> quarantined;
-
-        bool failed = false; ///< A shard failed beyond repair.
-        std::string failReason;
-        bool stopped = false; ///< The stop flag interrupted the cell.
-    };
-
     /**
      * Compute the given injection cycles of one (structure, delay)
-     * cell across the worker pool. @p wires is the sampled-wire order
-     * (engine->sampledWires), used to resolve quarantine indices;
-     * @p prior holds already-known quarantine records to exclude.
-     * Every completed outcome is delivered through @p on_cycle_done
-     * (serialized, from dispatcher threads).
+     * cell across the worker pool, retrying, bisecting, and
+     * quarantining persistent failures (see file comment). New
+     * quarantine records come back in CellResult::quarantined.
      */
-    DavfCellResult runDavfCell(
+    CellResult runDavfCell(
         const std::string &structure, double delay_fraction,
         const std::vector<uint64_t> &cycles,
-        const std::vector<WireId> &wires, const SamplingConfig &sampling,
-        const std::vector<QuarantineRecord> &prior,
+        const SamplingConfig &sampling,
         const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done);
-
-    /** Outcome of one sAVF cell run under supervision. */
-    struct SavfCellResult
-    {
-        SavfResult savf;
-        bool failed = false;
-        std::string failReason;
-        bool stopped = false;
-    };
+            &on_cycle_done) override;
 
     /** Compute one sAVF cell in a worker (retried, never bisected). */
-    SavfCellResult runSavfCell(const std::string &structure,
-                               const SamplingConfig &sampling);
+    CellResult runSavfCell(const std::string &structure,
+                           const SamplingConfig &sampling,
+                           SavfResult &out) override;
 
-    /** Shut every worker down (quit frame, then escalating kill). */
+    /** Shut every worker down (quit, drain, then escalating kill). */
     void shutdown();
 
   private:
@@ -194,7 +186,6 @@ class Supervisor
     void retireWorker(Slot &slot, double grace_ms);
     Attempt dispatchOnce(Slot &slot, const ShardSpec &spec);
     Attempt dispatchWithRetries(Slot &slot, const ShardSpec &spec);
-    void backoff(const ShardSpec &spec, unsigned attempt) const;
     void recordMetrics(const ShardSpec &spec, unsigned attempt,
                        const Attempt &outcome);
 
@@ -208,7 +199,11 @@ class Supervisor
                                 const std::vector<WireId> &wires,
                                 CellState &cell);
 
+    const VulnerabilityEngine *engine;
+    const StructureRegistry *registry;
     SupervisorOptions options;
+    /// Loaded at construction, read-only after.
+    std::vector<QuarantineRecord> known;
     std::vector<std::unique_ptr<Slot>> slots;
     std::mutex metricsMutex;
 };

@@ -1,34 +1,10 @@
 #include "shard.hh"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "util/parse.hh"
+
 namespace davf {
-
-namespace {
-
-std::string
-hexDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%a", value);
-    return buffer;
-}
-
-bool
-readDouble(std::istream &is, double &out)
-{
-    std::string text;
-    if (!(is >> text))
-        return false;
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    out = std::strtod(begin, &end);
-    return end == begin + text.size() && !text.empty();
-}
-
-} // namespace
 
 std::string
 serializeShardSpec(const ShardSpec &spec)

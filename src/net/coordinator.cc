@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -12,6 +11,7 @@
 #include "campaign/checkpoint.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "util/clock.hh"
 #include "util/crashpoint.hh"
 #include "util/logging.hh"
 
@@ -25,24 +25,6 @@ constexpr double kQuitGraceMs = 2000.0;
 /** Handshake read budget per connecting node. */
 constexpr double kHelloTimeoutMs = 5000.0;
 
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-uint64_t
-fnv1a(const std::string &text, uint64_t hash = 0xcbf29ce484222325ull)
-{
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 /**
  * Coordinator metric handles (docs/OBSERVABILITY.md). The compute
  * counters live in the worker processes; these cover the fleet's view
@@ -50,21 +32,16 @@ fnv1a(const std::string &text, uint64_t hash = 0xcbf29ce484222325ull)
  */
 struct NetMetrics
 {
+    LinkMetrics link{"net"};
     obs::Counter nodesConnected{"net.nodes_connected"};
     obs::Counter nodesRejected{"net.nodes_rejected"};
     obs::Counter nodesLost{"net.nodes_lost"};
     obs::Counter nodesQuarantined{"net.nodes_quarantined"};
-    obs::Counter dispatches{"net.dispatches"};
     obs::Counter redispatches{"net.redispatches"};
-    obs::Counter heartbeats{"net.heartbeats"};
-    obs::Counter backoffWaits{"net.backoff_waits"};
     obs::Counter localFallbacks{"net.local_fallbacks"};
     obs::Counter storeHits{"net.store_hits"};
     obs::Counter storeWrites{"net.store_writes"};
     obs::Counter storeWriteFailures{"net.store_write_failures"};
-    obs::Counter dispatchNs{"net.time.dispatch_ns"};
-    obs::Counter backoffNs{"net.time.backoff_ns"};
-    obs::ValueHistogram shardWallUs{"net.shard_wall_us"};
 };
 
 NetMetrics &
@@ -74,32 +51,41 @@ netMetrics()
     return *metrics;
 }
 
-/** One dispatch attempt's outcome, in the coordinator's taxonomy. */
-struct Attempt
+/** Ship one shard to one node under the net link metrics. */
+ShardReply
+dispatchOnce(FrameConn &conn, const ShardSpec &spec,
+             const CoordinatorOptions &options)
 {
-    enum class Outcome : uint8_t {
-        Ok,        ///< Parsed result in cycleOutcome/savfOutcome.
-        NodeLost,  ///< Connection died (EOF, send failure, torn frame).
-        Timeout,   ///< Heartbeat silence or shard budget exceeded.
-        BadOutput, ///< Intact frame, unparseable reply.
-        Error,     ///< Deterministic worker-reported "err".
-    };
-
-    Outcome outcome = Outcome::NodeLost;
-    std::string detail;
-    InjectionCycleOutcome cycleOutcome;
-    SavfResult savfOutcome;
-
-    /** The connection is unusable after this attempt. */
-    bool
-    lostNode() const
-    {
-        return outcome == Outcome::NodeLost
-            || outcome == Outcome::Timeout;
-    }
-};
+    const LinkMetrics &lm = netMetrics().link;
+    const obs::Span span(lm.dispatchSpan.c_str(), &lm.dispatchNs);
+    lm.dispatches.add(1);
+    const double started = nowMs();
+    ShardReply reply =
+        exchangeShard(conn, spec, options.heartbeatTimeoutMs,
+                      options.shardTimeoutMs, started, lm);
+    lm.shardWallUs.observe(
+        static_cast<uint64_t>((nowMs() - started) * 1000.0));
+    return reply;
+}
 
 } // namespace
+
+NodeOutcome
+classifyNodeReply(ShardReply::Status status)
+{
+    using Status = ShardReply::Status;
+    switch (status) {
+    case Status::Ok: return NodeOutcome::Ok;
+    case Status::WorkerError: return NodeOutcome::Error;
+    case Status::BadReply: return NodeOutcome::BadOutput;
+    case Status::Silent:
+    case Status::Deadline: return NodeOutcome::Timeout;
+    case Status::SendFailed:
+    case Status::Eof:
+    case Status::Torn: break;
+    }
+    return NodeOutcome::NodeLost;
+}
 
 /** One connected worker node. */
 struct Coordinator::Node
@@ -254,137 +240,6 @@ Coordinator::fleetSnapshot() const
 }
 
 void
-Coordinator::backoff(const ShardSpec &spec, unsigned attempt) const
-{
-    if (options.backoffBaseMs <= 0.0)
-        return;
-    double delay_ms = options.backoffBaseMs
-        * static_cast<double>(1u << std::min(attempt, 10u));
-    // Deterministic jitter, as in the supervisor: no shared RNG state,
-    // yet distinct shards desynchronize their retries.
-    const uint64_t jitter_seed = fnv1a(
-        spec.structure + ':' + std::to_string(spec.cycle) + ':'
-        + std::to_string(attempt) + ':' + std::to_string(options.seed));
-    delay_ms += static_cast<double>(jitter_seed % 1000) / 1000.0
-        * options.backoffBaseMs;
-    NetMetrics &nm = netMetrics();
-    nm.backoffWaits.add(1);
-    const obs::Span span("net.backoff", &nm.backoffNs);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(delay_ms));
-}
-
-namespace {
-
-/**
- * Ship one shard to one node and wait out the reply, translating every
- * way the exchange can die into the coordinator's taxonomy. Mirrors
- * the supervisor's dispatchOnce, with a connection where the child
- * process used to be.
- */
-Attempt
-dispatchOnce(FrameConn &conn, const ShardSpec &spec,
-             const CoordinatorOptions &options)
-{
-    const obs::Span span("net.dispatch", &netMetrics().dispatchNs);
-    netMetrics().dispatches.add(1);
-
-    Attempt attempt;
-    const double started = nowMs();
-    auto finish = [&](Attempt::Outcome outcome, std::string detail) {
-        attempt.outcome = outcome;
-        attempt.detail = std::move(detail);
-        netMetrics().shardWallUs.observe(
-            static_cast<uint64_t>((nowMs() - started) * 1000.0));
-        return attempt;
-    };
-
-    try {
-        conn.send("shard " + serializeShardSpec(spec));
-    } catch (const DavfError &error) {
-        return finish(Attempt::Outcome::NodeLost,
-                      std::string("send failed: ") + error.what());
-    }
-
-    const double shard_deadline = options.shardTimeoutMs > 0.0
-        ? started + options.shardTimeoutMs
-        : 0.0;
-    std::string frame;
-    for (;;) {
-        double budget = options.heartbeatTimeoutMs;
-        if (shard_deadline > 0.0) {
-            const double remaining = shard_deadline - nowMs();
-            if (remaining <= 0.0)
-                return finish(Attempt::Outcome::Timeout,
-                              "shard exceeded its "
-                                  + std::to_string(options.shardTimeoutMs)
-                                  + " ms budget");
-            budget = std::min(budget, remaining);
-        }
-
-        FrameConn::ReadStatus st;
-        try {
-            st = conn.read(frame, budget);
-        } catch (const DavfError &error) {
-            // Torn or hostile stream: no frame boundary to recover to.
-            return finish(Attempt::Outcome::NodeLost, error.what());
-        }
-
-        if (st == FrameConn::ReadStatus::Eof)
-            return finish(Attempt::Outcome::NodeLost,
-                          "node closed the connection mid-shard");
-        if (st == FrameConn::ReadStatus::Timeout) {
-            if (shard_deadline > 0.0 && nowMs() < shard_deadline)
-                continue; // Heartbeat window rearmed per frame.
-            return finish(
-                Attempt::Outcome::Timeout,
-                shard_deadline > 0.0
-                    ? "shard exceeded its "
-                        + std::to_string(options.shardTimeoutMs)
-                        + " ms budget"
-                    : "no heartbeat within "
-                        + std::to_string(options.heartbeatTimeoutMs)
-                        + " ms");
-        }
-
-        if (frame == "hb") {
-            netMetrics().heartbeats.add(1);
-            continue;
-        }
-
-        std::istringstream is(frame);
-        std::string tag;
-        is >> tag;
-        if (tag == "err") {
-            std::string kind;
-            is >> kind;
-            std::string message;
-            std::getline(is, message);
-            if (!message.empty() && message.front() == ' ')
-                message.erase(0, 1);
-            return finish(Attempt::Outcome::Error, kind + ": " + message);
-        }
-        if (tag == "ok") {
-            std::string what;
-            is >> what;
-            bool ok = false;
-            if (what == "davf" && spec.kind == ShardSpec::Kind::Cycle)
-                ok = parseOutcomeFields(is, attempt.cycleOutcome);
-            else if (what == "savf" && spec.kind == ShardSpec::Kind::Savf)
-                ok = parseSavfFields(is, attempt.savfOutcome);
-            if (ok)
-                return finish(Attempt::Outcome::Ok, "");
-        }
-        // The frame arrived intact, so the stream is still in sync;
-        // the payload is garbage (e.g. an injected garble fault).
-        return finish(Attempt::Outcome::BadOutput,
-                      "unparseable reply: " + frame.substr(0, 120));
-    }
-}
-
-} // namespace
-
-void
 Coordinator::finishJob(CellCtx &ctx, Job &job)
 {
     {
@@ -483,25 +338,26 @@ Coordinator::drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx)
         Job &job = ctx.jobs[index];
         ++job.attempts;
 
-        const Attempt attempt =
+        const ShardReply reply =
             dispatchOnce(node->conn, job.spec, options);
+        const NodeOutcome outcome = classifyNodeReply(reply.status);
 
-        if (attempt.outcome == Attempt::Outcome::Ok) {
+        if (outcome == NodeOutcome::Ok) {
             node->failures = 0;
-            job.cycleOutcome = attempt.cycleOutcome;
-            job.savfOutcome = attempt.savfOutcome;
+            job.cycleOutcome = reply.cycleOutcome;
+            job.savfOutcome = reply.savfOutcome;
             finishJob(ctx, job);
             continue;
         }
 
-        if (attempt.outcome == Attempt::Outcome::Error) {
+        if (outcome == NodeOutcome::Error) {
             // Deterministic worker error: re-dispatching cannot fix
             // it, so the cell fails (same policy as the supervisor).
             const std::lock_guard<std::mutex> lock(ctx.mutex);
             if (!ctx.failed) {
                 ctx.failed = true;
                 ctx.failReason = "node '" + node->name
-                    + "': " + attempt.detail;
+                    + "': " + reply.detail;
             }
             ctx.cv.notify_all();
             break;
@@ -509,11 +365,12 @@ Coordinator::drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx)
 
         // Retryable: lost node, timeout, or garbled reply.
         ++node->failures;
-        const bool lost = attempt.lostNode();
+        const bool lost = outcome == NodeOutcome::NodeLost
+            || outcome == NodeOutcome::Timeout;
         const bool quarantined =
             !lost && node->failures > options.maxNodeFailures;
         if (lost || quarantined)
-            retire(attempt.detail, quarantined);
+            retire(reply.detail, quarantined);
 
         const bool fallback = job.attempts
             > options.maxRetries + 1; // First try + maxRetries more.
@@ -537,14 +394,17 @@ Coordinator::drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx)
         davf_warn("net: shard (", job.spec.structure, ", cycle ",
                   job.spec.cycle, ") attempt ", job.attempts,
                   " failed on node '", node->name, "': ",
-                  attempt.detail,
+                  reply.detail,
                   fallback ? "; falling back to local compute"
                            : "; re-dispatching");
 
         if (node->dead.load(std::memory_order_relaxed))
             break;
-        if (!fallback)
-            backoff(job.spec, job.attempts);
+        if (!fallback) {
+            sleepRetryBackoff(options.backoffBaseMs, job.spec,
+                              job.attempts, options.seed,
+                              netMetrics().link);
+        }
     }
 
     const std::lock_guard<std::mutex> lock(ctx.mutex);
@@ -697,34 +557,14 @@ Coordinator::shutdown()
         const std::lock_guard<std::mutex> lock(fleetMutex);
         nodes.swap(fleet);
     }
+    std::vector<FrameLink *> links;
     for (const std::shared_ptr<Node> &node : nodes) {
-        if (!node->conn.open())
-            continue;
-        try {
-            node->conn.send("quit");
-        } catch (const DavfError &) {
-            continue; // Already gone; nothing to drain.
-        }
-        // Drain until the worker's EOF (within a grace window) before
-        // closing: a result frame racing the quit is consumed here,
-        // not misread as a node failure — and the worker only exits
-        // after its last reply is on the wire.
-        const double deadline = nowMs() + kQuitGraceMs;
-        try {
-            for (;;) {
-                const double remaining = deadline - nowMs();
-                if (remaining <= 0.0)
-                    break;
-                std::string frame;
-                if (node->conn.read(frame, remaining)
-                    == FrameConn::ReadStatus::Eof)
-                    break;
-            }
-        } catch (const DavfError &) {
-            // A torn tail at shutdown is not worth reporting.
-        }
-        node->conn.close();
+        if (node->conn.open())
+            links.push_back(&node->conn);
     }
+    quitAndDrain(links, kQuitGraceMs);
+    for (const std::shared_ptr<Node> &node : nodes)
+        node->conn.close();
 }
 
 } // namespace davf::net

@@ -1,8 +1,8 @@
 /**
  * @file
- * The distributed campaign coordinator: the supervisor's resilience
- * stack (campaign/supervisor.hh) applied to a fleet of remote TCP
- * worker nodes instead of local child processes.
+ * The distributed campaign coordinator: the shard link
+ * (campaign/shard_link.hh) spoken to a fleet of remote TCP worker
+ * nodes instead of local child processes.
  *
  * Topology: the coordinator owns a listening socket; davf_worker
  * processes connect, handshake (versioned hello carrying the node
@@ -12,11 +12,10 @@
  * nodes naturally take more shards and a slow node never gates the
  * queue.
  *
- * Failure policy, mirroring the PR-2 supervisor:
- *  - "hb" heartbeats while a shard computes; a node silent past the
- *    heartbeat timeout — or past the shard deadline while still
- *    heartbeating — is presumed dead/hung, its connection closed, and
- *    its shard re-dispatched;
+ * Failure policy (classifyNodeReply() maps each exchange):
+ *  - a node silent past the heartbeat timeout — or past the shard
+ *    deadline while still heartbeating — is presumed dead/hung, its
+ *    connection closed, and its shard re-dispatched;
  *  - retryable failures (lost node, timeout, unparseable reply) are
  *    re-queued with deterministic-jitter exponential backoff, up to
  *    maxRetries per shard; past that the shard falls back to **local
@@ -55,7 +54,7 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/campaign.hh"
+#include "campaign/shard_link.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
 #include "net/frame.hh"
@@ -111,6 +110,18 @@ struct CoordinatorOptions
     /// @}
 };
 
+/** The net-mode failure taxonomy (docs/DISTRIBUTED.md). */
+enum class NodeOutcome : uint8_t {
+    Ok,        ///< The reply parsed.
+    NodeLost,  ///< EOF, send failure, or a torn frame: retire the node.
+    Timeout,   ///< Heartbeat silence or shard deadline: retire the node.
+    BadOutput, ///< Intact frame, unparseable payload: keep the node.
+    Error,     ///< Deterministic worker-reported "err": fail the cell.
+};
+
+/** Classify one exchange with a node. */
+NodeOutcome classifyNodeReply(ShardReply::Status status);
+
 /** The node fleet + dispatch policy (see file comment). */
 class Coordinator : public ShardDispatcher
 {
@@ -161,7 +172,6 @@ class Coordinator : public ShardDispatcher
     bool stopRequested() const;
     void acceptLoop();
     void drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx);
-    void backoff(const ShardSpec &spec, unsigned attempt) const;
     void computeLocally(CellCtx &ctx, Job &job);
     void finishJob(CellCtx &ctx, Job &job);
     CellResult runCell(std::vector<Job> jobs,

@@ -23,14 +23,6 @@ namespace davf::net {
 
 namespace {
 
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /** Resolve a numeric-or-name IPv4 host (throws DavfError{Io}). */
 sockaddr_in
 tcpAddress(const std::string &host, uint16_t port)
@@ -214,62 +206,7 @@ FrameConn::read(std::string &out, double timeout_ms)
 {
     if (fd < 0)
         davf_throw(ErrorKind::Io, "read on a closed connection");
-
-    const double deadline = nowMs() + std::max(timeout_ms, 0.0);
-    for (;;) {
-        // Frame the buffered bytes first: the length prefix is checked
-        // against kMaxFrameBytes before any payload allocation, so a
-        // hostile prefix cannot balloon memory.
-        if (rxBuffer.size() >= 4) {
-            uint32_t length = 0;
-            std::memcpy(&length, rxBuffer.data(), 4);
-            if (length > kMaxFrameBytes) {
-                davf_throw(ErrorKind::BadInput, "frame length ", length,
-                           " exceeds the ", kMaxFrameBytes,
-                           "-byte ceiling (corrupt or hostile peer)");
-            }
-            if (rxBuffer.size() >= 4 + size_t(length)) {
-                out.assign(rxBuffer, 4, length);
-                rxBuffer.erase(0, 4 + size_t(length));
-                return ReadStatus::Frame;
-            }
-        }
-
-        const double remaining = deadline - nowMs();
-        if (remaining <= 0.0 && timeout_ms > 0.0)
-            return ReadStatus::Timeout;
-
-        pollfd pfd = {fd, POLLIN, 0};
-        const int rc = ::poll(
-            &pfd, 1,
-            timeout_ms <= 0.0
-                ? 0
-                : static_cast<int>(std::max(remaining, 1.0)));
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "poll: ", std::strerror(errno));
-        }
-        if (rc == 0)
-            return ReadStatus::Timeout;
-
-        char chunk[65536];
-        const ssize_t got = ::read(fd, chunk, sizeof chunk);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "read: ", std::strerror(errno));
-        }
-        if (got == 0) {
-            if (!rxBuffer.empty()) {
-                davf_throw(ErrorKind::BadInput,
-                           "peer closed the connection mid-frame (",
-                           rxBuffer.size(), " stray bytes)");
-            }
-            return ReadStatus::Eof;
-        }
-        rxBuffer.append(chunk, static_cast<size_t>(got));
-    }
+    return readFrameTimed(fd, rxBuffer, out, timeout_ms);
 }
 
 void

@@ -33,6 +33,7 @@
 #include <string_view>
 
 #include "util/error.hh"
+#include "util/subprocess.hh"
 
 namespace davf::net {
 
@@ -84,12 +85,12 @@ void parseHostPort(const std::string &text, std::string &host,
  * writes and EINTR (util/subprocess writeFrameFd). Not thread-safe:
  * callers that write from several threads share a mutex.
  */
-class FrameConn
+class FrameConn final : public FrameLink
 {
   public:
     FrameConn() = default;
     explicit FrameConn(int the_fd) : fd(the_fd) {}
-    ~FrameConn() { close(); }
+    ~FrameConn() override { close(); }
 
     FrameConn(const FrameConn &) = delete;
     FrameConn &operator=(const FrameConn &) = delete;
@@ -109,22 +110,11 @@ class FrameConn
 
     bool open() const { return fd >= 0; }
 
-    /** Send one frame (throws DavfError{Io} if the peer vanished). */
-    void send(std::string_view payload);
+    /** FrameLink::send; throws DavfError{Io} once closed. */
+    void send(std::string_view payload) override;
 
-    enum class ReadStatus : uint8_t {
-        Frame,   ///< A complete frame was read into @c out.
-        Eof,     ///< The peer closed the connection cleanly.
-        Timeout, ///< No complete frame arrived before the deadline.
-    };
-
-    /**
-     * Read one frame with a wall-clock budget of @p timeout_ms (<= 0
-     * polls once without blocking). Throws DavfError{BadInput} on a
-     * torn or oversized frame (rejected before allocating) and
-     * DavfError{Io} on a read error.
-     */
-    ReadStatus read(std::string &out, double timeout_ms);
+    /** FrameLink::read; throws DavfError{Io} once closed. */
+    ReadStatus read(std::string &out, double timeout_ms) override;
 
     /** Close the connection (idempotent). */
     void close();

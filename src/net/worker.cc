@@ -1,111 +1,84 @@
 #include "worker.hh"
 
 #include <signal.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 
-#include "campaign/checkpoint.hh"
-#include "core/shard.hh"
+#include "campaign/shard_link.hh"
 #include "net/frame.hh"
 #include "net/netfault.hh"
-#include "util/logging.hh"
 
 namespace davf::net {
 
 namespace {
 
-constexpr double kHeartbeatIntervalMs = 200.0;
-
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /**
- * Sends "hb" frames while a shard computes (the pipe worker's
- * Heartbeat, pointed at the socket). Shares the connection write mutex
- * with the reply path: frames must never interleave.
+ * The armed DAVF_TEST_NETFAULT, applied to the shard it names:
+ * disconnect or stall before computing it, drop or garble its reply.
  */
-class Heartbeat
+class NetFaultHook final : public ShardHook
 {
   public:
-    Heartbeat(FrameConn &the_conn, std::mutex &the_mutex)
-        : conn(the_conn), writeMutex(the_mutex)
+    NetFaultHook(FrameConn &the_conn, const std::string &the_node)
+        : conn(the_conn), node(the_node)
+    {}
+
+    bool
+    beforeShard(const ShardSpec &spec) override
     {
-        thread = std::thread([this] { run(); });
+        fires = netFaultFires(node, spec.cycle);
+        if (!fires)
+            return true;
+        if (armedNetFault().kind == NetFaultKind::Disconnect) {
+            std::fprintf(stderr, "net worker %s: netfault disconnect\n",
+                         node.c_str());
+            return false;
+        }
+        if (armedNetFault().kind == NetFaultKind::Stall) {
+            std::fprintf(stderr, "net worker %s: netfault stall\n",
+                         node.c_str());
+            stallForever();
+        }
+        return true;
     }
 
-    ~Heartbeat()
+    bool
+    beforeReply(const ShardSpec &, std::string &reply) override
     {
-        done.store(true, std::memory_order_relaxed);
-        thread.join();
+        if (fires && armedNetFault().kind == NetFaultKind::Drop) {
+            std::fprintf(stderr, "net worker %s: netfault drop\n",
+                         node.c_str());
+            return false; // Computed, never sent; go silent.
+        }
+        if (fires && armedNetFault().kind == NetFaultKind::Garble)
+            reply = "ok davf !garbled-by-netfault!";
+        return true;
     }
 
   private:
-    void
-    run()
+    /** Keep heartbeating, never reply; ends when the coordinator
+     *  gives up and closes the connection. */
+    [[noreturn]] void
+    stallForever()
     {
-        double last_beat = nowMs();
-        while (!done.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            if (nowMs() - last_beat < kHeartbeatIntervalMs)
-                continue;
-            last_beat = nowMs();
+        for (;;) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
             try {
-                const std::lock_guard<std::mutex> lock(writeMutex);
                 conn.send("hb");
             } catch (const DavfError &) {
-                return; // The coordinator hung up; stop beating.
+                std::_Exit(1); // Quarantined by the coordinator; done.
             }
         }
     }
 
     FrameConn &conn;
-    std::mutex &writeMutex;
-    std::atomic<bool> done{false};
-    std::thread thread;
+    const std::string &node;
+    bool fires = false;
 };
-
-std::string
-selfRusageSuffix()
-{
-    struct rusage ru = {};
-    ::getrusage(RUSAGE_SELF, &ru);
-    char buffer[96];
-    std::snprintf(buffer, sizeof buffer, " rss %ld %.3f %.3f",
-                  ru.ru_maxrss,
-                  static_cast<double>(ru.ru_utime.tv_sec)
-                      + static_cast<double>(ru.ru_utime.tv_usec) * 1e-6,
-                  static_cast<double>(ru.ru_stime.tv_sec)
-                      + static_cast<double>(ru.ru_stime.tv_usec) * 1e-6);
-    return buffer;
-}
-
-/** Keep heartbeating forever: the armed "stall" netfault. Ends when
- *  the coordinator gives up and closes the connection. */
-[[noreturn]] void
-stallForever(FrameConn &conn, std::mutex &write_mutex)
-{
-    for (;;) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        try {
-            const std::lock_guard<std::mutex> lock(write_mutex);
-            conn.send("hb");
-        } catch (const DavfError &) {
-            std::_Exit(1); // Quarantined by the coordinator; done.
-        }
-    }
-}
 
 } // namespace
 
@@ -126,14 +99,8 @@ runNetWorker(VulnerabilityEngine &engine,
                                    options.connectTimeoutMs,
                                    options.connectRetries,
                                    options.backoffBaseMs));
-    std::mutex write_mutex;
-    auto send = [&](const std::string &payload) {
-        const std::lock_guard<std::mutex> lock(write_mutex);
-        conn.send(payload);
-    };
-
     try {
-        send(makeHello(node, options.fingerprint));
+        conn.send(makeHello(node, options.fingerprint));
         std::string payload;
         const FrameConn::ReadStatus hs = conn.read(payload, 30000.0);
         if (hs != FrameConn::ReadStatus::Frame) {
@@ -152,94 +119,19 @@ runNetWorker(VulnerabilityEngine &engine,
             return 2;
         }
 
-        for (;;) {
-            std::string frame;
-            const FrameConn::ReadStatus st = conn.read(frame, 1000.0);
-            if (st == FrameConn::ReadStatus::Timeout)
-                continue; // Idle between cells.
-            if (st == FrameConn::ReadStatus::Eof) {
-                std::fprintf(stderr,
-                             "net worker %s: coordinator vanished\n",
-                             node.c_str());
-                return 1;
-            }
-            if (frame == "quit")
-                return 0;
-            if (frame.rfind("shard ", 0) != 0) {
-                send("err bad-input unknown frame");
-                continue;
-            }
-            Result<ShardSpec> parsed = parseShardSpec(frame.substr(6));
-            if (!parsed) {
-                send(std::string("err bad-input ")
-                     + parsed.error().what());
-                continue;
-            }
-            const ShardSpec &spec = parsed.value();
-            const Structure *structure = registry.find(spec.structure);
-            if (!structure) {
-                send("err not-found unknown structure '" + spec.structure
-                     + "'");
-                continue;
-            }
-
-            const bool fault = netFaultFires(node, spec.cycle);
-            if (fault
-                && armedNetFault().kind == NetFaultKind::Disconnect) {
-                std::fprintf(stderr,
-                             "net worker %s: netfault disconnect\n",
-                             node.c_str());
-                conn.close();
-                return 1;
-            }
-            if (fault && armedNetFault().kind == NetFaultKind::Stall) {
-                std::fprintf(stderr, "net worker %s: netfault stall\n",
-                             node.c_str());
-                stallForever(conn, write_mutex);
-            }
-
-            // One shard at a time; inner threading would multiply
-            // nodes times threads (same rule as pipe workers).
-            SamplingConfig sampling = spec.sampling;
-            sampling.threads = 1;
-
-            std::string reply;
-            try {
-                const Heartbeat heartbeat(conn, write_mutex);
-                if (spec.kind == ShardSpec::Kind::Cycle) {
-                    const InjectionCycleOutcome out =
-                        engine.delayAvfCycle(*structure,
-                                             spec.delayFraction,
-                                             spec.cycle, sampling,
-                                             spec.wireBegin, spec.wireEnd,
-                                             spec.quarantined);
-                    reply = "ok davf " + serializeOutcomeFields(out);
-                } else {
-                    const SavfResult out =
-                        engine.savf(*structure, sampling);
-                    reply = "ok savf " + serializeSavfFields(out);
-                }
-                reply += selfRusageSuffix();
-            } catch (const std::bad_alloc &) {
-                ::_exit(86); // The pipe workers' OOM convention.
-            } catch (const DavfError &error) {
-                reply = std::string("err ")
-                    + std::string(errorKindName(error.kind())) + " "
-                    + error.what();
-            } catch (const std::exception &error) {
-                reply = std::string("err exception ") + error.what();
-            }
-
-            if (fault && armedNetFault().kind == NetFaultKind::Drop) {
-                std::fprintf(stderr, "net worker %s: netfault drop\n",
-                             node.c_str());
-                continue; // Computed, never sent; go silent.
-            }
-            if (fault && armedNetFault().kind == NetFaultKind::Garble)
-                reply = "ok davf !garbled-by-netfault!";
-
-            send(reply);
+        NetFaultHook hook(conn, node);
+        switch (serveShards(conn, engine, registry, &hook)) {
+        case ServeEnd::Quit:
+            return 0;
+        case ServeEnd::Eof:
+            std::fprintf(stderr, "net worker %s: coordinator vanished\n",
+                         node.c_str());
+            return 1;
+        case ServeEnd::Hook:
+            conn.close();
+            return 1;
         }
+        return 1;
     } catch (const DavfError &error) {
         std::fprintf(stderr, "net worker %s: fatal: %s\n", node.c_str(),
                      error.what());

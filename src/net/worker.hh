@@ -1,8 +1,8 @@
 /**
  * @file
- * The remote campaign worker: the pipe worker's serve loop
- * (campaign/supervisor.hh runCampaignWorker) lifted onto a TCP
- * connection to a coordinator.
+ * The remote campaign worker: the shard link's serve loop
+ * (campaign/shard_link.hh serveShards) on a TCP connection to a
+ * coordinator.
  *
  * A worker connects (with retries and exponential backoff, so it can
  * be started before its coordinator), introduces itself with the

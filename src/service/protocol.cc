@@ -5,35 +5,15 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace davf::service {
 
 namespace {
-
-std::string
-hexDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%a", value);
-    return buffer;
-}
-
-bool
-readDouble(std::istream &is, double &out)
-{
-    std::string text;
-    if (!(is >> text))
-        return false;
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    out = std::strtod(begin, &end);
-    return end == begin + text.size() && !text.empty();
-}
 
 /** Fill a sockaddr_un; socket paths are length-limited by the ABI. */
 sockaddr_un

@@ -100,7 +100,8 @@ QueryScheduler::QueryScheduler(VulnerabilityEngine &the_engine,
         sup.workerMemMb = options.workerMemMb;
         sup.configHash = fingerprint;
         sup.benchmark = options.benchmark;
-        supervisor = std::make_unique<Supervisor>(std::move(sup));
+        dispatcher = std::make_unique<Supervisor>(*engine, *registry,
+                                                  std::move(sup));
     }
 }
 
@@ -218,22 +219,24 @@ QueryScheduler::runDavfCell(const Structure &structure,
         missing = std::move(still);
     }
 
-    if (!missing.empty() && supervisor) {
-        // Process-isolated compute: ship the missing cycles to the
-        // worker pool; each completed outcome is persisted on arrival.
+    // Every computed outcome is persisted as it arrives.
+    auto on_computed = [&](const InjectionCycleOutcome &outcome) {
+        storeOutcome(spec, outcome);
+        ++reply.storeMisses;
+        schedulerMetrics().shardsComputed.add(1);
+        const std::lock_guard<std::mutex> stats_lock(statsMutex);
+        ++counters.shardsComputed;
+    };
+
+    if (!missing.empty() && dispatcher) {
+        // Isolated compute: ship the missing cycles to the workers.
         // (Cancellation takes effect between cells in this mode.)
         const Clock::time_point compute_start = Clock::now();
-        const std::vector<WireId> wires =
-            engine->sampledWires(structure, sampling);
-        const Supervisor::DavfCellResult cell = supervisor->runDavfCell(
-            query.structure, d, missing, wires, query.sampling, {},
+        const ShardDispatcher::CellResult cell = dispatcher->runDavfCell(
+            query.structure, d, missing, query.sampling,
             [&](const InjectionCycleOutcome &outcome) {
-                storeOutcome(spec, outcome);
+                on_computed(outcome);
                 progress.completed.push_back(outcome);
-                ++reply.storeMisses;
-                schedulerMetrics().shardsComputed.add(1);
-                const std::lock_guard<std::mutex> stats_lock(statsMutex);
-                ++counters.shardsComputed;
             });
         {
             const std::lock_guard<std::mutex> stats_lock(statsMutex);
@@ -253,13 +256,7 @@ QueryScheduler::runDavfCell(const Structure &structure,
         // absent from progress.completed on the engine thread pool and
         // aggregates everything — the checkpoint-resume path, so the
         // result is bit-identical to a cold run.
-        progress.onCycleDone = [&](const InjectionCycleOutcome &outcome) {
-            storeOutcome(spec, outcome);
-            ++reply.storeMisses;
-            schedulerMetrics().shardsComputed.add(1);
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            ++counters.shardsComputed;
-        };
+        progress.onCycleDone = on_computed;
         const Clock::time_point compute_start = Clock::now();
         DelayAvfResult result =
             engine->delayAvf(structure, d, sampling, &progress);
@@ -353,14 +350,13 @@ QueryScheduler::runSavfCell(const Structure &structure,
 
     const Clock::time_point compute_start = Clock::now();
     SavfResult result;
-    if (supervisor) {
-        const Supervisor::SavfCellResult cell =
-            supervisor->runSavfCell(query.structure, query.sampling);
+    if (dispatcher) {
+        const ShardDispatcher::CellResult cell =
+            dispatcher->runSavfCell(query.structure, query.sampling, result);
         if (cell.failed) {
             return R::Err(ErrorKind::Internal,
                           "isolated sAVF cell failed: " + cell.failReason);
         }
-        result = cell.savf;
     } else {
         SamplingConfig sampling = query.sampling;
         sampling.threads = options.threads;

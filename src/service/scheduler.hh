@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/shard_link.hh"
 #include "core/report.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
@@ -55,10 +56,6 @@
 #include "service/protocol.hh"
 #include "service/result_store.hh"
 #include "util/stats.hh"
-
-namespace davf {
-class Supervisor;
-}
 
 namespace davf::service {
 
@@ -189,7 +186,8 @@ class QueryScheduler
     /** Serializes every engine compute (see file comment). */
     std::mutex engineMutex;
 
-    std::unique_ptr<Supervisor> supervisor; ///< Process-isolation mode.
+    /** Worker processes for misses when Options::workerArgv is set. */
+    std::unique_ptr<ShardDispatcher> dispatcher;
 
     mutable std::mutex statsMutex;
     SchedulerStats counters;

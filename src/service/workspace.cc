@@ -4,6 +4,7 @@
 
 #include "isa/assembler.hh"
 #include "isa/benchmarks.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace davf::service {
@@ -11,26 +12,11 @@ namespace davf::service {
 namespace {
 
 uint64_t
-fnv1a(const void *data, size_t size, uint64_t hash)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-uint64_t
-fnv1aText(const std::string &text, uint64_t hash)
-{
-    return fnv1a(text.data(), text.size(), hash);
-}
-
-uint64_t
 fnv1aWord(uint64_t value, uint64_t hash)
 {
-    return fnv1a(&value, sizeof value, hash);
+    return fnv1a64Extend(
+        hash, std::string_view(reinterpret_cast<const char *>(&value),
+                               sizeof value));
 }
 
 } // namespace
@@ -72,7 +58,7 @@ netlistHash(const Netlist &netlist)
 {
     davf_assert(netlist.finalized(),
                 "netlistHash needs a finalized netlist");
-    uint64_t hash = 0xcbf29ce484222325ull;
+    uint64_t hash = kFnv1a64Seed;
     hash = fnv1aWord(netlist.numCells(), hash);
     hash = fnv1aWord(netlist.numNets(), hash);
     hash = fnv1aWord(netlist.numWires(), hash);
@@ -81,7 +67,7 @@ netlistHash(const Netlist &netlist)
         const Cell &cell = netlist.cell(id);
         hash = fnv1aWord(static_cast<uint64_t>(cell.type), hash);
         hash = fnv1aWord(cell.resetValue ? 1 : 0, hash);
-        hash = fnv1aText(cell.name, hash);
+        hash = fnv1a64Extend(hash, cell.name);
         for (NetId net : cell.inputs)
             hash = fnv1aWord(net, hash);
         for (NetId net : cell.outputs)
@@ -121,7 +107,7 @@ Workspace::Workspace(const WorkspaceSpec &spec) : wsSpec(spec)
     // workload identity. Golden length and an output hash pin the
     // workload beyond its name, so a changed benchmark source changes
     // the fingerprint even if the name stays the same.
-    uint64_t workload_hash = 0xcbf29ce484222325ull;
+    uint64_t workload_hash = kFnv1a64Seed;
     workload_hash = fnv1aWord(enginePtr->goldenCycles(), workload_hash);
     for (uint32_t word : enginePtr->goldenOutput())
         workload_hash = fnv1aWord(word, workload_hash);

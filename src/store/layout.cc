@@ -46,33 +46,6 @@ getU64(std::string_view bytes, size_t at)
     return value;
 }
 
-} // namespace
-
-uint64_t
-fnv1a64Extend(uint64_t hash, std::string_view bytes)
-{
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-uint64_t
-fnv1a64(std::string_view bytes)
-{
-    return fnv1a64Extend(kFnv1a64Seed, bytes);
-}
-
-std::string
-fnv1a64Hex(std::string_view bytes)
-{
-    std::ostringstream os;
-    os << std::hex << fnv1a64(bytes);
-    return os.str();
-}
-
-namespace {
 
 /**
  * Parse a "davf-store v<N>" header line; 0 if the line is not a

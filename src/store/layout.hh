@@ -44,6 +44,7 @@
 #include <utility>
 
 #include "util/error.hh"
+#include "util/hash.hh"
 
 namespace davf::store {
 
@@ -57,23 +58,6 @@ extern const char *const kLockFileName;     ///< "index.lock"
 
 constexpr uint32_t kLayoutVersion = 1;
 constexpr uint32_t kPageSize = 4096;
-
-/** 64-bit FNV-1a over @p bytes (layout checksums + record sums). */
-uint64_t fnv1a64(std::string_view bytes);
-
-/// FNV-1a offset basis: the running-hash seed for fnv1a64Extend.
-constexpr uint64_t kFnv1a64Seed = 0xcbf29ce484222325ull;
-
-/**
- * Fold @p bytes into a running FNV-1a @p hash (seeded with
- * kFnv1a64Seed), so a hash over a concatenation can be computed
- * without materializing it: fnv1a64(a+b) ==
- * fnv1a64Extend(fnv1a64Extend(kFnv1a64Seed, a), b).
- */
-uint64_t fnv1a64Extend(uint64_t hash, std::string_view bytes);
-
-/** Lowercase hex of fnv1a64 — the record text `sum` line format. */
-std::string fnv1a64Hex(std::string_view bytes);
 
 /** Top 16 bits of a key hash: the bucket-slot fingerprint. */
 constexpr uint16_t

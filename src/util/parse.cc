@@ -2,7 +2,9 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <istream>
 
 #include "util/logging.hh"
 
@@ -60,6 +62,30 @@ parseDoubleStrict(const std::string &text, const std::string &what)
                    "' is not a finite number");
     }
     return value;
+}
+
+std::string
+hexDouble(double value)
+{
+    char buffer[64];
+    std::snprintf(buffer, sizeof buffer, "%a", value);
+    return buffer;
+}
+
+bool
+textToDouble(const std::string &text, double &out)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    out = std::strtod(begin, &end);
+    return end == begin + text.size() && !text.empty();
+}
+
+bool
+readDouble(std::istream &is, double &out)
+{
+    std::string text;
+    return (is >> text) && textToDouble(text, out);
 }
 
 } // namespace davf

@@ -15,6 +15,7 @@
 #define DAVF_UTIL_PARSE_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 namespace davf {
@@ -41,6 +42,22 @@ uint64_t parseU64InRange(const std::string &text, const std::string &what,
  * "inf" and overflowing exponents are rejected.
  */
 double parseDoubleStrict(const std::string &text, const std::string &what);
+
+/**
+ * @name Bit-exact double text
+ * The C hexfloat ("%a") form every journal, shard, quarantine, and
+ * protocol token uses for doubles, so a value survives the round trip
+ * bit for bit.
+ */
+/// @{
+std::string hexDouble(double value);
+
+/** Parse a whole-token double (hexfloat or decimal); false on junk. */
+bool textToDouble(const std::string &text, double &out);
+
+/** Read the next token of @p is with textToDouble. */
+bool readDouble(std::istream &is, double &out);
+/// @}
 
 } // namespace davf
 

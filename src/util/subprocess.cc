@@ -7,24 +7,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
+#include "util/clock.hh"
 #include "util/logging.hh"
 
 namespace davf {
 
 namespace {
-
-uint64_t
-steadyNowMs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 void
 decodeRusage(const struct rusage &ru, ExitStatus &status)
@@ -116,8 +108,9 @@ frameLength(const std::string &buffer)
 }
 
 /**
- * Pop one complete frame out of @p buffer if present. Throws
- * DavfError{BadInput} on an oversized length prefix.
+ * Pop one complete frame out of @p buffer if present. The length
+ * prefix is checked before any payload allocation, so a hostile prefix
+ * cannot balloon memory: it throws DavfError{BadInput}.
  */
 bool
 popFrame(std::string &buffer, std::string &out)
@@ -127,7 +120,8 @@ popFrame(std::string &buffer, std::string &out)
     const uint32_t length = frameLength(buffer);
     if (length > kMaxFrameBytes) {
         davf_throw(ErrorKind::BadInput, "frame length ", length,
-                   " exceeds the ", kMaxFrameBytes, " byte limit");
+                   " exceeds the ", kMaxFrameBytes,
+                   "-byte ceiling (corrupt or hostile peer)");
     }
     if (buffer.size() < 4u + length)
         return false;
@@ -138,30 +132,71 @@ popFrame(std::string &buffer, std::string &out)
 
 } // namespace
 
-bool
-readFrameFd(int fd, std::string &out)
+FrameLink::ReadStatus
+readFrameTimed(int fd, std::string &rx_buffer, std::string &out,
+               double timeout_ms)
 {
-    std::string buffer;
-    char chunk[4096];
+    using ReadStatus = FrameLink::ReadStatus;
+    const double deadline = nowMs() + std::max(timeout_ms, 0.0);
     for (;;) {
-        if (popFrame(buffer, out))
-            return true;
-        const ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n < 0) {
+        if (popFrame(rx_buffer, out))
+            return ReadStatus::Frame;
+
+        const double remaining = deadline - nowMs();
+        if (remaining <= 0.0 && timeout_ms > 0.0)
+            return ReadStatus::Timeout;
+
+        pollfd pfd = {fd, POLLIN, 0};
+        const int rc = ::poll(
+            &pfd, 1,
+            timeout_ms <= 0.0
+                ? 0
+                : static_cast<int>(std::min(std::max(remaining, 1.0),
+                                            double(1 << 30))));
+        if (rc < 0) {
+            if (errno == EINTR)
+                continue;
+            davf_throw(ErrorKind::Io, "poll: ", std::strerror(errno));
+        }
+        if (rc == 0)
+            return ReadStatus::Timeout;
+
+        // Read no further than the end of this frame: the bytes after
+        // it belong to the next read, which need not share this buffer
+        // (readFrameFd keeps none between calls).
+        const size_t want = rx_buffer.size() < 4
+            ? 4 - rx_buffer.size()
+            : 4 + frameLength(rx_buffer) - rx_buffer.size();
+        char chunk[65536];
+        const ssize_t got =
+            ::read(fd, chunk, std::min(want, sizeof chunk));
+        if (got < 0) {
             if (errno == EINTR)
                 continue;
             davf_throw(ErrorKind::Io, "frame read failed: ",
                        std::strerror(errno));
         }
-        if (n == 0) {
-            if (buffer.empty())
-                return false;
-            davf_throw(ErrorKind::BadInput,
-                       "stream ended inside a frame (", buffer.size(),
-                       " stray bytes)");
+        if (got == 0) {
+            if (!rx_buffer.empty()) {
+                davf_throw(ErrorKind::BadInput,
+                           "peer closed the connection mid-frame (",
+                           rx_buffer.size(), " stray bytes)");
+            }
+            return ReadStatus::Eof;
         }
-        buffer.append(chunk, static_cast<size_t>(n));
+        rx_buffer.append(chunk, static_cast<size_t>(got));
     }
+}
+
+bool
+readFrameFd(int fd, std::string &out)
+{
+    std::string buffer;
+    FrameLink::ReadStatus status;
+    while ((status = readFrameTimed(fd, buffer, out, 60000.0))
+           == FrameLink::ReadStatus::Timeout) {
+    }
+    return status == FrameLink::ReadStatus::Frame;
 }
 
 Subprocess::~Subprocess()
@@ -257,54 +292,17 @@ Subprocess::spawn(const std::vector<std::string> &argv,
 }
 
 void
-Subprocess::sendFrame(std::string_view payload)
+Subprocess::send(std::string_view payload)
 {
-    davf_assert(toChild >= 0, "sendFrame() without a spawned child");
+    davf_assert(toChild >= 0, "send() without a spawned child");
     writeFrameFd(toChild, payload);
 }
 
 Subprocess::ReadStatus
-Subprocess::readFrame(std::string &out, double timeout_ms)
+Subprocess::read(std::string &out, double timeout_ms)
 {
-    davf_assert(fromChild >= 0, "readFrame() without a spawned child");
-    if (popFrame(rxBuffer, out))
-        return ReadStatus::Frame;
-
-    const uint64_t deadline = steadyNowMs()
-        + static_cast<uint64_t>(timeout_ms > 0.0 ? timeout_ms : 0.0);
-    char chunk[4096];
-    for (;;) {
-        const uint64_t now = steadyNowMs();
-        const int budget = now >= deadline
-            ? 0
-            : static_cast<int>(
-                  std::min<uint64_t>(deadline - now, 1u << 30));
-        struct pollfd pfd = {fromChild, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, budget);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "poll failed: ",
-                       std::strerror(errno));
-        }
-        if (ready == 0)
-            return ReadStatus::Timeout;
-
-        const ssize_t n = ::read(fromChild, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "frame read failed: ",
-                       std::strerror(errno));
-        }
-        if (n == 0)
-            return ReadStatus::Eof;
-        rxBuffer.append(chunk, static_cast<size_t>(n));
-        if (popFrame(rxBuffer, out))
-            return ReadStatus::Frame;
-        if (steadyNowMs() >= deadline)
-            return ReadStatus::Timeout;
-    }
+    davf_assert(fromChild >= 0, "read() without a spawned child");
+    return readFrameTimed(fromChild, rxBuffer, out, timeout_ms);
 }
 
 void
@@ -344,8 +342,7 @@ Subprocess::terminate(double grace_ms)
     davf_assert(childPid > 0, "terminate() without a spawned child");
 
     ::kill(childPid, SIGTERM);
-    const uint64_t deadline =
-        steadyNowMs() + static_cast<uint64_t>(grace_ms > 0 ? grace_ms : 0);
+    const double deadline = nowMs() + std::max(grace_ms, 0.0);
     for (;;) {
         int wstatus = 0;
         struct rusage ru = {};
@@ -359,7 +356,7 @@ Subprocess::terminate(double grace_ms)
             davf_throw(ErrorKind::Io, "wait4 failed: ",
                        std::strerror(errno));
         }
-        if (steadyNowMs() >= deadline)
+        if (nowMs() >= deadline)
             break;
         ::usleep(2000);
     }

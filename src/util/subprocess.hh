@@ -16,7 +16,10 @@
  * machine.
  *
  * The free functions writeFrameFd()/readFrameFd() are the child-side
- * half of the protocol, usable on plain file descriptors.
+ * half of the protocol, usable on plain file descriptors. FrameLink is
+ * the transport-neutral face of a frame stream (pipes or a socket) that
+ * the shard link (campaign/shard_link.hh) speaks through, and
+ * readFrameTimed() the one deadline-aware reader behind every link.
  */
 
 #ifndef DAVF_UTIL_SUBPROCESS_HH
@@ -24,6 +27,7 @@
 
 #include <sys/types.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,14 +67,79 @@ struct ExitStatus
 void writeFrameFd(int fd, std::string_view payload);
 
 /**
- * Blocking child-side frame read from @p fd. Returns false on a clean
- * EOF before any frame byte; throws DavfError{BadInput} on a torn or
- * oversized frame and DavfError{Io} on a read error.
+ * Blocking frame read from @p fd: readFrameTimed() without a deadline.
+ * Consumes exactly one frame, so frames the peer sent after it stay
+ * unread for the next call. Returns false on a clean EOF before any
+ * frame byte; throws DavfError{BadInput} on a torn or oversized frame
+ * and DavfError{Io} on a read error.
  */
 bool readFrameFd(int fd, std::string &out);
 
-/** A supervised child process (see file comment). */
-class Subprocess
+/**
+ * A bidirectional stream of length-prefixed frames: a worker's pipes, a
+ * node's socket, or a worker's own stdin/stdout.
+ */
+class FrameLink
+{
+  public:
+    enum class ReadStatus : uint8_t {
+        Frame,   ///< A complete frame was read into @c out.
+        Eof,     ///< The peer closed its end between frames.
+        Timeout, ///< No complete frame arrived before the deadline.
+    };
+
+    virtual ~FrameLink() = default;
+
+    /** Send one frame (throws DavfError{Io} if the peer is gone). */
+    virtual void send(std::string_view payload) = 0;
+
+    /**
+     * Read one frame with a wall-clock budget of @p timeout_ms (<= 0
+     * polls once without blocking). Partial frames survive a Timeout.
+     * Throws DavfError{BadInput} on a torn (EOF mid-frame) or oversized
+     * frame, the latter rejected before allocating, and DavfError{Io}
+     * on a read error.
+     */
+    virtual ReadStatus read(std::string &out, double timeout_ms) = 0;
+};
+
+/**
+ * The frame reader behind every FrameLink: read @p fd into
+ * @p rx_buffer until it holds a whole frame (moved into @p out), the
+ * peer closes, or @p timeout_ms passes. Never reads past the frame's
+ * end, so @p rx_buffer holds at most one partial frame. Statuses and
+ * errors as FrameLink::read.
+ */
+FrameLink::ReadStatus readFrameTimed(int fd, std::string &rx_buffer,
+                                     std::string &out, double timeout_ms);
+
+/** A FrameLink over two borrowed descriptors (a worker's stdio). */
+class FdFrameLink final : public FrameLink
+{
+  public:
+    FdFrameLink(int read_fd, int write_fd)
+        : readFd(read_fd), writeFd(write_fd)
+    {}
+
+    void send(std::string_view payload) override
+    {
+        writeFrameFd(writeFd, payload);
+    }
+
+    ReadStatus read(std::string &out, double timeout_ms) override
+    {
+        return readFrameTimed(readFd, rxBuffer, out, timeout_ms);
+    }
+
+  private:
+    int readFd;
+    int writeFd;
+    std::string rxBuffer; ///< Bytes read but not yet framed.
+};
+
+/** A supervised child process (see file comment), framed over its
+ *  stdin/stdout pipes. */
+class Subprocess final : public FrameLink
 {
   public:
     Subprocess() = default;
@@ -78,7 +147,7 @@ class Subprocess
     Subprocess &operator=(const Subprocess &) = delete;
 
     /** SIGKILLs and reaps a still-running child. */
-    ~Subprocess();
+    ~Subprocess() override;
 
     /** Absolute path of the running executable (/proc/self/exe). */
     static std::string selfExePath();
@@ -97,20 +166,11 @@ class Subprocess
     pid_t pid() const { return childPid; }
 
     /** Send one frame to the child (throws DavfError{Io} if it died). */
-    void sendFrame(std::string_view payload);
+    void send(std::string_view payload) override;
 
-    enum class ReadStatus : uint8_t {
-        Frame,   ///< A complete frame was read into @c out.
-        Eof,     ///< The child closed its end (it exited or crashed).
-        Timeout, ///< No complete frame arrived before the deadline.
-    };
-
-    /**
-     * Read one frame with a wall-clock budget of @p timeout_ms
-     * (<= 0 polls once without blocking). Partial frame bytes are kept
-     * across calls, so a Timeout does not lose data.
-     */
-    ReadStatus readFrame(std::string &out, double timeout_ms);
+    /** Read one frame from the child: Eof means it closed its end (it
+     *  exited or crashed) between frames. */
+    ReadStatus read(std::string &out, double timeout_ms) override;
 
     /** Close the write end: EOF on the child's stdin. */
     void closeWrite();

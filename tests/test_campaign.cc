@@ -16,7 +16,9 @@
  *  - lenient loading of journals with a torn final line, plus a
  *    fuzz-ish corpus over the checkpoint/shard/quarantine parsers;
  *  - supervised process isolation: bit-identity with thread mode at
- *    any worker count, and crash -> retry -> bisect -> quarantine.
+ *    any worker count, and crash -> retry -> bisect -> quarantine;
+ *  - the query scheduler's isolated path: worker replies byte-identical
+ *    to an in-process scheduler's.
  *
  * The binary re-executes itself as a campaign worker when invoked with
  * --campaign-worker (rebuilding the same fixture engine), so it has
@@ -24,7 +26,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -42,6 +46,8 @@
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/isa/benchmarks.hh"
+#include "src/service/result_store.hh"
+#include "src/service/scheduler.hh"
 #include "src/util/atomic_file.hh"
 #include "src/util/error.hh"
 #include "src/util/rng.hh"
@@ -959,14 +965,178 @@ TEST(Campaign, HungWorkerIsKilledByTheShardDeadline)
     std::filesystem::remove_all(qdir);
 }
 
+// ------------------------------------------ isolated query scheduler
+
+TEST(SchedulerIsolation, WorkerRepliesAreByteIdenticalToInProcess)
+{
+    // davf_serve --isolate process: the scheduler ships its store misses
+    // to worker processes through a ShardDispatcher. The reply must be
+    // the in-process scheduler's bytes, DelayAVF rows and sAVF row alike.
+    CampaignFixture fixture;
+    service::QuerySpec query;
+    query.structure = "Rnd";
+    query.delays = {0.3, 0.9};
+    query.runSavf = true;
+    query.sampling = fixture.options().sampling;
+
+    auto answer = [&](std::vector<std::string> worker_argv) {
+        service::ResultStore store(service::ResultStore::Options{});
+        service::QueryScheduler::Options options;
+        options.benchmark = "rndtrace";
+        options.threads = 2;
+        options.workerArgv = std::move(worker_argv);
+        options.workers = 2;
+        service::QueryScheduler scheduler(*fixture.engine,
+                                          *fixture.registry, "test-fp",
+                                          store, options);
+        const Result<service::QueryScheduler::QueryReply> reply =
+            scheduler.run(query);
+        if (!reply) {
+            ADD_FAILURE() << reply.error().what();
+            return std::string();
+        }
+        EXPECT_EQ(reply.value().storeHits, 0u);
+        EXPECT_GT(reply.value().storeMisses, 0u);
+        return reply.value().reportJson;
+    };
+    const std::string in_process = answer({});
+    const std::string isolated =
+        answer({Subprocess::selfExePath(), "--campaign-worker"});
+    EXPECT_NE(in_process.find("\"savf\""), std::string::npos)
+        << in_process;
+    EXPECT_EQ(isolated, in_process);
+}
+
+TEST(SchedulerIsolation, QuarantineStaysWithTheQueryThatFoundIt)
+{
+    // One worker pool serves every query of an isolated scheduler. A
+    // query whose worker crashes on one injection quarantines it; a
+    // later query with another seed and no fault must still get the
+    // in-process bytes, although the same (cycle, wire index) pair is
+    // in its shards.
+    CampaignFixture fixture;
+    service::QuerySpec first;
+    first.structure = "Rnd";
+    first.delays = {0.6};
+    first.sampling = fixture.options().sampling;
+    service::QuerySpec second = first;
+    second.sampling.seed = first.sampling.seed + 1;
+
+    // Crash on a pair that is DelayACE in the second query's order, so
+    // excluding it there would change that query's reply.
+    const Structure &rnd = *fixture.registry->find("Rnd");
+    const std::vector<uint64_t> second_cycles =
+        fixture.engine->injectionCycles(second.sampling);
+    uint64_t target = 0;
+    size_t culprit = SIZE_MAX;
+    for (uint64_t cycle : fixture.engine->injectionCycles(first.sampling)) {
+        if (std::find(second_cycles.begin(), second_cycles.end(), cycle)
+            == second_cycles.end())
+            continue;
+        const uint64_t ace =
+            fixture.engine->delayAvfCycle(rnd, 0.6, cycle, second.sampling)
+                .delayAce;
+        for (size_t k = 0; k < second.sampling.maxWires; ++k) {
+            const size_t excluded[] = {k};
+            if (fixture.engine
+                    ->delayAvfCycle(rnd, 0.6, cycle, second.sampling, 0,
+                                    SIZE_MAX, excluded)
+                    .delayAce
+                != ace) {
+                target = cycle;
+                culprit = k;
+                break;
+            }
+        }
+        if (culprit != SIZE_MAX)
+            break;
+    }
+    ASSERT_NE(culprit, SIZE_MAX) << "no shared cycle has a DelayACE wire";
+
+    service::QueryScheduler::Options options;
+    options.benchmark = "rndtrace";
+    options.threads = 2;
+    options.maxRetries = 1;
+    service::ResultStore reference_store(service::ResultStore::Options{});
+    service::QueryScheduler reference(*fixture.engine, *fixture.registry,
+                                      "test-fp", reference_store, options);
+    const std::string fault_file = tempPath("scheduler_fault");
+    options.workerArgv = {Subprocess::selfExePath(), "--campaign-worker",
+                          "--fault-file=" + fault_file};
+    service::ResultStore isolated_store(service::ResultStore::Options{});
+    service::QueryScheduler isolated(*fixture.engine, *fixture.registry,
+                                     "test-fp", isolated_store, options);
+
+    auto answer = [](service::QueryScheduler &scheduler,
+                     const service::QuerySpec &query) {
+        const Result<service::QueryScheduler::QueryReply> reply =
+            scheduler.run(query);
+        if (!reply) {
+            ADD_FAILURE() << reply.error().what();
+            return std::string();
+        }
+        return reply.value().reportJson;
+    };
+    auto arm = [&](const std::string &fault) {
+        std::ofstream(fault_file, std::ios::trunc) << fault;
+    };
+
+    arm("crash@Rnd:" + std::to_string(target) + ":"
+        + std::to_string(culprit));
+    EXPECT_NE(answer(isolated, first), answer(reference, first))
+        << "the fault never fired";
+    arm("");
+    EXPECT_EQ(answer(isolated, second), answer(reference, second));
+    std::remove(fault_file.c_str());
+}
+
+/** Re-arms DAVF_TEST_FAULT from a file before every shard, so one
+ *  long-lived worker can crash on one query and not on the next. */
+class FaultFileHook final : public ShardHook
+{
+  public:
+    explicit FaultFileHook(std::string the_path)
+        : path(std::move(the_path))
+    {}
+
+    bool
+    beforeShard(const ShardSpec &) override
+    {
+        std::ifstream file(path);
+        std::string fault;
+        std::getline(file, fault);
+        if (fault.empty())
+            ::unsetenv("DAVF_TEST_FAULT");
+        else
+            ::setenv("DAVF_TEST_FAULT", fault.c_str(), 1);
+        return true;
+    }
+
+    bool beforeReply(const ShardSpec &, std::string &) override
+    {
+        return true;
+    }
+
+  private:
+    std::string path;
+};
+
 /** The hidden worker mode: rebuild the fixture engine and serve
  *  shards. Must match CampaignFixture exactly, or the bit-identity
- *  tests above would (correctly) fail. */
+ *  tests above would (correctly) fail. With @p fault_file, faults come
+ *  from that file (FaultFileHook). */
 int
-campaignWorkerMain()
+campaignWorkerMain(const std::string &fault_file)
 {
     CampaignFixture fixture;
-    return runCampaignWorker(*fixture.engine, *fixture.registry);
+    if (fault_file.empty())
+        return runCampaignWorker(*fixture.engine, *fixture.registry);
+    ::signal(SIGPIPE, SIG_IGN);
+    FaultFileHook hook(fault_file);
+    FdFrameLink link(STDIN_FILENO, STDOUT_FILENO);
+    link.send("hello");
+    serveShards(link, *fixture.engine, *fixture.registry, &hook);
+    return 0;
 }
 
 } // namespace
@@ -976,8 +1146,13 @@ int
 main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--campaign-worker")
-            return davf::campaignWorkerMain();
+        if (std::string_view(argv[i]) != "--campaign-worker")
+            continue;
+        const std::string_view flag = "--fault-file=";
+        std::string fault_file;
+        if (i + 1 < argc && std::string_view(argv[i + 1]).starts_with(flag))
+            fault_file = argv[i + 1] + flag.size();
+        return davf::campaignWorkerMain(fault_file);
     }
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

@@ -118,23 +118,47 @@ TEST(FrameProtocol, RoundTripsBinaryPayloads)
     const std::string cases[] = {
         "hello",
         "",                                // empty frame is legal
-        std::string("\0\n\r\xff binary \0", 16),
+        std::string("\0\n\r\xff binary \0", 13), // embedded NULs
         std::string(1u << 16, 'x'),        // bigger than one pipe buf
     };
     std::string out;
     for (const std::string &payload : cases) {
-        child.sendFrame(payload);
-        ASSERT_EQ(child.readFrame(out, 5000.0),
+        child.send(payload);
+        ASSERT_EQ(child.read(out, 5000.0),
                   Subprocess::ReadStatus::Frame);
         EXPECT_EQ(out, payload);
     }
 
     child.closeWrite();
-    EXPECT_EQ(child.readFrame(out, 5000.0),
+    EXPECT_EQ(child.read(out, 5000.0),
               Subprocess::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
     EXPECT_EQ(status.code, 0);
+}
+
+TEST(FrameProtocol, BlockingReadLeavesPipelinedFramesUnread)
+{
+    // A client may send a query and then at once a cancel or stats
+    // frame; reading the first must not swallow the second, whichever
+    // reader comes next. (All three frames fit one pipe buffer.)
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    writeFrameFd(fds[1], "query");
+    writeFrameFd(fds[1], std::string(1u << 15, 's'));
+    writeFrameFd(fds[1], "cancel");
+    ::close(fds[1]);
+
+    std::string out;
+    ASSERT_TRUE(readFrameFd(fds[0], out));
+    EXPECT_EQ(out, "query");
+    ASSERT_TRUE(readFrameFd(fds[0], out));
+    EXPECT_EQ(out, std::string(1u << 15, 's'));
+    FdFrameLink link(fds[0], -1);
+    ASSERT_EQ(link.read(out, 5000.0), FrameLink::ReadStatus::Frame);
+    EXPECT_EQ(out, "cancel");
+    EXPECT_FALSE(readFrameFd(fds[0], out));
+    ::close(fds[0]);
 }
 
 TEST(FrameProtocol, OversizedPrefixIsRejectedNotBuffered)
@@ -146,7 +170,7 @@ TEST(FrameProtocol, OversizedPrefixIsRejectedNotBuffered)
         // May need a couple of reads before the bytes arrive.
         for (int i = 0; i < 50; ++i) {
             Subprocess::ReadStatus status =
-                child.readFrame(out, 200.0);
+                child.read(out, 200.0);
             if (status == Subprocess::ReadStatus::Eof)
                 FAIL() << "EOF before the bogus prefix was seen";
         }
@@ -162,7 +186,7 @@ TEST(Subprocess, DecodesExitCodes)
     Subprocess child;
     child.spawn(childArgv("exit7"));
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 5000.0),
+    EXPECT_EQ(child.read(out, 5000.0),
               Subprocess::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
@@ -176,7 +200,7 @@ TEST(Subprocess, DecodesFatalSignals)
     Subprocess child;
     child.spawn(childArgv("crash"));
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 5000.0),
+    EXPECT_EQ(child.read(out, 5000.0),
               Subprocess::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_FALSE(status.exited);
@@ -189,12 +213,12 @@ TEST(Subprocess, ReadDeadlineExpiresWithoutLosingTheChild)
     Subprocess child;
     child.spawn(childArgv("sleep"));
     std::string out;
-    ASSERT_EQ(child.readFrame(out, 5000.0),
+    ASSERT_EQ(child.read(out, 5000.0),
               Subprocess::ReadStatus::Frame);
     EXPECT_EQ(out, "ready");
 
     // Nothing further is coming: the deadline must fire...
-    EXPECT_EQ(child.readFrame(out, 100.0),
+    EXPECT_EQ(child.read(out, 100.0),
               Subprocess::ReadStatus::Timeout);
     // ...and the child must still be alive and supervisable.
     EXPECT_TRUE(child.running());
@@ -210,7 +234,7 @@ TEST(Subprocess, TerminateEscalatesToSigkill)
     std::string out;
     // Wait for "ready" so the SIGTERM handler is installed before we
     // try to terminate; otherwise the test races the child's setup.
-    ASSERT_EQ(child.readFrame(out, 5000.0),
+    ASSERT_EQ(child.read(out, 5000.0),
               Subprocess::ReadStatus::Frame);
     ASSERT_EQ(out, "ready");
 
@@ -224,7 +248,7 @@ TEST(Subprocess, CapturesRusage)
     Subprocess child;
     child.spawn(childArgv("alloc"));
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 30000.0),
+    EXPECT_EQ(child.read(out, 30000.0),
               Subprocess::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
@@ -243,7 +267,7 @@ TEST(Subprocess, MemLimitTurnsRunawayAllocationIntoBadAlloc)
     options.memLimitMb = 48; // well under the 128 MiB the child wants
     child.spawn(childArgv("alloc"), options);
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 30000.0),
+    EXPECT_EQ(child.read(out, 30000.0),
               Subprocess::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
@@ -258,14 +282,14 @@ TEST(Subprocess, SendFrameToDeadChildThrowsIo)
     std::string out;
     // The child is gone (EOF) but deliberately not reaped yet: this is
     // the supervisor's position when a worker dies mid-dispatch.
-    EXPECT_EQ(child.readFrame(out, 5000.0),
+    EXPECT_EQ(child.read(out, 5000.0),
               Subprocess::ReadStatus::Eof);
     // The pipe may absorb one frame into its buffer; writing a few
     // large frames must surface EPIPE as DavfError{Io}, not SIGPIPE.
     try {
         const std::string big(1u << 20, 'y');
         for (int i = 0; i < 8; ++i)
-            child.sendFrame(big);
+            child.send(big);
         FAIL() << "writes to a dead child never failed";
     } catch (const DavfError &error) {
         EXPECT_EQ(error.kind(), ErrorKind::Io);
@@ -285,13 +309,13 @@ TEST(Subprocess, QuitRacingReplyIsDrainedNotKilled)
     // and misreports a clean shutdown as a worker failure.
     Subprocess child;
     child.spawn(childArgv("reply-on-quit"));
-    child.sendFrame("quit");
+    child.send("quit");
 
     std::string payload;
     size_t drained = 0;
     for (;;) {
         const Subprocess::ReadStatus status =
-            child.readFrame(payload, 15000.0);
+            child.read(payload, 15000.0);
         ASSERT_NE(status, Subprocess::ReadStatus::Timeout);
         if (status != Subprocess::ReadStatus::Frame)
             break;

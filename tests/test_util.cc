@@ -17,6 +17,7 @@
 #include "src/util/bits.hh"
 #include "src/util/bitvector.hh"
 #include "src/util/error.hh"
+#include "src/util/hash.hh"
 #include "src/util/parse.hh"
 #include "src/util/rng.hh"
 #include "src/util/stats.hh"
@@ -66,6 +67,18 @@ TEST(Bits, PowerOfTwo)
     EXPECT_TRUE(isPowerOfTwo(1024));
     EXPECT_FALSE(isPowerOfTwo(0));
     EXPECT_FALSE(isPowerOfTwo(96));
+}
+
+TEST(Hash, Fnv1a64KnownAnswers)
+{
+    // These hashes name on-disk data (store keys and record sums,
+    // workspace fingerprints, quarantine files, config hashes): the
+    // published FNV-1a-64 test vectors pin them.
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+    EXPECT_EQ(fnv1a64Hex("a"), "af63dc4c8601ec8c");
+    EXPECT_EQ(fnv1a64Extend(fnv1a64("foo"), "bar"), fnv1a64("foobar"));
 }
 
 TEST(BitVector, SetGetFlip)
