@@ -137,11 +137,6 @@ Campaign::flushCsv(const CampaignSummary &summary) const
 CampaignSummary
 Campaign::run()
 {
-    // Continuation batching is an engine-level switch; results are
-    // bit-identical either way, so this cannot invalidate a journal.
-    engine->setVectorMode(options.vectorize, options.vectorLanes);
-    engine->setTsimVectorMode(options.vectorTsim, options.tsimLanes);
-
     // Resolve structures up front: an unknown name is a user error that
     // should fail the campaign before any simulation time is spent.
     std::vector<const Structure *> resolved;

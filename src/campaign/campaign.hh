@@ -85,29 +85,6 @@ struct CampaignOptions
     /** Per-injection wall-clock budget in ms (0 = unlimited). */
     double injectionTimeoutMs = 0.0;
 
-    /**
-     * Batch faulty continuations on the engine's bit-parallel vector
-     * path (docs/PERFORMANCE.md). Purely operational — vector and
-     * scalar runs produce bit-identical results — so, like the thread
-     * count, it is excluded from campaignConfigHash() and may change
-     * across a resume.
-     */
-    bool vectorize = true;
-
-    /** Lanes per vector batch (2..64). */
-    unsigned vectorLanes = 64;
-
-    /**
-     * Batch faulted-wire cone re-simulations on the lane-parallel
-     * timed simulator (src/tsim/vec_tsim.hh). Operational only —
-     * results are bit-identical to the scalar path — so, like
-     * vectorize, it is excluded from campaignConfigHash().
-     */
-    bool vectorTsim = true;
-
-    /** Lanes per timed-simulator batch (1 forces scalar, max 64). */
-    unsigned tsimLanes = 64;
-
     /** Failed-injection fraction beyond which a cell is abandoned. */
     double maxFailureRate = 0.05;
 

@@ -49,18 +49,6 @@ TraceSinkModel::restore(const std::vector<uint64_t> &data)
         log[i] = static_cast<uint32_t>(data[i + 1]);
 }
 
-bool
-Workload::done(const VecSimulator &, unsigned) const
-{
-    davf_panic("workload is not vectorizable");
-}
-
-std::vector<uint32_t>
-Workload::outputTrace(const VecSimulator &, unsigned) const
-{
-    davf_panic("workload is not vectorizable");
-}
-
 std::vector<uint32_t>
 TraceWorkload::outputTrace(const CycleSimulator &sim) const
 {

@@ -53,22 +53,18 @@ class Workload
      * @name Per-lane observation (the engine's bit-parallel path)
      *
      * The same three observations, applied to one lane of a
-     * VecSimulator (via the lane's private behavioral clones). A
-     * workload that cannot observe individual lanes keeps the default
-     * vectorizable() == false, and the engine runs every faulty
-     * continuation on the scalar path instead.
+     * VecSimulator (via the lane's private behavioral clones). The
+     * engine runs every faulty continuation in lane batches, so every
+     * workload implements them.
      */
     /// @{
 
-    /** Whether the per-lane observation overloads are implemented. */
-    virtual bool vectorizable() const { return false; }
+    /** Per-lane done(). */
+    virtual bool done(const VecSimulator &sim, unsigned lane) const = 0;
 
-    /** Per-lane done(); panics unless vectorizable(). */
-    virtual bool done(const VecSimulator &sim, unsigned lane) const;
-
-    /** Per-lane outputTrace(); panics unless vectorizable(). */
+    /** Per-lane outputTrace(). */
     virtual std::vector<uint32_t>
-    outputTrace(const VecSimulator &sim, unsigned lane) const;
+    outputTrace(const VecSimulator &sim, unsigned lane) const = 0;
 
     /** Per-lane archHash(); 0 if all state is in flops. */
     virtual uint64_t archHash(const VecSimulator &, unsigned) const
@@ -136,8 +132,6 @@ class TraceWorkload : public Workload
     outputTrace(const CycleSimulator &sim) const override;
 
     uint64_t maxGoldenCycles() const override { return numCycles + 1; }
-
-    bool vectorizable() const override { return true; }
 
     bool
     done(const VecSimulator &sim, unsigned) const override

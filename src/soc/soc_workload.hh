@@ -44,8 +44,6 @@ class SocWorkload : public Workload
 
     uint64_t maxGoldenCycles() const override { return maxCycles; }
 
-    bool vectorizable() const override { return true; }
-
     bool
     done(const VecSimulator &sim, unsigned lane) const override
     {

@@ -2,14 +2,20 @@
  * @file
  * Shared test fixtures: a seeded random sequential-circuit generator used
  * by the property tests (STA bounds, timed-vs-untimed equivalence, and
- * the two-step-vs-brute-force DelayACE exactness check).
+ * the two-step-vs-brute-force DelayACE exactness check), and plain
+ * per-wire / per-flip reference loops the engine's batched path is
+ * checked against.
  */
 
 #ifndef DAVF_TESTS_HELPERS_HH
 #define DAVF_TESTS_HELPERS_HH
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +24,7 @@
 #include "core/workload.hh"
 #include "netlist/netlist.hh"
 #include "tsim/timed_sim.hh"
+#include "util/error.hh"
 #include "util/rng.hh"
 
 namespace davf::test {
@@ -132,6 +139,206 @@ makeRandomCircuit(uint64_t seed, unsigned num_flops = 12,
     circuit.workload = std::make_unique<TraceWorkload>(circuit.sinkCell,
                                                        num_cycles);
     return circuit;
+}
+
+/** An engine over @p circuit that batches @p lanes lanes at a time. */
+inline std::unique_ptr<VulnerabilityEngine>
+makeEngine(const RandomCircuit &circuit, unsigned lanes = 64)
+{
+    EngineOptions options;
+    options.lanes = lanes;
+    return std::make_unique<VulnerabilityEngine>(
+        *circuit.netlist, CellLibrary::defaultLibrary(), *circuit.workload,
+        options);
+}
+
+/**
+ * Reference for VulnerabilityEngine::delayAvfCycle(): a plain per-wire
+ * loop over public API only — sampledWires(), the sta() filter, a golden
+ * TimedSimulator waveform for the no-toggle check, dynamicErrors() and
+ * groupVerdict() — with plain memo maps and a per-wire try/catch, and
+ * no sweep caches or lanes. A continuation that throws is not memoized,
+ * so every wire that demands it simulates it again and is skipped with
+ * its reason. Ignores SamplingConfig::injectionTimeoutMs and
+ * attribution.
+ */
+inline InjectionCycleOutcome
+referenceCycleOutcome(VulnerabilityEngine &engine,
+                      const Structure &structure, double delay_fraction,
+                      uint64_t cycle, const SamplingConfig &config,
+                      size_t wire_begin = 0, size_t wire_end = SIZE_MAX,
+                      std::span<const size_t> quarantined = {})
+{
+    const Netlist &netlist = engine.delayModel().netlist();
+    const double period = engine.clockPeriod();
+    const double delay = delay_fraction * period;
+    const std::vector<WireId> wires = engine.sampledWires(structure, config);
+
+    CycleSimulator golden(netlist);
+    while (golden.cycle() + 1 < cycle)
+        golden.step();
+    const std::vector<uint8_t> pre = golden.netValues_();
+    golden.step();
+    CycleWaveforms wf;
+    TimedSimulator(engine.delayModel())
+        .simulateCycle(pre, golden.netValues_(), period, wf);
+
+    InjectionCycleOutcome out;
+    out.cycle = cycle;
+    out.wireDyn.assign(wires.size(), 0);
+    out.wireAce.assign(wires.size(), 0);
+    std::map<std::vector<CycleSimulator::Force>, FailureKind> group_memo;
+    std::map<CycleSimulator::Force, FailureKind> ace_memo;
+    auto verdict_of = [&](std::span<const CycleSimulator::Force> errors) {
+        ++out.uniqueGroupSims;
+        return engine.groupVerdict(errors, cycle, config.watchdogSlack);
+    };
+    auto skip = [&](const std::string &reason) {
+        ++out.skippedErrors;
+        ++out.skipReasons[reason];
+    };
+
+    std::vector<StateElemId> static_set;
+    for (size_t i = wire_begin; i < std::min(wire_end, wires.size()); ++i) {
+        ++out.injections;
+        if (std::find(quarantined.begin(), quarantined.end(), i)
+            != quarantined.end()) {
+            skip("quarantined");
+            continue;
+        }
+        try {
+            engine.sta().staticallyReachable(wires[i], delay, period,
+                                             static_set);
+            if (static_set.empty())
+                continue;
+            ++out.staticInjections;
+            if (wf.netEvents[netlist.wire(wires[i]).net].empty()) {
+                ++out.skippedNoToggle;
+                continue;
+            }
+            const std::vector<CycleSimulator::Force> errors =
+                engine.dynamicErrors(wires[i], cycle, delay);
+            if (errors.empty())
+                continue;
+            ++out.errorInjections;
+            out.wireDyn[i] = 1;
+            if (errors.size() >= 2)
+                ++out.multiBit;
+
+            auto group = group_memo.find(errors);
+            if (group == group_memo.end())
+                group = group_memo.emplace(errors, verdict_of(errors)).first;
+            const FailureKind verdict = group->second;
+            if (verdict != FailureKind::None) {
+                ++out.delayAce;
+                out.wireAce[i] = 1;
+                ++(verdict == FailureKind::Sdc ? out.sdc : out.due);
+            }
+
+            bool or_ace = false;
+            for (const CycleSimulator::Force &error : errors) {
+                auto single = ace_memo.find(error);
+                if (single == ace_memo.end()) {
+                    single = ace_memo.emplace(error, verdict_of({&error, 1}))
+                                 .first;
+                }
+                if (single->second != FailureKind::None) {
+                    or_ace = true;
+                    break;
+                }
+            }
+            out.orAce += or_ace;
+            out.interference += or_ace && verdict == FailureKind::None;
+            out.compounding += !or_ace && verdict != FailureKind::None;
+        } catch (const std::bad_alloc &) {
+            throw;
+        } catch (const DavfError &error) {
+            skip(std::string(errorKindName(error.kind())));
+        } catch (const std::exception &) {
+            skip("exception");
+        }
+    }
+    return out;
+}
+
+/** referenceCycleOutcome() for every scheduled cycle, in order. */
+inline std::vector<InjectionCycleOutcome>
+referenceOutcomes(VulnerabilityEngine &engine, const Structure &structure,
+                  double delay_fraction, const SamplingConfig &config)
+{
+    std::vector<InjectionCycleOutcome> outcomes;
+    for (uint64_t cycle : engine.injectionCycles(config)) {
+        outcomes.push_back(referenceCycleOutcome(engine, structure,
+                                                 delay_fraction, cycle,
+                                                 config));
+    }
+    return outcomes;
+}
+
+/**
+ * Reference for VulnerabilityEngine::savf() over every flop of
+ * @p structure (SamplingConfig::maxFlops must be 0): each flip runs
+ * alone on a CycleSimulator, inside a per-flip try/catch, and without
+ * the convergence early-exit — output prefix, completion and watchdog
+ * checks only, in the engine's order.
+ */
+inline SavfResult
+referenceSavf(const VulnerabilityEngine &engine, const Workload &workload,
+              const Structure &structure, const SamplingConfig &config)
+{
+    const Netlist &netlist = engine.delayModel().netlist();
+    const std::vector<uint32_t> &golden = engine.goldenOutput();
+    SavfResult result;
+    for (uint64_t cycle : engine.injectionCycles(config)) {
+        CycleSimulator base(netlist);
+        while (base.cycle() < cycle)
+            base.step();
+        const CycleSimulator::Snapshot at = base.snapshot();
+        for (StateElemId flop : structure.flops) {
+            ++result.injections;
+            try {
+                CycleSimulator sim(netlist);
+                sim.restore(at);
+                sim.flipFlop(flop);
+                FailureKind verdict = FailureKind::None;
+                for (;; sim.step()) {
+                    const std::vector<uint32_t> out =
+                        workload.outputTrace(sim);
+                    if (out.size() > golden.size()
+                        || !std::equal(out.begin(), out.end(),
+                                       golden.begin())) {
+                        verdict = FailureKind::Sdc;
+                        break;
+                    }
+                    if (workload.done(sim)) {
+                        if (out.size() != golden.size())
+                            verdict = FailureKind::Sdc;
+                        break;
+                    }
+                    if (sim.cycle()
+                        >= engine.goldenCycles() + config.watchdogSlack) {
+                        verdict = FailureKind::Due;
+                        break;
+                    }
+                }
+                if (verdict != FailureKind::None) {
+                    ++result.aceInjections;
+                    ++(verdict == FailureKind::Sdc ? result.sdc
+                                                   : result.due);
+                }
+            } catch (const std::bad_alloc &) {
+                throw;
+            } catch (const std::exception &) {
+                ++result.skippedErrors;
+            }
+        }
+    }
+    const uint64_t evaluated = result.injections - result.skippedErrors;
+    if (evaluated > 0) {
+        result.savf = static_cast<double>(result.aceInjections)
+            / static_cast<double>(evaluated);
+    }
+    return result;
 }
 
 /**

@@ -265,12 +265,10 @@ struct CampaignFixture
     std::unique_ptr<VulnerabilityEngine> engine;
     std::unique_ptr<StructureRegistry> registry;
 
-    explicit CampaignFixture(uint64_t seed = 11)
+    explicit CampaignFixture(uint64_t seed = 11, unsigned lanes = 64)
         : circuit(test::makeRandomCircuit(seed, 8, 40, 12))
     {
-        engine = std::make_unique<VulnerabilityEngine>(
-            *circuit.netlist, CellLibrary::defaultLibrary(),
-            *circuit.workload);
+        engine = test::makeEngine(circuit, lanes);
         registry = std::make_unique<StructureRegistry>(*circuit.netlist);
         registry->add("Rnd", "rnd/");
     }
@@ -768,13 +766,13 @@ TEST(Campaign, ProcessIsolationIsBitIdenticalToThreadMode)
     std::remove(thread_csv.c_str());
 }
 
-TEST(Campaign, TsimModesAreBitIdenticalAcrossIsolation)
+TEST(Campaign, LaneWidthIsBitIdenticalAcrossIsolation)
 {
-    // The lane-parallel cone simulator and the cross-delay sweep reuse
-    // are engine-level speed knobs: a campaign run with them disabled
-    // must produce the same journal and CSV bytes as the default run,
-    // in thread mode and under process isolation — so supervised fleets
-    // may mix workers with either setting.
+    // The engine's lane width is a speed knob: a campaign over an
+    // engine that batches one continuation and one cone at a time must
+    // produce the same journal and CSV bytes as the default run, in
+    // thread mode and under process isolation — so supervised fleets
+    // may mix engines of any width.
     const std::string ref_ckpt = tempPath("tsim_ref.ckpt");
     const std::string ref_csv = tempPath("tsim_ref.csv");
     {
@@ -791,12 +789,10 @@ TEST(Campaign, TsimModesAreBitIdenticalAcrossIsolation)
     std::remove(ref_csv.c_str());
 
     {
-        const std::string ckpt = tempPath("tsim_scalar.ckpt");
-        const std::string csv = tempPath("tsim_scalar.csv");
-        CampaignFixture fixture;
+        const std::string ckpt = tempPath("tsim_narrow.ckpt");
+        const std::string csv = tempPath("tsim_narrow.csv");
+        CampaignFixture fixture(11, 2);
         CampaignOptions opts = fixture.options();
-        opts.vectorTsim = false;
-        opts.tsimLanes = 1;
         opts.checkpointPath = ckpt;
         opts.csvPath = csv;
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
@@ -808,14 +804,12 @@ TEST(Campaign, TsimModesAreBitIdenticalAcrossIsolation)
     }
 
     {
-        // Scalar-tsim supervisor driving default-configured workers:
-        // the two paths mix freely within one campaign.
+        // A narrow supervisor engine driving default-width workers:
+        // the two widths mix freely within one campaign.
         const std::string ckpt = tempPath("tsim_proc.ckpt");
         const std::string csv = tempPath("tsim_proc.csv");
-        CampaignFixture fixture;
+        CampaignFixture fixture(11, 3);
         CampaignOptions opts = processOptions(fixture, 2);
-        opts.vectorTsim = false;
-        opts.tsimLanes = 1;
         opts.checkpointPath = ckpt;
         opts.csvPath = csv;
         Campaign campaign(*fixture.engine, *fixture.registry, opts);

@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
+#include <new>
 
 #include "src/builder/ecc.hh"
 #include "src/campaign/checkpoint.hh"
@@ -602,16 +604,72 @@ TEST(Engine, SavfDeterministicAcrossThreads)
 }
 
 /**
- * @name Vector-vs-scalar differential suite
+ * @name Batched-path differential suite
  *
- * The engine's bit-parallel path (EngineOptions::vectorize) must be a
- * pure speed knob: byte-identical InjectionCycleOutcomes, aggregates,
- * and JSON reports against the scalar reference, at any lane width,
- * thread count, shard range, and across checkpoint/resume — that is
- * what keeps davf_serve's persistent store valid regardless of which
- * path computed a record.
+ * The engine resolves every continuation and cone in lane batches. The
+ * lane width must be a pure speed knob: at any width, thread count,
+ * shard range, and across checkpoint/resume, InjectionCycleOutcomes,
+ * aggregates and JSON reports are byte-identical to the plain per-wire
+ * and per-flip reference loops in tests/helpers.hh — that is what keeps
+ * davf_serve's persistent store valid regardless of which engine
+ * computed a record.
  */
 /// @{
+
+/** Lane widths the batched path is checked at (many small batches,
+ *  and the default full word). */
+constexpr unsigned kWidths[] = {3, 4, 64};
+
+/** The report JSON of one DelayAVF row at @p d. */
+std::string
+davfJson(const DelayAvfResult &result, double d = 0.6)
+{
+    ReportRow row;
+    row.benchmark = "rnd";
+    row.structure = "Rnd";
+    row.delayFraction = d;
+    row.davf = result;
+    return reportJson({row});
+}
+
+/** The report JSON of one sAVF row. */
+std::string
+savfRowJson(const SavfResult &result)
+{
+    ReportRow row;
+    row.kind = "savf";
+    row.benchmark = "rnd";
+    row.structure = "Rnd";
+    row.savf = result;
+    return reportJson({row});
+}
+
+/** The reference outcomes of every scheduled cycle, aggregated. */
+DelayAvfResult
+referenceDelayAvf(VulnerabilityEngine &engine, const Structure &structure,
+                  double d, const SamplingConfig &config)
+{
+    return engine
+        .aggregateDelayAvf(structure, config,
+                           test::referenceOutcomes(engine, structure, d,
+                                                   config))
+        .value();
+}
+
+/** The outcomes among @p outcomes whose cycles are cycles[lo, hi). */
+std::vector<InjectionCycleOutcome>
+outcomesIn(const std::vector<InjectionCycleOutcome> &outcomes,
+           const std::vector<uint64_t> &cycles, size_t lo, size_t hi)
+{
+    std::vector<InjectionCycleOutcome> picked;
+    for (const InjectionCycleOutcome &outcome : outcomes) {
+        for (size_t i = lo; i < hi; ++i) {
+            if (outcome.cycle == cycles[i])
+                picked.push_back(outcome);
+        }
+    }
+    return picked;
+}
 
 class VectorDifferential : public ::testing::TestWithParam<uint64_t>
 {};
@@ -631,20 +689,19 @@ TEST_P(VectorDifferential, DelayAvfCycleOutcomesBitIdentical)
     config.maxInjectionCycles = 3;
     config.threads = 1;
     for (uint64_t cycle : engine.injectionCycles(config)) {
-        engine.setVectorMode(false);
-        const InjectionCycleOutcome scalar =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        // A narrow lane width exercises multi-batch resolution; the
-        // full width exercises the common case.
-        engine.setVectorMode(true, 4);
-        const InjectionCycleOutcome vec4 =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        engine.setVectorMode(true, 64);
-        const InjectionCycleOutcome vec64 =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        EXPECT_TRUE(scalar == vec4) << "cycle " << cycle;
-        EXPECT_TRUE(scalar == vec64) << "cycle " << cycle;
-        EXPECT_GT(scalar.injections, 0u);
+        const InjectionCycleOutcome reference =
+            test::referenceCycleOutcome(engine, structure, 0.6, cycle,
+                                        config);
+        // Narrow lane widths exercise multi-batch resolution; the full
+        // width exercises the common case.
+        for (unsigned lanes : kWidths) {
+            const auto batched = test::makeEngine(circuit, lanes);
+            EXPECT_TRUE(reference
+                        == batched->delayAvfCycle(structure, 0.6, cycle,
+                                                  config))
+                << "cycle " << cycle << " lanes " << lanes;
+        }
+        EXPECT_GT(reference.injections, 0u);
     }
 }
 
@@ -652,7 +709,7 @@ TEST_P(VectorDifferential, ShardRangesAndQuarantineBitIdentical)
 {
     // The process-isolation worker primitive: partial wire ranges and
     // quarantined injection indices must not disturb bit-identity, so a
-    // supervised campaign may mix vector and scalar workers freely.
+    // supervised campaign may mix workers of any lane width freely.
     const auto circuit = test::makeRandomCircuit(GetParam() + 320, 10,
                                                  60, 16);
     VulnerabilityEngine engine(*circuit.netlist,
@@ -672,19 +729,25 @@ TEST_P(VectorDifferential, ShardRangesAndQuarantineBitIdentical)
     const std::vector<size_t> quarantined = {1, mid, wires.size() - 1};
 
     for (uint64_t cycle : engine.injectionCycles(config)) {
-        engine.setVectorMode(false);
-        const InjectionCycleOutcome lo_s = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, 0, mid, quarantined);
-        const InjectionCycleOutcome hi_s = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, mid, SIZE_MAX, quarantined);
-        engine.setVectorMode(true, 64);
-        const InjectionCycleOutcome lo_v = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, 0, mid, quarantined);
-        const InjectionCycleOutcome hi_v = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, mid, SIZE_MAX, quarantined);
-        EXPECT_TRUE(lo_s == lo_v) << "low shard, cycle " << cycle;
-        EXPECT_TRUE(hi_s == hi_v) << "high shard, cycle " << cycle;
-        EXPECT_GT(lo_s.skipReasons.count("quarantined"), 0u);
+        const InjectionCycleOutcome lo_ref = test::referenceCycleOutcome(
+            engine, structure, 0.7, cycle, config, 0, mid, quarantined);
+        const InjectionCycleOutcome hi_ref = test::referenceCycleOutcome(
+            engine, structure, 0.7, cycle, config, mid, SIZE_MAX,
+            quarantined);
+        for (unsigned lanes : kWidths) {
+            const auto batched = test::makeEngine(circuit, lanes);
+            EXPECT_TRUE(lo_ref
+                        == batched->delayAvfCycle(structure, 0.7, cycle,
+                                                  config, 0, mid,
+                                                  quarantined))
+                << "low shard, cycle " << cycle << " lanes " << lanes;
+            EXPECT_TRUE(hi_ref
+                        == batched->delayAvfCycle(structure, 0.7, cycle,
+                                                  config, mid, SIZE_MAX,
+                                                  quarantined))
+                << "high shard, cycle " << cycle << " lanes " << lanes;
+        }
+        EXPECT_GT(lo_ref.skipReasons.count("quarantined"), 0u);
     }
 }
 
@@ -705,24 +768,17 @@ TEST(VectorDifferential, DelayAvfJsonBitIdenticalAcrossThreads)
     config.maxInjectionCycles = 4;
     config.recordPerWire = true;
 
-    auto report = [&](bool vectorize, unsigned threads) {
-        engine.setVectorMode(vectorize);
-        config.threads = threads;
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = engine.delayAvf(structure, 0.6, config);
-        return reportJson({row});
-    };
-
-    const std::string scalar1 = report(false, 1);
-    const std::string scalar4 = report(false, 4);
-    const std::string vector1 = report(true, 1);
-    const std::string vector4 = report(true, 4);
-    EXPECT_EQ(scalar1, scalar4);
-    EXPECT_EQ(scalar1, vector1);
-    EXPECT_EQ(scalar1, vector4);
+    const std::string reference =
+        davfJson(referenceDelayAvf(engine, structure, 0.6, config));
+    for (unsigned lanes : kWidths) {
+        const auto batched = test::makeEngine(circuit, lanes);
+        for (unsigned threads : {1u, 4u}) {
+            config.threads = threads;
+            EXPECT_EQ(reference,
+                      davfJson(batched->delayAvf(structure, 0.6, config)))
+                << "lanes " << lanes << " threads " << threads;
+        }
+    }
 }
 
 TEST(VectorDifferential, SavfJsonBitIdenticalAcrossThreads)
@@ -737,41 +793,26 @@ TEST(VectorDifferential, SavfJsonBitIdenticalAcrossThreads)
     SamplingConfig config;
     config.maxInjectionCycles = 4;
 
-    auto report = [&](bool vectorize, unsigned threads) {
-        engine.setVectorMode(vectorize);
-        config.threads = threads;
-        ReportRow row;
-        row.kind = "savf";
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.savf = engine.savf(structure, config);
-        return reportJson({row});
-    };
-
-    const std::string scalar1 = report(false, 1);
-    const std::string scalar4 = report(false, 4);
-    const std::string vector1 = report(true, 1);
-    const std::string vector4 = report(true, 4);
-    EXPECT_EQ(scalar1, scalar4);
-    EXPECT_EQ(scalar1, vector1);
-    EXPECT_EQ(scalar1, vector4);
-
-    // A narrow lane width forces several batches per task.
-    engine.setVectorMode(true, 3);
-    config.threads = 2;
-    ReportRow row;
-    row.kind = "savf";
-    row.benchmark = "rnd";
-    row.structure = "Rnd";
-    row.savf = engine.savf(structure, config);
-    EXPECT_EQ(scalar1, reportJson({row}));
+    const std::string reference = savfRowJson(
+        test::referenceSavf(engine, *circuit.workload, structure, config));
+    // Narrow widths force several batches per task.
+    for (unsigned lanes : kWidths) {
+        const auto batched = test::makeEngine(circuit, lanes);
+        for (unsigned threads : {1u, 2u, 4u}) {
+            config.threads = threads;
+            EXPECT_EQ(reference,
+                      savfRowJson(batched->savf(structure, config)))
+                << "lanes " << lanes << " threads " << threads;
+        }
+    }
 }
 
 TEST(VectorDifferential, ResumeMidCellCrossesPaths)
 {
     // Half the injection cycles computed (and checkpointed) by the
-    // scalar path, the rest by the vector path after a "resume" — the
-    // aggregate must equal an uninterrupted run of either path.
+    // reference loop, the rest by the engine after a "resume" — the
+    // aggregate must equal the uninterrupted reference; likewise for
+    // outcomes handed between engines of different lane widths.
     const auto circuit = test::makeRandomCircuit(332, 10, 70, 16);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
@@ -785,71 +826,52 @@ TEST(VectorDifferential, ResumeMidCellCrossesPaths)
     config.threads = 2;
     const std::vector<uint64_t> cycles = engine.injectionCycles(config);
     ASSERT_GE(cycles.size(), 2u);
+    const size_t half = cycles.size() / 2;
 
-    engine.setVectorMode(false);
+    const std::vector<InjectionCycleOutcome> reference_outcomes =
+        test::referenceOutcomes(engine, structure, 0.6, config);
+    const std::string reference = davfJson(
+        engine.aggregateDelayAvf(structure, config, reference_outcomes)
+            .value());
+
+    // Adopt outcomes for the first half of the schedule, as a resumed
+    // campaign would from its journal's partial-cell records.
+    DelayAvfProgress resume;
+    resume.completed = outcomesIn(reference_outcomes, cycles, 0, half);
+    ASSERT_FALSE(resume.completed.empty());
+    EXPECT_EQ(reference, davfJson(engine.delayAvf(structure, 0.6, config,
+                                                  &resume)));
+
+    // And the mirror image: narrow-width outcomes of the second half
+    // adopted by a resume at another width.
+    const auto narrow = test::makeEngine(circuit, 3);
     DelayAvfProgress capture;
     std::vector<InjectionCycleOutcome> outcomes;
     capture.onCycleDone = [&](const InjectionCycleOutcome &outcome) {
         outcomes.push_back(outcome);
     };
-    const DelayAvfResult scalar_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
+    EXPECT_EQ(reference, davfJson(narrow->delayAvf(structure, 0.6, config,
+                                                   &capture)));
     ASSERT_EQ(outcomes.size(), cycles.size());
 
-    // Adopt outcomes for the first half of the schedule, as a resumed
-    // campaign would from its journal's partial-cell records.
-    DelayAvfProgress resume;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = 0; i < cycles.size() / 2; ++i) {
-            if (outcome.cycle == cycles[i])
-                resume.completed.push_back(outcome);
-        }
-    }
-    ASSERT_FALSE(resume.completed.empty());
-
-    engine.setVectorMode(true);
-    const DelayAvfResult resumed =
-        engine.delayAvf(structure, 0.6, config, &resume);
-
-    auto json = [](const DelayAvfResult &result) {
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = result;
-        return reportJson({row});
-    };
-    EXPECT_EQ(json(scalar_full), json(resumed));
-
-    // And the mirror image: vector-computed outcomes adopted by a
-    // scalar resume.
-    engine.setVectorMode(true);
-    outcomes.clear();
-    const DelayAvfResult vector_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
-    EXPECT_EQ(json(scalar_full), json(vector_full));
-
     DelayAvfProgress resume_back;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = cycles.size() / 2; i < cycles.size(); ++i) {
-            if (outcome.cycle == cycles[i])
-                resume_back.completed.push_back(outcome);
-        }
-    }
-    engine.setVectorMode(false);
-    const DelayAvfResult resumed_back =
-        engine.delayAvf(structure, 0.6, config, &resume_back);
-    EXPECT_EQ(json(scalar_full), json(resumed_back));
+    resume_back.completed = outcomesIn(outcomes, cycles, half,
+                                       cycles.size());
+    const auto other = test::makeEngine(circuit, 4);
+    EXPECT_EQ(reference, davfJson(other->delayAvf(structure, 0.6, config,
+                                                  &resume_back)));
 }
 
+/// @}
 /**
  * @name Lane-parallel timed-simulator differential suite
  *
- * EngineOptions::vectorTsim batches the per-wire cone re-simulations of
- * one injection cycle onto the lane-parallel timed simulator. Like the
- * continuation vector path, it must be a pure speed knob: byte-identical
- * outcomes and reports against the scalar cone loop at any lane count,
- * thread count, and across checkpoint/resume.
+ * The per-wire cone re-simulations of one injection cycle run in lane
+ * batches on the lane-parallel timed simulator, at the engine's lane
+ * width. Like the continuation batches, the width must be a pure speed
+ * knob: byte-identical outcomes and reports against the reference
+ * loop's scalar cones at any lane count, thread count, and across
+ * checkpoint/resume.
  */
 /// @{
 
@@ -871,21 +893,20 @@ TEST_P(TsimDifferential, CycleOutcomesBitIdenticalAcrossLaneCounts)
     config.maxInjectionCycles = 3;
     config.threads = 1;
     for (uint64_t cycle : engine.injectionCycles(config)) {
-        engine.setTsimVectorMode(false, 1);
-        const InjectionCycleOutcome scalar =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        // Lane count 1 must degrade to the scalar loop; 4 forces many
+        const InjectionCycleOutcome reference =
+            test::referenceCycleOutcome(engine, structure, 0.6, cycle,
+                                        config);
+        // Lane count 2 resolves one cone per batch; 3 and 4 force many
         // small batches; 64 is the common case.
-        for (unsigned lanes : {1u, 4u, 64u}) {
-            engine.setTsimVectorMode(true, lanes);
-            const InjectionCycleOutcome vec =
-                engine.delayAvfCycle(structure, 0.6, cycle, config);
-            EXPECT_TRUE(scalar == vec)
+        for (unsigned lanes : {2u, 3u, 4u, 64u}) {
+            const auto batched = test::makeEngine(circuit, lanes);
+            EXPECT_TRUE(reference
+                        == batched->delayAvfCycle(structure, 0.6, cycle,
+                                                  config))
                 << "cycle " << cycle << " lanes " << lanes;
         }
-        EXPECT_GT(scalar.injections, 0u);
+        EXPECT_GT(reference.injections, 0u);
     }
-    engine.setTsimVectorMode(true, 64);
 }
 
 TEST_P(TsimDifferential, BatchedVerdictsMatchBruteForce)
@@ -910,7 +931,6 @@ TEST_P(TsimDifferential, BatchedVerdictsMatchBruteForce)
         engine.sampledWires(structure, config);
     const double delay_ps = 0.7 * engine.clockPeriod();
 
-    engine.setTsimVectorMode(true, 64);
     for (uint64_t cycle : engine.injectionCycles(config)) {
         const InjectionCycleOutcome outcome =
             engine.delayAvfCycle(structure, 0.7, cycle, config);
@@ -942,32 +962,25 @@ TEST(TsimDifferential, DelayAvfJsonBitIdenticalAcrossThreadsAndLanes)
     config.maxInjectionCycles = 4;
     config.recordPerWire = true;
 
-    auto report = [&](bool vector_tsim, unsigned lanes,
-                      unsigned threads) {
-        engine.setTsimVectorMode(vector_tsim, lanes);
-        config.threads = threads;
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = engine.delayAvf(structure, 0.6, config);
-        return reportJson({row});
-    };
-
-    const std::string scalar1 = report(false, 1, 1);
-    EXPECT_EQ(scalar1, report(false, 1, 4));
-    EXPECT_EQ(scalar1, report(true, 4, 1));
-    EXPECT_EQ(scalar1, report(true, 64, 1));
-    EXPECT_EQ(scalar1, report(true, 64, 4));
-    EXPECT_EQ(scalar1, report(true, 4, 4));
-    engine.setTsimVectorMode(true, 64);
+    const std::string reference =
+        davfJson(referenceDelayAvf(engine, structure, 0.6, config));
+    for (unsigned lanes : kWidths) {
+        const auto batched = test::makeEngine(circuit, lanes);
+        for (unsigned threads : {1u, 4u}) {
+            config.threads = threads;
+            EXPECT_EQ(reference,
+                      davfJson(batched->delayAvf(structure, 0.6, config)))
+                << "lanes " << lanes << " threads " << threads;
+        }
+    }
 }
 
 TEST(TsimDifferential, ResumeCrossesTsimPaths)
 {
-    // Half the injection cycles checkpointed by the scalar cone loop,
-    // the rest computed lane-batched after a resume — and the mirror
-    // image — must equal an uninterrupted run of either flavor.
+    // Half the injection cycles checkpointed by the reference loop's
+    // scalar cones, the rest computed lane-batched after a resume — and
+    // outcomes handed between lane widths — must equal an uninterrupted
+    // reference run.
     const auto circuit = test::makeRandomCircuit(531, 10, 70, 16);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
@@ -981,57 +994,37 @@ TEST(TsimDifferential, ResumeCrossesTsimPaths)
     config.threads = 2;
     const std::vector<uint64_t> cycles = engine.injectionCycles(config);
     ASSERT_GE(cycles.size(), 2u);
+    const size_t half = cycles.size() / 2;
 
-    auto json = [](const DelayAvfResult &result) {
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = result;
-        return reportJson({row});
-    };
+    const std::vector<InjectionCycleOutcome> reference_outcomes =
+        test::referenceOutcomes(engine, structure, 0.6, config);
+    const std::string reference = davfJson(
+        engine.aggregateDelayAvf(structure, config, reference_outcomes)
+            .value());
 
-    engine.setTsimVectorMode(false, 1);
+    DelayAvfProgress resume;
+    resume.completed = outcomesIn(reference_outcomes, cycles, 0, half);
+    ASSERT_FALSE(resume.completed.empty());
+    const auto narrow = test::makeEngine(circuit, 4);
+    EXPECT_EQ(reference, davfJson(narrow->delayAvf(structure, 0.6, config,
+                                                   &resume)));
+
     DelayAvfProgress capture;
     std::vector<InjectionCycleOutcome> outcomes;
     capture.onCycleDone = [&](const InjectionCycleOutcome &outcome) {
         outcomes.push_back(outcome);
     };
-    const DelayAvfResult scalar_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
+    EXPECT_EQ(reference, davfJson(engine.delayAvf(structure, 0.6, config,
+                                                  &capture)));
     ASSERT_EQ(outcomes.size(), cycles.size());
 
-    DelayAvfProgress resume;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = 0; i < cycles.size() / 2; ++i) {
-            if (outcome.cycle == cycles[i])
-                resume.completed.push_back(outcome);
-        }
-    }
-    ASSERT_FALSE(resume.completed.empty());
-    engine.setTsimVectorMode(true, 64);
-    const DelayAvfResult resumed =
-        engine.delayAvf(structure, 0.6, config, &resume);
-    EXPECT_EQ(json(scalar_full), json(resumed));
-
-    engine.setTsimVectorMode(true, 64);
-    outcomes.clear();
-    const DelayAvfResult vector_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
-    EXPECT_EQ(json(scalar_full), json(vector_full));
-
     DelayAvfProgress resume_back;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = cycles.size() / 2; i < cycles.size(); ++i) {
-            if (outcome.cycle == cycles[i])
-                resume_back.completed.push_back(outcome);
-        }
-    }
-    engine.setTsimVectorMode(false, 1);
-    const DelayAvfResult resumed_back =
-        engine.delayAvf(structure, 0.6, config, &resume_back);
-    EXPECT_EQ(json(scalar_full), json(resumed_back));
-    engine.setTsimVectorMode(true, 64);
+    resume_back.completed = outcomesIn(outcomes, cycles, half,
+                                       cycles.size());
+    const auto narrowest = test::makeEngine(circuit, 3);
+    EXPECT_EQ(reference, davfJson(narrowest->delayAvf(structure, 0.6,
+                                                      config,
+                                                      &resume_back)));
 }
 
 /// @}
@@ -1061,41 +1054,36 @@ TEST(SweepReuse, MultiDelaySweepBitIdenticalToIndependentRuns)
     config.recordPerWire = true;
     const std::vector<double> fractions = {0.2, 0.45, 0.7, 0.95};
 
-    auto row_json = [&](double d) {
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = d;
-        row.davf = engine.delayAvf(structure, d, config);
-        return reportJson({row});
+    auto row_json = [&](VulnerabilityEngine &batched, double d) {
+        return davfJson(batched.delayAvf(structure, d, config), d);
     };
 
-    // Reference: one fresh, sweep-blind run per delay value.
+    // Reference: the sweep-blind reference loop, per delay value.
     std::map<double, std::string> independent;
-    config.threads = 1;
     for (double d : fractions)
-        independent[d] = row_json(d);
+        independent[d] = davfJson(referenceDelayAvf(engine, structure, d,
+                                                    config),
+                                  d);
 
-    for (unsigned threads : {1u, 4u}) {
-        for (bool vector_tsim : {true, false}) {
+    for (unsigned lanes : kWidths) {
+        const auto batched = test::makeEngine(circuit, lanes);
+        for (unsigned threads : {1u, 4u}) {
             config.threads = threads;
-            engine.setTsimVectorMode(vector_tsim, 64);
-            engine.beginDelaySweep(fractions);
+            batched->beginDelaySweep(fractions);
             for (double d : fractions) {
-                EXPECT_EQ(independent.at(d), row_json(d))
-                    << "d " << d << " threads " << threads
-                    << " vectorTsim " << vector_tsim;
+                EXPECT_EQ(independent.at(d), row_json(*batched, d))
+                    << "d " << d << " threads " << threads << " lanes "
+                    << lanes;
             }
-            engine.endDelaySweep();
+            batched->endDelaySweep();
         }
     }
 
     // Visiting the delay list in descending order must not matter.
     config.threads = 2;
-    engine.setTsimVectorMode(true, 64);
     engine.beginDelaySweep(fractions);
     for (auto it = fractions.rbegin(); it != fractions.rend(); ++it)
-        EXPECT_EQ(independent.at(*it), row_json(*it)) << "d " << *it;
+        EXPECT_EQ(independent.at(*it), row_json(engine, *it)) << "d " << *it;
     engine.endDelaySweep();
 }
 
@@ -1152,7 +1140,8 @@ TEST(Observability, MetricsAndTracingNeverPerturbResults)
     // The observability layer's contract: with collection and tracing
     // on, every result byte — report JSON, per-cycle checkpoint/store
     // records — is identical to a run with them off, across thread
-    // counts and the vector/scalar switch. Metrics may only *observe*.
+    // counts and lane widths, and equal to the reference loop's.
+    // Metrics may only *observe*.
     const auto circuit = test::makeRandomCircuit(333, 10, 70, 16);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
@@ -1168,52 +1157,61 @@ TEST(Observability, MetricsAndTracingNeverPerturbResults)
     // One run's complete byte surface: the report JSON plus every
     // serialized per-cycle outcome (the checkpoint-journal / result-
     // store payload), in cycle order.
-    auto resultBytes = [&](bool observe, bool vectorize,
-                           unsigned threads) {
-        obs::MetricsRegistry::instance().reset();
-        obs::Trace::clear();
-        obs::MetricsRegistry::setEnabled(observe);
-        obs::Trace::setEnabled(observe);
-
-        engine.setVectorMode(vectorize);
-        config.threads = threads;
-        DelayAvfProgress capture;
-        std::map<uint64_t, std::string> records;
-        capture.onCycleDone = [&](const InjectionCycleOutcome &out) {
-            records[out.cycle] = serializeOutcomeFields(out);
-        };
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = engine.delayAvf(structure, 0.6, config, &capture);
-
-        obs::MetricsRegistry::setEnabled(false);
-        obs::Trace::setEnabled(false);
-        obs::MetricsRegistry::instance().reset();
-        obs::Trace::clear();
-
-        std::string bytes = reportJson({row});
+    auto bytesOf = [](const DelayAvfResult &result,
+                      const std::map<uint64_t, std::string> &records) {
+        std::string bytes = davfJson(result);
         for (const auto &[cycle, record] : records) {
             bytes += '\n';
             bytes += record;
         }
         return bytes;
     };
+    auto resultBytes = [&](bool observe, unsigned lanes, unsigned threads) {
+        obs::MetricsRegistry::instance().reset();
+        obs::Trace::clear();
+        obs::MetricsRegistry::setEnabled(observe);
+        obs::Trace::setEnabled(observe);
 
-    const std::string baseline = resultBytes(false, true, 1);
-    EXPECT_EQ(baseline, resultBytes(false, false, 4));
-    EXPECT_EQ(baseline, resultBytes(true, true, 1));
-    EXPECT_EQ(baseline, resultBytes(true, true, 4));
-    EXPECT_EQ(baseline, resultBytes(true, false, 1));
-    EXPECT_EQ(baseline, resultBytes(true, false, 4));
+        const auto batched = test::makeEngine(circuit, lanes);
+        config.threads = threads;
+        DelayAvfProgress capture;
+        std::map<uint64_t, std::string> records;
+        capture.onCycleDone = [&](const InjectionCycleOutcome &out) {
+            records[out.cycle] = serializeOutcomeFields(out);
+        };
+        const DelayAvfResult result =
+            batched->delayAvf(structure, 0.6, config, &capture);
+
+        obs::MetricsRegistry::setEnabled(false);
+        obs::Trace::setEnabled(false);
+        obs::MetricsRegistry::instance().reset();
+        obs::Trace::clear();
+        return bytesOf(result, records);
+    };
+
+    const std::vector<InjectionCycleOutcome> reference_outcomes =
+        test::referenceOutcomes(engine, structure, 0.6, config);
+    std::map<uint64_t, std::string> reference_records;
+    for (const InjectionCycleOutcome &out : reference_outcomes)
+        reference_records[out.cycle] = serializeOutcomeFields(out);
+    const std::string baseline = bytesOf(
+        engine.aggregateDelayAvf(structure, config, reference_outcomes)
+            .value(),
+        reference_records);
+    for (unsigned lanes : kWidths) {
+        EXPECT_EQ(baseline, resultBytes(false, lanes, 1)) << lanes;
+        EXPECT_EQ(baseline, resultBytes(false, lanes, 4)) << lanes;
+        EXPECT_EQ(baseline, resultBytes(true, lanes, 1)) << lanes;
+        EXPECT_EQ(baseline, resultBytes(true, lanes, 4)) << lanes;
+    }
 }
 
 TEST(Observability, EngineCountersAreDeterministicAcrossSchedules)
 {
     // The non-timing counters derive from per-cycle outcomes, so the
     // snapshot (with `_ns` entries masked out) must not depend on the
-    // thread count or the vector/scalar switch's batching.
+    // thread count; the outcome and memo-hit counters must not depend
+    // on the lane width either.
     const auto circuit = test::makeRandomCircuit(334, 10, 70, 16);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
@@ -1225,12 +1223,12 @@ TEST(Observability, EngineCountersAreDeterministicAcrossSchedules)
     config.cycleFraction = 0.3;
     config.maxInjectionCycles = 4;
 
-    auto countersOf = [&](bool vectorize, unsigned threads) {
+    auto countersOf = [&](unsigned lanes, unsigned threads) {
+        const auto batched = test::makeEngine(circuit, lanes);
+        config.threads = threads;
         obs::MetricsRegistry::instance().reset();
         obs::MetricsRegistry::setEnabled(true);
-        engine.setVectorMode(vectorize, vectorize ? 4 : 64);
-        config.threads = threads;
-        engine.delayAvf(structure, 0.6, config);
+        batched->delayAvf(structure, 0.6, config);
         obs::MetricsRegistry::setEnabled(false);
         std::map<std::string, uint64_t> counters =
             obs::MetricsRegistry::instance().snapshot().counters;
@@ -1246,21 +1244,33 @@ TEST(Observability, EngineCountersAreDeterministicAcrossSchedules)
         return counters;
     };
 
-    const auto vector1 = countersOf(true, 1);
-    EXPECT_EQ(vector1, countersOf(true, 4));
-    EXPECT_GT(vector1.at("engine.cycles_computed"), 0u);
-    EXPECT_GT(vector1.at("engine.vector.batches"), 0u);
+    uint64_t injections = 0;
+    uint64_t group_sims = 0;
+    for (const InjectionCycleOutcome &out :
+         test::referenceOutcomes(engine, structure, 0.6, config)) {
+        injections += out.injections;
+        group_sims += out.uniqueGroupSims;
+    }
 
-    const auto scalar1 = countersOf(false, 1);
-    EXPECT_EQ(scalar1, countersOf(false, 4));
-    EXPECT_EQ(scalar1.at("engine.injections"),
-              vector1.at("engine.injections"));
-    // The vector path's memo-hit accounting replays the scalar demand
-    // order, so the hit counters agree exactly across paths.
-    EXPECT_EQ(scalar1.at("engine.memo_hits_group"),
-              vector1.at("engine.memo_hits_group"));
-    EXPECT_EQ(scalar1.at("engine.memo_hits_orace"),
-              vector1.at("engine.memo_hits_orace"));
+    const auto wide1 = countersOf(64, 1);
+    EXPECT_GT(wide1.at("engine.cycles_computed"), 0u);
+    EXPECT_GT(wide1.at("engine.vector.batches"), 0u);
+    EXPECT_EQ(wide1.at("engine.injections"), injections);
+    EXPECT_EQ(wide1.at("engine.group_sims"), group_sims);
+    for (unsigned lanes : kWidths) {
+        const auto counters = countersOf(lanes, 1);
+        EXPECT_EQ(counters, countersOf(lanes, 4)) << lanes;
+        EXPECT_EQ(counters.at("engine.injections"), injections) << lanes;
+        EXPECT_EQ(counters.at("engine.group_sims"), group_sims) << lanes;
+        // The replay walks the memoized demand order, so the hit
+        // counters agree exactly across lane widths.
+        EXPECT_EQ(counters.at("engine.memo_hits_group"),
+                  wide1.at("engine.memo_hits_group"))
+            << lanes;
+        EXPECT_EQ(counters.at("engine.memo_hits_orace"),
+                  wide1.at("engine.memo_hits_orace"))
+            << lanes;
+    }
 }
 
 /// @}
@@ -1270,7 +1280,7 @@ TEST(Observability, EngineCountersAreDeterministicAcrossSchedules)
  * delayAvf() with every cycle already completed, and
  * aggregateDelayAvf(), aggregate without STA: the static-wire count is
  * read off a quarantine-free outcome. These tests pin the invariant
- * that makes that exact (on both continuation paths) and compare the
+ * that makes that exact (at every lane width) and compare the
  * STA-free results against STA-backed aggregation of the same outcomes.
  */
 /// @{
@@ -1280,15 +1290,7 @@ void
 expectSameResult(const DelayAvfResult &expected,
                  const DelayAvfResult &actual)
 {
-    auto json = [](const DelayAvfResult &result) {
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = result;
-        return reportJson({row});
-    };
-    EXPECT_EQ(json(expected), json(actual));
+    EXPECT_EQ(davfJson(expected), davfJson(actual));
     EXPECT_EQ(expected.staticWireFraction, actual.staticWireFraction);
     EXPECT_EQ(expected.staticInjections, actual.staticInjections);
     EXPECT_EQ(expected.delayAceInjections, actual.delayAceInjections);
@@ -1335,8 +1337,8 @@ TEST(Aggregation, StaticInjectionsCountNonEmptyStaticSets)
 {
     // The invariant behind STA-free aggregation: a cycle outcome that
     // quarantined nothing counted one staticInjection per sampled wire
-    // with a non-empty static set — on both continuation paths, and
-    // also when injections time out after the STA gate.
+    // with a non-empty static set — in the reference loop and at every
+    // lane width, and also when injections time out after the STA gate.
     for (uint64_t seed : {601u, 602u, 603u}) {
         const auto circuit = test::makeRandomCircuit(seed, 10, 70, 16);
         VulnerabilityEngine engine(*circuit.netlist,
@@ -1351,6 +1353,9 @@ TEST(Aggregation, StaticInjectionsCountNonEmptyStaticSets)
         config.threads = 1;
         const std::vector<WireId> wires =
             engine.sampledWires(structure, config);
+        std::vector<std::unique_ptr<VulnerabilityEngine>> engines;
+        for (unsigned lanes : kWidths)
+            engines.push_back(test::makeEngine(circuit, lanes));
         for (double d : {0.2, 0.5, 0.9}) {
             const std::vector<size_t> nonempty =
                 staticWireIndices(engine, wires, d);
@@ -1359,17 +1364,23 @@ TEST(Aggregation, StaticInjectionsCountNonEmptyStaticSets)
             // its staticInjection, so such outcomes cannot be used.
             const std::vector<size_t> quarantined = {nonempty.front()};
             for (uint64_t cycle : engine.injectionCycles(config)) {
-                for (bool vectorize : {false, true}) {
-                    engine.setVectorMode(vectorize);
+                const InjectionCycleOutcome reference =
+                    test::referenceCycleOutcome(engine, structure, d, cycle,
+                                                config);
+                EXPECT_EQ(reference.staticInjections, nonempty.size());
+                for (const auto &batched : engines) {
                     const InjectionCycleOutcome clean =
-                        engine.delayAvfCycle(structure, d, cycle, config);
+                        batched->delayAvfCycle(structure, d, cycle, config);
+                    EXPECT_TRUE(clean == reference)
+                        << "seed " << seed << " d " << d << " cycle "
+                        << cycle;
                     EXPECT_EQ(clean.staticInjections, nonempty.size())
                         << "seed " << seed << " d " << d << " cycle "
-                        << cycle << " vector " << vectorize;
+                        << cycle;
                     EXPECT_FALSE(clean.skipReasons.contains("quarantined"));
                     const InjectionCycleOutcome skipped =
-                        engine.delayAvfCycle(structure, d, cycle, config, 0,
-                                             SIZE_MAX, quarantined);
+                        batched->delayAvfCycle(structure, d, cycle, config,
+                                               0, SIZE_MAX, quarantined);
                     EXPECT_EQ(skipped.staticInjections, nonempty.size() - 1);
                 }
                 SamplingConfig timed = config;
@@ -1395,10 +1406,6 @@ TEST(Aggregation, CompletedOutcomesMatchStaBackedRun)
     size_t attr_rows = 0;
     for (uint64_t seed : {611u, 612u, 613u}) {
         const auto circuit = test::makeRandomCircuit(seed, 10, 70, 16);
-        VulnerabilityEngine engine(*circuit.netlist,
-                                   CellLibrary::defaultLibrary(),
-                                   *circuit.workload);
-        engine.setAttributionTap(&tap);
         StructureRegistry registry(*circuit.netlist);
         const Structure &structure = registry.add("Rnd", "rnd/");
 
@@ -1409,7 +1416,10 @@ TEST(Aggregation, CompletedOutcomesMatchStaBackedRun)
             config.threads = 2;
             config.attribution = variant & 1;
             config.recordPerWire = variant & 2;
-            engine.setVectorMode(variant != 0);
+            const auto batched =
+                test::makeEngine(circuit, variant == 0 ? 3 : 64);
+            VulnerabilityEngine &engine = *batched;
+            engine.setAttributionTap(&tap);
 
             DelayAvfProgress capture;
             const DelayAvfResult cold =
@@ -1598,6 +1608,285 @@ TEST(Aggregation, StoppedCellMatchesStaBackedRun)
 
 /// @}
 /**
+ * @name Continuation failures on the batched path
+ *
+ * Under a per-injection timeout each continuation runs alone beside
+ * the golden lane, under its own deadline; a batch that throws is
+ * re-run one continuation per batch. Either way every demand resolves
+ * to a verdict or a failure reason, and the replay charges each failure
+ * to exactly the wires (or flips) the reference loop charges — in
+ * delayAvfCycle() and in savf() alike.
+ */
+/// @{
+
+/** A trace workload whose output observation throws once the trace
+ *  holds one (non-golden) value. */
+class PoisonedTraceWorkload : public TraceWorkload
+{
+  public:
+    PoisonedTraceWorkload(const test::RandomCircuit &circuit,
+                          uint32_t poison, bool out_of_memory = false)
+        : TraceWorkload(circuit.sinkCell, circuit.numCycles),
+          poison(poison), outOfMemory(out_of_memory)
+    {}
+
+    std::vector<uint32_t>
+    outputTrace(const CycleSimulator &sim) const override
+    {
+        return check(TraceWorkload::outputTrace(sim));
+    }
+
+    std::vector<uint32_t>
+    outputTrace(const VecSimulator &sim, unsigned lane) const override
+    {
+        return check(TraceWorkload::outputTrace(sim, lane));
+    }
+
+  private:
+    std::vector<uint32_t>
+    check(std::vector<uint32_t> trace) const
+    {
+        if (std::find(trace.begin(), trace.end(), poison) != trace.end()) {
+            if (outOfMemory)
+                throw std::bad_alloc();
+            davf_throw(ErrorKind::BadInput, "poisoned output ", poison);
+        }
+        return trace;
+    }
+
+    uint32_t poison;
+    bool outOfMemory;
+};
+
+/** An engine over @p circuit's netlist observing @p workload. */
+std::unique_ptr<VulnerabilityEngine>
+engineOver(const test::RandomCircuit &circuit, const Workload &workload,
+           unsigned lanes = 64)
+{
+    EngineOptions options;
+    options.lanes = lanes;
+    return std::make_unique<VulnerabilityEngine>(
+        *circuit.netlist, CellLibrary::defaultLibrary(), workload, options);
+}
+
+/** Trace values the golden run of @p circuit never outputs. */
+std::vector<uint32_t>
+poisonCandidates(const test::RandomCircuit &circuit)
+{
+    const std::vector<uint32_t> golden =
+        test::makeEngine(circuit)->goldenOutput();
+    std::vector<uint32_t> values;
+    for (uint32_t value = 0; value < 16; ++value) {
+        if (std::find(golden.begin(), golden.end(), value) == golden.end())
+            values.push_back(value);
+    }
+    return values;
+}
+
+uint64_t
+reasonCount(const InjectionCycleOutcome &out, const std::string &reason)
+{
+    const auto it = out.skipReasons.find(reason);
+    return it == out.skipReasons.end() ? 0 : it->second;
+}
+
+constexpr double kFailureDelays[] = {0.5, 0.9};
+
+SamplingConfig
+failureConfig()
+{
+    SamplingConfig config;
+    config.cycleFraction = 0.3;
+    config.maxInjectionCycles = 3;
+    config.threads = 1;
+    return config;
+}
+
+TEST(ContinuationFailures, LargeTimeoutMatchesNoTimeout)
+{
+    // A deadline that never fires routes every continuation through a
+    // width-1 batch and changes no result byte.
+    const auto circuit = test::makeRandomCircuit(701, 10, 70, 16);
+    const auto engine = test::makeEngine(circuit);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+    const SamplingConfig config = failureConfig();
+    SamplingConfig timed = config;
+    timed.injectionTimeoutMs = 60000;
+
+    // Width-1 batches: every batch carries exactly one continuation.
+    std::vector<InjectionCycleOutcome> timed_outcomes;
+    obs::MetricsRegistry::instance().reset();
+    obs::MetricsRegistry::setEnabled(true);
+    for (double d : kFailureDelays) {
+        for (uint64_t cycle : engine->injectionCycles(config)) {
+            timed_outcomes.push_back(
+                engine->delayAvfCycle(structure, d, cycle, timed));
+        }
+    }
+    obs::MetricsRegistry::setEnabled(false);
+    const auto counters =
+        obs::MetricsRegistry::instance().snapshot().counters;
+    obs::MetricsRegistry::instance().reset();
+    EXPECT_GT(counters.at("engine.vector.batches"), 0u);
+    EXPECT_EQ(counters.at("engine.vector.lanes_used"),
+              counters.at("engine.vector.batches"));
+    EXPECT_EQ(counters.at("engine.vector.lane_capacity"),
+              counters.at("engine.vector.batches"));
+
+    uint64_t group_sims = 0;
+    size_t next = 0;
+    for (double d : kFailureDelays) {
+        for (uint64_t cycle : engine->injectionCycles(config)) {
+            const InjectionCycleOutcome &out = timed_outcomes[next++];
+            EXPECT_TRUE(out
+                        == engine->delayAvfCycle(structure, d, cycle,
+                                                 config))
+                << "d " << d << " cycle " << cycle;
+            EXPECT_EQ(out.skippedErrors, 0u);
+            group_sims += out.uniqueGroupSims;
+        }
+    }
+    EXPECT_GT(group_sims, 0u);
+    const SavfResult savf = engine->savf(structure, timed);
+    EXPECT_EQ(savfRowJson(savf),
+              savfRowJson(engine->savf(structure, config)));
+    EXPECT_EQ(savf.skippedErrors, 0u);
+    EXPECT_GT(savf.injections, 0u);
+}
+
+TEST(ContinuationFailures, TinyTimeoutChargesEveryErrorWire)
+{
+    // Every deadline fires: each error wire's group sim times out, is
+    // never memoized, and so costs every wire one simulation and one
+    // "timeout" skip; every flip of sAVF is skipped.
+    const auto circuit = test::makeRandomCircuit(702, 10, 70, 16);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+    const SamplingConfig config = failureConfig();
+    SamplingConfig timed = config;
+    timed.injectionTimeoutMs = 1e-9;
+
+    uint64_t error_injections = 0;
+    bool shared_key = false;
+    for (unsigned lanes : kWidths) {
+        const auto engine = test::makeEngine(circuit, lanes);
+        for (double d : kFailureDelays) {
+            for (uint64_t cycle : engine->injectionCycles(config)) {
+                const InjectionCycleOutcome clean =
+                    engine->delayAvfCycle(structure, d, cycle, config);
+                const InjectionCycleOutcome out =
+                    engine->delayAvfCycle(structure, d, cycle, timed);
+                EXPECT_EQ(reasonCount(out, "timeout"), out.errorInjections)
+                    << "d " << d << " cycle " << cycle;
+                EXPECT_EQ(out.errorInjections, out.uniqueGroupSims)
+                    << "d " << d << " cycle " << cycle;
+                EXPECT_EQ(out.skippedErrors, out.errorInjections);
+                EXPECT_EQ(out.delayAce, 0u);
+                EXPECT_EQ(out.orAce, 0u);
+                EXPECT_EQ(out.staticInjections, clean.staticInjections);
+                EXPECT_EQ(out.errorInjections, clean.errorInjections);
+                EXPECT_EQ(out.multiBit, clean.multiBit);
+                EXPECT_EQ(out.wireDyn, clean.wireDyn);
+                error_injections += out.errorInjections;
+                shared_key |= clean.uniqueGroupSims < 2 * clean.errorInjections;
+            }
+        }
+        const SavfResult clean = engine->savf(structure, config);
+        const SavfResult savf = engine->savf(structure, timed);
+        EXPECT_EQ(savf.injections, clean.injections);
+        EXPECT_EQ(savf.skippedErrors, savf.injections);
+        EXPECT_EQ(savf.aceInjections, 0u);
+        EXPECT_EQ(savf.savf, 0.0);
+    }
+    EXPECT_GT(error_injections, 0u);
+    EXPECT_TRUE(shared_key);
+}
+
+TEST(ContinuationFailures, ThrowingContinuationMatchesReference)
+{
+    // A continuation that throws inside a shared batch sends the batch
+    // back one continuation at a time; the failure is charged, with its
+    // ErrorKind name, to every wire the reference charges.
+    const auto circuit = test::makeRandomCircuit(703, 10, 70, 16);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+    const SamplingConfig config = failureConfig();
+
+    uint64_t bad_inputs = 0;
+    uint64_t delay_ace = 0;
+    uint64_t skipped_flips = 0;
+    for (uint32_t poison : poisonCandidates(circuit)) {
+        const PoisonedTraceWorkload workload(circuit, poison);
+        const auto reference_engine = engineOver(circuit, workload);
+        const SavfResult reference_savf = test::referenceSavf(
+            *reference_engine, workload, structure, config);
+        skipped_flips += reference_savf.skippedErrors;
+        for (unsigned lanes : {4u, 64u}) {
+            const auto engine = engineOver(circuit, workload, lanes);
+            for (double d : kFailureDelays) {
+                for (uint64_t cycle : engine->injectionCycles(config)) {
+                    const InjectionCycleOutcome reference =
+                        test::referenceCycleOutcome(*reference_engine,
+                                                    structure, d, cycle,
+                                                    config);
+                    const InjectionCycleOutcome out =
+                        engine->delayAvfCycle(structure, d, cycle, config);
+                    EXPECT_TRUE(out == reference)
+                        << "poison " << poison << " lanes " << lanes
+                        << " d " << d << " cycle " << cycle;
+                    EXPECT_EQ(reasonCount(out, "bad-input"),
+                              reasonCount(reference, "bad-input"));
+                    EXPECT_EQ(out.uniqueGroupSims, reference.uniqueGroupSims);
+                    EXPECT_EQ(out.wireAce, reference.wireAce);
+                    bad_inputs += reasonCount(reference, "bad-input");
+                    delay_ace += reference.delayAce;
+                }
+            }
+            const SavfResult savf = engine->savf(structure, config);
+            EXPECT_EQ(savfRowJson(savf), savfRowJson(reference_savf))
+                << "poison " << poison << " lanes " << lanes;
+            EXPECT_EQ(savf.skippedErrors, reference_savf.skippedErrors);
+        }
+    }
+    EXPECT_GT(bad_inputs, 0u);
+    EXPECT_GT(delay_ace, 0u);
+    EXPECT_GT(skipped_flips, 0u);
+}
+
+TEST(ContinuationFailures, OutOfMemoryPropagates)
+{
+    // std::bad_alloc is not a per-injection failure: savf() and
+    // delayAvfCycle() propagate it instead of counting a skip.
+    const auto circuit = test::makeRandomCircuit(703, 10, 70, 16);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+    const SamplingConfig config = failureConfig();
+
+    bool exercised = false;
+    for (uint32_t poison : poisonCandidates(circuit)) {
+        const PoisonedTraceWorkload throwing(circuit, poison);
+        const auto probe = engineOver(circuit, throwing);
+        if (test::referenceSavf(*probe, throwing, structure, config)
+                .skippedErrors
+            == 0)
+            continue;
+        exercised = true;
+        const PoisonedTraceWorkload workload(circuit, poison, true);
+        for (unsigned lanes : {2u, 64u}) {
+            const auto engine = engineOver(circuit, workload, lanes);
+            EXPECT_THROW(engine->savf(structure, config), std::bad_alloc)
+                << "poison " << poison << " lanes " << lanes;
+            SamplingConfig timed = config;
+            timed.injectionTimeoutMs = 60000;
+            EXPECT_THROW(engine->savf(structure, timed), std::bad_alloc);
+        }
+        break;
+    }
+    EXPECT_TRUE(exercised);
+}
+
+/**
  * @name Convergence-pruning correctness
  *
  * The early-exit (a continuation whose full state re-converges with
@@ -1614,7 +1903,8 @@ TEST(VectorConvergence, SelfClearingFaultIsNeverAce)
     // Flop A reloads constant 0 every edge and its cone is squashed by
     // an AND-0 before reaching anything observable: any flip of A is
     // gone from the full sequential state one edge later, so the
-    // convergence early-exit settles it as None — in both paths.
+    // convergence early-exit settles it as None — at any lane width,
+    // as in the unpruned reference.
     Netlist nl;
     ModuleBuilder b(nl);
     b.pushScope("sc");
@@ -1639,15 +1929,20 @@ TEST(VectorConvergence, SelfClearingFaultIsNeverAce)
     config.maxInjectionCycles = 4;
     config.threads = 1;
 
-    engine.setVectorMode(false);
-    const SavfResult scalar = engine.savf(structure, config);
-    engine.setVectorMode(true);
-    const SavfResult vec = engine.savf(structure, config);
+    const SavfResult reference =
+        test::referenceSavf(engine, workload, structure, config);
+    EngineOptions narrow;
+    narrow.lanes = 3;
+    VulnerabilityEngine narrow_engine(nl, CellLibrary::defaultLibrary(),
+                                      workload, narrow);
 
-    EXPECT_GT(scalar.injections, 0u);
-    EXPECT_EQ(scalar.aceInjections, 0u);
-    EXPECT_DOUBLE_EQ(scalar.savf, 0.0);
-    EXPECT_EQ(savfJson("sc", "a", scalar), savfJson("sc", "a", vec));
+    EXPECT_GT(reference.injections, 0u);
+    EXPECT_EQ(reference.aceInjections, 0u);
+    EXPECT_DOUBLE_EQ(reference.savf, 0.0);
+    EXPECT_EQ(savfJson("sc", "a", reference),
+              savfJson("sc", "a", engine.savf(structure, config)));
+    EXPECT_EQ(savfJson("sc", "a", reference),
+              savfJson("sc", "a", narrow_engine.savf(structure, config)));
 
     // Same through the edge-forcing mechanism.
     const CycleSimulator::Force wrong[] = {
@@ -1660,7 +1955,8 @@ TEST(VectorConvergence, LatentFaultCorruptingLateOutputIsSdc)
     // A 4-deep shift register fed constant 0, observed only at the
     // tail: a head flip stays architecturally latent for 4 cycles (the
     // state never re-converges, so early-exit must not fire) and then
-    // corrupts the output — silent late SDC, identical in both paths.
+    // corrupts the output — silent late SDC, at any lane width as in
+    // the unpruned reference.
     Netlist nl;
     ModuleBuilder b(nl);
     b.pushScope("sh");
@@ -1688,15 +1984,19 @@ TEST(VectorConvergence, LatentFaultCorruptingLateOutputIsSdc)
     config.maxInjectionCycles = 3;
     config.threads = 1;
 
-    engine.setVectorMode(false);
-    const SavfResult scalar = engine.savf(structure, config);
-    engine.setVectorMode(true);
-    const SavfResult vec = engine.savf(structure, config);
+    const SavfResult reference =
+        test::referenceSavf(engine, workload, structure, config);
+    EngineOptions narrow;
+    narrow.lanes = 3;
+    VulnerabilityEngine narrow_engine(nl, CellLibrary::defaultLibrary(),
+                                      workload, narrow);
 
-    EXPECT_GT(scalar.aceInjections, 0u);
-    EXPECT_EQ(scalar.sdc, scalar.aceInjections);
-    EXPECT_EQ(savfJson("sh", "head", scalar),
-              savfJson("sh", "head", vec));
+    EXPECT_GT(reference.aceInjections, 0u);
+    EXPECT_EQ(reference.sdc, reference.aceInjections);
+    EXPECT_EQ(savfJson("sh", "head", reference),
+              savfJson("sh", "head", engine.savf(structure, config)));
+    EXPECT_EQ(savfJson("sh", "head", reference),
+              savfJson("sh", "head", narrow_engine.savf(structure, config)));
 
     // A forced wrong head value early in the run is a guaranteed
     // (delayed) SDC: the trace prefix matches for 4 more cycles first.

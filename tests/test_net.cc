@@ -89,11 +89,10 @@ struct NetFixture
     std::unique_ptr<VulnerabilityEngine> engine;
     std::unique_ptr<StructureRegistry> registry;
 
-    NetFixture() : circuit(test::makeRandomCircuit(11, 8, 40, 12))
+    explicit NetFixture(unsigned lanes = 64)
+        : circuit(test::makeRandomCircuit(11, 8, 40, 12))
     {
-        engine = std::make_unique<VulnerabilityEngine>(
-            *circuit.netlist, CellLibrary::defaultLibrary(),
-            *circuit.workload);
+        engine = test::makeEngine(circuit, lanes);
         registry = std::make_unique<StructureRegistry>(*circuit.netlist);
         registry->add("Rnd", "rnd/");
     }
@@ -522,13 +521,13 @@ TEST(NetCampaign, BitIdenticalToThreadModeAtAnyNodeCount)
     }
 }
 
-TEST(NetCampaign, ScalarTsimCoordinatorMatchesReference)
+TEST(NetCampaign, NarrowLaneCoordinatorMatchesReference)
 {
-    // The coordinator's local engine runs with lane batching and sweep
-    // reuse disabled while the remote workers keep their defaults: the
-    // tsim knobs are engine-local speed switches, so the mixed fleet
+    // The coordinator's local engine batches one continuation and one
+    // cone at a time while the remote workers keep the default width:
+    // the lane width is an engine-local speed knob, so the mixed fleet
     // still reproduces the thread-mode reference byte for byte.
-    NetFixture fixture;
+    NetFixture fixture(2);
     NetHarness harness(fixture);
     harness.spawnWorker("w0");
     ASSERT_EQ(harness.coordinator->waitForNodes(1, 30000.0), 1u);
@@ -537,8 +536,6 @@ TEST(NetCampaign, ScalarTsimCoordinatorMatchesReference)
     const std::string ckpt = tempPath("tsim_net.ckpt");
     const std::string csv = tempPath("tsim_net.csv");
     CampaignOptions opts = harness.netOptions();
-    opts.vectorTsim = false;
-    opts.tsimLanes = 1;
     opts.checkpointPath = ckpt;
     opts.csvPath = csv;
     Campaign campaign(*harness.fixture.engine, *harness.fixture.registry,

@@ -75,36 +75,34 @@ isolation_smoke() {
     echo "=== isolation smoke ok ($quarantined quarantined)" >&2
 }
 
-# Vector smoke: the bit-parallel GroupACE path must be invisible in
-# the output — run the same cheap sweep with the vectorized engine
-# (the default) and with --no-vector, in-process and with worker
-# processes, and require every `davf_run --json` report byte-identical
-# (docs/PERFORMANCE.md). Runs under both configs so the lane batching
-# gets ASan/UBSan coverage on every CI run.
-vector_smoke() {
+# Engine smoke: the engine's routes must be invisible in the output —
+# run the same cheap sweep by default, with --timeout-ms 600000 (each
+# continuation alone beside the golden lane, under a deadline that
+# never fires) and with worker processes, and require every
+# `davf_run --json` report byte-identical (docs/PERFORMANCE.md). Runs
+# under both configs so the lane batching and the width-1 route get
+# ASan/UBSan coverage on every CI run.
+engine_smoke() {
     build_dir="$1"
-    smoke_dir="$build_dir/vector-smoke"
+    smoke_dir="$build_dir/engine-smoke"
     rm -rf "$smoke_dir"
     mkdir -p "$smoke_dir"
-    echo "=== vector smoke $build_dir" >&2
+    echo "=== engine smoke $build_dir" >&2
     sweep() {
         "$build_dir/tools/davf_run" --json \
             --benchmark popcount --structure ALU --delays 0.5:0.9:0.2 \
-            --cycles 3 --wires 24 "$@"
+            --cycles 3 --wires 24 --savf --flops 16 "$@"
     }
-    sweep > "$smoke_dir/vector.json"
-    sweep --no-vector > "$smoke_dir/scalar.json"
-    sweep --isolate process --workers 2 \
-        > "$smoke_dir/vector-isolated.json"
-    sweep --no-vector --isolate process --workers 2 \
-        > "$smoke_dir/scalar-isolated.json"
-    for f in scalar.json vector-isolated.json scalar-isolated.json; do
-        if ! cmp -s "$smoke_dir/vector.json" "$smoke_dir/$f"; then
-            echo "vector smoke: $f differs from vector.json" >&2
+    sweep > "$smoke_dir/default.json"
+    sweep --timeout-ms 600000 > "$smoke_dir/timeout.json"
+    sweep --isolate process --workers 2 > "$smoke_dir/isolated.json"
+    for f in timeout.json isolated.json; do
+        if ! cmp -s "$smoke_dir/default.json" "$smoke_dir/$f"; then
+            echo "engine smoke: $f differs from default.json" >&2
             exit 1
         fi
     done
-    echo "=== vector smoke ok (reports bit-identical)" >&2
+    echo "=== engine smoke ok (reports bit-identical)" >&2
 }
 
 # Observability smoke: metrics and tracing must never perturb results
@@ -147,75 +145,6 @@ obs_smoke() {
         exit 1
     fi
     echo "=== obs smoke ok (report bit-identical, JSON valid)" >&2
-}
-
-# Timed-simulator smoke: lane-parallel cone batching and cross-delay
-# sweep reuse must be invisible in the output — run the same cheap
-# sweep with the default engine and with --no-vector-tsim, in-process
-# and with worker processes, and require every `davf_run --json`
-# report byte-identical (docs/PERFORMANCE.md). Runs under both configs
-# so the merged event queue and the reuse caches get ASan/UBSan
-# coverage on every CI run.
-tsim_smoke() {
-    build_dir="$1"
-    smoke_dir="$build_dir/tsim-smoke"
-    rm -rf "$smoke_dir"
-    mkdir -p "$smoke_dir"
-    echo "=== tsim smoke $build_dir" >&2
-    sweep() {
-        "$build_dir/tools/davf_run" --json \
-            --benchmark popcount --structure ALU --delays 0.5:0.9:0.2 \
-            --cycles 3 --wires 24 "$@"
-    }
-    sweep > "$smoke_dir/vector.json"
-    sweep --no-vector-tsim > "$smoke_dir/scalar.json"
-    sweep --tsim-lanes 4 > "$smoke_dir/lanes4.json"
-    sweep --isolate process --workers 2 \
-        > "$smoke_dir/vector-isolated.json"
-    sweep --no-vector-tsim --isolate process --workers 2 \
-        > "$smoke_dir/scalar-isolated.json"
-    for f in scalar.json lanes4.json vector-isolated.json \
-        scalar-isolated.json; do
-        if ! cmp -s "$smoke_dir/vector.json" "$smoke_dir/$f"; then
-            echo "tsim smoke: $f differs from vector.json" >&2
-            exit 1
-        fi
-    done
-    echo "=== tsim smoke ok (reports bit-identical)" >&2
-}
-
-# Timed-simulator speedup artifact: the Step-1 counterpart of
-# groupace_bench, Release config only. perf_engine exits non-zero if
-# the lane-parallel sweep's report is not byte-identical to the
-# scalar, sweep-blind one.
-tsim_bench() {
-    build_dir="$1"
-    echo "=== tsim bench $build_dir" >&2
-    DAVF_BENCH_TSIM_JSON="$root/BENCH_tsim.json" \
-        "$build_dir/bench/perf_engine" \
-        --benchmark_filter=TsimAluSweep
-    if [ ! -s "$root/BENCH_tsim.json" ]; then
-        echo "tsim bench: BENCH_tsim.json not written" >&2
-        exit 1
-    fi
-    echo "=== tsim bench ok" >&2
-}
-
-# GroupACE speedup artifact: run the end-to-end ALU sweep benchmark in
-# the Release config only (sanitizer timings are meaningless) and keep
-# the measured scalar-vs-vector speedup at the repo root. perf_engine
-# exits non-zero if the two sweeps' reports are not byte-identical.
-groupace_bench() {
-    build_dir="$1"
-    echo "=== groupace bench $build_dir" >&2
-    DAVF_BENCH_JSON="$root/BENCH_groupace.json" \
-        "$build_dir/bench/perf_engine" \
-        --benchmark_filter=GroupAceAluSweep
-    if [ ! -s "$root/BENCH_groupace.json" ]; then
-        echo "groupace bench: BENCH_groupace.json not written" >&2
-        exit 1
-    fi
-    echo "=== groupace bench ok" >&2
 }
 
 # Serve smoke: start davf_serve with a persistent store, issue the
@@ -832,21 +761,17 @@ net_smoke() {
 
 run_config "$root/build-ci-release" -DCMAKE_BUILD_TYPE=Release
 isolation_smoke "$root/build-ci-release"
-vector_smoke "$root/build-ci-release"
-tsim_smoke "$root/build-ci-release"
+engine_smoke "$root/build-ci-release"
 obs_smoke "$root/build-ci-release"
 serve_smoke "$root/build-ci-release"
 store_index_smoke "$root/build-ci-release"
 net_smoke "$root/build-ci-release"
 attr_smoke "$root/build-ci-release"
 crash_soak "$root/build-ci-release"
-groupace_bench "$root/build-ci-release"
-tsim_bench "$root/build-ci-release"
 run_config "$root/build-ci-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAVF_SANITIZE=address,undefined
 isolation_smoke "$root/build-ci-asan"
-vector_smoke "$root/build-ci-asan"
-tsim_smoke "$root/build-ci-asan"
+engine_smoke "$root/build-ci-asan"
 obs_smoke "$root/build-ci-asan"
 serve_smoke "$root/build-ci-asan"
 store_index_smoke "$root/build-ci-asan"

@@ -26,7 +26,8 @@
  *     --wires N            wire sample, 0 = all (default 400)
  *     --flops N            flop sample for sAVF, 0 = all (default 96)
  *     --seed N             sampling seed (default 1)
- *     --timeout-ms X       per-injection wall-clock budget (0 = none)
+ *     --timeout-ms X       wall-clock budget per continuation simulation
+ *                          (0 = none)
  *     --max-failure-rate X abandon a cell past this failure fraction
  *                          (default 0.05)
  *     --connect-retries N  extra connect attempts with exponential

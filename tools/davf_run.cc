@@ -25,15 +25,6 @@
  *     --flops N            flop sample for sAVF, 0 = all (default 96)
  *     --seed N             sampling seed (default 1)
  *     --threads N          worker threads, 0 = all cores (default 0)
- *     --no-vector          run faulty continuations one at a time on the
- *                          scalar simulator instead of the 64-lane
- *                          bit-parallel path (results are bit-identical;
- *                          see docs/PERFORMANCE.md)
- *     --vector-lanes N     lanes per vector batch, 2..64 (default 64)
- *     --no-vector-tsim     re-simulate faulted cones one wire at a time
- *                          instead of in lane-parallel batches
- *     --tsim-lanes N       lanes per timed-simulator batch, 1..64
- *                          (default 64; 1 forces scalar)
  *     --savf               also run particle-strike sAVF on the structure
  *     --attribution        per-instruction root-cause attribution: tag
  *                          every injection with the in-flight
@@ -52,7 +43,8 @@
  *     --csv FILE           write results as CSV (atomic rewrite)
  *     --checkpoint FILE    journal campaign progress to FILE
  *     --resume FILE        resume the campaign journaled in FILE
- *     --timeout-ms X       wall-clock budget per injection (0 = none)
+ *     --timeout-ms X       wall-clock budget per continuation simulation
+ *                          (0 = none)
  *     --max-failure-rate X abandon a cell if > X of injections fail
  *                          (default 0.05)
  *     --isolate MODE       thread (default), process, or net:
@@ -144,10 +136,6 @@ struct Options
     bool sta_period = false;
     bool json = false;
     SamplingConfig sampling;
-    bool no_vector = false;
-    unsigned vector_lanes = 64;
-    bool no_vector_tsim = false;
-    unsigned tsim_lanes = 64;
     double timeout_ms = 0.0;
     double max_failure_rate = 0.05;
     std::string csv_path;
@@ -182,10 +170,7 @@ printUsage(const char *argv0)
                  "[--delays LO:HI:STEP]\n"
                  "          [--ecc] [--cycles N] [--wires N] [--flops N]"
                  " [--seed N]\n"
-                 "          [--threads N] [--no-vector] "
-                 "[--vector-lanes N] [--savf]\n"
-                 "          [--no-vector-tsim] [--tsim-lanes N] "
-                 "[--attribution]\n"
+                 "          [--threads N] [--savf] [--attribution]\n"
                  "          [--sta-period] "
                  "[--json] [--csv FILE]\n"
                  "          [--checkpoint FILE] [--resume FILE] "
@@ -328,20 +313,6 @@ parse(int argc, char **argv)
         } else if (arg == "--threads") {
             opts.sampling.threads =
                 static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-        } else if (arg == "--no-vector") {
-            opts.no_vector = true;
-        } else if (arg == "--no-vector-tsim") {
-            opts.no_vector_tsim = true;
-        } else if (arg == "--tsim-lanes") {
-            opts.tsim_lanes =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-            if (opts.tsim_lanes < 1 || opts.tsim_lanes > 64)
-                usageError(argv[0], "--tsim-lanes must lie in [1, 64]");
-        } else if (arg == "--vector-lanes") {
-            opts.vector_lanes =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-            if (opts.vector_lanes < 2 || opts.vector_lanes > 64)
-                usageError(argv[0], "--vector-lanes must lie in [2, 64]");
         } else if (arg == "--csv") {
             opts.csv_path = need(i);
         } else if (arg == "--checkpoint") {
@@ -507,12 +478,6 @@ runTool(int argc, char **argv)
                  static_cast<unsigned long long>(engine.goldenCycles()),
                  engine.clockPeriod());
 
-    // The vector/scalar switch applies to every execution mode,
-    // including worker shards (the supervisor forwards our argv, so
-    // workers parse the same flags).
-    engine.setVectorMode(!opts.no_vector, opts.vector_lanes);
-    engine.setTsimVectorMode(!opts.no_vector_tsim, opts.tsim_lanes);
-
     // Hidden worker mode: same engine build as above, then serve shard
     // requests from the supervising campaign over stdin/stdout.
     if (opts.worker_shard)
@@ -527,10 +492,6 @@ runTool(int argc, char **argv)
     }
     campaign_options.runSavf = opts.run_savf;
     campaign_options.sampling = opts.sampling;
-    campaign_options.vectorize = !opts.no_vector;
-    campaign_options.vectorLanes = opts.vector_lanes;
-    campaign_options.vectorTsim = !opts.no_vector_tsim;
-    campaign_options.tsimLanes = opts.tsim_lanes;
     campaign_options.injectionTimeoutMs = opts.timeout_ms;
     campaign_options.maxFailureRate = opts.max_failure_rate;
     campaign_options.checkpointPath = opts.checkpoint_path;

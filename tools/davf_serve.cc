@@ -20,14 +20,6 @@
  *     --sta-period         STA longest path as the clock (default:
  *                          observed-max timing-closure emulation)
  *     --threads N          engine compute threads, 0 = all cores
- *     --no-vector          scalar faulty continuations instead of the
- *                          64-lane bit-parallel path; replies and store
- *                          records are bit-identical either way, so the
- *                          store fingerprint (and every cached record)
- *                          is unaffected (docs/SERVICE.md)
- *     --vector-lanes N     lanes per vector batch, 2..64 (default 64)
- *     --no-vector-tsim     scalar faulted-cone re-simulation
- *     --tsim-lanes N       lanes per timed-simulator batch, 1..64
  *     --isolate MODE       thread (default) or process: compute misses
  *                          in supervised worker processes
  *     --workers N          worker processes for --isolate process
@@ -77,10 +69,6 @@ struct Options
     size_t mem_capacity = 4096;
     WorkspaceSpec workspace;
     unsigned threads = 0;
-    bool no_vector = false;
-    unsigned vector_lanes = 64;
-    bool no_vector_tsim = false;
-    unsigned tsim_lanes = 64;
     bool isolate_process = false;
     unsigned workers = 1;
     unsigned max_retries = 2;
@@ -97,8 +85,6 @@ usageError(const char *argv0, const std::string &detail)
                  "          [--mem-capacity N]\n"
                  "          [--benchmark N] [--ecc] [--sta-period] "
                  "[--threads N]\n"
-                 "          [--no-vector] [--vector-lanes N] "
-                 "[--no-vector-tsim] [--tsim-lanes N]\n"
                  "          [--isolate thread|process] [--workers N] "
                  "[--max-retries N]\n"
                  "          [--worker-mem-mb N]\n",
@@ -153,20 +139,6 @@ parse(int argc, char **argv)
         } else if (arg == "--threads") {
             opts.threads =
                 static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-        } else if (arg == "--no-vector") {
-            opts.no_vector = true;
-        } else if (arg == "--no-vector-tsim") {
-            opts.no_vector_tsim = true;
-        } else if (arg == "--vector-lanes") {
-            opts.vector_lanes =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-            if (opts.vector_lanes < 2 || opts.vector_lanes > 64)
-                usageError(argv[0], "--vector-lanes must lie in [2, 64]");
-        } else if (arg == "--tsim-lanes") {
-            opts.tsim_lanes =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-            if (opts.tsim_lanes < 1 || opts.tsim_lanes > 64)
-                usageError(argv[0], "--tsim-lanes must lie in [1, 64]");
         } else if (arg == "--isolate") {
             const std::string mode = need(i);
             if (mode == "process")
@@ -346,13 +318,6 @@ runTool(int argc, char **argv)
                  opts.workspace.staPeriod ? "STA" : "observed-max");
     Workspace workspace(opts.workspace);
 
-    // Bit-parallel batching is a pure speed knob: it never changes a
-    // result byte, so it does not enter the workspace fingerprint and
-    // existing store records stay valid.
-    workspace.engine().setVectorMode(!opts.no_vector, opts.vector_lanes);
-    workspace.engine().setTsimVectorMode(!opts.no_vector_tsim,
-                                         opts.tsim_lanes);
-
     // Hidden worker mode: same workspace build, then serve shard
     // requests from the scheduler's supervisor over stdin/stdout.
     if (opts.worker_shard) {
@@ -385,20 +350,6 @@ runTool(int argc, char **argv)
             sched_options.workerArgv.push_back("--ecc");
         if (opts.workspace.staPeriod)
             sched_options.workerArgv.push_back("--sta-period");
-        if (opts.no_vector)
-            sched_options.workerArgv.push_back("--no-vector");
-        if (opts.no_vector_tsim)
-            sched_options.workerArgv.push_back("--no-vector-tsim");
-        if (opts.tsim_lanes != 64) {
-            sched_options.workerArgv.push_back("--tsim-lanes");
-            sched_options.workerArgv.push_back(
-                std::to_string(opts.tsim_lanes));
-        }
-        if (opts.vector_lanes != 64) {
-            sched_options.workerArgv.push_back("--vector-lanes");
-            sched_options.workerArgv.push_back(
-                std::to_string(opts.vector_lanes));
-        }
         sched_options.workerArgv.push_back("--worker-shard");
         sched_options.workers = opts.workers;
         sched_options.maxRetries = opts.max_retries;

@@ -23,10 +23,6 @@
  *                             before its coordinator waits for it
  *     --backoff-ms X          base of the connect backoff (default 200)
  *     --connect-timeout-ms X  per-attempt connect timeout (default 5000)
- *     --no-vector             scalar faulty continuations
- *     --vector-lanes N        lanes per vector batch, 2..64 (default 64)
- *     --no-vector-tsim        scalar faulted-cone re-simulation
- *     --tsim-lanes N          lanes per timed-simulator batch, 1..64
  *
  * Exit codes: 0 after a clean quit, 1 for a lost/unreachable
  * coordinator, 2 for a rejected handshake.
@@ -57,10 +53,6 @@ struct Options
     bool sta_period = false;
     std::string node;
     net::NetWorkerOptions net;
-    bool no_vector = false;
-    unsigned vector_lanes = 64;
-    bool no_vector_tsim = false;
-    unsigned tsim_lanes = 64;
 };
 
 void
@@ -71,9 +63,7 @@ printUsage(const char *argv0)
                  " [--sta-period]\n"
                  "          [--node NAME] [--connect-retries N] "
                  "[--backoff-ms X]\n"
-                 "          [--connect-timeout-ms X] [--no-vector] "
-                 "[--vector-lanes N]\n"
-                 "          [--no-vector-tsim] [--tsim-lanes N]\n",
+                 "          [--connect-timeout-ms X]\n",
                  argv0);
 }
 
@@ -155,20 +145,6 @@ parse(int argc, char **argv)
                 parseDouble(argv[0], arg, need(i));
             if (opts.net.connectTimeoutMs < 0.0)
                 usageError(argv[0], "--connect-timeout-ms must be >= 0");
-        } else if (arg == "--no-vector") {
-            opts.no_vector = true;
-        } else if (arg == "--no-vector-tsim") {
-            opts.no_vector_tsim = true;
-        } else if (arg == "--vector-lanes") {
-            opts.vector_lanes =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-            if (opts.vector_lanes < 2 || opts.vector_lanes > 64)
-                usageError(argv[0], "--vector-lanes must lie in [2, 64]");
-        } else if (arg == "--tsim-lanes") {
-            opts.tsim_lanes =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
-            if (opts.tsim_lanes < 1 || opts.tsim_lanes > 64)
-                usageError(argv[0], "--tsim-lanes must lie in [1, 64]");
         } else {
             usageError(argv[0], "unknown flag '" + arg + "'");
         }
@@ -201,14 +177,12 @@ runTool(int argc, char **argv)
                  opts.ecc ? "ECC" : "plain", opts.benchmark.c_str());
     service::Workspace workspace(ws_spec);
 
-    VulnerabilityEngine &engine = workspace.engine();
-    engine.setVectorMode(!opts.no_vector, opts.vector_lanes);
-    engine.setTsimVectorMode(!opts.no_vector_tsim, opts.tsim_lanes);
     net.fingerprint = workspace.fingerprint();
 
     std::fprintf(stderr, "worker: connecting to %s:%u\n",
                  net.host.c_str(), net.port);
-    return net::runNetWorker(engine, workspace.structures(), net);
+    return net::runNetWorker(workspace.engine(), workspace.structures(),
+                             net);
 }
 
 } // namespace
