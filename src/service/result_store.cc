@@ -1,14 +1,10 @@
 #include "result_store.hh"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include <cstdio>
 
 #include "obs/metrics.hh"
 #include "store/layout.hh"
-#include "util/atomic_file.hh"
+#include "store/migrate.hh"
 #include "util/crashpoint.hh"
 #include "util/logging.hh"
 
@@ -27,7 +23,7 @@ struct StoreMetrics
     obs::Counter futureRecords{"store.future_records"};
     obs::Counter writes{"store.writes"};
     obs::Counter writeFailures{"store.write_failures"};
-    obs::Counter repairUnlinks{"store.repair_unlinks"};
+    obs::Counter unpublishedWrites{"store.unpublished_writes"};
     obs::Gauge lruEntries{"store.lru_entries"};
     obs::Gauge lruBytes{"store.lru_bytes"};
 };
@@ -39,35 +35,7 @@ storeMetrics()
     return *metrics;
 }
 
-/** Does @p dir hold any legacy per-file records ("r-*.rec")? */
-bool
-hasLegacyRecords(const std::string &dir)
-{
-    std::error_code ec;
-    for (std::filesystem::directory_iterator it(dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-        const std::string name = it->path().filename().string();
-        if (name.rfind("r-", 0) == 0 && name.size() > 6
-            && name.compare(name.size() - 4, 4, ".rec") == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
 } // namespace
-
-std::optional<StoreFormat>
-parseStoreFormat(const std::string &text)
-{
-    if (text == "auto")
-        return StoreFormat::Auto;
-    if (text == "legacy")
-        return StoreFormat::Legacy;
-    if (text == "index")
-        return StoreFormat::Index;
-    return std::nullopt;
-}
 
 ResultStore::ResultStore(Options the_options)
     : options(std::move(the_options))
@@ -81,30 +49,26 @@ ResultStore::ResultStore(Options the_options)
                    options.dir, "': ", ec.message());
     }
 
-    StoreFormat format = options.format;
-    if (format == StoreFormat::Auto) {
-        // Follow the directory: an index wins outright; a legacy
-        // directory stays legacy until migrated (no surprise format
-        // flips under existing deployments); empty starts indexed.
-        if (davf::store::IndexStore::present(options.dir))
-            format = StoreFormat::Index;
-        else if (hasLegacyRecords(options.dir))
-            format = StoreFormat::Legacy;
-        else
-            format = StoreFormat::Index;
+    try {
+        index = std::make_unique<davf::store::IndexStore>(
+            davf::store::IndexStore::Options{.dir = options.dir});
+    } catch (const DavfError &error) {
+        davf_warn("cannot open store in '", options.dir,
+                  "' (serving from memory only): ", error.what());
+        return;
     }
-    if (format == StoreFormat::Index) {
-        try {
-            index = std::make_unique<davf::store::IndexStore>(
-                davf::store::IndexStore::Options{.dir = options.dir});
-        } catch (const DavfError &error) {
-            // Most likely another process owns the index lock. Legacy
-            // per-file records keep this process fully functional, and
-            // the lock owner absorbs our records on sight.
-            davf_warn("cannot open indexed store in '", options.dir,
-                      "' (falling back to legacy per-file records): ",
-                      error.what());
-        }
+    if (index->readOnly()) {
+        davf_warn("another process owns the store in '", options.dir,
+                  "': serving its records read-only, new results stay "
+                  "in memory");
+        return;
+    }
+    try {
+        davf::store::migrateLegacyRecords(*index);
+    } catch (const DavfError &error) {
+        davf_warn("cannot migrate legacy records in '", options.dir,
+                  "' (a rerun of 'davf_store migrate' finishes it): ",
+                  error.what());
     }
 }
 
@@ -120,22 +84,6 @@ Result<std::pair<std::string, std::string>>
 ResultStore::parseRecord(const std::string &text)
 {
     return davf::store::parseRecordText(text);
-}
-
-std::string
-ResultStore::recordFileName(const std::string &key)
-{
-    return davf::store::legacyRecordFileName(key);
-}
-
-std::string
-ResultStore::recordPath(const std::string &key) const
-{
-    if (options.dir.empty())
-        return "";
-    const std::filesystem::path path =
-        std::filesystem::path(options.dir) / recordFileName(key);
-    return path.string();
 }
 
 void
@@ -168,70 +116,6 @@ ResultStore::remember(const std::string &key, const std::string &payload)
 }
 
 std::optional<std::string>
-ResultStore::lookupLegacyFile(const std::string &key)
-{
-    const std::string path = recordPath(key);
-    if (path.empty())
-        return std::nullopt;
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
-        return std::nullopt;
-    std::ostringstream contents;
-    contents << file.rdbuf();
-    auto parsed = parseRecord(contents.str());
-    if (!parsed && davf::store::recordTextFutureVersion(contents.str())) {
-        // Written by a newer binary sharing this directory: a miss,
-        // not damage. The file must survive — the writer still serves
-        // it — so no unlink and no corrupt tally.
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            ++counters.futureRecords;
-        }
-        storeMetrics().futureRecords.add(1);
-        return std::nullopt;
-    }
-    if (!parsed) {
-        // Truncated / wrong-version / damaged record: a miss the
-        // caller's recompute-and-store will repair. Unlink the damaged
-        // file eagerly so readers that never recompute (fsck-less
-        // query fleets) stop re-parsing it; a failed unlink is
-        // tolerable — the file is rewritten on the next store() anyway.
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            ++counters.corruptRecords;
-        }
-        storeMetrics().corruptRecords.add(1);
-        try {
-            static const crashpoint::CrashPoint repair_point(
-                "store.repair_unlink");
-            repair_point.fire();
-            if (std::remove(path.c_str()) == 0) {
-                const std::lock_guard<std::mutex> lock(mutex);
-                ++counters.repairUnlinks;
-                storeMetrics().repairUnlinks.add(1);
-            }
-        } catch (const DavfError &) {
-            // The armed crash point threw; the record stays for the
-            // next reader (or fsck) to clean up.
-        }
-        return std::nullopt;
-    }
-    if (parsed.value().first != key) {
-        // NOTE: deliberately *not* unlinked — a hash collision means
-        // this file holds some other key's valid record. A
-        // filename-hash collision stores someone else's result here;
-        // serving it would poison the cache.
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            ++counters.corruptRecords;
-        }
-        storeMetrics().corruptRecords.add(1);
-        return std::nullopt;
-    }
-    return std::move(parsed.value().second);
-}
-
-std::optional<std::string>
 ResultStore::lookup(const std::string &key)
 {
     {
@@ -256,6 +140,8 @@ ResultStore::lookup(const std::string &key)
             return std::move(looked.payload);
           }
           case Status::Future: {
+            // Written by a newer binary sharing this directory: a
+            // miss, not damage.
             const std::lock_guard<std::mutex> lock(mutex);
             ++counters.futureRecords;
             storeMetrics().futureRecords.add(1);
@@ -263,45 +149,13 @@ ResultStore::lookup(const std::string &key)
           }
           case Status::Corrupt:
           case Status::Collision: {
-            // Both degrade to a miss, exactly like their legacy
-            // counterparts (the corrupt slot was already dropped).
             const std::lock_guard<std::mutex> lock(mutex);
             ++counters.corruptRecords;
             storeMetrics().corruptRecords.add(1);
             break;
           }
-          case Status::Miss: {
-            // A stray legacy record file can still hold the answer: a
-            // process that lost the index lock writes per-file records
-            // into the same directory, and interrupted migrations
-            // leave some behind. Absorb it into the index on sight.
-            auto payload = lookupLegacyFile(key);
-            if (payload) {
-                try {
-                    index->put(key, *payload);
-                    std::remove(recordPath(key).c_str());
-                } catch (const DavfError &error) {
-                    davf_warn("cannot absorb legacy record for '", key,
-                              "' into the index (leaving the file): ",
-                              error.what());
-                }
-                const std::lock_guard<std::mutex> lock(mutex);
-                ++counters.diskHits;
-                storeMetrics().diskHits.add(1);
-                remember(key, *payload);
-                return payload;
-            }
+          case Status::Miss:
             break;
-          }
-        }
-    } else {
-        auto payload = lookupLegacyFile(key);
-        if (payload) {
-            const std::lock_guard<std::mutex> lock(mutex);
-            ++counters.diskHits;
-            storeMetrics().diskHits.add(1);
-            remember(key, *payload);
-            return payload;
         }
     }
 
@@ -315,15 +169,20 @@ void
 ResultStore::store(const std::string &key, const std::string &payload,
                    uint32_t text_version)
 {
-    // A failed publish (ENOSPC, EIO, armed crash point) is counted and
-    // swallowed in both formats: the result was computed and still
-    // reaches the caller through the memory tier — a full disk must
-    // degrade a serve/campaign to cache misses, never kill it.
-    if (index != nullptr) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            remember(key, payload);
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        remember(key, payload);
+        if (index != nullptr && index->readOnly()) {
+            ++counters.unpublishedWrites;
+            storeMetrics().unpublishedWrites.add(1);
+            return;
         }
+    }
+    // A failed publish (ENOSPC, EIO, armed crash point) is counted and
+    // swallowed: the result was computed and still reaches the caller
+    // through the memory tier — a full disk must degrade a
+    // serve/campaign to cache misses, never kill it.
+    if (index != nullptr) {
         try {
             static const crashpoint::CrashPoint publish_point(
                 "store.publish");
@@ -337,38 +196,12 @@ ResultStore::store(const std::string &key, const std::string &payload,
             const std::lock_guard<std::mutex> lock(mutex);
             ++counters.writeFailures;
             storeMetrics().writeFailures.add(1);
-            davf_warn("store record publish to index in '", options.dir,
+            davf_warn("store record publish to '", options.dir,
                       "' failed (serving from memory): ", error.what());
             return;
         }
-        const std::lock_guard<std::mutex> lock(mutex);
-        ++counters.writes;
-        storeMetrics().writes.add(1);
-        return;
     }
-
     const std::lock_guard<std::mutex> lock(mutex);
-    remember(key, payload);
-    const std::string path = recordPath(key);
-    if (!path.empty()) {
-        // tmp+rename keeps concurrent writers (other server processes
-        // sharing the directory) safe: a reader only ever sees a
-        // complete old or complete new record. Same-process writers are
-        // serialized by the store mutex (the tmp name is per-pid).
-        try {
-            static const crashpoint::CrashPoint publish_point(
-                "store.publish");
-            publish_point.fire();
-            writeFileAtomic(path,
-                            serializeRecord(key, payload, text_version));
-        } catch (const DavfError &error) {
-            ++counters.writeFailures;
-            storeMetrics().writeFailures.add(1);
-            davf_warn("store record publish to '", path,
-                      "' failed (serving from memory): ", error.what());
-            return;
-        }
-    }
     ++counters.writes;
     storeMetrics().writes.add(1);
 }

@@ -10,37 +10,32 @@
  *
  * Tiers:
  *  - an in-memory LRU map (bounded entry count) absorbs the hot set;
- *  - a persistent disk tier in one of two formats:
- *      - **Index** (the default for new directories): one append-only
- *        segment data file plus a persistent extendible-hash index
- *        (store/index_store.hh) — O(1) lookups with lock-free readers;
- *      - **Legacy**: one versioned file per record, written with the
- *        atomic tmp+rename discipline (util/atomic_file).
- *    StoreFormat::Auto picks whatever the directory already holds
- *    (an `index.davf` wins; existing `r-*.rec` directories stay legacy
- *    until `davf_store migrate` absorbs them; empty directories start
- *    indexed). Both formats store byte-identical v2 record text, and
- *    an indexed store still *reads* stray legacy record files —
- *    written by a process that lost the index lock, or left by an
- *    interrupted migration — absorbing them into the index on sight.
+ *  - a persistent disk tier: one append-only segment data file plus a
+ *    persistent extendible-hash index (store/index_store.hh) — O(1)
+ *    lookups with lock-free readers.
+ *
+ * One process owns a store directory (the `index.lock` flock). The
+ * owner migrates any legacy per-file records (`r-*.rec`, written by
+ * older releases) into the index once at open (store/migrate.hh). A
+ * process that loses the lock opens the same index **read-only**: it
+ * serves the records published before its open, and its store() calls
+ * fill only the memory tier (counted as `unpublishedWrites`).
  *
  * Loads are corruption-tolerant in the same spirit as the lenient
  * checkpoint loader: a truncated, wrong-version, or otherwise
  * unparseable record — and a hash-collision record whose embedded key
  * disagrees — is reported as a miss (tallied in StoreStats), so the
- * caller recomputes and the rewrite repairs the store; a damaged (but
- * not collision) legacy record file is additionally unlinked on sight,
- * and a damaged indexed record drops its index slot. Nothing in this
- * class ever throws on a damaged record, and a failed record *publish*
- * (full disk, I/O error) is likewise swallowed after counting — the
- * memory tier still serves the result. Only an uncreatable store
- * directory surfaces as DavfError{Io}.
+ * caller recomputes and the rewrite repairs the store; the owner also
+ * drops a damaged record's index slot. Nothing in this class ever
+ * throws on a damaged record, and a failed record *publish* (full
+ * disk, I/O error) is likewise swallowed after counting — the memory
+ * tier still serves the result. Only an uncreatable store directory
+ * surfaces as DavfError{Io}.
  *
- * The publish and repair paths carry the `store.publish` and
- * `store.repair_unlink` crash points (util/crashpoint.hh); the indexed
- * tier adds the `index.*` family. Offline checking lives in
- * service/store_fsck.hh (legacy) and store/index_fsck.hh (indexed),
- * both behind the `davf_store` CLI.
+ * The publish path carries the `store.publish` crash point
+ * (util/crashpoint.hh); the disk tier adds the `index.*` family.
+ * Offline checking lives in store/index_fsck.hh, behind the
+ * `davf_store` CLI.
  */
 
 #ifndef DAVF_SERVICE_RESULT_STORE_HH
@@ -60,16 +55,6 @@
 
 namespace davf::service {
 
-/** Disk-tier format selection (see file comment). */
-enum class StoreFormat : uint8_t {
-    Auto,   ///< Follow what the directory holds; index when empty.
-    Legacy, ///< One file per record.
-    Index,  ///< Segment file + extendible-hash index.
-};
-
-/** Parse a `--store-format` value; nullopt if unrecognized. */
-std::optional<StoreFormat> parseStoreFormat(const std::string &text);
-
 /** Monotonic counters (and two gauges) describing one store. */
 struct StoreStats
 {
@@ -81,7 +66,7 @@ struct StoreStats
     uint64_t futureRecords = 0;  ///< Newer-grammar records; miss, kept.
     uint64_t writes = 0;         ///< Records persisted.
     uint64_t writeFailures = 0;  ///< Publishes that failed (non-fatal).
-    uint64_t repairUnlinks = 0;  ///< Damaged record files deleted.
+    uint64_t unpublishedWrites = 0; ///< Memory-only: store is read-only.
 
     uint64_t lruEntries = 0;     ///< Gauge: entries in the LRU tier now.
     uint64_t lruBytes = 0;       ///< Gauge: key+payload bytes held now.
@@ -102,9 +87,6 @@ class ResultStore
 
         /** LRU tier capacity in entries (0 disables the tier). */
         size_t memCapacity = 4096;
-
-        /** Disk-tier format (Auto follows the directory contents). */
-        StoreFormat format = StoreFormat::Auto;
     };
 
     explicit ResultStore(Options options);
@@ -117,7 +99,8 @@ class ResultStore
     std::optional<std::string> lookup(const std::string &key);
 
     /**
-     * Persist @p payload under @p key (memory tier + disk tier).
+     * Persist @p payload under @p key (memory tier + disk tier; the
+     * memory tier only when the disk tier is read-only).
      * @p text_version picks the record grammar revision on disk: 2 for
      * plain payloads (byte-identical to every earlier release), 3 for
      * payloads carrying an attribution section, so old binaries see a
@@ -128,24 +111,11 @@ class ResultStore
 
     StoreStats stats() const;
 
-    /** Is the disk tier the indexed format? */
+    /** Is there a disk tier (read-only or owned)? */
     bool indexed() const { return index != nullptr; }
 
-    /** Indexed-tier counters; nullopt for legacy/memory-only stores. */
+    /** Disk-tier counters; nullopt for memory-only stores. */
     std::optional<davf::store::IndexStoreStats> indexStats() const;
-
-    /** Path of the legacy record file that would hold @p key; "" if
-     * memory-only. In index format this is where a *fallback* legacy
-     * record would sit (lookup absorbs such files on sight). */
-    std::string recordPath(const std::string &key) const;
-
-    /**
-     * The canonical file name ("r-<hash>.rec") a record for @p key
-     * lives under, independent of any store instance — shared with the
-     * offline fsck/compact tooling so "misplaced record" means the
-     * same thing everywhere.
-     */
-    static std::string recordFileName(const std::string &key);
 
     /**
      * @name Record text form (exposed for tests and fuzzing)
@@ -154,7 +124,7 @@ class ResultStore
      * (key, payload) pair or an Err for any damage: bad magic, unknown
      * version, missing fields, checksum mismatch (a garbled byte),
      * missing end sentinel (a torn write), trailing garbage. Both
-     * delegate to store/layout.hh so every tier shares one grammar.
+     * delegate to store/layout.hh.
      */
     /// @{
     static std::string serializeRecord(const std::string &key,
@@ -167,9 +137,6 @@ class ResultStore
   private:
     /** Insert into the LRU tier, evicting beyond capacity. */
     void remember(const std::string &key, const std::string &payload);
-
-    /** Legacy-format disk lookup (also the index-miss fallback). */
-    std::optional<std::string> lookupLegacyFile(const std::string &key);
 
     Options options;
     std::unique_ptr<davf::store::IndexStore> index;

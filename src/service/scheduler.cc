@@ -470,7 +470,7 @@ QueryScheduler::statsJson() const
        << ",\"future_records\":" << store_stats.futureRecords
        << ",\"writes\":" << store_stats.writes
        << ",\"write_failures\":" << store_stats.writeFailures
-       << ",\"repair_unlinks\":" << store_stats.repairUnlinks
+       << ",\"unpublished_writes\":" << store_stats.unpublishedWrites
        << ",\"lru_entries\":" << store_stats.lruEntries
        << ",\"lru_bytes\":" << store_stats.lruBytes;
     if (const auto index_stats = store->indexStats()) {

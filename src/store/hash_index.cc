@@ -126,6 +126,13 @@ HashIndex::create(const std::string &dir, const std::string &path)
     close();
     filePath = path;
     journalPath = dir + "/" + kSplitJournalName;
+    Bucket &root = newBucket(0, 0);
+    DirTable &t = growTable(0);
+    t.entries[0].store(&root, std::memory_order_relaxed);
+    table.store(&t, std::memory_order_release);
+    depth = 0;
+    if (path.empty())
+        return; // Detached: memory only.
     // A leftover journal belongs to the index file being replaced.
     ::unlink(journalPath.c_str());
     fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
@@ -134,18 +141,14 @@ HashIndex::create(const std::string &dir, const std::string &path)
         davf_throw(ErrorKind::Io, "cannot create index file '", path,
                    "': ", std::strerror(errno));
     }
-    Bucket &root = newBucket(0, 0);
-    DirTable &t = growTable(0);
-    t.entries[0].store(&root, std::memory_order_relaxed);
-    table.store(&t, std::memory_order_release);
-    depth = 0;
     dirtyOnDisk = true;
     persistHeader(false, 0);
     persistBucket(root);
 }
 
 Result<HashIndex::LoadInfo>
-HashIndex::load(const std::string &dir, const std::string &path)
+HashIndex::load(const std::string &dir, const std::string &path,
+                bool mirror)
 {
     using R = Result<LoadInfo>;
     close();
@@ -158,7 +161,7 @@ HashIndex::load(const std::string &dir, const std::string &path)
                       "index: split journal present (torn split)");
     }
 
-    fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+    fd = ::open(path.c_str(), (mirror ? O_RDWR : O_RDONLY) | O_CLOEXEC);
     if (fd < 0) {
         const int saved = errno;
         if (saved == ENOENT)
@@ -260,6 +263,10 @@ HashIndex::load(const std::string &dir, const std::string &path)
     depth = maxDepth;
     committedWatermark = header.value().dataCommitted;
     dirtyOnDisk = !header.value().clean;
+    if (!mirror) {
+        ::close(fd);
+        fd = -1;
+    }
     return R::Ok(LoadInfo{header.value().clean,
                           header.value().dataCommitted});
 }
@@ -341,7 +348,8 @@ void
 HashIndex::insert(uint64_t hash, uint64_t offset, uint32_t size)
 {
     const std::lock_guard<std::mutex> lock(writerMutex);
-    davf_assert(fd >= 0, "insert into a closed index");
+    davf_assert(table.load(std::memory_order_relaxed) != nullptr,
+                "insert into a closed index");
     markDirty();
     for (;;) {
         DirTable *t = table.load(std::memory_order_relaxed);
@@ -404,17 +412,20 @@ HashIndex::split(Bucket &bucket)
         "index.split_apply");
 
     const uint32_t oldDepth = bucket.localDepth;
+    const bool mirrored = fd >= 0;
 
     // Journal first, through the atomic tmp+rename discipline: from
     // here until both bucket pages are durable, a crash leaves the
     // journal behind and the next open (or fsck) classifies a torn
     // split and rebuilds instead of trusting half-applied pages.
-    journal_point.fire();
-    writeFileAtomic(journalPath,
-                    "split page=" + std::to_string(bucket.id)
-                        + " new=" + std::to_string(buckets.size())
-                        + " depth=" + std::to_string(oldDepth + 1)
-                        + "\n");
+    if (mirrored) {
+        journal_point.fire();
+        writeFileAtomic(journalPath,
+                        "split page=" + std::to_string(bucket.id)
+                            + " new=" + std::to_string(buckets.size())
+                            + " depth=" + std::to_string(oldDepth + 1)
+                            + "\n");
+    }
 
     Bucket &sibling =
         newBucket(oldDepth + 1, bucket.prefix | (1ull << oldDepth));
@@ -458,6 +469,10 @@ HashIndex::split(Bucket &bucket)
         t->entries[i].store(&sibling, std::memory_order_release);
     }
     table.store(t, std::memory_order_release);
+    if (!mirrored) {
+        ++splitCount;
+        return;
+    }
 
     apply_point.fire();
     persistBucket(sibling);
@@ -481,9 +496,9 @@ bool
 HashIndex::remove(uint64_t hash, uint64_t offset)
 {
     const std::lock_guard<std::mutex> lock(writerMutex);
-    if (fd < 0)
-        return false;
     DirTable *t = table.load(std::memory_order_relaxed);
+    if (t == nullptr)
+        return false;
     Bucket &bucket = *t->entries[hash & (t->entries.size() - 1)].load(
         std::memory_order_relaxed);
     for (uint32_t i = 0; i < bucket.count; ++i) {
@@ -511,6 +526,8 @@ HashIndex::persistBucket(const Bucket &bucket)
 {
     static const crashpoint::CrashPoint write_point(
         "index.bucket_write");
+    if (fd < 0)
+        return; // Detached: memory only.
     write_point.fire();
 
     BucketImage image;
@@ -545,7 +562,7 @@ HashIndex::persistHeader(bool clean, uint64_t dataCommitted)
 void
 HashIndex::markDirty()
 {
-    if (dirtyOnDisk)
+    if (dirtyOnDisk || fd < 0)
         return;
     // The dirty mark must be durable before any page mutation can be:
     // a clean header promises the pages cover dataCommitted.

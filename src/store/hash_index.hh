@@ -32,6 +32,12 @@
  * never serve a wrong offset undetected: lookups verify the record
  * bytes and key independently.
  *
+ * **Detached mirror.** An index created with an empty path, or loaded
+ * with `mirror` off, lives in memory only: inserts and splits mutate
+ * the buckets exactly as above but write no page, journal or header
+ * (and fire none of their crash points). The read-only store of a
+ * process that lost the index lock uses this to hold its snapshot.
+ *
  * Lookup probes compare the slot's 16-bit fingerprint (top hash bits)
  * first, then the full hash; the full-*key* compare happens at the
  * caller after reading the record. Two distinct keys with equal
@@ -84,7 +90,9 @@ class HashIndex
     /**
      * Create a fresh single-bucket index at @p path (truncating any
      * existing file) inside store directory @p dir (which holds the
-     * split journal). Throws DavfError{Io} on filesystem failure.
+     * split journal). An empty @p path creates a detached, memory-only
+     * index (see file comment) and touches no file. Throws
+     * DavfError{Io} on filesystem failure.
      */
     void create(const std::string &dir, const std::string &path);
 
@@ -92,10 +100,12 @@ class HashIndex
      * Load an existing index file. Err{BadInput} for *any* structural
      * doubt (damaged header/page, bad directory coverage, leftover
      * split journal) — the caller falls back to create() + rebuild.
-     * Throws DavfError{Io} only if the file cannot be read at all.
+     * With @p mirror off the file is only read, and the loaded index
+     * stays detached from it. Throws DavfError{Io} only if the file
+     * cannot be read at all.
      */
-    Result<LoadInfo> load(const std::string &dir,
-                          const std::string &path);
+    Result<LoadInfo> load(const std::string &dir, const std::string &path,
+                          bool mirror = true);
 
     /**
      * The slot for @p hash, if present. Lock-free: safe concurrently

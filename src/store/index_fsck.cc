@@ -37,13 +37,6 @@ struct Classified
     uint64_t tailOffset = 0; ///< Valid only when tornTailBytes > 0.
 };
 
-bool
-isLegacyRecordName(const std::string &name)
-{
-    return name.rfind("r-", 0) == 0 && name.size() > 6
-        && name.compare(name.size() - 4, 4, ".rec") == 0;
-}
-
 Classified
 classify(const std::string &dir)
 {
@@ -100,8 +93,8 @@ classify(const std::string &dir)
                 "stale index: index.davf missing (rebuild required)");
         }
     } else if (!report.tornSplit) {
-        auto loaded =
-            index.load(dir, dir + "/" + std::string(kIndexFileName));
+        auto loaded = index.load(
+            dir, dir + "/" + std::string(kIndexFileName), false);
         if (loaded) {
             indexUsable = true;
             index.forEachSlot([&](const BucketSlot &slot) {
@@ -118,7 +111,7 @@ classify(const std::string &dir)
     std::unordered_map<uint64_t, uint64_t> matchedAt; // hash -> offset
     if (haveDataFile) {
         SegmentFile segments;
-        segments.open(dir + "/" + std::string(kDataFileName));
+        segments.open(dir + "/" + std::string(kDataFileName), false);
         const SegmentFile::ScanStats scanned = segments.scan(
             0,
             [&](uint64_t offset, const FrameHeader &header,
@@ -179,8 +172,8 @@ classify(const std::string &dir)
         report.notes.push_back(
             std::to_string(report.legacyStrays)
             + " legacy record file(s) alongside the index "
-              "(served via fallback; 'davf_store migrate' absorbs "
-              "them)");
+              "(the owner's next open or 'davf_store migrate' "
+              "absorbs them)");
     }
     index.close();
     std::sort(report.notes.begin(), report.notes.end());
@@ -293,6 +286,7 @@ fsckIndexStore(const std::string &dir, const IndexFsckOptions &options)
         // clean checkpoint. It also takes the index lock, so repair
         // cannot race a live server.
         IndexStore store({.dir = dir});
+        store.requireOwner();
         if (hadTornTail)
             ++quarantined; // The tail-<offset>.bin evidence file.
         rebuilt = rebuilt || store.stats().rebuilds > 0;

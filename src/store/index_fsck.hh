@@ -1,9 +1,7 @@
 /**
  * @file
- * Offline integrity checking and compaction for the *indexed* result
- * store (store/index_store.hh), behind the `davf_store` CLI. The
- * legacy per-file tier keeps its own fsck (service/store_fsck.hh);
- * the CLI dispatches on IndexStore::present().
+ * Offline integrity checking and compaction for the result store
+ * (store/index_store.hh), behind the `davf_store` CLI.
  *
  * fsckIndexStore() classifies, without mutating anything:
  *
@@ -22,16 +20,17 @@
  *                     half-written append);
  *  - **superseded**   older frames shadowed by a newer write for the
  *                     same hash — not damage, just reclaimable space;
- *  - **legacy strays** `r-*.rec` files alongside the index (written
- *                     by a locked-out fallback ResultStore; absorbed
- *                     by migrate/compact, still served via fallback).
+ *  - **legacy strays** `r-*.rec` files alongside the index (left by
+ *                     an older binary or an interrupted migration;
+ *                     absorbed by the owner's next open, migrate or
+ *                     compact).
  *
  * With `repair` set, damage evidence is quarantined into
  * `<dir>/quarantine/` — never deleted — and the index is rebuilt from
  * a full segment scan (the data file is the source of truth; the
  * index is derived and safe to regenerate). A repaired store passes a
  * subsequent fsck; repair is idempotent and guarded by the
- * `fsck.repair` crash point like the legacy tier's.
+ * `fsck.repair` crash point.
  *
  * compactIndexStoreDir() is repair plus space recovery: absorb legacy
  * strays, quarantine damage, then rewrite the segment file keeping
@@ -72,8 +71,8 @@ struct IndexFsckReport
 
     /**
      * Nothing needs repair. Legacy strays and superseded frames do
-     * not block cleanliness: both are valid, reachable data (fallback
-     * lookup / index respectively) that only compaction tidies.
+     * not block cleanliness: both are valid data that migration and
+     * compaction respectively tidy.
      */
     bool clean() const;
 };

@@ -20,7 +20,7 @@ namespace davf::store {
 
 namespace {
 
-/** Same name the legacy fsck uses; damage evidence shares one home. */
+/** Where damage evidence goes (shared with index_fsck/migrate). */
 const char *const kQuarantineDirName = "quarantine";
 
 /** In-progress compaction rewrite target (segments.davf + this). */
@@ -104,26 +104,22 @@ IndexStore::IndexStore(Options the_options)
                    "': ", std::strerror(errno));
     }
     if (::flock(lockFd, LOCK_EX | LOCK_NB) != 0) {
-        const int saved = errno;
+        // Another process owns the store: serve a read-only snapshot.
         ::close(lockFd);
         lockFd = -1;
-        davf_throw(ErrorKind::Io, "index lock '", lockPath,
-                   "' is held by another process: ",
-                   std::strerror(saved));
+        readOnlySnapshot = true;
     }
 
     try {
         // A leftover compaction rewrite never finished (its rename is
         // the commit point), so it holds only copies of frames still
-        // present in the real segment file.
+        // present in the real segment file. Only the owner removes it.
         const std::string staleCompact =
             storeDir + "/" + kDataFileName + kCompactSuffix;
-        if (::unlink(staleCompact.c_str()) == 0) {
+        if (!readOnlySnapshot && ::unlink(staleCompact.c_str()) == 0) {
             davf_warn("removed unfinished compaction rewrite '",
                       staleCompact, "'");
         }
-        segments.open(storeDir + "/" + kDataFileName);
-        segments.syncAppends = options.syncAppends;
         openOrRecover();
     } catch (...) {
         segments.close();
@@ -137,7 +133,8 @@ IndexStore::IndexStore(Options the_options)
 IndexStore::~IndexStore()
 {
     try {
-        checkpoint();
+        if (!readOnlySnapshot)
+            checkpoint();
     } catch (const DavfError &error) {
         davf_warn("index checkpoint on close failed for '", storeDir,
                   "' (next open replays the tail): ", error.what());
@@ -149,10 +146,25 @@ IndexStore::~IndexStore()
 }
 
 void
+IndexStore::requireOwner() const
+{
+    if (readOnlySnapshot) {
+        davf_throw(ErrorKind::Io, "store '", storeDir,
+                   "' is read-only here: another process holds ",
+                   kLockFileName);
+    }
+}
+
+void
 IndexStore::openOrRecover()
 {
     const std::string indexPath = storeDir + "/" + kIndexFileName;
-    auto loaded = index.load(storeDir, indexPath);
+    // The index loads before the segment file is sized, so a read-only
+    // snapshot never holds a slot past the end it sees: the owner
+    // appends a frame before any page can point at it.
+    auto loaded = index.load(storeDir, indexPath, !readOnlySnapshot);
+    segments.open(storeDir + "/" + kDataFileName, !readOnlySnapshot);
+    segments.syncAppends = options.syncAppends;
     bool mutated = false;
     if (loaded) {
         if (loaded.value().dataCommitted > segments.size()) {
@@ -171,14 +183,15 @@ IndexStore::openOrRecover()
     } else {
         const bool fresh =
             !std::filesystem::exists(indexPath) && segments.size() == 0;
-        if (!fresh) {
+        if (!fresh && !readOnlySnapshot) {
             davf_warn("index unusable in '", storeDir, "' (",
                       loaded.error().what(), "); rebuilding");
         }
         rebuild();
         mutated = true;
     }
-    if (mutated || !loaded || !loaded.value().clean) {
+    if (!readOnlySnapshot
+        && (mutated || !loaded || !loaded.value().clean)) {
         try {
             checkpointLockedFree();
         } catch (const DavfError &error) {
@@ -200,7 +213,9 @@ IndexStore::rebuild()
         ++counters.rebuilds;
         indexMetrics().rebuilds.add(1);
     }
-    index.create(storeDir, storeDir + "/" + kIndexFileName);
+    index.create(storeDir, readOnlySnapshot
+                               ? std::string()
+                               : storeDir + "/" + kIndexFileName);
     replayTail(0);
 }
 
@@ -216,7 +231,9 @@ IndexStore::replayTail(uint64_t from)
             index.insert(header.keyHash, offset, header.size);
             ++replayed;
         });
-    if (scanned.tornTail)
+    // A read-only snapshot leaves a torn tail alone: it is most likely
+    // the owner's append in flight.
+    if (scanned.tornTail && !readOnlySnapshot)
         repairTornTail(scanned.tailOffset, segments.size());
     if (replayed > 0) {
         const std::lock_guard<std::mutex> lock(statsMutex);
@@ -297,9 +314,11 @@ IndexStore::lookup(const std::string &key)
     if (!record
         || !splitCanonicalRecord(record.value(), recordKey, payload)) {
         // Damaged frame or record: degrade to a miss and drop the
-        // slot so readers stop re-verifying it; the bytes stay in the
-        // segment file for fsck/compact to quarantine.
-        index.remove(hash, candidate->offset);
+        // slot so readers stop re-verifying it (the owner only; the
+        // snapshot keeps it); the bytes stay in the segment file for
+        // fsck/compact to quarantine.
+        if (!readOnlySnapshot)
+            index.remove(hash, candidate->offset);
         result.status = LookupStatus::Corrupt;
         indexMetrics().corrupt.add(1);
         const std::lock_guard<std::mutex> lock(statsMutex);
@@ -309,9 +328,8 @@ IndexStore::lookup(const std::string &key)
     }
     if (recordKey != key) {
         // A full 64-bit hash collision: the record is some other
-        // key's valid result. Deliberately kept (legacy semantics) —
-        // serving it would poison the cache, dropping it would hurt
-        // the owner.
+        // key's valid result. Deliberately kept — serving it would
+        // poison the cache, dropping it would hurt the owner.
         result.status = LookupStatus::Collision;
         indexMetrics().collisions.add(1);
         const std::lock_guard<std::mutex> lock(statsMutex);
@@ -338,6 +356,7 @@ void
 IndexStore::putRecord(const std::string &key,
                       const std::string &record)
 {
+    requireOwner();
     const std::lock_guard<std::mutex> lock(writerMutex);
     putLocked(key, record);
 }
@@ -382,6 +401,7 @@ IndexStore::maybeCheckpointLocked()
 void
 IndexStore::checkpoint()
 {
+    requireOwner();
     const std::lock_guard<std::mutex> lock(writerMutex);
     checkpointLockedFree();
 }
@@ -403,6 +423,7 @@ IndexStore::compact()
     static const crashpoint::CrashPoint rewrite_point(
         "compact.rewrite");
 
+    requireOwner();
     const std::lock_guard<std::mutex> lock(writerMutex);
     const uint64_t before = segments.size();
 

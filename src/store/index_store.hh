@@ -1,10 +1,9 @@
 /**
  * @file
- * The indexed disk tier of the result store: an append-only segment
- * data file (store/segment_file.hh) accelerated by a persistent
- * extendible-hash index (store/hash_index.hh), living together in one
- * store directory alongside (and byte-compatible with) the legacy
- * per-file record tier.
+ * The disk tier of the result store: an append-only segment data file
+ * (store/segment_file.hh) accelerated by a persistent extendible-hash
+ * index (store/hash_index.hh), living together in one store
+ * directory.
  *
  * **Crash model.** The segment file is the source of truth; the index
  * is an acceleration structure. On open:
@@ -14,18 +13,23 @@
  *    split journal, directory holes) triggers a full rebuild from a
  *    segment scan;
  *  - a torn segment tail is quarantined into `<dir>/quarantine/`
- *    (never deleted) and truncated away, mirroring the legacy tier's
- *    repair-on-sight semantics.
+ *    (never deleted) and truncated away.
  * Lookups verify frame checksums, record checksums, and the full key,
  * so a damaged or colliding record degrades to a miss — never to a
  * wrong payload.
  *
- * **Exclusivity.** One process owns the indexed tier at a time (an
- * exclusive flock on `index.lock`); a second opener gets
- * DavfError{Io} and its ResultStore falls back to legacy per-file
- * records, which the owner later absorbs (lookup fallback, migrate,
- * compact). Within the owner, writers serialize on a mutex while
- * readers stay lock-free.
+ * **Exclusivity.** One process owns the store at a time (an exclusive
+ * flock on `index.lock`); within it, writers serialize on a mutex
+ * while readers stay lock-free. A process whose flock fails opens the
+ * store **read-only** instead: it loads `index.davf` into memory
+ * (detached from the file, see store/hash_index.hh) and replays the
+ * segment tail past the watermark in memory, or on any load doubt
+ * builds the index in memory from a segment scan. It serves lookups
+ * from that snapshot and never writes, truncates, quarantines,
+ * checkpoints, unlinks or drops a slot; its put(), checkpoint() and
+ * compact() throw. Buckets are per-process heap memory, so the
+ * snapshot is taken once at open: records the owner appends later are
+ * misses here, never wrong answers.
  *
  * Crash points: `index.append`, `index.bucket_write`,
  * `index.checkpoint`, `index.split_journal`, `index.split_apply`,
@@ -91,12 +95,13 @@ class IndexStore
 
     /**
      * Open (creating, rebuilding, repairing as needed — see crash
-     * model above). Throws DavfError{Io} when the directory is
-     * unusable or another process holds the index lock.
+     * model above), or read-only when another process holds the index
+     * lock (see exclusivity above). Throws DavfError{Io} when the
+     * directory is unusable.
      */
     explicit IndexStore(Options options);
 
-    /** Checkpoints (best effort) and releases the lock. */
+    /** Checkpoints (best effort, owner only) and releases the lock. */
     ~IndexStore();
 
     IndexStore(const IndexStore &) = delete;
@@ -116,21 +121,28 @@ class IndexStore
         std::string payload; ///< Valid only for Hit.
     };
 
+    /** Did the index lock go to another process (see exclusivity)? */
+    bool readOnly() const { return readOnlySnapshot; }
+
+    /** Throws DavfError{Io} when readOnly(): maintenance needs the
+     * lock so it cannot race a live owner. */
+    void requireOwner() const;
+
     /** Look @p key up. Lock-free against the writer; never throws. */
     LookupResult lookup(const std::string &key);
 
     /**
      * Persist @p payload under @p key. Throws DavfError{Io} on an
-     * append/insert failure (the caller treats it like a failed legacy
-     * publish: count, warn, keep serving from memory). A *checkpoint*
-     * failure after a successful append is counted and swallowed.
+     * append/insert failure or when readOnly() (the caller counts it,
+     * warns, and keeps serving from memory). A *checkpoint* failure
+     * after a successful append is counted and swallowed.
      */
     void put(const std::string &key, const std::string &payload);
 
     /**
-     * Persist an already-serialized record (migration/absorption —
-     * preserves the original bytes exactly). @p record must be the
-     * canonical serialized form of (@p key, its payload).
+     * Persist an already-serialized record (migration — preserves the
+     * original bytes exactly). @p record must be the canonical
+     * serialized form of (@p key, its payload).
      */
     void putRecord(const std::string &key, const std::string &record);
 
@@ -171,6 +183,7 @@ class IndexStore
     Options options;
     std::string storeDir;
     int lockFd = -1;
+    bool readOnlySnapshot = false; ///< Lost the lock (see exclusivity).
 
     mutable std::mutex writerMutex;
     SegmentFile segments;

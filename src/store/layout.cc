@@ -227,6 +227,13 @@ legacyRecordFileName(const std::string &key)
     return "r-" + fnv1a64Hex(key) + ".rec";
 }
 
+bool
+isLegacyRecordName(const std::string &name)
+{
+    return name.rfind("r-", 0) == 0 && name.size() > 6
+        && name.compare(name.size() - 4, 4, ".rec") == 0;
+}
+
 std::string
 serializeIndexHeader(const IndexHeader &header)
 {

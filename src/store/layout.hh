@@ -2,10 +2,10 @@
  * @file
  * On-disk layout of the persistent extendible-hash result index
  * (`src/store/`): byte-exact encode/decode helpers for the three
- * artifacts that make up an indexed store directory, plus the shared
- * record-text grammar the legacy per-file tier already speaks.
+ * artifacts that make up a store directory, plus the record-text
+ * grammar every record is written in.
  *
- * An indexed store directory contains:
+ * A store directory contains:
  *
  *  - `segments.davf` — the append-only **segment data file**, the
  *    single source of truth. Every record is wrapped in a 32-byte
@@ -14,8 +14,9 @@
  *    boundary so a scan can resynchronise after damage. The framed
  *    payload is the *unchanged* v2 record text
  *    ("davf-store v2\nkey ...\npayload ...\nsum ...\nend\n"), so a
- *    record read out of a segment is byte-identical to the legacy
- *    per-file tier and to a cold recompute.
+ *    record read out of a segment is byte-identical to a cold
+ *    recompute and to the legacy per-file record (`r-*.rec`) it may
+ *    have been migrated from.
  *
  *  - `index.davf` — the **extendible-hash index**: one 4 KiB header
  *    page followed by 4 KiB bucket pages. Each bucket page carries its
@@ -67,10 +68,10 @@ fingerprint(uint64_t hash)
 }
 
 /**
- * @name Record text grammar (shared with the legacy tier)
+ * @name Record text grammar
  * The exact text form of one record. ResultStore::serializeRecord /
- * parseRecord delegate here so both tiers stay byte-identical by
- * construction. parseRecordText rejects every damage class: bad magic,
+ * parseRecord delegate here, and migration reads legacy per-file
+ * records with the same parser. parseRecordText rejects every damage class: bad magic,
  * unknown version, missing fields, checksum mismatch (garble), missing
  * end sentinel (torn), trailing garbage.
  *
@@ -114,9 +115,12 @@ bool splitCanonicalRecord(std::string_view record,
                           std::string_view &key,
                           std::string_view &payload);
 
-/** Canonical legacy file name ("r-<hash>.rec") a key's record lives
- * under in a per-file store directory. */
+/** Canonical legacy file name ("r-<hash>.rec") a key's record lived
+ * under in a per-file store directory (migration input only). */
 std::string legacyRecordFileName(const std::string &key);
+
+/** Is @p name shaped like a legacy per-file record ("r-*.rec")? */
+bool isLegacyRecordName(const std::string &name);
 /// @}
 
 /** Index header page (page 0 of index.davf). */

@@ -32,13 +32,6 @@ migrateMetrics()
     return *metrics;
 }
 
-bool
-isLegacyRecordName(const std::string &name)
-{
-    return name.rfind("r-", 0) == 0 && name.size() > 6
-        && name.compare(name.size() - 4, 4, ".rec") == 0;
-}
-
 /** Move @p path into <dir>/quarantine/ without clobbering. */
 void
 quarantineFile(const std::string &dir, const fs::path &path)
@@ -65,10 +58,12 @@ quarantineFile(const std::string &dir, const fs::path &path)
 } // namespace
 
 MigrateReport
-migrateStore(const std::string &dir)
+migrateLegacyRecords(IndexStore &store)
 {
     static const crashpoint::CrashPoint migrate_point("index.migrate");
 
+    store.requireOwner();
+    const std::string &dir = store.dir();
     MigrateReport report;
     std::vector<fs::path> candidates;
     std::error_code ec;
@@ -86,12 +81,9 @@ migrateStore(const std::string &dir)
         davf_throw(ErrorKind::Io, "cannot enumerate store dir '", dir,
                    "': ", ec.message());
     }
+    if (candidates.empty())
+        return report;
     std::sort(candidates.begin(), candidates.end());
-
-    // Opening the indexed tier creates it if absent (and replays /
-    // rebuilds / tail-repairs as needed) — migration of an empty
-    // legacy directory is just index creation.
-    IndexStore store({.dir = dir});
 
     MigrateMetrics &metrics = migrateMetrics();
     metrics.remaining.set(static_cast<int64_t>(candidates.size()));
@@ -141,6 +133,16 @@ migrateStore(const std::string &dir)
     }
     store.checkpoint();
     return report;
+}
+
+MigrateReport
+migrateStore(const std::string &dir)
+{
+    // Opening the indexed tier creates it if absent (and replays /
+    // rebuilds / tail-repairs as needed) — migration of an empty
+    // legacy directory is just index creation.
+    IndexStore store({.dir = dir});
+    return migrateLegacyRecords(store);
 }
 
 } // namespace davf::store

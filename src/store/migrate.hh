@@ -1,16 +1,19 @@
 /**
  * @file
- * Legacy-to-index store migration (`davf_store migrate`).
+ * Legacy-to-index store migration: the only code that reads legacy
+ * per-file records (`r-*.rec`).
  *
- * migrateStore() absorbs every legacy per-file record (`r-*.rec`) in a
- * store directory into the indexed tier, preserving record bytes
- * exactly (the segment file stores the same v2 text), then removes the
+ * migrateLegacyRecords() absorbs every legacy record in a store
+ * directory into its indexed tier, preserving record bytes exactly
+ * (the segment file stores the same v2 text), then removes the
  * absorbed legacy file. Damaged legacy records are quarantined into
  * `<dir>/quarantine/` — never deleted. The pass is idempotent and
  * crash-safe: a record's legacy file is unlinked only after its frame
  * is durable in the segment file, so killing a migration anywhere
- * leaves a directory where lookups still find every record (index
- * first, legacy fallback second) and a rerun finishes the job.
+ * leaves every record either indexed or still in its legacy file, and
+ * a rerun finishes the job. The owning ResultStore runs it at open
+ * (so existing legacy directories keep working); `davf_store migrate`
+ * runs it offline.
  *
  * The per-record `index.migrate` crash point makes migration part of
  * the kill-anywhere matrix; `store.index.migrated_records` /
@@ -25,6 +28,8 @@
 
 namespace davf::store {
 
+class IndexStore;
+
 /** What one migration pass did. */
 struct MigrateReport
 {
@@ -32,15 +37,19 @@ struct MigrateReport
     uint64_t alreadyIndexed = 0; ///< Skipped: index already serves them.
     uint64_t quarantined = 0; ///< Damaged legacy records moved aside.
     uint64_t foreign = 0;     ///< Non-record entries left untouched.
-
-    bool clean() const { return true; }
 };
 
 /**
- * Migrate the store directory @p dir (see file comment). Creates the
- * indexed tier if absent. Throws DavfError{Io} if the directory (or
- * the index lock) is unusable.
+ * Migrate the legacy records in @p store's directory into @p store
+ * (see file comment). A directory without legacy records is left
+ * untouched. Throws DavfError{Io} if the directory is unreadable or
+ * @p store is read-only (another process owns it).
  */
+MigrateReport migrateLegacyRecords(IndexStore &store);
+
+/** Open the store at @p dir (creating the indexed tier if absent) and
+ * migrate it. Throws DavfError{Io} if the directory is unusable or
+ * another process owns the store. */
 MigrateReport migrateStore(const std::string &dir);
 
 } // namespace davf::store

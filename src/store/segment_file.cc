@@ -93,11 +93,13 @@ SegmentFile::retireMap()
 }
 
 void
-SegmentFile::open(const std::string &the_path)
+SegmentFile::open(const std::string &the_path, bool writable)
 {
     close();
     path = the_path;
-    fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    fd = ::open(path.c_str(),
+                (writable ? O_RDWR | O_CREAT : O_RDONLY) | O_CLOEXEC,
+                0644);
     if (fd < 0) {
         davf_throw(ErrorKind::Io, "cannot open segment file '", path,
                    "': ", std::strerror(errno));

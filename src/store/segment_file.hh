@@ -52,9 +52,11 @@ class SegmentFile
      * Open (creating if absent) the segment file at @p path. The
      * logical append offset starts at the current file size; callers
      * that discover a torn tail via scan() trim it with truncateTo().
-     * Throws DavfError{Io} if the file cannot be opened.
+     * With @p writable off the file is opened read-only and never
+     * created: only reads and scans are valid. Throws DavfError{Io} if
+     * the file cannot be opened.
      */
-    void open(const std::string &path);
+    void open(const std::string &path, bool writable = true);
 
     bool isOpen() const { return fd >= 0; }
 

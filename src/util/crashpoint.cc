@@ -43,7 +43,6 @@ const char *const kKnownPoints[] = {
     "net.store_write",
     "quarantine.save",
     "store.publish",
-    "store.repair_unlink",
 };
 
 /** One relaxed load: the entire cost of a crash point when unarmed. */

@@ -8,17 +8,14 @@
  *  - atomic-file damage contracts: enospc leaves the old contents,
  *    torn publishes a deterministic truncated prefix, garble a
  *    deterministic bit-flip (gtest death tests — the point SIGKILLs);
- *  - result-store publish failures are non-fatal and counted, damaged
- *    records are misses that get repaired (and the repair unlink is
- *    itself crash-tolerant);
+ *  - result-store publish failures are non-fatal and counted, and
+ *    damaged records are misses that get repaired;
  *  - quarantine records: save-point kills never leave a torn file and
  *    torn files never break loading;
- *  - store fsck/compact: classification of every damage kind, repair,
- *    idempotence, and kill-mid-repair rerunnability;
  *  - the recovery matrix: every registered crash point x
  *    {kill, torn, enospc} against a checkpointed campaign, a store
- *    round-trip, and compact — after recovery the surviving artifacts
- *    are byte-identical to an undisturbed run.
+ *    round-trip, and fsck/compact of a damaged store — after recovery
+ *    the surviving artifacts are byte-identical to an undisturbed run.
  *
  * Kill-action matrix cases re-execute this binary (--crash-child=...)
  * so the SIGKILL lands in a scratch process, which is why this test
@@ -45,7 +42,9 @@
 #include "src/campaign/checkpoint.hh"
 #include "src/campaign/supervisor.hh"
 #include "src/service/result_store.hh"
-#include "src/service/store_fsck.hh"
+#include "src/store/index_fsck.hh"
+#include "src/store/index_store.hh"
+#include "src/store/layout.hh"
 #include "src/util/atomic_file.hh"
 #include "src/util/crashpoint.hh"
 #include "src/util/error.hh"
@@ -291,11 +290,25 @@ TEST(AtomicFileCrash, KillBeforeRenameNeverExposesThePartialFile)
 
 // ----------------------------------------------------------- result store
 
+/** Flip one byte inside @p key's record in the store's segment file. */
+void
+garbleRecord(const std::string &dir, const std::string &key)
+{
+    const std::string path = dir + "/" + store::kDataFileName;
+    std::string bytes = slurp(path);
+    const size_t pos = bytes.find("key " + key + "\npayload ");
+    ASSERT_NE(pos, std::string::npos) << key;
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(pos + key.size() + 14));
+    file.put(static_cast<char>(bytes[pos + key.size() + 14] ^ 0x20));
+    ASSERT_TRUE(static_cast<bool>(file)) << path;
+}
+
 TEST(StoreCrash, PublishFailureIsNonFatalAndCounted)
 {
     const std::string dir = tempPath("store_pubfail");
     fs::remove_all(dir);
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+    service::ResultStore store({dir, 8});
 
     ArmGuard armed("store.publish=throw");
     store.store("k1", "payload-1"); // must not throw
@@ -305,13 +318,13 @@ TEST(StoreCrash, PublishFailureIsNonFatalAndCounted)
     // The memory tier still serves the result...
     EXPECT_EQ(store.lookup("k1").value_or(""), "payload-1");
     // ...but nothing reached disk.
-    EXPECT_FALSE(fs::exists(store.recordPath("k1")));
+    EXPECT_EQ(store.indexStats()->appends, 0u);
 
     // The next publish (point latched) lands on disk.
     store.store("k2", "payload-2");
     stats = store.stats();
     EXPECT_EQ(stats.writes, 1u);
-    EXPECT_TRUE(fs::exists(store.recordPath("k2")));
+    EXPECT_EQ(store.indexStats()->appends, 1u);
     fs::remove_all(dir);
 }
 
@@ -320,74 +333,49 @@ TEST(StoreCrash, EnospcMidRecordIsAMissNextTimeNotACrash)
     const std::string dir = tempPath("store_enospc");
     fs::remove_all(dir);
     {
-        service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-        ArmGuard armed("atomic_file.write=enospc");
+        service::ResultStore store({dir, 8});
+        ArmGuard armed("index.append=enospc");
         store.store("k1", "payload-1"); // swallowed, counted
         EXPECT_EQ(store.stats().writeFailures, 1u);
     }
     // A fresh store (cold memory tier) sees a plain miss, then the
     // rewrite repairs the record.
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+    service::ResultStore store({dir, 8});
     EXPECT_FALSE(store.lookup("k1").has_value());
+    EXPECT_EQ(store.stats().corruptRecords, 0u);
     store.store("k1", "payload-1");
     EXPECT_EQ(store.stats().writes, 1u);
     {
-        service::ResultStore reread({dir, 8, service::StoreFormat::Legacy});
+        // A second opener reads the owner's published record.
+        service::ResultStore reread({dir, 8});
         EXPECT_EQ(reread.lookup("k1").value_or(""), "payload-1");
     }
     fs::remove_all(dir);
 }
 
-TEST(StoreCrash, GarbledRecordIsAMissAndGetsUnlinked)
+TEST(StoreCrash, GarbledRecordIsAMissAndDropsItsSlot)
 {
     const std::string dir = tempPath("store_garble");
     fs::remove_all(dir);
-    std::string path;
     {
-        service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+        service::ResultStore store({dir, 8});
         store.store("k1", "payload-1");
-        path = store.recordPath("k1");
+        store.store("k2", "payload-2");
     }
     // Flip one payload byte in place: the checksum must catch it.
-    std::string text = slurp(path);
-    const size_t pos = text.find("payload-1");
-    ASSERT_NE(pos, std::string::npos);
-    text[pos + 3] ^= 0x20;
-    writeRaw(path, text);
+    garbleRecord(dir, "k1");
 
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+    service::ResultStore store({dir, 8});
     EXPECT_FALSE(store.lookup("k1").has_value());
-    const service::StoreStats stats = store.stats();
+    service::StoreStats stats = store.stats();
     EXPECT_EQ(stats.corruptRecords, 1u);
     EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.repairUnlinks, 1u);
-    EXPECT_FALSE(fs::exists(path)) << "damaged record must be removed";
-    fs::remove_all(dir);
-}
-
-TEST(StoreCrash, RepairUnlinkFailureIsStillJustAMiss)
-{
-    const std::string dir = tempPath("store_repairfail");
-    fs::remove_all(dir);
-    std::string path;
-    {
-        service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-        store.store("k1", "payload-1");
-        path = store.recordPath("k1");
-    }
-    writeRaw(path, "davf-store v2\nkey k1\n"); // torn
-
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-    ArmGuard armed("store.repair_unlink=throw");
-    EXPECT_FALSE(store.lookup("k1").has_value()); // must not throw
-    EXPECT_EQ(store.stats().corruptRecords, 1u);
-    EXPECT_EQ(store.stats().repairUnlinks, 0u);
-    EXPECT_TRUE(fs::exists(path)) << "unlink was injected away";
-
-    // Latched: the next lookup completes the repair.
+    EXPECT_EQ(store.indexStats()->keys, 1u)
+        << "the owner drops the damaged record's slot";
+    // The next lookup is a plain miss, not a second corrupt read.
     EXPECT_FALSE(store.lookup("k1").has_value());
-    EXPECT_EQ(store.stats().repairUnlinks, 1u);
-    EXPECT_FALSE(fs::exists(path));
+    EXPECT_EQ(store.stats().corruptRecords, 1u);
+    EXPECT_EQ(store.lookup("k2").value_or(""), "payload-2");
     fs::remove_all(dir);
 }
 
@@ -469,161 +457,32 @@ TEST(QuarantineCrash, TornRecordFileIsSkippedNotFatal)
 // ---------------------------------------------------------- fsck / compact
 
 /**
- * A store directory with one of everything:
- *  - valid records for "alpha" and "gamma";
- *  - a misplaced (wrong file name) record for "beta";
- *  - a misplaced duplicate of "gamma" (its canonical slot is taken);
- *  - a torn record, a garbled record, an orphan tmp, a foreign file.
+ * A store directory with one of each kind of damage compact repairs:
+ *  - valid records for "alpha" and "delta";
+ *  - a superseded frame for "gamma" (rewritten since);
+ *  - a garbled frame for "beta" (its index slot goes stale);
+ *  - a torn segment tail (the last frame, "zeta", cut short);
+ *  - a legacy per-file record for "epsilon" and a foreign file.
  */
 void
 makeDamagedStore(const std::string &dir)
 {
-    using service::ResultStore;
     fs::remove_all(dir);
-    fs::create_directories(dir);
-    writeRaw(dir + "/" + ResultStore::recordFileName("alpha"),
-             ResultStore::serializeRecord("alpha", "p-alpha"));
-    writeRaw(dir + "/" + ResultStore::recordFileName("gamma"),
-             ResultStore::serializeRecord("gamma", "p-gamma"));
-    writeRaw(dir + "/misplaced-beta.rec",
-             ResultStore::serializeRecord("beta", "p-beta"));
-    writeRaw(dir + "/old-gamma.rec",
-             ResultStore::serializeRecord("gamma", "p-gamma-stale"));
-    const std::string torn =
-        ResultStore::serializeRecord("delta", "p-delta");
-    writeRaw(dir + "/torn-delta.rec", torn.substr(0, torn.size() - 9));
-    std::string garbled =
-        ResultStore::serializeRecord("epsilon", "p-epsilon");
-    const size_t pos = garbled.find("p-epsilon");
-    garbled[pos + 4] ^= 0x01;
-    writeRaw(dir + "/" + ResultStore::recordFileName("epsilon"),
-             garbled);
-    writeRaw(dir + "/r-dead.rec.tmp.4242", "half a record");
+    {
+        store::IndexStore index({.dir = dir});
+        index.put("alpha", "p-alpha");
+        index.put("beta", "p-beta");
+        index.put("gamma", "p-gamma-stale");
+        index.put("gamma", "p-gamma");
+        index.put("delta", "p-delta");
+        index.put("zeta", "p-zeta");
+    }
+    garbleRecord(dir, "beta");
+    const std::string segments = dir + "/" + store::kDataFileName;
+    fs::resize_file(segments, fs::file_size(segments) - 8);
+    writeRaw(dir + "/" + store::legacyRecordFileName("epsilon"),
+             store::serializeRecordText("epsilon", "p-epsilon"));
     writeRaw(dir + "/README", "not a record");
-}
-
-TEST(StoreFsck, ClassifiesEveryDamageKind)
-{
-    const std::string dir = tempPath("fsck_classify");
-    makeDamagedStore(dir);
-
-    const service::FsckReport report =
-        service::fsckStore(dir, service::FsckOptions{});
-    EXPECT_EQ(report.valid, 2u);
-    EXPECT_EQ(report.misplaced, 2u);
-    EXPECT_EQ(report.torn, 1u);
-    EXPECT_EQ(report.garbled, 1u);
-    EXPECT_EQ(report.orphanTmps, 1u);
-    EXPECT_EQ(report.foreign, 1u);
-    EXPECT_FALSE(report.clean());
-    EXPECT_EQ(report.quarantined, 0u) << "fsck without --repair reads only";
-
-    // The per-entry classification names the right files.
-    std::map<std::string, service::StoreEntryKind> kinds;
-    for (const service::StoreEntry &entry : report.entries)
-        kinds[entry.name] = entry.kind;
-    EXPECT_EQ(kinds["torn-delta.rec"], service::StoreEntryKind::Torn);
-    EXPECT_EQ(kinds["misplaced-beta.rec"],
-              service::StoreEntryKind::Misplaced);
-    EXPECT_EQ(kinds["r-dead.rec.tmp.4242"],
-              service::StoreEntryKind::OrphanTmp);
-    EXPECT_EQ(kinds["README"], service::StoreEntryKind::Foreign);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, RepairQuarantinesDamageAndIsIdempotent)
-{
-    const std::string dir = tempPath("fsck_repair");
-    makeDamagedStore(dir);
-
-    service::FsckOptions repair;
-    repair.repair = true;
-    const service::FsckReport report = service::fsckStore(dir, repair);
-    EXPECT_EQ(report.quarantined, 2u); // torn + garbled
-    EXPECT_EQ(report.removedTmps, 1u);
-    EXPECT_TRUE(report.clean());
-
-    // Damage moved, not destroyed: the evidence is in quarantine/.
-    EXPECT_TRUE(fs::exists(dir + "/" + service::kFsckQuarantineDir
-                           + "/torn-delta.rec"));
-    EXPECT_FALSE(fs::exists(dir + "/r-dead.rec.tmp.4242"));
-
-    // A second pass finds nothing left to repair.
-    const service::FsckReport again = service::fsckStore(dir, repair);
-    EXPECT_EQ(again.torn + again.garbled, 0u);
-    EXPECT_EQ(again.orphanTmps, 0u);
-    EXPECT_TRUE(again.clean());
-    // Valid and misplaced records were untouched (fsck never compacts).
-    EXPECT_EQ(again.valid, 2u);
-    EXPECT_EQ(again.misplaced, 2u);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, CompactRehomesMisplacedAndDropsDuplicateLosers)
-{
-    using service::ResultStore;
-    const std::string dir = tempPath("fsck_compact");
-    makeDamagedStore(dir);
-
-    const service::FsckReport report = service::compactStore(dir);
-    EXPECT_EQ(report.rehomed, 1u);         // beta
-    EXPECT_EQ(report.duplicateLosers, 1u); // old-gamma
-    EXPECT_TRUE(report.clean());
-
-    // Every key the store held is still served, from canonical names.
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-    EXPECT_EQ(store.lookup("alpha").value_or(""), "p-alpha");
-    EXPECT_EQ(store.lookup("beta").value_or(""), "p-beta");
-    EXPECT_EQ(store.lookup("gamma").value_or(""), "p-gamma");
-    EXPECT_FALSE(fs::exists(dir + "/misplaced-beta.rec"));
-    EXPECT_FALSE(fs::exists(dir + "/old-gamma.rec"));
-
-    // Converged: a second compact is a no-op.
-    const service::FsckReport again = service::compactStore(dir);
-    EXPECT_EQ(again.rehomed + again.duplicateLosers, 0u);
-    EXPECT_EQ(again.valid, 3u);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, KillMidRepairIsRerunnable)
-{
-    const std::string dir = tempPath("fsck_killrepair");
-    makeDamagedStore(dir);
-
-    service::FsckOptions repair;
-    repair.repair = true;
-    {
-        // Die between the first and second repair action.
-        ArmGuard armed("fsck.repair:2=kill");
-        EXPECT_EXIT((void)service::fsckStore(dir, repair),
-                    ::testing::KilledBySignal(SIGKILL),
-                    "crashpoint: killing at 'fsck.repair'");
-    }
-    // The rerun finishes what the killed run started.
-    const service::FsckReport report = service::fsckStore(dir, repair);
-    EXPECT_TRUE(report.clean());
-    EXPECT_EQ(service::fsckStore(dir, service::FsckOptions{}).torn, 0u);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, KillMidCompactLosesNoKeys)
-{
-    const std::string dir = tempPath("fsck_killcompact");
-    makeDamagedStore(dir);
-
-    {
-        ArmGuard armed("compact.rewrite:1=kill");
-        EXPECT_EXIT((void)service::compactStore(dir),
-                    ::testing::KilledBySignal(SIGKILL),
-                    "crashpoint: killing at 'compact.rewrite'");
-    }
-    const service::FsckReport report = service::compactStore(dir);
-    EXPECT_TRUE(report.clean());
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-    EXPECT_EQ(store.lookup("alpha").value_or(""), "p-alpha");
-    EXPECT_EQ(store.lookup("beta").value_or(""), "p-beta");
-    EXPECT_EQ(store.lookup("gamma").value_or(""), "p-gamma");
-    fs::remove_all(dir);
 }
 
 // --------------------------------------------------------- checkpoint files
@@ -808,14 +667,11 @@ TEST(CrashMatrix, LateHitCountCrashesMidSweepAndStillRecovers)
 
 TEST(CrashMatrix, StoreRoundTripRecoversFromEveryPublishFault)
 {
-    using service::ResultStore;
     const auto records = matrixStoreRecords();
 
-    // Points a record publish actually passes through.
-    const char *points[] = {"store.publish", "atomic_file.pre_tmp_write",
-                            "atomic_file.write", "atomic_file.pre_fsync",
-                            "atomic_file.pre_rename",
-                            "atomic_file.post_rename"};
+    // Points a store open + record publish + close passes through.
+    const char *points[] = {"store.publish", "index.append",
+                            "index.bucket_write", "index.checkpoint"};
     for (const char *point : points) {
         for (const char *action : {"kill", "torn", "enospc", "garble"}) {
             SCOPED_TRACE(std::string(point) + "=" + action);
@@ -829,10 +685,8 @@ TEST(CrashMatrix, StoreRoundTripRecoversFromEveryPublishFault)
                  "--dir=" + dir});
             if (!(hit.exited && hit.code == 0)) {
                 // Recovery discipline: fsck --repair, then republish.
-                service::FsckOptions repair;
-                repair.repair = true;
-                const service::FsckReport report =
-                    service::fsckStore(dir, repair);
+                const store::IndexFsckReport report =
+                    store::fsckIndexStore(dir, {.repair = true});
                 EXPECT_TRUE(report.clean());
                 const ExitStatus status =
                     runChild({"--crash-child=store", "--dir=" + dir});
@@ -841,15 +695,14 @@ TEST(CrashMatrix, StoreRoundTripRecoversFromEveryPublishFault)
             }
 
             // Byte-identical round trip: every record is served with
-            // exactly the bytes an undisturbed run would have written.
-            for (const auto &[key, payload] : records) {
-                const std::string path =
-                    dir + "/" + ResultStore::recordFileName(key);
-                EXPECT_EQ(slurp(path),
-                          ResultStore::serializeRecord(key, payload));
+            // exactly the payload an undisturbed run would have written.
+            {
+                service::ResultStore store({dir, 0});
+                for (const auto &[key, payload] : records)
+                    EXPECT_EQ(store.lookup(key).value_or(""), payload);
+                EXPECT_EQ(store.stats().corruptRecords, 0u);
             }
-            EXPECT_TRUE(
-                service::fsckStore(dir, service::FsckOptions{}).clean());
+            EXPECT_TRUE(store::fsckIndexStore(dir).clean());
             fs::remove_all(dir);
         }
     }
@@ -860,7 +713,7 @@ TEST(CrashMatrix, FsckAndCompactRecoverFromTheirOwnCrashPoints)
     // Reference: what an undisturbed compact leaves behind.
     const std::string ref_dir = tempPath("mfsck_ref");
     makeDamagedStore(ref_dir);
-    ASSERT_TRUE(service::compactStore(ref_dir).clean());
+    ASSERT_TRUE(store::compactIndexStoreDir(ref_dir).clean());
     std::map<std::string, std::string> ref_files;
     for (const fs::directory_entry &entry :
          fs::recursive_directory_iterator(ref_dir)) {
@@ -871,6 +724,12 @@ TEST(CrashMatrix, FsckAndCompactRecoverFromTheirOwnCrashPoints)
         }
     }
     ASSERT_FALSE(ref_files.empty());
+    {
+        service::ResultStore store({ref_dir, 0});
+        for (const char *key : {"alpha", "gamma", "delta", "epsilon"})
+            EXPECT_EQ(store.lookup(key).value_or(""),
+                      std::string("p-") + key);
+    }
 
     for (const char *point : {"fsck.repair", "compact.rewrite"}) {
         for (const char *action : {"kill", "torn", "enospc", "throw"}) {
@@ -962,18 +821,19 @@ campaignChild(const ChildArgs &args)
 int
 storeChild(const ChildArgs &args)
 {
-    service::ResultStore store({args.dir, 8, service::StoreFormat::Legacy});
+    service::ResultStore store({args.dir, 8});
     for (const auto &[key, payload] : matrixStoreRecords())
         store.store(key, payload);
-    // A publish swallowed by the non-fatal path (throw/enospc actions)
-    // still has to surface to the matrix driver so it runs recovery.
-    return store.stats().writeFailures == 0 ? 0 : 5;
+    // A publish swallowed by the non-fatal path (throw/enospc actions),
+    // or a store that could not open its disk tier, still has to
+    // surface to the matrix driver so it runs recovery.
+    return store.indexed() && store.stats().writeFailures == 0 ? 0 : 5;
 }
 
 int
 fsckChild(const ChildArgs &args)
 {
-    return service::compactStore(args.dir).clean() ? 0 : 6;
+    return store::compactIndexStoreDir(args.dir).clean() ? 0 : 6;
 }
 
 int

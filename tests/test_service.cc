@@ -8,6 +8,7 @@
  *    degrade to misses and are repaired by the next store), LRU
  *    eviction with disk fallback, concurrent writers, and a fuzz
  *    corpus over the record parser;
+ *  - legacy per-file record directories, migrated at open;
  *  - the client/server protocol: query-spec and frame round trips,
  *    malformed-input rejection, and a live Unix-socket frame exchange;
  *  - the query scheduler: cold queries compute and persist, warm
@@ -29,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -129,7 +131,7 @@ TEST(ResultStore_, MemoryOnlyHitsAndMisses)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.memoryHits, 1u);
     EXPECT_EQ(stats.writes, 1u);
-    EXPECT_EQ(store.recordPath("k"), "");
+    EXPECT_FALSE(store.indexed());
 }
 
 TEST(ResultStore_, PersistsAcrossInstances)
@@ -155,18 +157,19 @@ TEST(ResultStore_, TruncatedRecordIsAMissAndIsRepaired)
 {
     const std::string dir = tempPath("truncated");
     std::filesystem::remove_all(dir);
-    ResultStore store({.dir = dir,
-                       .memCapacity = 0, // no memory tier
-                       .format = StoreFormat::Legacy});
-    store.store("k", "v");
+    {
+        ResultStore store({.dir = dir, .memCapacity = 0});
+        store.store("k", "v");
+    }
+    // Cut the record's frame short, as a crash mid-append would.
+    const std::string segments = dir + "/" + davf::store::kDataFileName;
+    std::filesystem::resize_file(
+        segments, std::filesystem::file_size(segments) / 2);
 
-    const std::string path = store.recordPath("k");
-    const std::string full = ResultStore::serializeRecord("k", "v");
-    std::ofstream(path, std::ios::binary)
-        << full.substr(0, full.size() / 2);
-
+    ResultStore store({.dir = dir, .memCapacity = 0});
     EXPECT_FALSE(store.lookup("k").has_value());
-    EXPECT_EQ(store.stats().corruptRecords, 1u);
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.indexStats()->tailRepairs, 1u);
 
     // The recompute-and-store path repairs the damaged record.
     store.store("k", "v");
@@ -176,17 +179,22 @@ TEST(ResultStore_, TruncatedRecordIsAMissAndIsRepaired)
     std::filesystem::remove_all(dir);
 }
 
+/** Plant @p record verbatim under @p key in a fresh store at @p dir. */
+void
+plantRecord(const std::string &dir, const std::string &key,
+            const std::string &record)
+{
+    std::filesystem::remove_all(dir);
+    davf::store::IndexStore index({.dir = dir});
+    index.putRecord(key, record);
+}
+
 TEST(ResultStore_, WrongVersionRecordIsAMiss)
 {
-    // Too-old grammar: damage, counted as corrupt and unlinked so
-    // fsck-less fleets stop re-parsing the file.
+    // Too-old grammar: damage, counted as corrupt.
     const std::string dir = tempPath("version");
-    std::filesystem::remove_all(dir);
-    ResultStore store(
-        {.dir = dir, .memCapacity = 0, .format = StoreFormat::Legacy});
-    store.store("k", "v");
-    std::ofstream(store.recordPath("k"), std::ios::binary)
-        << "davf-store v1\nkey k\npayload v\nend\n";
+    plantRecord(dir, "k", "davf-store v1\nkey k\npayload v\nend\n");
+    ResultStore store({.dir = dir, .memCapacity = 0});
     EXPECT_FALSE(store.lookup("k").has_value());
     EXPECT_EQ(store.stats().corruptRecords, 1u);
     EXPECT_EQ(store.stats().futureRecords, 0u);
@@ -196,38 +204,28 @@ TEST(ResultStore_, WrongVersionRecordIsAMiss)
 TEST(ResultStore_, FutureVersionRecordIsAMissButSurvives)
 {
     // A record written by a newer binary sharing the directory is a
-    // miss, not damage: tallied separately and never unlinked — the
+    // miss, not damage: tallied separately and its slot kept — the
     // newer writer still serves it.
     const std::string dir = tempPath("future");
-    std::filesystem::remove_all(dir);
-    ResultStore store(
-        {.dir = dir, .memCapacity = 0, .format = StoreFormat::Legacy});
-    store.store("k", "v");
-    const std::string future =
-        "davf-store v999\nkey k\npayload v\nnewfield x\nend\n";
-    std::ofstream(store.recordPath("k"), std::ios::binary) << future;
+    plantRecord(dir, "k",
+                "davf-store v999\nkey k\npayload v\nnewfield x\nend\n");
+    ResultStore store({.dir = dir, .memCapacity = 0});
     EXPECT_FALSE(store.lookup("k").has_value());
     EXPECT_EQ(store.stats().futureRecords, 1u);
     EXPECT_EQ(store.stats().corruptRecords, 0u);
-    EXPECT_EQ(store.stats().repairUnlinks, 0u);
-    std::ifstream kept(store.recordPath("k"), std::ios::binary);
-    std::ostringstream contents;
-    contents << kept.rdbuf();
-    EXPECT_EQ(contents.str(), future);
+    EXPECT_EQ(store.indexStats()->keys, 1u);
+    EXPECT_FALSE(store.lookup("k").has_value());
+    EXPECT_EQ(store.stats().futureRecords, 2u);
     std::filesystem::remove_all(dir);
 }
 
 TEST(ResultStore_, EmbeddedKeyMismatchIsAMiss)
 {
+    // Simulate a key-hash collision: the record indexed under "mine"
+    // has someone else's embedded key.
     const std::string dir = tempPath("collision");
-    std::filesystem::remove_all(dir);
-    ResultStore store(
-        {.dir = dir, .memCapacity = 0, .format = StoreFormat::Legacy});
-    // Simulate a filename-hash collision: the record file for "mine"
-    // holds a record whose embedded key is someone else's.
-    store.store("mine", "v");
-    std::ofstream(store.recordPath("mine"), std::ios::binary)
-        << ResultStore::serializeRecord("theirs", "w");
+    plantRecord(dir, "mine", ResultStore::serializeRecord("theirs", "w"));
+    ResultStore store({.dir = dir, .memCapacity = 0});
     EXPECT_FALSE(store.lookup("mine").has_value());
     EXPECT_EQ(store.stats().corruptRecords, 1u);
     std::filesystem::remove_all(dir);
@@ -477,19 +475,20 @@ class SchedulerFixture : public ::testing::Test
 
         storeDir = tempPath("sched");
         std::filesystem::remove_all(storeDir);
-        // Legacy per-file records: several tests below open a second
-        // store over the same live directory, which the index format's
-        // single-writer lock intentionally refuses.
-        store = std::make_unique<ResultStore>(
-            ResultStore::Options{.dir = storeDir,
-                                 .memCapacity = 64,
-                                 .format = StoreFormat::Legacy});
+        store = std::make_unique<ResultStore>(ResultStore::Options{
+            .dir = storeDir, .memCapacity = 64});
+        scheduler = makeScheduler(*store);
+    }
 
+    /** A scheduler with the fixture's engine and fingerprint. */
+    std::unique_ptr<QueryScheduler>
+    makeScheduler(ResultStore &on) const
+    {
         QueryScheduler::Options options;
         options.benchmark = "rnd";
         options.threads = 2;
-        scheduler = std::make_unique<QueryScheduler>(
-            *engine, *registry, "test-fp", *store, options);
+        return std::make_unique<QueryScheduler>(*engine, *registry,
+                                                "test-fp", on, options);
     }
 
     void
@@ -697,20 +696,68 @@ TEST_F(SchedulerFixture, AFreshSchedulerServesFromThePersistedStore)
     auto cold = scheduler->run(q);
     ASSERT_TRUE(cold.ok()) << cold.error().what();
 
-    // New store + scheduler over the same directory and fingerprint:
-    // everything is a (disk) hit and the bytes match.
+    // New store + scheduler over the same directory and fingerprint
+    // (read-only: the fixture's store still owns it): everything is a
+    // (disk) hit and the bytes match.
     ResultStore fresh_store(
         ResultStore::Options{.dir = storeDir, .memCapacity = 64});
-    QueryScheduler::Options options;
-    options.benchmark = "rnd";
-    options.threads = 2;
-    QueryScheduler fresh(*engine, *registry, "test-fp", fresh_store,
-                         options);
-    auto warm = fresh.run(q);
+    auto fresh = makeScheduler(fresh_store);
+    auto warm = fresh->run(q);
     ASSERT_TRUE(warm.ok()) << warm.error().what();
     EXPECT_EQ(warm.value().storeHits, numShards(q));
     EXPECT_EQ(warm.value().reportJson, cold.value().reportJson);
     EXPECT_GT(fresh_store.stats().diskHits, 0u);
+}
+
+TEST_F(SchedulerFixture, LegacyDirectoryIsMigratedAtOpen)
+{
+    const QuerySpec q = query();
+    auto cold = scheduler->run(q);
+    ASSERT_TRUE(cold.ok()) << cold.error().what();
+
+    // Rewrite every shard record of the query as a legacy per-file
+    // record (r-*.rec, what older releases wrote) in an empty dir.
+    std::vector<std::pair<std::string, std::string>> records;
+    ShardSpec spec;
+    spec.kind = ShardSpec::Kind::Cycle;
+    spec.structure = q.structure;
+    spec.sampling = q.sampling;
+    for (double d : q.delays) {
+        spec.delayFraction = d;
+        for (uint64_t cycle : engine->injectionCycles(q.sampling)) {
+            spec.cycle = cycle;
+            const std::string key = scheduler->shardKey(spec);
+            const auto payload = store->lookup(key);
+            ASSERT_TRUE(payload.has_value()) << key;
+            records.emplace_back(key, *payload);
+        }
+    }
+    ASSERT_EQ(records.size(), numShards(q));
+    scheduler.reset();
+    store.reset();
+    std::filesystem::remove_all(storeDir);
+    std::filesystem::create_directories(storeDir);
+    for (const auto &[key, payload] : records) {
+        std::ofstream(storeDir + "/"
+                          + davf::store::legacyRecordFileName(key),
+                      std::ios::binary)
+            << davf::store::serializeRecordText(key, payload);
+    }
+
+    // A fresh owner migrates them at open and serves every shard.
+    ResultStore fresh_store(
+        ResultStore::Options{.dir = storeDir, .memCapacity = 64});
+    auto fresh = makeScheduler(fresh_store);
+    auto warm = fresh->run(q);
+    ASSERT_TRUE(warm.ok()) << warm.error().what();
+    EXPECT_EQ(warm.value().storeHits, numShards(q));
+    EXPECT_EQ(warm.value().storeMisses, 0u);
+    EXPECT_EQ(warm.value().reportJson, cold.value().reportJson);
+    for (const auto &entry :
+         std::filesystem::directory_iterator(storeDir)) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_FALSE(davf::store::isLegacyRecordName(name)) << name;
+    }
 }
 
 TEST_F(SchedulerFixture, ADifferentFingerprintMissesTheStore)
@@ -734,39 +781,53 @@ TEST_F(SchedulerFixture, CorruptRecordIsRecomputedAndRepaired)
     auto cold = scheduler->run(q);
     ASSERT_TRUE(cold.ok());
 
-    // Damage one shard record on disk and drop the memory tier by
-    // using a fresh store over the same directory.
+    // Drop the memory tier and hand the directory to a fresh owning
+    // store, then damage one shard record on disk.
+    scheduler.reset();
+    store.reset();
+    ResultStore fresh_store(
+        ResultStore::Options{.dir = storeDir, .memCapacity = 64});
+    auto fresh = makeScheduler(fresh_store);
     ShardSpec spec;
     spec.kind = ShardSpec::Kind::Cycle;
     spec.structure = q.structure;
     spec.delayFraction = q.delays[0];
     spec.cycle = engine->injectionCycles(q.sampling)[0];
     spec.sampling = q.sampling;
-    ResultStore fresh_store(
-        ResultStore::Options{.dir = storeDir, .memCapacity = 64});
-    QueryScheduler::Options options;
-    options.benchmark = "rnd";
-    options.threads = 2;
-    QueryScheduler fresh(*engine, *registry, "test-fp", fresh_store,
-                         options);
-    const std::string path =
-        fresh_store.recordPath(fresh.shardKey(spec));
-    ASSERT_FALSE(path.empty());
-    std::ofstream(path, std::ios::binary) << "davf-store v1\nkey trunc";
+    const std::string segments = storeDir + "/" + davf::store::kDataFileName;
+    std::ifstream in(segments, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const size_t pos = bytes.find("key " + fresh->shardKey(spec) + "\n");
+    ASSERT_NE(pos, std::string::npos);
+    const size_t payload = bytes.find("\npayload ", pos) + 12;
+    std::fstream file(segments,
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(payload));
+    file.put(static_cast<char>(bytes[payload] ^ 0x01));
+    file.close();
 
-    auto warm = fresh.run(q);
+    auto warm = fresh->run(q);
     ASSERT_TRUE(warm.ok()) << warm.error().what();
     EXPECT_EQ(warm.value().storeMisses, 1u);
     EXPECT_EQ(warm.value().storeHits, numShards(q) - 1);
     EXPECT_EQ(warm.value().reportJson, cold.value().reportJson);
-    // >= 1: the double-checked miss path may read (and tally) the
-    // damaged record again under the compute lock before repairing it.
+    // >= 1: concurrent shard lookups may both read the damaged record
+    // before the first one drops its slot.
     EXPECT_GE(fresh_store.stats().corruptRecords, 1u);
 
-    // The rewrite repaired the record: a second pass is all hits.
-    auto repaired = fresh.run(q);
+    // The rewrite repaired the record: a second pass is all hits, and
+    // so is a third store that reads it back from disk.
+    auto repaired = fresh->run(q);
     ASSERT_TRUE(repaired.ok());
     EXPECT_EQ(repaired.value().storeHits, numShards(q));
+    fresh.reset();
+    ResultStore reread(ResultStore::Options{.dir = storeDir});
+    auto reread_scheduler = makeScheduler(reread);
+    auto reread_reply = reread_scheduler->run(q);
+    ASSERT_TRUE(reread_reply.ok());
+    EXPECT_EQ(reread_reply.value().storeHits, numShards(q));
+    EXPECT_EQ(reread.stats().corruptRecords, 0u);
 }
 
 TEST_F(SchedulerFixture, UnknownStructureIsNotFound)

@@ -6,7 +6,8 @@
  * resynchronisation, hash-index splits/doubling/persistence, lock-free
  * readers racing a splitting writer, the IndexStore crash model
  * (replay, rebuild, torn-tail quarantine, corrupt-degrades-to-miss),
- * legacy absorption and migration, index fsck/compact, and the
+ * the read-only store of a process that loses the index lock, legacy
+ * migration (offline and at open), index fsck/compact, and the
  * kill-anywhere recovery matrix over every `index.*` crash point.
  *
  * Kill-action cases re-execute this binary (--crash-child=...) so the
@@ -74,6 +75,39 @@ struct ArmGuard
     }
     ~ArmGuard() { crashpoint::disarm(); }
 };
+
+/** Write matrix records 0..count-1 as legacy per-file records
+ * (`r-*.rec`, what older releases wrote) into @p dir. */
+void
+writeLegacyRecords(const std::string &dir, size_t count)
+{
+    fs::create_directories(dir);
+    for (size_t i = 0; i < count; ++i) {
+        std::ofstream(dir + "/" + legacyRecordFileName(matrixKey(i)),
+                      std::ios::binary)
+            << serializeRecordText(matrixKey(i), matrixPayload(i));
+    }
+}
+
+/** No legacy record file is left in @p dir. */
+void
+expectNoLegacyRecords(const std::string &dir)
+{
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_FALSE(isLegacyRecordName(name))
+            << "legacy record left behind: " << name;
+    }
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    std::ostringstream os;
+    os << file.rdbuf();
+    return os.str();
+}
 
 /** Flip one byte of @p path at @p offset (crafting garble damage). */
 void
@@ -727,16 +761,19 @@ TEST(IndexStoreT, SecondOpenerIsLockedOut)
     fs::remove_all(dir);
     IndexStore store({.dir = dir});
     store.put(matrixKey(0), matrixPayload(0));
-    EXPECT_THROW(IndexStore({.dir = dir}), DavfError);
-    // ... and ResultStore degrades to legacy per-file records instead
-    // of failing the open.
-    service::ResultStore fallback(
-        {.dir = dir, .memCapacity = 4,
-         .format = service::StoreFormat::Index});
-    EXPECT_FALSE(fallback.indexed());
-    fallback.store("fallback key", "fallback payload");
-    EXPECT_EQ(fallback.lookup("fallback key").value_or(""),
-              "fallback payload");
+    EXPECT_FALSE(store.readOnly());
+
+    // The second opener cannot take the lock: it reads a snapshot and
+    // refuses every mutation.
+    IndexStore second({.dir = dir});
+    EXPECT_TRUE(second.readOnly());
+    EXPECT_EQ(second.lookup(matrixKey(0)).payload, matrixPayload(0));
+    EXPECT_THROW(second.requireOwner(), DavfError);
+    EXPECT_THROW(second.put(matrixKey(1), matrixPayload(1)), DavfError);
+    EXPECT_THROW(second.checkpoint(), DavfError);
+    EXPECT_THROW(second.compact(), DavfError);
+    EXPECT_THROW(migrateStore(dir), DavfError);
+    EXPECT_THROW(compactIndexStoreDir(dir), DavfError);
     fs::remove_all(dir);
 }
 
@@ -763,30 +800,31 @@ TEST(IndexStoreT, CompactDropsSupersededFramesAndKeepsPayloads)
 
 // --------------------------------------------- ResultStore integration
 
-TEST(StoreIntegration, AutoFormatFollowsTheDirectory)
+TEST(StoreIntegration, LegacyDirectoryMigratesAtOpen)
 {
-    const std::string legacy_dir = tempPath("auto_legacy");
-    const std::string fresh_dir = tempPath("auto_fresh");
+    const std::string legacy_dir = tempPath("open_legacy");
+    const std::string fresh_dir = tempPath("open_fresh");
     fs::remove_all(legacy_dir);
     fs::remove_all(fresh_dir);
+    writeLegacyRecords(legacy_dir, 3);
+
+    // The owner absorbs an existing legacy directory at open...
     {
-        service::ResultStore store({.dir = legacy_dir,
-                                    .memCapacity = 0,
-                                    .format =
-                                        service::StoreFormat::Legacy});
-        store.store("k", "v");
+        service::ResultStore legacy({.dir = legacy_dir, .memCapacity = 0});
+        EXPECT_TRUE(legacy.indexed());
+        expectNoLegacyRecords(legacy_dir);
+        for (size_t i = 0; i < 3; ++i)
+            EXPECT_EQ(legacy.lookup(matrixKey(i)).value_or(""),
+                      matrixPayload(i))
+                << i;
+        EXPECT_EQ(legacy.indexStats()->keys, 3u);
     }
-    // Auto keeps an existing legacy directory legacy...
-    service::ResultStore legacy({.dir = legacy_dir, .memCapacity = 0});
-    EXPECT_FALSE(legacy.indexed());
-    EXPECT_EQ(legacy.lookup("k").value_or(""), "v");
     // ...and starts an empty directory indexed.
     service::ResultStore fresh({.dir = fresh_dir, .memCapacity = 0});
     EXPECT_TRUE(fresh.indexed());
     fresh.store("k", "v");
     EXPECT_TRUE(IndexStore::present(fresh_dir));
-    EXPECT_FALSE(fs::exists(
-        fresh_dir + "/" + legacyRecordFileName("k")));
+    expectNoLegacyRecords(fresh_dir);
     fs::remove_all(legacy_dir);
     fs::remove_all(fresh_dir);
 }
@@ -796,9 +834,7 @@ TEST(StoreIntegration, IndexedStoreServesByteIdenticalPayloads)
     const std::string dir = tempPath("integ_bytes");
     fs::remove_all(dir);
     {
-        service::ResultStore store(
-            {.dir = dir, .memCapacity = 0,
-             .format = service::StoreFormat::Index});
+        service::ResultStore store({.dir = dir, .memCapacity = 0});
         for (size_t i = 0; i < 40; ++i)
             store.store(matrixKey(i), matrixPayload(i));
     }
@@ -814,25 +850,117 @@ TEST(StoreIntegration, IndexedStoreServesByteIdenticalPayloads)
     fs::remove_all(dir);
 }
 
-TEST(StoreIntegration, IndexedStoreAbsorbsLegacyStraysOnLookup)
+TEST(StoreIntegration, IndexedStoreAbsorbsLegacyStraysAtOpen)
 {
     const std::string dir = tempPath("integ_absorb");
     fs::remove_all(dir);
-    fs::create_directories(dir);
-    // A stray legacy record (as a locked-out fallback writer or an
-    // interrupted migration would leave).
+    {
+        service::ResultStore store({.dir = dir, .memCapacity = 0});
+        store.store("indexed", "indexed payload");
+    }
+    // A stray legacy record next to the index (as an older binary or
+    // an interrupted migration would leave).
     const std::string stray = dir + "/" + legacyRecordFileName("stray");
     std::ofstream(stray, std::ios::binary)
         << serializeRecordText("stray", "stray payload");
 
-    service::ResultStore store({.dir = dir, .memCapacity = 0,
-                                .format = service::StoreFormat::Index});
+    service::ResultStore store({.dir = dir, .memCapacity = 0});
     ASSERT_TRUE(store.indexed());
-    EXPECT_EQ(store.lookup("stray").value_or(""), "stray payload");
     EXPECT_FALSE(fs::exists(stray))
         << "absorbed into the index, legacy file retired";
-    EXPECT_EQ(store.lookup("stray").value_or(""), "stray payload")
-        << "second lookup is served by the index";
+    EXPECT_EQ(store.lookup("stray").value_or(""), "stray payload");
+    EXPECT_EQ(store.lookup("indexed").value_or(""), "indexed payload");
+    fs::remove_all(dir);
+}
+
+TEST(StoreIntegration, LockLoserReadsTheIndexReadOnly)
+{
+    const std::string dir = tempPath("integ_readonly");
+    fs::remove_all(dir);
+    constexpr size_t kCheckpointed = 200; // > kSlotsPerBucket: splits
+    constexpr size_t kRecords = 250;
+    {
+        // A first owner session; its close checkpoints these records.
+        service::ResultStore owner({.dir = dir, .memCapacity = 0});
+        for (size_t i = 0; i < kCheckpointed; ++i)
+            owner.store(matrixKey(i), matrixPayload(i));
+    }
+    // The live owner: the rest sit only in the tail past the watermark.
+    service::ResultStore owner({.dir = dir, .memCapacity = 0});
+    for (size_t i = kCheckpointed; i < kRecords; ++i)
+        owner.store(matrixKey(i), matrixPayload(i));
+    ASSERT_EQ(owner.indexStats()->checkpoints, 0u);
+
+    const std::string segments = dir + "/" + kDataFileName;
+    const std::string index = dir + "/" + kIndexFileName;
+    const std::string leftover = segments + ".compact";
+    std::ofstream(leftover) << "an unfinished compaction";
+    const std::string segment_bytes = readFile(segments);
+    const std::string index_bytes = readFile(index);
+    const auto index_mtime = fs::last_write_time(index);
+    {
+        service::ResultStore reader({.dir = dir, .memCapacity = 4});
+        ASSERT_TRUE(reader.indexed());
+        for (size_t i = 0; i < kRecords; ++i)
+            EXPECT_EQ(reader.lookup(matrixKey(i)).value_or(""),
+                      matrixPayload(i))
+                << i;
+        EXPECT_EQ(reader.stats().diskHits, kRecords);
+
+        // Its own results stay in memory and are counted, not written.
+        reader.store("reader key", "reader payload");
+        EXPECT_EQ(reader.lookup("reader key").value_or(""),
+                  "reader payload");
+        EXPECT_EQ(reader.stats().unpublishedWrites, 1u);
+        EXPECT_EQ(reader.stats().writes, 0u);
+        EXPECT_EQ(reader.stats().writeFailures, 0u);
+    }
+    EXPECT_EQ(readFile(segments), segment_bytes);
+    EXPECT_EQ(readFile(index), index_bytes);
+    EXPECT_EQ(fs::last_write_time(index), index_mtime)
+        << "not even identical pages are written back";
+    EXPECT_TRUE(fs::exists(leftover)) << "only the owner removes it";
+
+    // A garbled frame is a miss for the reader, which keeps the slot
+    // (a second read is corrupt again) and leaves the owner's intact.
+    const size_t pos =
+        segment_bytes.find("key " + matrixKey(7) + "\npayload ");
+    ASSERT_NE(pos, std::string::npos);
+    flipByte(segments, pos + matrixKey(7).size() + 14);
+    const std::string garbled_bytes = readFile(segments);
+    {
+        service::ResultStore reader({.dir = dir, .memCapacity = 0});
+        EXPECT_FALSE(reader.lookup(matrixKey(7)).has_value());
+        EXPECT_FALSE(reader.lookup(matrixKey(7)).has_value());
+        EXPECT_EQ(reader.stats().corruptRecords, 2u);
+        EXPECT_EQ(reader.lookup(matrixKey(8)).value_or(""),
+                  matrixPayload(8));
+    }
+    EXPECT_EQ(readFile(segments), garbled_bytes);
+    EXPECT_EQ(readFile(index), index_bytes);
+    EXPECT_EQ(owner.indexStats()->keys, kRecords);
+
+    // A torn tail (as an owner's append in flight leaves) is left for
+    // the owner: no truncation, no quarantine.
+    std::ofstream(segments, std::ios::binary | std::ios::app)
+        << "half a frame";
+    const std::string torn_bytes = readFile(segments);
+    {
+        service::ResultStore reader({.dir = dir, .memCapacity = 0});
+        EXPECT_EQ(reader.lookup(matrixKey(kRecords - 1)).value_or(""),
+                  matrixPayload(kRecords - 1));
+    }
+    EXPECT_EQ(readFile(segments), torn_bytes);
+    EXPECT_FALSE(fs::exists(dir + "/quarantine"));
+
+    // The owner keeps publishing; a snapshot taken before misses the
+    // new record safely, one taken after serves it.
+    service::ResultStore before({.dir = dir, .memCapacity = 0});
+    owner.store("late key", "late payload");
+    EXPECT_EQ(owner.stats().writes, kRecords - kCheckpointed + 1);
+    EXPECT_FALSE(before.lookup("late key").has_value());
+    service::ResultStore after({.dir = dir, .memCapacity = 0});
+    EXPECT_EQ(after.lookup("late key").value_or(""), "late payload");
     fs::remove_all(dir);
 }
 
@@ -866,13 +994,7 @@ TEST(StoreMigrate, LegacyDirectoryMigratesByteIdentically)
 {
     const std::string dir = tempPath("migrate_basic");
     fs::remove_all(dir);
-    {
-        service::ResultStore store({.dir = dir, .memCapacity = 0,
-                                    .format =
-                                        service::StoreFormat::Legacy});
-        for (size_t i = 0; i < 25; ++i)
-            store.store(matrixKey(i), matrixPayload(i));
-    }
+    writeLegacyRecords(dir, 25);
     // One damaged legacy record rides along; it must be quarantined,
     // never deleted, and never absorbed.
     const std::string damaged =
@@ -884,12 +1006,7 @@ TEST(StoreMigrate, LegacyDirectoryMigratesByteIdentically)
     EXPECT_EQ(report.quarantined, 1u);
     EXPECT_FALSE(fs::exists(damaged));
     EXPECT_TRUE(IndexStore::present(dir));
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        const std::string name = entry.path().filename().string();
-        EXPECT_FALSE(name.rfind("r-", 0) == 0
-                     && name.find(".rec") != std::string::npos)
-            << "legacy record left behind: " << name;
-    }
+    expectNoLegacyRecords(dir);
 
     // Idempotent: a second pass finds nothing to do.
     const MigrateReport again = migrateStore(dir);
@@ -1125,13 +1242,7 @@ TEST(IndexCrashMatrix, KillMidMigrationIsRerunnable)
 {
     const std::string dir = tempPath("matrix_migrate");
     fs::remove_all(dir);
-    {
-        service::ResultStore store({.dir = dir, .memCapacity = 0,
-                                    .format =
-                                        service::StoreFormat::Legacy});
-        for (size_t i = 0; i < 20; ++i)
-            store.store(matrixKey(i), matrixPayload(i));
-    }
+    writeLegacyRecords(dir, 20);
     Subprocess child;
     child.spawn({Subprocess::selfExePath(), "--crash-child=imigrate",
                  "--dir=" + dir, "--spec=index.migrate:10=kill"});
@@ -1140,30 +1251,19 @@ TEST(IndexCrashMatrix, KillMidMigrationIsRerunnable)
     EXPECT_TRUE(status.signaled && status.signal == SIGKILL)
         << status.describe();
 
-    // Mid-migration, *every* record is still served: index first,
-    // legacy fallback second.
+    // The next owner finishes the migration at open: *every* record is
+    // served and every legacy file retired.
     {
         service::ResultStore store({.dir = dir, .memCapacity = 0});
+        ASSERT_TRUE(store.indexed());
         for (size_t i = 0; i < 20; ++i)
             EXPECT_EQ(store.lookup(matrixKey(i)).value_or(""),
                       matrixPayload(i))
                 << i;
     }
-    // The rerun finishes the job and retires every legacy file.
+    expectNoLegacyRecords(dir);
     const MigrateReport report = migrateStore(dir);
-    EXPECT_EQ(report.quarantined, 0u);
-    service::ResultStore store({.dir = dir, .memCapacity = 0});
-    ASSERT_TRUE(store.indexed());
-    for (size_t i = 0; i < 20; ++i)
-        EXPECT_EQ(store.lookup(matrixKey(i)).value_or(""),
-                  matrixPayload(i))
-            << i;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        const std::string name = entry.path().filename().string();
-        EXPECT_FALSE(name.rfind("r-", 0) == 0
-                     && name.find(".rec") != std::string::npos)
-            << name;
-    }
+    EXPECT_EQ(report.migrated + report.quarantined, 0u);
     fs::remove_all(dir);
 }
 

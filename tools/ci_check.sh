@@ -288,21 +288,17 @@ crash_soak() {
         fi
     done
 
-    # Phase 2: a torn store record. The armed server publishes a
-    # truncated record and dies mid-campaign; fsck must classify and
-    # quarantine it, and a clean restart must serve the exact cold
-    # reply.
-    # --store-format legacy: this phase exercises the per-file record
-    # tier, whose publishes go through atomic_file.write (an indexed
-    # store appends to the segment file and the point never fires; the
-    # index tier's own kill matrix lives in store_index_smoke and
-    # tests/test_store.cc).
+    # Phase 2: a torn store record. The armed server appends a
+    # truncated frame to the segment file and dies mid-campaign; fsck
+    # must classify the torn tail and repair must quarantine it, and a
+    # clean restart must serve the exact cold reply. (The index tier's
+    # full kill matrix lives in store_index_smoke and
+    # tests/test_store.cc.)
     store_dir="$soak_dir/store"
     sock="$soak_dir/davf.sock"
-    env DAVF_TEST_CRASHPOINT='atomic_file.write=torn' \
+    env DAVF_TEST_CRASHPOINT='index.append=torn' \
         "$build_dir/tools/davf_serve" --socket "$sock" \
-        --store-dir "$store_dir" --store-format legacy \
-        --benchmark popcount \
+        --store-dir "$store_dir" --benchmark popcount \
         2> "$soak_dir/serve-armed.log" &
     serve_pid=$!
     trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -377,14 +373,15 @@ crash_soak() {
         "store repaired)" >&2
 }
 
-# Store index smoke: the indexed result-store tier end to end against
-# the real binaries (docs/SERVICE.md, docs/ROBUSTNESS.md). A served
-# query seeds a legacy-format store and its warm reply is captured;
-# then every way the store can change shape — `davf_store migrate`,
-# a kill -9 mid-bucket-split followed by fsck repair, and a full
-# compact — must leave a restarted server producing that exact reply,
-# byte for byte. Runs under both configs so the segment file, hash
-# index, and recovery paths get ASan/UBSan coverage on every CI run.
+# Store index smoke: the result store end to end against the real
+# binaries (docs/SERVICE.md, docs/ROBUSTNESS.md). A served query seeds
+# the store and its warm reply is captured; then every way the store
+# can change shape — a kill -9 mid-bucket-split followed by fsck
+# repair, and a full compact — must leave a restarted server producing
+# that exact reply, byte for byte. (Legacy-directory migration at open
+# is covered end to end by SchedulerFixture.LegacyDirectoryIsMigratedAtOpen.)
+# Runs under both configs so the segment file, hash index, and
+# recovery paths get ASan/UBSan coverage on every CI run.
 store_index_smoke() {
     build_dir="$1"
     smoke_dir="$build_dir/store-index-smoke"
@@ -430,41 +427,27 @@ store_index_smoke() {
         start_server
         query > "$smoke_dir/$1"
         stop_server
-        if ! cmp -s "$smoke_dir/warm-legacy.json" "$smoke_dir/$1"; then
-            echo "store index smoke: $1 differs from the legacy warm" \
-                "reply" >&2
+        if ! cmp -s "$smoke_dir/warm.json" "$smoke_dir/$1"; then
+            echo "store index smoke: $1 differs from the warm reply" >&2
             exit 1
         fi
     }
 
-    # Seed a legacy-format store through a real served query and
-    # capture the warm (store-served) reply every later stage must
-    # reproduce.
-    start_server --store-format legacy
+    # Seed the store through a real served query and capture the warm
+    # (store-served) reply every later stage must reproduce.
+    start_server
     query > /dev/null
-    query > "$smoke_dir/warm-legacy.json"
+    query > "$smoke_dir/warm.json"
     stop_server
-    if ! ls "$store_dir"/r-*.rec > /dev/null 2>&1; then
-        echo "store index smoke: no legacy records were published" >&2
-        exit 1
-    fi
-
-    # Ballast so the migrated index is one bulk insert away from
-    # bucket splits (the kill target below).
-    "$build_dir/tools/davf_store" populate --format legacy \
-        "$store_dir" 120 2>> "$smoke_dir/store.log"
-
-    "$build_dir/tools/davf_store" migrate "$store_dir" \
-        2>> "$smoke_dir/store.log"
-    if ls "$store_dir"/r-*.rec > /dev/null 2>&1; then
-        echo "store index smoke: migrate left legacy records behind" >&2
-        exit 1
-    fi
     if [ ! -f "$store_dir/index.davf" ]; then
-        echo "store index smoke: migrate built no index" >&2
+        echo "store index smoke: the server built no index" >&2
         exit 1
     fi
-    expect_reply warm-migrated.json
+
+    # Ballast so the index is one bulk insert away from bucket splits
+    # (the kill target below).
+    "$build_dir/tools/davf_store" populate "$store_dir" 120 \
+        2>> "$smoke_dir/store.log"
 
     # kill -9 mid-split: an armed bulk insert dies while applying a
     # bucket split, leaving the split journal behind. Plain fsck must
@@ -498,7 +481,41 @@ store_index_smoke() {
         2>> "$smoke_dir/store.log"
     expect_reply warm-compacted.json
     echo "=== store index smoke ok (replies byte-identical across" \
-        "migrate, split-kill repair, compact)" >&2
+        "split-kill repair, compact)" >&2
+}
+
+# Parse smoke: a garbage numeric flag value is a usage error (exit 2),
+# never a silently different run (util/parse.hh). A rejected populate
+# must not create its store.
+parse_smoke() {
+    build_dir="$1"
+    smoke_dir="$build_dir/parse-smoke"
+    rm -rf "$smoke_dir"
+    mkdir -p "$smoke_dir"
+    echo "=== parse smoke $build_dir" >&2
+    expect_usage() {
+        rc=0
+        "$@" > /dev/null 2>> "$smoke_dir/parse.log" || rc=$?
+        if [ "$rc" -ne 2 ]; then
+            echo "parse smoke: '$*' exited $rc, not 2" >&2
+            exit 1
+        fi
+    }
+    store="$build_dir/tools/davf_store"
+    trace="$build_dir/tools/davf_trace"
+    expect_usage "$store" populate "$smoke_dir/store" 12x
+    expect_usage "$store" populate "$smoke_dir/store" abc
+    expect_usage "$store" populate --payload-bytes 8q "$smoke_dir/store" 3
+    if [ -e "$smoke_dir/store" ]; then
+        echo "parse smoke: a rejected populate created its store" >&2
+        exit 1
+    fi
+    expect_usage "$trace" --d abc --cycle 4x
+    expect_usage "$trace" --cycle 4x
+    expect_usage "$trace" --d 1.5
+    expect_usage "$trace" --wire -1
+    expect_usage "$trace" --tail 9z
+    echo "=== parse smoke ok" >&2
 }
 
 # Attribution smoke: per-instruction root-cause attribution end to end
@@ -765,6 +782,7 @@ engine_smoke "$root/build-ci-release"
 obs_smoke "$root/build-ci-release"
 serve_smoke "$root/build-ci-release"
 store_index_smoke "$root/build-ci-release"
+parse_smoke "$root/build-ci-release"
 net_smoke "$root/build-ci-release"
 attr_smoke "$root/build-ci-release"
 crash_soak "$root/build-ci-release"
@@ -775,6 +793,7 @@ engine_smoke "$root/build-ci-asan"
 obs_smoke "$root/build-ci-asan"
 serve_smoke "$root/build-ci-asan"
 store_index_smoke "$root/build-ci-asan"
+parse_smoke "$root/build-ci-asan"
 net_smoke "$root/build-ci-asan"
 attr_smoke "$root/build-ci-asan"
 crash_soak "$root/build-ci-asan"

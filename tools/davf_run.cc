@@ -71,6 +71,10 @@
  *     --store-dir D        content-addressed result store shared as a
  *                          cache tier: shards found there are not
  *                          recomputed, fresh ones are written back
+ *                          (read-only when another process, e.g. a
+ *                          davf_serve, owns the directory: its
+ *                          records are served, fresh ones are not
+ *                          persisted)
  *     --max-retries N      re-dispatches per shard after a failure
  *                          (default 2)
  *     --backoff-ms X       base of the exponential retry backoff
@@ -149,7 +153,6 @@ struct Options
     size_t min_nodes = 1;
     double node_wait_ms = 30000.0;
     std::string store_dir;
-    service::StoreFormat store_format = service::StoreFormat::Auto;
     unsigned workers = 1;
     unsigned max_retries = 2;
     double backoff_ms = 50.0;
@@ -180,9 +183,8 @@ printUsage(const char *argv0)
                  "          [--listen HOST:PORT] [--port-file FILE] "
                  "[--min-nodes N]\n"
                  "          [--node-wait-ms X] [--store-dir D] "
-                 "[--store-format auto|legacy|index]\n"
-                 "          [--max-retries N] [--backoff-ms X] "
-                 "[--worker-mem-mb N]\n"
+                 "[--max-retries N] [--backoff-ms X]\n"
+                 "          [--worker-mem-mb N]\n"
                  "          [--shard-timeout-ms X] [--quarantine-dir D]\n"
                  "          [--shard-metrics-csv FILE]\n"
                  "          [--metrics-json FILE] [--trace-json FILE] "
@@ -355,15 +357,6 @@ parse(int argc, char **argv)
                 usageError(argv[0], "--node-wait-ms must be >= 0");
         } else if (arg == "--store-dir") {
             opts.store_dir = need(i);
-        } else if (arg == "--store-format") {
-            const std::string value = need(i);
-            const auto format = service::parseStoreFormat(value);
-            if (!format) {
-                usageError(argv[0],
-                           "--store-format expects auto, legacy, or "
-                           "index, got '" + value + "'");
-            }
-            opts.store_format = *format;
         } else if (arg == "--workers") {
             opts.workers =
                 static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
@@ -549,7 +542,6 @@ runTool(int argc, char **argv)
         if (!opts.store_dir.empty()) {
             service::ResultStore::Options store_options;
             store_options.dir = opts.store_dir;
-            store_options.format = opts.store_format;
             net_store = std::make_unique<service::ResultStore>(
                 store_options);
             const std::string fingerprint = workspace.fingerprint();

@@ -31,6 +31,7 @@
  * when the scheduler re-executes this binary.
  */
 
+#include <malloc.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -65,7 +66,6 @@ struct Options
 {
     std::string socket_path;
     std::string store_dir;
-    service::StoreFormat store_format = service::StoreFormat::Auto;
     size_t mem_capacity = 4096;
     WorkspaceSpec workspace;
     unsigned threads = 0;
@@ -81,8 +81,7 @@ usageError(const char *argv0, const std::string &detail)
 {
     std::fprintf(stderr,
                  "usage: %s --socket PATH [--store-dir DIR] "
-                 "[--store-format auto|legacy|index]\n"
-                 "          [--mem-capacity N]\n"
+                 "[--mem-capacity N]\n"
                  "          [--benchmark N] [--ecc] [--sta-period] "
                  "[--threads N]\n"
                  "          [--isolate thread|process] [--workers N] "
@@ -118,15 +117,6 @@ parse(int argc, char **argv)
             opts.socket_path = need(i);
         } else if (arg == "--store-dir") {
             opts.store_dir = need(i);
-        } else if (arg == "--store-format") {
-            const std::string value = need(i);
-            const auto format = service::parseStoreFormat(value);
-            if (!format) {
-                usageError(argv[0],
-                           "--store-format expects auto, legacy, or "
-                           "index, got '" + value + "'");
-            }
-            opts.store_format = *format;
         } else if (arg == "--mem-capacity") {
             opts.mem_capacity =
                 static_cast<size_t>(parseU64(argv[0], arg, need(i)));
@@ -306,6 +296,14 @@ runTool(int argc, char **argv)
     // --isolate process mode.)
     ::signal(SIGPIPE, SIG_IGN);
 
+    // Pin glibc's mmap threshold at its default. Left dynamic, the
+    // first free of a large mmapped buffer raises it, after which the
+    // engine's per-cycle buffers (~230 KiB) land in per-thread arenas
+    // and the server's peak RSS depends on allocation history: on the
+    // bench/e2e serve mix (4 vCPUs) it swung between ~26.7 and
+    // ~29.4 MiB across runs doing identical work.
+    ::mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+
     // The server always collects metrics: a long-lived process wants
     // its registry live so the `stats` verb can report it, and the
     // striped counters are too cheap to merit a knob here.
@@ -332,7 +330,6 @@ runTool(int argc, char **argv)
 
     ResultStore::Options store_options;
     store_options.dir = opts.store_dir;
-    store_options.format = opts.store_format;
     store_options.memCapacity = opts.mem_capacity;
     ResultStore store(store_options);
 

@@ -7,34 +7,34 @@
  *   davf_store fsck [--repair] DIR
  *   davf_store compact DIR
  *   davf_store migrate DIR
- *   davf_store populate [--format F] [--payload-bytes N] DIR COUNT
+ *   davf_store populate [--payload-bytes N] DIR COUNT
  *   davf_store crashpoints
  *
- * `fsck` checks DIR, dispatching on its format: an indexed store
- * (index.davf present) gets the index checker (store/index_fsck.hh:
- * torn splits, stale index pages/entries, garbled frames, torn tails,
- * legacy strays), a legacy store gets the per-file checker
- * (service/store_fsck.hh). Exit 0 when the store is damage-free, 1
- * when damage was found (or, with --repair, when some damage could
- * not be repaired) or the directory is unreadable, 2 on usage errors.
- * With --repair, damage evidence is quarantined into DIR/quarantine/
- * (never deleted) and the index, being derived data, is rebuilt from
- * the segment file; a repaired store exits 0.
+ * `fsck` checks DIR (store/index_fsck.hh: torn splits, stale index
+ * pages/entries, garbled frames, torn tails, legacy strays). Exit 0
+ * when the store is damage-free, 1 when damage was found (or, with
+ * --repair, when some damage could not be repaired) or the directory
+ * is unreadable, 2 on usage errors. With --repair, damage evidence is
+ * quarantined into DIR/quarantine/ (never deleted) and the index,
+ * being derived data, is rebuilt from the segment file; a repaired
+ * store exits 0.
  *
- * `compact` is repair plus space recovery. Indexed: absorb legacy
- * strays, quarantine damage, rewrite the segment file to live records
- * only, rebuild the index. Legacy: re-home misplaced records, drop
- * duplicate-key losers. Crash-safe — killing it at any instant leaves
- * a store a rerun finishes.
+ * `compact` is repair plus space recovery: absorb legacy records,
+ * quarantine damage, rewrite the segment file to live records only,
+ * rebuild the index. Crash-safe — killing it at any instant leaves a
+ * store a rerun finishes.
  *
- * `migrate` absorbs every legacy per-file record into the indexed
- * tier (creating it if absent), unlinking each legacy file only after
- * its replacement is durable; damaged legacy records are quarantined.
- * Idempotent and crash-safe — rerun after any interruption.
+ * `migrate` absorbs every legacy per-file record (`r-*.rec`, written
+ * by older releases) into the indexed tier (creating it if absent),
+ * unlinking each legacy file only after its replacement is durable;
+ * damaged legacy records are quarantined. Idempotent and crash-safe —
+ * rerun after any interruption. The owning ResultStore runs the same
+ * pass at open.
  *
  * `populate` writes COUNT synthetic records (deterministic keys and
- * payloads) through a ResultStore in the chosen format — fixture
- * setup for the CI store smoke and benchmarks.
+ * payloads) through a ResultStore — fixture setup for the CI store
+ * smoke. COUNT and N must be whole unsigned numbers (exit 2
+ * otherwise).
  *
  * `crashpoints` prints every crash-point name compiled into this
  * binary (util/crashpoint.hh), one per line; the CI crash soak
@@ -42,17 +42,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "service/result_store.hh"
-#include "service/store_fsck.hh"
 #include "store/index_fsck.hh"
-#include "store/index_store.hh"
 #include "store/migrate.hh"
 #include "util/crashpoint.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 using namespace davf;
 
@@ -65,50 +63,14 @@ usage(const char *argv0)
                  "usage: %s fsck [--repair] DIR\n"
                  "       %s compact DIR\n"
                  "       %s migrate DIR\n"
-                 "       %s populate [--format auto|legacy|index]"
-                 " [--payload-bytes N] DIR COUNT\n"
+                 "       %s populate [--payload-bytes N] DIR COUNT\n"
                  "       %s crashpoints\n",
                  argv0, argv0, argv0, argv0, argv0);
     return 2;
 }
 
 void
-printReport(const service::FsckReport &report)
-{
-    for (const service::StoreEntry &entry : report.entries) {
-        if (entry.kind == service::StoreEntryKind::Valid
-            || entry.kind == service::StoreEntryKind::Foreign) {
-            continue;
-        }
-        std::fprintf(stderr, "%-10s %s%s%s\n",
-                     service::storeEntryKindName(entry.kind),
-                     entry.name.c_str(),
-                     entry.detail.empty() ? "" : ": ",
-                     entry.detail.c_str());
-    }
-    std::fprintf(stderr,
-                 "%llu valid, %llu misplaced, %llu torn, %llu garbled, "
-                 "%llu orphan tmp(s), %llu foreign\n",
-                 (unsigned long long)report.valid,
-                 (unsigned long long)report.misplaced,
-                 (unsigned long long)report.torn,
-                 (unsigned long long)report.garbled,
-                 (unsigned long long)report.orphanTmps,
-                 (unsigned long long)report.foreign);
-    if (report.quarantined || report.removedTmps || report.rehomed
-        || report.duplicateLosers) {
-        std::fprintf(stderr,
-                     "repaired: %llu quarantined, %llu tmp(s) removed, "
-                     "%llu re-homed, %llu duplicate loser(s) dropped\n",
-                     (unsigned long long)report.quarantined,
-                     (unsigned long long)report.removedTmps,
-                     (unsigned long long)report.rehomed,
-                     (unsigned long long)report.duplicateLosers);
-    }
-}
-
-void
-printIndexReport(const store::IndexFsckReport &report)
+printReport(const store::IndexFsckReport &report)
 {
     for (const std::string &note : report.notes)
         std::fprintf(stderr, "%s\n", note.c_str());
@@ -156,7 +118,7 @@ main(int argc, char **argv)
         }
 
         if (verb == "fsck") {
-            service::FsckOptions options;
+            store::IndexFsckOptions options;
             std::string dir;
             for (int i = 2; i < argc; ++i) {
                 if (std::strcmp(argv[i], "--repair") == 0)
@@ -168,15 +130,8 @@ main(int argc, char **argv)
             }
             if (dir.empty())
                 return usage(argv[0]);
-            if (store::IndexStore::present(dir)) {
-                const store::IndexFsckReport report =
-                    store::fsckIndexStore(
-                        dir, {.repair = options.repair});
-                printIndexReport(report);
-                return report.clean() ? 0 : 1;
-            }
-            const service::FsckReport report =
-                service::fsckStore(dir, options);
+            const store::IndexFsckReport report =
+                store::fsckIndexStore(dir, options);
             printReport(report);
             return report.clean() ? 0 : 1;
         }
@@ -184,15 +139,8 @@ main(int argc, char **argv)
         if (verb == "compact") {
             if (argc != 3)
                 return usage(argv[0]);
-            const std::string dir = argv[2];
-            if (store::IndexStore::present(dir)) {
-                const store::IndexFsckReport report =
-                    store::compactIndexStoreDir(dir);
-                printIndexReport(report);
-                return report.clean() ? 0 : 1;
-            }
-            const service::FsckReport report =
-                service::compactStore(dir);
+            const store::IndexFsckReport report =
+                store::compactIndexStoreDir(argv[2]);
             printReport(report);
             return report.clean() ? 0 : 1;
         }
@@ -214,46 +162,41 @@ main(int argc, char **argv)
         }
 
         if (verb == "populate") {
-            service::ResultStore::Options options;
-            options.memCapacity = 0;
-            size_t payloadBytes = 64;
             std::string dir;
-            long long count = -1;
+            std::string countText;
+            std::string payloadText = "64";
             for (int i = 2; i < argc; ++i) {
                 const std::string arg = argv[i];
-                if (arg == "--format" && i + 1 < argc) {
-                    const auto format =
-                        service::parseStoreFormat(argv[++i]);
-                    if (!format)
-                        return usage(argv[0]);
-                    options.format = *format;
-                } else if (arg == "--payload-bytes" && i + 1 < argc) {
-                    payloadBytes = std::strtoull(argv[++i], nullptr, 10);
-                } else if (dir.empty()) {
+                if (arg == "--payload-bytes" && i + 1 < argc)
+                    payloadText = argv[++i];
+                else if (dir.empty())
                     dir = arg;
-                } else if (count < 0) {
-                    count = std::strtoll(arg.c_str(), nullptr, 10);
-                } else {
+                else if (countText.empty())
+                    countText = arg;
+                else
                     return usage(argv[0]);
-                }
             }
-            if (dir.empty() || count < 0)
+            if (dir.empty() || countText.empty())
                 return usage(argv[0]);
-            options.dir = dir;
-            service::ResultStore store(options);
-            for (long long i = 0; i < count; ++i) {
-                const std::string key =
-                    "populate-key-" + std::to_string(i);
-                std::string payload =
-                    "payload-" + std::to_string(i) + "-";
+            uint64_t count = 0;
+            uint64_t payloadBytes = 0;
+            try {
+                count = parseU64Strict(countText, "COUNT");
+                payloadBytes = parseU64Strict(payloadText, "--payload-bytes");
+            } catch (const DavfError &error) {
+                std::fprintf(stderr, "%s\n", error.what());
+                return usage(argv[0]);
+            }
+            service::ResultStore store({.dir = dir, .memCapacity = 0});
+            for (uint64_t i = 0; i < count; ++i) {
+                const std::string key = "populate-key-" + std::to_string(i);
+                std::string payload = "payload-" + std::to_string(i) + "-";
                 while (payload.size() < payloadBytes)
                     payload += 'x';
                 store.store(key, payload);
             }
-            std::fprintf(stderr, "populated %lld %s record(s) in %s\n",
-                         count,
-                         store.indexed() ? "indexed" : "legacy",
-                         dir.c_str());
+            std::fprintf(stderr, "populated %llu record(s) in %s\n",
+                         (unsigned long long)count, dir.c_str());
             return 0;
         }
 

@@ -22,6 +22,7 @@
  *   davf_trace attr --checkpoint FILE
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +36,7 @@
 #include "soc/ibex_mini.hh"
 #include "soc/soc_workload.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 using namespace davf;
 
@@ -114,34 +116,44 @@ runTool(int argc, char **argv)
     long wire_index = -1;
     uint64_t tail = 40;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto need = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(2);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto need = [&]() -> const char * {
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr, "missing value for %s\n",
+                                 arg.c_str());
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (arg == "--benchmark")
+                benchmark = need();
+            else if (arg == "--structure")
+                structure_name = need();
+            else if (arg == "--cycle")
+                cycle = parseU64Strict(need(), arg);
+            else if (arg == "--d")
+                fraction = parseDoubleStrict(need(), arg);
+            else if (arg == "--wire")
+                wire_index = static_cast<long>(
+                    parseU64InRange(need(), arg, 0, LONG_MAX));
+            else if (arg == "--tail")
+                tail = parseU64Strict(need(), arg);
+            else if (arg == "--out")
+                prefix = need();
+            else {
+                std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+                return 2;
             }
-            return argv[++i];
-        };
-        if (arg == "--benchmark")
-            benchmark = need();
-        else if (arg == "--structure")
-            structure_name = need();
-        else if (arg == "--cycle")
-            cycle = std::strtoull(need(), nullptr, 10);
-        else if (arg == "--d")
-            fraction = std::atof(need());
-        else if (arg == "--wire")
-            wire_index = std::atol(need());
-        else if (arg == "--tail")
-            tail = std::strtoull(need(), nullptr, 10);
-        else if (arg == "--out")
-            prefix = need();
-        else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
         }
+    } catch (const DavfError &error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
+    }
+    if (fraction < 0.0 || fraction > 1.0) {
+        std::fprintf(stderr, "--d must lie in [0, 1], got %g\n", fraction);
+        return 2;
     }
 
     const BenchmarkProgram &program = beebsBenchmark(benchmark);
