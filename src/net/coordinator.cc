@@ -6,9 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
-#include <sstream>
 
-#include "campaign/checkpoint.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/clock.hh"
@@ -246,10 +244,6 @@ Coordinator::finishJob(CellCtx &ctx, Job &job)
         const std::lock_guard<std::mutex> lock(ctx.deliverMutex);
         ctx.deliver(job);
         if (options.cacheStore && !job.fromCache) {
-            const std::string payload =
-                job.spec.kind == ShardSpec::Kind::Cycle
-                ? serializeOutcomeFields(job.cycleOutcome)
-                : serializeSavfFields(job.savfOutcome);
             // The shared store is a cache tier: the shard's result is
             // already delivered to the journal above, so a store that
             // cannot accept the write (full disk, armed crash point)
@@ -258,7 +252,8 @@ Coordinator::finishJob(CellCtx &ctx, Job &job)
                 static const crashpoint::CrashPoint store_point(
                     "net.store_write");
                 store_point.fire();
-                options.cacheStore(job.spec, payload);
+                options.cacheStore(job.spec, job.cycleOutcome,
+                                   job.savfOutcome);
                 netMetrics().storeWrites.add(1);
             } catch (const DavfError &error) {
                 netMetrics().storeWriteFailures.add(1);
@@ -425,16 +420,9 @@ Coordinator::runCell(std::vector<Job> jobs,
     // node (or any earlier run) already computed is a hit, not work.
     if (options.cacheLookup) {
         for (Job &job : ctx.jobs) {
-            const std::optional<std::string> hit =
-                options.cacheLookup(job.spec);
-            if (!hit)
+            if (!options.cacheLookup(job.spec, job.cycleOutcome,
+                                     job.savfOutcome))
                 continue;
-            std::istringstream is(*hit);
-            const bool ok = job.spec.kind == ShardSpec::Kind::Cycle
-                ? parseOutcomeFields(is, job.cycleOutcome)
-                : parseSavfFields(is, job.savfOutcome);
-            if (!ok)
-                continue; // Corrupt payload is a miss, not an error.
             job.fromCache = true;
             netMetrics().storeHits.add(1);
             finishJob(ctx, job);

@@ -97,15 +97,19 @@ struct CoordinatorOptions
      * degradation path; engine calls are serialized internally by the
      * coordinator). cacheLookup/cacheStore, when set, resolve shards
      * against the content-addressed result store before dispatching
-     * and persist fresh outcomes (payloads are the journal token
-     * grammar).
+     * and persist fresh outcomes (service/scheduler.hh's shard record
+     * codec). Both use the outcome the spec's kind names: the cycle
+     * outcome for a Cycle shard, the sAVF result otherwise; a lookup
+     * fills it and returns true on a hit.
      */
     /// @{
     std::function<InjectionCycleOutcome(const ShardSpec &)> localCycle;
     std::function<SavfResult(const ShardSpec &)> localSavf;
-    std::function<std::optional<std::string>(const ShardSpec &)>
+    std::function<bool(const ShardSpec &, InjectionCycleOutcome &,
+                       SavfResult &)>
         cacheLookup;
-    std::function<void(const ShardSpec &, const std::string &)>
+    std::function<void(const ShardSpec &, const InjectionCycleOutcome &,
+                       const SavfResult &)>
         cacheStore;
     /// @}
 };

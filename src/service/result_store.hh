@@ -10,14 +10,15 @@
  *
  * Tiers:
  *  - an in-memory LRU map (bounded entry count) absorbs the hot set;
- *  - a persistent disk tier: one append-only segment data file plus a
- *    persistent extendible-hash index (store/index_store.hh) — O(1)
- *    lookups with lock-free readers.
+ *  - a persistent disk tier: one append-only segment data file, found
+ *    through an in-memory key directory that every open rebuilds with
+ *    one scan of it (store/index_store.hh) — O(1) lookups.
  *
  * One process owns a store directory (the `index.lock` flock). The
  * owner migrates any legacy per-file records (`r-*.rec`, written by
- * older releases) into the index once at open (store/migrate.hh). A
- * process that loses the lock opens the same index **read-only**: it
+ * older releases) into the segment file once at open
+ * (store/migrate.hh). A process that loses the lock opens the same
+ * store **read-only**: it
  * serves the records published before its open, and its store() calls
  * fill only the memory tier (counted as `unpublishedWrites`).
  *
@@ -26,7 +27,7 @@
  * unparseable record — and a hash-collision record whose embedded key
  * disagrees — is reported as a miss (tallied in StoreStats), so the
  * caller recomputes and the rewrite repairs the store; the owner also
- * drops a damaged record's index slot. Nothing in this class ever
+ * drops a damaged record's directory entry. Nothing in this class ever
  * throws on a damaged record, and a failed record *publish* (full
  * disk, I/O error) is likewise swallowed after counting — the memory
  * tier still serves the result. Only an uncreatable store directory

@@ -40,27 +40,58 @@ elapsedMs(Clock::time_point since)
         .count();
 }
 
-/** Parse a stored outcome payload; any damage or trailing junk fails. */
+/** Parse one stored payload with @p parse; any damage or trailing
+ * token fails. */
+template <typename T, typename Parse>
 bool
-parseOutcomePayload(const std::string &payload,
-                    InjectionCycleOutcome &outcome)
+lookupStrict(ResultStore &store, const std::string &key, T &out,
+             Parse parse)
 {
-    std::istringstream is(payload);
-    if (!parseOutcomeFields(is, outcome))
+    const std::optional<std::string> payload = store.lookup(key);
+    if (!payload)
         return false;
+    std::istringstream is(*payload);
     std::string trailing;
-    return !(is >> trailing);
+    out = T{};
+    if (parse(is, out) && !(is >> trailing))
+        return true;
+    davf_warn("stored shard payload under '", key,
+              "' unparseable; recomputing");
+    return false;
+}
+
+/// @name Shard record codec (see shardCacheHooks in scheduler.hh)
+/// @{
+/** A cycle outcome is v3 exactly when it carries attribution. */
+void
+storeShardOutcome(ResultStore &store, const std::string &key,
+                  const InjectionCycleOutcome &outcome)
+{
+    store.store(key, serializeOutcomeFields(outcome),
+                outcome.attr.valid ? 3 : 2);
+}
+
+void
+storeShardOutcome(ResultStore &store, const std::string &key,
+                  const SavfResult &result)
+{
+    store.store(key, serializeSavfFields(result));
 }
 
 bool
-parseSavfPayload(const std::string &payload, SavfResult &result)
+lookupShardOutcome(ResultStore &store, const std::string &key,
+                   InjectionCycleOutcome &outcome)
 {
-    std::istringstream is(payload);
-    if (!parseSavfFields(is, result))
-        return false;
-    std::string trailing;
-    return !(is >> trailing);
+    return lookupStrict(store, key, outcome, parseOutcomeFields);
 }
+
+bool
+lookupShardOutcome(ResultStore &store, const std::string &key,
+                   SavfResult &result)
+{
+    return lookupStrict(store, key, result, parseSavfFields);
+}
+/// @}
 
 std::string
 histogramJson(const Histogram &h)
@@ -113,6 +144,30 @@ shardStoreKey(const std::string &fingerprint, const ShardSpec &spec)
     return fingerprint + " " + serializeShardSpec(spec);
 }
 
+ShardCacheHooks
+shardCacheHooks(ResultStore &store, std::string fingerprint)
+{
+    ShardCacheHooks hooks;
+    hooks.lookup = [&store, fingerprint](const ShardSpec &spec,
+                                         InjectionCycleOutcome &cycle,
+                                         SavfResult &savf) {
+        const std::string key = shardStoreKey(fingerprint, spec);
+        return spec.kind == ShardSpec::Kind::Cycle
+            ? lookupShardOutcome(store, key, cycle)
+            : lookupShardOutcome(store, key, savf);
+    };
+    hooks.store = [&store, fingerprint](const ShardSpec &spec,
+                                        const InjectionCycleOutcome &cycle,
+                                        const SavfResult &savf) {
+        const std::string key = shardStoreKey(fingerprint, spec);
+        if (spec.kind == ShardSpec::Kind::Cycle)
+            storeShardOutcome(store, key, cycle);
+        else
+            storeShardOutcome(store, key, savf);
+    };
+    return hooks;
+}
+
 std::string
 QueryScheduler::shardKey(const ShardSpec &spec) const
 {
@@ -124,10 +179,7 @@ QueryScheduler::storeOutcome(ShardSpec spec,
                              const InjectionCycleOutcome &outcome)
 {
     spec.cycle = outcome.cycle;
-    // Attribution-bearing payloads carry the v3 grammar extension;
-    // plain outcomes keep writing v2 so old readers stay compatible.
-    store->store(shardKey(spec), serializeOutcomeFields(outcome),
-                 outcome.attr.valid ? 3 : 2);
+    storeShardOutcome(*store, shardKey(spec), outcome);
 }
 
 Result<DelayAvfResult>
@@ -159,18 +211,9 @@ QueryScheduler::runDavfCell(const Structure &structure,
     const Clock::time_point lookup_start = Clock::now();
     for (uint64_t cycle : cycles) {
         spec.cycle = cycle;
-        bool hit = false;
-        if (auto payload = store->lookup(shardKey(spec))) {
-            InjectionCycleOutcome outcome;
-            if (parseOutcomePayload(*payload, outcome)) {
-                progress.completed.push_back(std::move(outcome));
-                hit = true;
-            } else {
-                davf_warn("store payload for cycle ", cycle,
-                          " unparseable; recomputing");
-            }
-        }
-        if (hit) {
+        InjectionCycleOutcome outcome;
+        if (lookupShardOutcome(*store, shardKey(spec), outcome)) {
+            progress.completed.push_back(std::move(outcome));
             ++reply.storeHits;
             schedulerMetrics().shardHits.add(1);
             const std::lock_guard<std::mutex> stats_lock(statsMutex);
@@ -203,8 +246,7 @@ QueryScheduler::runDavfCell(const Structure &structure,
         for (uint64_t cycle : missing) {
             spec.cycle = cycle;
             InjectionCycleOutcome outcome;
-            if (auto payload = store->lookup(shardKey(spec));
-                payload && parseOutcomePayload(*payload, outcome)) {
+            if (lookupShardOutcome(*store, shardKey(spec), outcome)) {
                 progress.completed.push_back(std::move(outcome));
                 ++reply.storeHits;
                 schedulerMetrics().shardHits.add(1);
@@ -318,10 +360,8 @@ QueryScheduler::runSavfCell(const Structure &structure,
     const Clock::time_point lookup_start = Clock::now();
     auto tryLookup = [&]() -> std::optional<SavfResult> {
         SavfResult result;
-        if (auto payload = store->lookup(key);
-            payload && parseSavfPayload(*payload, result)) {
+        if (lookupShardOutcome(*store, key, result))
             return result;
-        }
         return std::nullopt;
     };
     std::optional<SavfResult> hit = tryLookup();
@@ -371,7 +411,7 @@ QueryScheduler::runSavfCell(const Structure &structure,
     }
     if (result.stopped)
         return R::Err(ErrorKind::Timeout, "query cancelled");
-    store->store(key, serializeSavfFields(result));
+    storeShardOutcome(*store, key, result);
     ++reply.storeMisses;
     return R::Ok(std::move(result));
 }
@@ -481,15 +521,8 @@ QueryScheduler::statsJson() const
            << ",\"collisions\":" << index_stats->collisions
            << ",\"appends\":" << index_stats->appends
            << ",\"replayed_frames\":" << index_stats->replayed
-           << ",\"rebuilds\":" << index_stats->rebuilds
            << ",\"tail_repairs\":" << index_stats->tailRepairs
-           << ",\"checkpoints\":" << index_stats->checkpoints
-           << ",\"checkpoint_failures\":"
-           << index_stats->checkpointFailures
            << ",\"keys\":" << index_stats->keys
-           << ",\"buckets\":" << index_stats->buckets
-           << ",\"depth\":" << index_stats->depth
-           << ",\"splits\":" << index_stats->splits
            << ",\"segment_bytes\":" << index_stats->segmentBytes
            << '}';
     }

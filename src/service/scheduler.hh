@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -67,6 +68,28 @@ namespace davf::service {
  */
 std::string shardStoreKey(const std::string &fingerprint,
                           const ShardSpec &spec);
+
+/**
+ * The net coordinator's shared cache tier over @p store: the
+ * CoordinatorOptions::cacheLookup/cacheStore pair (net/coordinator.hh)
+ * for shards keyed under @p fingerprint. They use the same shard
+ * record codec as the query scheduler, so both writers persist the
+ * same bytes: a cycle outcome is written in record grammar v3 exactly
+ * when it carries attribution (plain outcomes stay byte-identical v2),
+ * and a payload that fails to parse strictly — damage or trailing
+ * tokens — is a miss the caller recomputes.
+ */
+struct ShardCacheHooks
+{
+    std::function<bool(const ShardSpec &, InjectionCycleOutcome &,
+                       SavfResult &)>
+        lookup;
+    std::function<void(const ShardSpec &, const InjectionCycleOutcome &,
+                       const SavfResult &)>
+        store;
+};
+ShardCacheHooks shardCacheHooks(ResultStore &store,
+                                std::string fingerprint);
 
 /** Monotonic scheduler counters (store counters live in StoreStats). */
 struct SchedulerStats

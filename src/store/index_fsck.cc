@@ -1,13 +1,10 @@
 #include "index_fsck.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <filesystem>
-#include <unordered_map>
+#include <iterator>
+#include <unordered_set>
 
-#include <unistd.h>
-
-#include "store/hash_index.hh"
 #include "store/index_store.hh"
 #include "store/layout.hh"
 #include "store/migrate.hh"
@@ -48,7 +45,6 @@ classify(const std::string &dir)
         davf_throw(ErrorKind::Io, "store dir '", dir,
                    "' is not a directory");
     }
-    bool haveIndexFile = false;
     bool haveDataFile = false;
     for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
          it.increment(ec)) {
@@ -58,60 +54,35 @@ classify(const std::string &dir)
                 ++report.foreign;
             continue;
         }
-        if (name == kIndexFileName)
-            haveIndexFile = true;
-        else if (name == kDataFileName)
+        if (name == kDataFileName) {
             haveDataFile = true;
-        else if (name == kSplitJournalName)
-            report.tornSplit = true;
-        else if (name == kLockFileName)
-            ; // Infrastructure, not data.
-        else if (isLegacyRecordName(name))
+        } else if (name == kLockFileName) {
+            // Infrastructure, not data.
+        } else if (isLegacyRecordName(name)) {
             ++report.legacyStrays;
-        else
+        } else if (std::find(std::begin(kRetiredIndexFiles),
+                             std::end(kRetiredIndexFiles), name)
+                   != std::end(kRetiredIndexFiles)) {
+            report.notes.push_back(
+                "retired index file " + name
+                + " (an older release's; the owner's next open "
+                  "removes it)");
+        } else {
             ++report.foreign;
+        }
     }
     if (ec) {
         davf_throw(ErrorKind::Io, "cannot enumerate store dir '", dir,
                    "': ", ec.message());
     }
-    if (report.tornSplit) {
-        report.notes.push_back(
-            "torn split: leftover " + std::string(kSplitJournalName)
-            + " (process died mid-split; index must be rebuilt)");
-    }
 
-    // The index: load it the same way a reopen would. A leftover
-    // journal already condemns it, so don't double-report.
-    std::unordered_map<uint64_t, BucketSlot> byHash;
-    HashIndex index;
-    bool indexUsable = false;
-    if (!haveIndexFile) {
-        if (haveDataFile) {
-            report.staleIndex = true;
-            report.notes.push_back(
-                "stale index: index.davf missing (rebuild required)");
-        }
-    } else if (!report.tornSplit) {
-        auto loaded = index.load(
-            dir, dir + "/" + std::string(kIndexFileName), false);
-        if (loaded) {
-            indexUsable = true;
-            index.forEachSlot([&](const BucketSlot &slot) {
-                byHash[slot.hash] = slot;
-            });
-        } else {
-            report.staleIndex = true;
-            report.notes.push_back(std::string("stale index: ")
-                                   + loaded.error().what());
-        }
-    }
-
-    // The segment file: full scan, cross-checked against the slots.
-    std::unordered_map<uint64_t, uint64_t> matchedAt; // hash -> offset
+    // The segment file: a full scan with every body verified. Every
+    // valid frame but the newest of its key hash is superseded.
     if (haveDataFile) {
         SegmentFile segments;
         segments.open(dir + "/" + std::string(kDataFileName), false);
+        std::unordered_set<uint64_t> keys;
+        uint64_t valid = 0;
         const SegmentFile::ScanStats scanned = segments.scan(
             0,
             [&](uint64_t offset, const FrameHeader &header,
@@ -125,22 +96,11 @@ classify(const std::string &dir)
                         + std::to_string(offset));
                     return;
                 }
-                if (!indexUsable) {
-                    ++report.validFrames;
-                    return;
-                }
-                const auto slot = byHash.find(header.keyHash);
-                if (slot != byHash.end()
-                    && slot->second.offset == offset
-                    && slot->second.size == header.size) {
-                    ++report.validFrames;
-                    matchedAt[header.keyHash] = offset;
-                } else if (slot != byHash.end()) {
-                    ++report.superseded;
-                } else {
-                    ++report.unindexed;
-                }
+                keys.insert(header.keyHash);
+                ++valid;
             });
+        report.validFrames = keys.size();
+        report.superseded = valid - keys.size();
         if (scanned.tornTail) {
             report.tornTailBytes = segments.size() - scanned.tailOffset;
             out.tailOffset = scanned.tailOffset;
@@ -150,58 +110,15 @@ classify(const std::string &dir)
                 + std::to_string(scanned.tailOffset));
         }
     }
-    if (indexUsable) {
-        index.forEachSlot([&](const BucketSlot &slot) {
-            if (matchedAt.find(slot.hash) == matchedAt.end()) {
-                ++report.staleEntries;
-                report.notes.push_back(
-                    "stale index entry: hash "
-                    + std::to_string(slot.hash) + " -> offset "
-                    + std::to_string(slot.offset)
-                    + " holds no valid frame");
-            }
-        });
-    }
-    if (report.unindexed > 0) {
-        report.notes.push_back(
-            std::to_string(report.unindexed)
-            + " valid frame(s) not reachable through the index "
-              "(un-replayed tail; reopen or repair replays them)");
-    }
     if (report.legacyStrays > 0) {
         report.notes.push_back(
             std::to_string(report.legacyStrays)
-            + " legacy record file(s) alongside the index "
+            + " legacy record file(s) alongside the segment file "
               "(the owner's next open or 'davf_store migrate' "
               "absorbs them)");
     }
-    index.close();
     std::sort(report.notes.begin(), report.notes.end());
     return out;
-}
-
-/** Move the split journal into quarantine (evidence, not deleted). */
-uint64_t
-quarantineJournal(const std::string &dir)
-{
-    const fs::path journal = fs::path(dir) / kSplitJournalName;
-    std::error_code ec;
-    if (!fs::exists(journal, ec))
-        return 0;
-    const fs::path qdir = fs::path(dir) / "quarantine";
-    fs::create_directories(qdir, ec);
-    fs::path target = qdir / kSplitJournalName;
-    for (int n = 1; fs::exists(target, ec); ++n) {
-        target = qdir
-            / (std::string(kSplitJournalName) + "."
-               + std::to_string(n));
-    }
-    fs::rename(journal, target, ec);
-    if (ec) {
-        davf_throw(ErrorKind::Io, "cannot quarantine '",
-                   journal.string(), "': ", ec.message());
-    }
-    return 1;
 }
 
 /**
@@ -248,8 +165,7 @@ quarantineGarbledFrames(const std::string &dir,
 bool
 IndexFsckReport::clean() const
 {
-    return !tornSplit && !staleIndex && staleEntries == 0
-        && unindexed == 0 && garbledFrames == 0 && tornTailBytes == 0;
+    return garbledFrames == 0 && tornTailBytes == 0;
 }
 
 IndexFsckReport
@@ -263,38 +179,19 @@ fsckIndexStore(const std::string &dir, const IndexFsckOptions &options)
 
     repair_point.fire();
 
-    uint64_t quarantined = 0;
-    quarantined += quarantineGarbledFrames(dir, first.garbled);
-    bool rebuilt = false;
-    if (first.report.tornSplit || first.report.staleIndex
-        || first.report.staleEntries > 0) {
-        // The index is derived data — the segment file is the
-        // evidence — so condemning it costs nothing but a rebuild.
-        quarantined += quarantineJournal(dir);
-        const std::string indexPath =
-            dir + "/" + std::string(kIndexFileName);
-        if (::unlink(indexPath.c_str()) != 0 && errno != ENOENT) {
-            davf_throw(ErrorKind::Io, "cannot remove stale index '",
-                       indexPath, "'");
-        }
-        rebuilt = true;
-    }
-    const bool hadTornTail = first.report.tornTailBytes > 0;
+    uint64_t quarantined = quarantineGarbledFrames(dir, first.garbled);
     {
-        // Opening the store performs the remaining repairs: rebuild
-        // or tail replay, torn-tail quarantine + truncate, and a
-        // clean checkpoint. It also takes the index lock, so repair
-        // cannot race a live server.
+        // Opening the store performs the remaining repair: torn-tail
+        // quarantine + truncate. It also takes the index lock, so
+        // repair cannot race a live server.
         IndexStore store({.dir = dir});
         store.requireOwner();
-        if (hadTornTail)
+        if (first.report.tornTailBytes > 0)
             ++quarantined; // The tail-<offset>.bin evidence file.
-        rebuilt = rebuilt || store.stats().rebuilds > 0;
     }
 
     Classified after = classify(dir);
     after.report.quarantined = quarantined;
-    after.report.rebuilt = rebuilt;
     return after.report;
 }
 
@@ -316,7 +213,6 @@ compactIndexStoreDir(const std::string &dir)
     final.report.migrated = migrated.migrated;
     final.report.quarantined =
         repaired.quarantined + migrated.quarantined;
-    final.report.rebuilt = true;
     final.report.reclaimedBytes = reclaimed;
     return final.report;
 }

@@ -5,37 +5,29 @@
  *
  * fsckIndexStore() classifies, without mutating anything:
  *
- *  - **torn split**   a leftover `split.journal`: the process died
- *                     between journaling a bucket split and erasing
- *                     the journal — the index may be half-split;
- *  - **stale index**  `index.davf` fails to load (bad header/page
- *                     checksum, directory holes/overlap, geometry);
- *  - **stale entry**  an index slot whose offset does not hold a
- *                     valid frame for its hash (garble damage);
- *  - **unindexed**    a valid segment frame the index cannot reach —
- *                     normally the un-checkpointed tail a reopen
- *                     replays;
  *  - **garbled frame** a frame whose body checksum fails;
  *  - **torn tail**    unframeable bytes reaching segment EOF (a
  *                     half-written append);
  *  - **superseded**   older frames shadowed by a newer write for the
  *                     same hash — not damage, just reclaimable space;
- *  - **legacy strays** `r-*.rec` files alongside the index (left by
- *                     an older binary or an interrupted migration;
- *                     absorbed by the owner's next open, migrate or
- *                     compact).
+ *  - **legacy strays** `r-*.rec` files alongside the segment file
+ *                     (left by an older binary or an interrupted
+ *                     migration; absorbed by the owner's next open,
+ *                     migrate or compact);
+ *  - **retired index files** an older release's `index.davf` or
+ *                     `split.journal` — not damage; the owner's next
+ *                     open removes them.
  *
  * With `repair` set, damage evidence is quarantined into
- * `<dir>/quarantine/` — never deleted — and the index is rebuilt from
- * a full segment scan (the data file is the source of truth; the
- * index is derived and safe to regenerate). A repaired store passes a
+ * `<dir>/quarantine/` — never deleted — and garbled frames are zeroed
+ * so later scans resync past them. A repaired store passes a
  * subsequent fsck; repair is idempotent and guarded by the
  * `fsck.repair` crash point.
  *
  * compactIndexStoreDir() is repair plus space recovery: absorb legacy
  * strays, quarantine damage, then rewrite the segment file keeping
  * only live records (IndexStore::compact, `compact.rewrite` crash
- * point) and rebuild the index over it.
+ * point).
  */
 
 #ifndef DAVF_STORE_INDEX_FSCK_HH
@@ -50,19 +42,14 @@ namespace davf::store {
 /** What an index-store fsck or compact pass found (and did). */
 struct IndexFsckReport
 {
-    uint64_t validFrames = 0;   ///< Valid + reachable via the index.
+    uint64_t validFrames = 0;   ///< Newest valid frame of each key.
     uint64_t superseded = 0;    ///< Valid but shadowed by newer frames.
     uint64_t garbledFrames = 0; ///< Body checksum failures.
     uint64_t tornTailBytes = 0; ///< Unframeable bytes at segment EOF.
-    bool tornSplit = false;     ///< Leftover split journal.
-    bool staleIndex = false;    ///< index.davf failed to load.
-    uint64_t staleEntries = 0;  ///< Slots pointing at non-frames.
-    uint64_t unindexed = 0;     ///< Valid frames the index misses.
     uint64_t legacyStrays = 0;  ///< r-*.rec files awaiting absorption.
     uint64_t foreign = 0;       ///< Everything else (counted, ignored).
 
     uint64_t quarantined = 0;   ///< Evidence files written by repair.
-    bool rebuilt = false;       ///< Repair rebuilt the index.
     uint64_t migrated = 0;      ///< Strays absorbed (compact).
     uint64_t reclaimedBytes = 0; ///< Segment bytes freed (compact).
 
@@ -70,9 +57,9 @@ struct IndexFsckReport
     std::vector<std::string> notes;
 
     /**
-     * Nothing needs repair. Legacy strays and superseded frames do
-     * not block cleanliness: both are valid data that migration and
-     * compaction respectively tidy.
+     * Nothing needs repair. Legacy strays, retired index files and
+     * superseded frames do not block cleanliness: the owner's open,
+     * migration and compaction tidy them.
      */
     bool clean() const;
 };
@@ -92,8 +79,7 @@ IndexFsckReport fsckIndexStore(const std::string &dir,
 
 /**
  * Repair @p dir and recover space: absorb legacy strays, quarantine
- * damage, rewrite the segment file to live records only, rebuild the
- * index. Crash-safe and idempotent. Throws DavfError{Io} if the dir
+ * damage, rewrite the segment file to live records only. Crash-safe and idempotent. Throws DavfError{Io} if the dir
  * is unusable or locked by a live server.
  */
 IndexFsckReport compactIndexStoreDir(const std::string &dir);

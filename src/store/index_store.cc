@@ -4,11 +4,11 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <vector>
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/metrics.hh"
@@ -54,18 +54,9 @@ struct IndexMetrics
     obs::Counter collisions{"store.index.collisions"};
     obs::Counter appends{"store.index.appends"};
     obs::Counter replayed{"store.index.replayed_frames"};
-    obs::Counter rebuilds{"store.index.rebuilds"};
     obs::Counter tailRepairs{"store.index.tail_repairs"};
-    obs::Counter checkpoints{"store.index.checkpoints"};
-    obs::Counter checkpointFailures{
-        "store.index.checkpoint_failures"};
     obs::Gauge keys{"store.index.keys"};
-    obs::Gauge buckets{"store.index.buckets"};
-    obs::Gauge depth{"store.index.depth"};
-    obs::Gauge splits{"store.index.splits"};
     obs::Gauge segmentBytes{"store.index.segment_bytes"};
-    obs::ValueHistogram probesPerLookup{
-        "store.index.probes_per_lookup"};
 };
 
 IndexMetrics &
@@ -77,16 +68,7 @@ indexMetrics()
 
 } // namespace
 
-bool
-IndexStore::present(const std::string &dir)
-{
-    struct stat st{};
-    const std::string path = dir + "/" + kIndexFileName;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-IndexStore::IndexStore(Options the_options)
-    : options(std::move(the_options)), storeDir(options.dir)
+IndexStore::IndexStore(Options options) : storeDir(std::move(options.dir))
 {
     davf_assert(!storeDir.empty(), "IndexStore needs a directory");
     std::error_code ec;
@@ -111,20 +93,14 @@ IndexStore::IndexStore(Options the_options)
     }
 
     try {
-        // A leftover compaction rewrite never finished (its rename is
-        // the commit point), so it holds only copies of frames still
-        // present in the real segment file. Only the owner removes it.
-        const std::string staleCompact =
-            storeDir + "/" + kDataFileName + kCompactSuffix;
-        if (!readOnlySnapshot && ::unlink(staleCompact.c_str()) == 0) {
-            davf_warn("removed unfinished compaction rewrite '",
-                      staleCompact, "'");
-        }
-        openOrRecover();
+        if (!readOnlySnapshot)
+            removeLeftovers();
+        segments.open(storeDir + "/" + kDataFileName, !readOnlySnapshot);
+        loadDirectory();
     } catch (...) {
         segments.close();
-        index.close();
-        ::close(lockFd);
+        if (lockFd >= 0)
+            ::close(lockFd);
         lockFd = -1;
         throw;
     }
@@ -132,15 +108,7 @@ IndexStore::IndexStore(Options the_options)
 
 IndexStore::~IndexStore()
 {
-    try {
-        if (!readOnlySnapshot)
-            checkpoint();
-    } catch (const DavfError &error) {
-        davf_warn("index checkpoint on close failed for '", storeDir,
-                  "' (next open replays the tail): ", error.what());
-    }
     segments.close();
-    index.close();
     if (lockFd >= 0)
         ::close(lockFd);
 }
@@ -156,91 +124,54 @@ IndexStore::requireOwner() const
 }
 
 void
-IndexStore::openOrRecover()
+IndexStore::removeLeftovers()
 {
-    const std::string indexPath = storeDir + "/" + kIndexFileName;
-    // The index loads before the segment file is sized, so a read-only
-    // snapshot never holds a slot past the end it sees: the owner
-    // appends a frame before any page can point at it.
-    auto loaded = index.load(storeDir, indexPath, !readOnlySnapshot);
-    segments.open(storeDir + "/" + kDataFileName, !readOnlySnapshot);
-    segments.syncAppends = options.syncAppends;
-    bool mutated = false;
-    if (loaded) {
-        if (loaded.value().dataCommitted > segments.size()) {
-            // The data file shrank behind the watermark (external
-            // truncation): nothing the watermark vouches for can be
-            // trusted.
-            davf_warn("index watermark past segment EOF in '", storeDir,
-                      "'; rebuilding");
-            rebuild();
-            mutated = true;
-        } else {
-            const uint64_t replayed =
-                replayTail(loaded.value().dataCommitted);
-            mutated = replayed > 0 || !loaded.value().clean;
-        }
-    } else {
-        const bool fresh =
-            !std::filesystem::exists(indexPath) && segments.size() == 0;
-        if (!fresh && !readOnlySnapshot) {
-            davf_warn("index unusable in '", storeDir, "' (",
-                      loaded.error().what(), "); rebuilding");
-        }
-        rebuild();
-        mutated = true;
+    // A leftover compaction rewrite never finished (its rename is the
+    // commit point), so it holds only copies of frames still present
+    // in the real segment file.
+    const std::string rewrite =
+        storeDir + "/" + kDataFileName + kCompactSuffix;
+    if (::unlink(rewrite.c_str()) == 0)
+        davf_warn("removed unfinished compaction rewrite '", rewrite, "'");
+    // An older release's index is derived from the segment file, and
+    // that release rebuilds it when it is missing.
+    for (const char *name : kRetiredIndexFiles) {
+        const std::string path = storeDir + "/" + name;
+        if (::unlink(path.c_str()) == 0)
+            davf_warn("removed an older release's index file '", path,
+                      "'");
     }
-    if (!readOnlySnapshot
-        && (mutated || !loaded || !loaded.value().clean)) {
-        try {
-            checkpointLockedFree();
-        } catch (const DavfError &error) {
-            const std::lock_guard<std::mutex> lock(statsMutex);
-            ++counters.checkpointFailures;
-            indexMetrics().checkpointFailures.add(1);
-            davf_warn("index checkpoint after open failed for '",
-                      storeDir, "': ", error.what());
-        }
-    }
-    refreshShapeGauges();
 }
 
 void
-IndexStore::rebuild()
+IndexStore::loadDirectory()
 {
-    if (segments.size() > 0 || IndexStore::present(storeDir)) {
-        const std::lock_guard<std::mutex> lock(statsMutex);
-        ++counters.rebuilds;
-        indexMetrics().rebuilds.add(1);
-    }
-    index.create(storeDir, readOnlySnapshot
-                               ? std::string()
-                               : storeDir + "/" + kIndexFileName);
-    replayTail(0);
-}
-
-uint64_t
-IndexStore::replayTail(uint64_t from)
-{
-    uint64_t replayed = 0;
+    // Later frames overwrite earlier ones, so the newest frame per key
+    // hash wins, as it did when it was appended. Bodies are not read:
+    // a garbled one stays reachable, and its first lookup reports it
+    // corrupt and drops it, like a frame damaged after the scan (fsck
+    // quarantines the bytes).
+    directory.clear();
+    uint64_t loaded = 0;
     const SegmentFile::ScanStats scanned = segments.scan(
-        from,
-        [&](uint64_t offset, const FrameHeader &header, bool bodyValid) {
-            if (!bodyValid)
-                return; // Garbled frame: skippable; fsck quarantines.
-            index.insert(header.keyHash, offset, header.size);
-            ++replayed;
-        });
+        0,
+        [&](uint64_t offset, const FrameHeader &header, bool) {
+            directory[header.keyHash] = {offset, header.size};
+            ++loaded;
+        },
+        false);
     // A read-only snapshot leaves a torn tail alone: it is most likely
     // the owner's append in flight.
     if (scanned.tornTail && !readOnlySnapshot)
         repairTornTail(scanned.tailOffset, segments.size());
-    if (replayed > 0) {
+    {
         const std::lock_guard<std::mutex> lock(statsMutex);
-        counters.replayed += replayed;
-        indexMetrics().replayed.add(replayed);
+        counters.replayed += loaded;
     }
-    return replayed;
+    indexMetrics().replayed.add(loaded);
+    indexMetrics().keys.set(static_cast<int64_t>(directory.size()));
+    indexMetrics().segmentBytes.set(
+        static_cast<int64_t>(segments.size()));
 }
 
 void
@@ -284,65 +215,78 @@ IndexStore::lookup(const std::string &key)
 {
     LookupResult result;
     const uint64_t hash = fnv1a64(key);
-    uint32_t probes = 0;
-    const auto candidate = index.lookup(hash, &probes);
-    indexMetrics().lookups.add(1);
-    indexMetrics().probesPerLookup.observe(probes);
-    if (!candidate) {
-        const std::lock_guard<std::mutex> lock(statsMutex);
-        ++counters.lookups;
-        return result;
+    std::optional<Location> damaged;
+    {
+        // Held across the read so compact() cannot swap the segment
+        // file out from under the view.
+        const std::shared_lock<std::shared_mutex> lock(directoryMutex);
+        const auto found = directory.find(hash);
+        if (found != directory.end()) {
+            const Location location = found->second;
+            std::string scratch;
+            auto record =
+                segments.readView(location.offset, location.size, scratch);
+            std::string_view recordKey, payload;
+            if (record
+                && splitCanonicalRecord(record.value(), recordKey,
+                                        payload)) {
+                // A key mismatch is a full 64-bit hash collision: the
+                // record is some other key's valid result. Kept —
+                // serving it would poison the cache, dropping it would
+                // hurt the owner.
+                result.status = recordKey == key
+                    ? LookupStatus::Hit
+                    : LookupStatus::Collision;
+                if (result.status == LookupStatus::Hit)
+                    result.payload.assign(payload);
+            } else if (record
+                       && recordTextFutureVersion(record.value())) {
+                // A record written by a newer binary sharing this
+                // store: not damage. Keep the entry (the writer can
+                // still serve it); the caller recomputes.
+                result.status = LookupStatus::Future;
+            } else {
+                result.status = LookupStatus::Corrupt;
+                damaged = location;
+            }
+        }
+    }
+    if (damaged && !readOnlySnapshot) {
+        // Drop the entry so readers stop re-verifying it (the owner
+        // only; the snapshot keeps it). Offset-guarded: a rewrite
+        // published since keeps its entry. The bytes stay in the
+        // segment file for fsck/compact to quarantine.
+        const std::unique_lock<std::shared_mutex> lock(directoryMutex);
+        const auto found = directory.find(hash);
+        if (found != directory.end()
+            && found->second.offset == damaged->offset)
+            directory.erase(found);
     }
 
-    std::string scratch;
-    auto record =
-        segments.readView(candidate->offset, candidate->size, scratch);
-    std::string_view recordKey, payload;
-    if (record
-        && !splitCanonicalRecord(record.value(), recordKey, payload)
-        && recordTextFutureVersion(record.value())) {
-        // A record written by a newer binary sharing this store: not
-        // damage. Keep the slot (the writer can still serve it) and
-        // report a distinct miss so the caller recomputes.
-        result.status = LookupStatus::Future;
-        indexMetrics().future.add(1);
-        const std::lock_guard<std::mutex> lock(statsMutex);
-        ++counters.lookups;
-        ++counters.future;
-        return result;
-    }
-    if (!record
-        || !splitCanonicalRecord(record.value(), recordKey, payload)) {
-        // Damaged frame or record: degrade to a miss and drop the
-        // slot so readers stop re-verifying it (the owner only; the
-        // snapshot keeps it); the bytes stay in the segment file for
-        // fsck/compact to quarantine.
-        if (!readOnlySnapshot)
-            index.remove(hash, candidate->offset);
-        result.status = LookupStatus::Corrupt;
-        indexMetrics().corrupt.add(1);
-        const std::lock_guard<std::mutex> lock(statsMutex);
-        ++counters.lookups;
-        ++counters.corrupt;
-        return result;
-    }
-    if (recordKey != key) {
-        // A full 64-bit hash collision: the record is some other
-        // key's valid result. Deliberately kept — serving it would
-        // poison the cache, dropping it would hurt the owner.
-        result.status = LookupStatus::Collision;
-        indexMetrics().collisions.add(1);
-        const std::lock_guard<std::mutex> lock(statsMutex);
-        ++counters.lookups;
-        ++counters.collisions;
-        return result;
-    }
-    result.status = LookupStatus::Hit;
-    result.payload.assign(payload);
-    indexMetrics().hits.add(1);
+    IndexMetrics &metrics = indexMetrics();
+    metrics.lookups.add(1);
     const std::lock_guard<std::mutex> lock(statsMutex);
     ++counters.lookups;
-    ++counters.hits;
+    switch (result.status) {
+      case LookupStatus::Hit:
+        metrics.hits.add(1);
+        ++counters.hits;
+        break;
+      case LookupStatus::Corrupt:
+        metrics.corrupt.add(1);
+        ++counters.corrupt;
+        break;
+      case LookupStatus::Collision:
+        metrics.collisions.add(1);
+        ++counters.collisions;
+        break;
+      case LookupStatus::Future:
+        metrics.future.add(1);
+        ++counters.future;
+        break;
+      case LookupStatus::Miss:
+        break;
+    }
     return result;
 }
 
@@ -357,64 +301,23 @@ IndexStore::putRecord(const std::string &key,
                       const std::string &record)
 {
     requireOwner();
-    const std::lock_guard<std::mutex> lock(writerMutex);
-    putLocked(key, record);
-}
-
-void
-IndexStore::putLocked(const std::string &key,
-                      const std::string &record)
-{
     const uint64_t hash = fnv1a64(key);
+    const std::lock_guard<std::mutex> writer(writerMutex);
     const uint64_t offset = segments.append(record, hash);
-    index.insert(hash, offset,
-                 static_cast<uint32_t>(record.size()));
+    size_t keys = 0;
+    {
+        const std::unique_lock<std::shared_mutex> lock(directoryMutex);
+        directory[hash] = {offset, static_cast<uint32_t>(record.size())};
+        keys = directory.size();
+    }
     {
         const std::lock_guard<std::mutex> lock(statsMutex);
         ++counters.appends;
     }
     indexMetrics().appends.add(1);
-    ++appendsSinceCheckpoint;
-    maybeCheckpointLocked();
-    refreshShapeGauges();
-}
-
-void
-IndexStore::maybeCheckpointLocked()
-{
-    if (appendsSinceCheckpoint < options.checkpointInterval)
-        return;
-    try {
-        checkpointLockedFree();
-    } catch (const DavfError &error) {
-        // The appended record is durable and indexed in memory; a
-        // failed checkpoint only means the next open replays more
-        // tail. Count it, keep serving.
-        const std::lock_guard<std::mutex> lock(statsMutex);
-        ++counters.checkpointFailures;
-        indexMetrics().checkpointFailures.add(1);
-        davf_warn("index checkpoint failed for '", storeDir,
-                  "' (continuing): ", error.what());
-    }
-}
-
-void
-IndexStore::checkpoint()
-{
-    requireOwner();
-    const std::lock_guard<std::mutex> lock(writerMutex);
-    checkpointLockedFree();
-}
-
-void
-IndexStore::checkpointLockedFree()
-{
-    segments.sync();
-    index.checkpoint(segments.size());
-    appendsSinceCheckpoint = 0;
-    const std::lock_guard<std::mutex> lock(statsMutex);
-    ++counters.checkpoints;
-    indexMetrics().checkpoints.add(1);
+    indexMetrics().keys.set(static_cast<int64_t>(keys));
+    indexMetrics().segmentBytes.set(
+        static_cast<int64_t>(segments.size()));
 }
 
 uint64_t
@@ -424,56 +327,54 @@ IndexStore::compact()
         "compact.rewrite");
 
     requireOwner();
-    const std::lock_guard<std::mutex> lock(writerMutex);
+    const std::lock_guard<std::mutex> writer(writerMutex);
     const uint64_t before = segments.size();
 
-    // The index's live slots are exactly the survivors: the newest
-    // valid frame per key. Rewriting in offset order keeps append
-    // order (and thus the newest-wins replay invariant) intact.
-    std::vector<BucketSlot> live;
-    index.forEachSlot(
-        [&](const BucketSlot &slot) { live.push_back(slot); });
+    // The directory's entries are exactly the survivors: the newest
+    // frame per key. Rewriting in offset order keeps append order (and
+    // thus the newest-wins scan invariant) intact.
+    std::vector<std::pair<uint64_t, Location>> live;
+    {
+        const std::shared_lock<std::shared_mutex> lock(directoryMutex);
+        live.assign(directory.begin(), directory.end());
+    }
     std::sort(live.begin(), live.end(),
-              [](const BucketSlot &a, const BucketSlot &b) {
-                  return a.offset < b.offset;
+              [](const auto &a, const auto &b) {
+                  return a.second.offset < b.second.offset;
               });
 
     rewrite_point.fire();
 
     const std::string dataPath = storeDir + "/" + kDataFileName;
     const std::string tmpPath = dataPath + kCompactSuffix;
+    std::unordered_map<uint64_t, Location> rewritten;
     {
         SegmentFile out;
         out.open(tmpPath);
         out.truncateTo(0);
         out.syncAppends = false;
-        for (const BucketSlot &slot : live) {
-            auto record = segments.read(slot.offset, slot.size);
+        for (const auto &[hash, location] : live) {
+            auto record = segments.read(location.offset, location.size);
             if (!record) {
-                // Damaged since indexing: compaction drops it (the
-                // bytes stay quarantinable in the pre-compact file
-                // until the rename; fsck quarantines such frames
-                // before compact is the documented order).
+                // A garbled body (the open scan reads headers only):
+                // compaction drops it. The bytes stay quarantinable in
+                // the pre-compact file until the rename; fsck
+                // quarantines such frames before compact is the
+                // documented order.
                 davf_warn("compaction dropping damaged frame at offset ",
-                          slot.offset, " in '", dataPath, "'");
+                          location.offset, " in '", dataPath, "'");
                 continue;
             }
-            out.append(record.value(), slot.hash);
+            rewritten[hash] = {out.append(record.value(), hash),
+                               location.size};
         }
         out.sync();
     }
 
-    // Commit protocol: the index describes pre-compact offsets, so it
-    // must die before the rename. Whatever instant this process is
-    // killed at, reopen finds either (old data, no index) or (new
-    // data, no index) and rebuilds correctly from a scan.
-    index.close();
-    if (::unlink((storeDir + "/" + kIndexFileName).c_str()) != 0
-        && errno != ENOENT) {
-        davf_throw(ErrorKind::Io, "cannot remove stale index in '",
-                   storeDir, "': ", std::strerror(errno));
-    }
-    fsyncDir(storeDir);
+    // Commit point: the rename. Killed before it, the old file (and
+    // the leftover rewrite the next owner removes) remains; killed
+    // after, the compact file does. Either scans correctly at the next
+    // open.
     if (::rename(tmpPath.c_str(), dataPath.c_str()) != 0) {
         davf_throw(ErrorKind::Io, "cannot commit compaction rename '",
                    tmpPath, "' -> '", dataPath, "': ",
@@ -481,32 +382,17 @@ IndexStore::compact()
     }
     fsyncDir(storeDir);
 
-    segments.close();
-    segments.open(dataPath);
-    segments.syncAppends = options.syncAppends;
-    rebuild();
-    checkpointLockedFree();
-    refreshShapeGauges();
+    {
+        const std::unique_lock<std::shared_mutex> lock(directoryMutex);
+        segments.close();
+        segments.open(dataPath);
+        directory = std::move(rewritten);
+        indexMetrics().keys.set(static_cast<int64_t>(directory.size()));
+    }
+    indexMetrics().segmentBytes.set(
+        static_cast<int64_t>(segments.size()));
     const uint64_t after = segments.size();
     return before > after ? before - after : 0;
-}
-
-void
-IndexStore::forEachSlot(
-    const std::function<void(const BucketSlot &)> &fn) const
-{
-    index.forEachSlot(fn);
-}
-
-void
-IndexStore::refreshShapeGauges()
-{
-    IndexMetrics &metrics = indexMetrics();
-    metrics.keys.set(static_cast<int64_t>(index.keyCount()));
-    metrics.buckets.set(static_cast<int64_t>(index.bucketCount()));
-    metrics.depth.set(static_cast<int64_t>(index.globalDepth()));
-    metrics.splits.set(static_cast<int64_t>(index.splits()));
-    metrics.segmentBytes.set(static_cast<int64_t>(segments.size()));
 }
 
 IndexStoreStats
@@ -517,10 +403,10 @@ IndexStore::stats() const
         const std::lock_guard<std::mutex> lock(statsMutex);
         snapshot = counters;
     }
-    snapshot.keys = index.keyCount();
-    snapshot.buckets = index.bucketCount();
-    snapshot.depth = index.globalDepth();
-    snapshot.splits = index.splits();
+    {
+        const std::shared_lock<std::shared_mutex> lock(directoryMutex);
+        snapshot.keys = directory.size();
+    }
     snapshot.segmentBytes = segments.size();
     return snapshot;
 }

@@ -1,18 +1,14 @@
 #include "layout.hh"
 
-#include <cstring>
 #include <sstream>
 
 namespace davf::store {
 
-const char *const kIndexFileName = "index.davf";
 const char *const kDataFileName = "segments.davf";
-const char *const kSplitJournalName = "split.journal";
 const char *const kLockFileName = "index.lock";
+const char *const kRetiredIndexFiles[2] = {"index.davf", "split.journal"};
 
 namespace {
-
-const char kIndexMagic[8] = {'D', 'A', 'V', 'F', 'H', 'I', 'X', '1'};
 
 void
 putU32(std::string &out, uint32_t value)
@@ -232,122 +228,6 @@ isLegacyRecordName(const std::string &name)
 {
     return name.rfind("r-", 0) == 0 && name.size() > 6
         && name.compare(name.size() - 4, 4, ".rec") == 0;
-}
-
-std::string
-serializeIndexHeader(const IndexHeader &header)
-{
-    std::string page;
-    page.reserve(kPageSize);
-    page.append(kIndexMagic, sizeof(kIndexMagic));
-    putU32(page, header.version);
-    putU32(page, header.pageSize);
-    putU32(page, header.slotsPerBucket);
-    putU32(page, header.globalDepth);
-    putU64(page, header.bucketPages);
-    putU64(page, header.keyCount);
-    putU64(page, header.dataCommitted);
-    putU32(page, header.clean ? 1 : 0);
-    putU32(page, 0);
-    putU64(page, fnv1a64(page));
-    page.resize(kPageSize, '\0');
-    return page;
-}
-
-Result<IndexHeader>
-parseIndexHeader(std::string_view page)
-{
-    using R = Result<IndexHeader>;
-    if (page.size() < 64)
-        return R::Err(ErrorKind::BadInput, "index header: short page");
-    if (std::memcmp(page.data(), kIndexMagic, sizeof(kIndexMagic)) != 0)
-        return R::Err(ErrorKind::BadInput, "index header: bad magic");
-    if (getU64(page, 56) != fnv1a64(page.substr(0, 56))) {
-        return R::Err(ErrorKind::BadInput,
-                      "index header: checksum mismatch");
-    }
-    IndexHeader header;
-    header.version = getU32(page, 8);
-    header.pageSize = getU32(page, 12);
-    header.slotsPerBucket = getU32(page, 16);
-    header.globalDepth = getU32(page, 20);
-    header.bucketPages = getU64(page, 24);
-    header.keyCount = getU64(page, 32);
-    header.dataCommitted = getU64(page, 40);
-    header.clean = getU32(page, 48) != 0;
-    if (header.version != kLayoutVersion) {
-        return R::Err(ErrorKind::BadInput,
-                      "index header: unknown version "
-                          + std::to_string(header.version));
-    }
-    if (header.pageSize != kPageSize
-        || header.slotsPerBucket != kSlotsPerBucket) {
-        return R::Err(ErrorKind::BadInput,
-                      "index header: geometry mismatch");
-    }
-    if (header.globalDepth > 31 || header.bucketPages > (1ull << 32))
-        return R::Err(ErrorKind::BadInput, "index header: insane shape");
-    return R::Ok(std::move(header));
-}
-
-std::string
-serializeBucketPage(const BucketImage &bucket)
-{
-    std::string page;
-    page.reserve(kPageSize);
-    putU64(page, bucket.prefix);
-    putU32(page, bucket.localDepth);
-    putU32(page, bucket.count);
-    putU64(page, 0); // Checksum placeholder, patched below.
-    for (uint32_t i = 0; i < kSlotsPerBucket; ++i) {
-        const BucketSlot &slot = bucket.slots[i];
-        putU64(page, slot.hash);
-        putU64(page, slot.offset);
-        putU32(page, slot.size);
-        putU32(page, slot.reserved);
-    }
-    page.resize(kPageSize, '\0');
-    const uint64_t sum = fnv1a64(page);
-    std::string patched;
-    putU64(patched, sum);
-    page.replace(16, 8, patched);
-    return page;
-}
-
-Result<BucketImage>
-parseBucketPage(std::string_view page)
-{
-    using R = Result<BucketImage>;
-    if (page.size() != kPageSize)
-        return R::Err(ErrorKind::BadInput, "bucket page: wrong size");
-    std::string zeroed(page);
-    zeroed.replace(16, 8, 8, '\0');
-    if (getU64(page, 16) != fnv1a64(zeroed)) {
-        return R::Err(ErrorKind::BadInput,
-                      "bucket page: checksum mismatch");
-    }
-    BucketImage bucket;
-    bucket.prefix = getU64(page, 0);
-    bucket.localDepth = getU32(page, 8);
-    bucket.count = getU32(page, 12);
-    if (bucket.localDepth > 63
-        || bucket.count > kSlotsPerBucket
-        || (bucket.localDepth < 64
-            && bucket.localDepth > 0
-            && (bucket.prefix >> bucket.localDepth) != 0)
-        || (bucket.localDepth == 0 && bucket.prefix != 0)) {
-        return R::Err(ErrorKind::BadInput, "bucket page: insane shape");
-    }
-    size_t at = 24;
-    for (uint32_t i = 0; i < kSlotsPerBucket; ++i) {
-        BucketSlot &slot = bucket.slots[i];
-        slot.hash = getU64(page, at);
-        slot.offset = getU64(page, at + 8);
-        slot.size = getU32(page, at + 16);
-        slot.reserved = getU32(page, at + 20);
-        at += sizeof(BucketSlot);
-    }
-    return R::Ok(std::move(bucket));
 }
 
 std::string

@@ -1,36 +1,20 @@
 /**
  * @file
- * On-disk layout of the persistent extendible-hash result index
- * (`src/store/`): byte-exact encode/decode helpers for the three
- * artifacts that make up a store directory, plus the record-text
- * grammar every record is written in.
+ * On-disk layout of the result store (`src/store/`): byte-exact
+ * encode/decode helpers for the segment data file, plus the
+ * record-text grammar every record is written in.
  *
- * A store directory contains:
- *
- *  - `segments.davf` — the append-only **segment data file**, the
- *    single source of truth. Every record is wrapped in a 32-byte
- *    binary frame (magic, record size, key hash, body checksum, and a
- *    header checksum over the first 24 bytes) and padded to a 16-byte
- *    boundary so a scan can resynchronise after damage. The framed
- *    payload is the *unchanged* v2 record text
- *    ("davf-store v2\nkey ...\npayload ...\nsum ...\nend\n"), so a
- *    record read out of a segment is byte-identical to a cold
- *    recompute and to the legacy per-file record (`r-*.rec`) it may
- *    have been migrated from.
- *
- *  - `index.davf` — the **extendible-hash index**: one 4 KiB header
- *    page followed by 4 KiB bucket pages. Each bucket page carries its
- *    own prefix/local-depth/checksum, so the directory is fully
- *    derivable from the bucket pages alone; the header only persists
- *    the checkpoint watermark (how many data bytes the bucket pages
- *    are guaranteed to cover) and the clean flag. The index is an
- *    acceleration structure: any damage degrades to a rebuild from the
- *    data file, never to a wrong answer.
- *
- *  - `split.journal` — present only while a bucket split is in flight
- *    (written via util/atomic_file before the split mutates pages,
- *    removed after both pages are durable). Its existence at open time
- *    classifies a **torn split**.
+ * A store directory contains `segments.davf`, the append-only
+ * **segment data file** and the store's only data file. Every record
+ * is wrapped in a 32-byte binary frame (magic, record size, key hash,
+ * body checksum, and a header checksum over the first 24 bytes) and
+ * padded to a 16-byte boundary so a scan can resynchronise after
+ * damage. The framed payload is the *unchanged* v2 record text
+ * ("davf-store v2\nkey ...\npayload ...\nsum ...\nend\n"), so a record
+ * read out of a segment is byte-identical to a cold recompute and to
+ * the legacy per-file record (`r-*.rec`) it may have been migrated
+ * from. Beside it sit `index.lock` (the owner's flock) and, after
+ * damage was found, `quarantine/`.
  *
  * All integers are little-endian. All checksums are 64-bit FNV-1a,
  * the same function the record text's `sum` line uses.
@@ -49,23 +33,16 @@
 
 namespace davf::store {
 
-/// @name File names inside an indexed store directory
+/// @name File names inside a store directory
 /// @{
-extern const char *const kIndexFileName;    ///< "index.davf"
-extern const char *const kDataFileName;     ///< "segments.davf"
-extern const char *const kSplitJournalName; ///< "split.journal"
-extern const char *const kLockFileName;     ///< "index.lock"
+extern const char *const kDataFileName; ///< "segments.davf"
+extern const char *const kLockFileName; ///< "index.lock"
+
+/** A persistent hash index and its split journal ("index.davf",
+ * "split.journal") that older releases kept beside the segment file;
+ * the owner removes them at open (store/index_store.hh). */
+extern const char *const kRetiredIndexFiles[2];
 /// @}
-
-constexpr uint32_t kLayoutVersion = 1;
-constexpr uint32_t kPageSize = 4096;
-
-/** Top 16 bits of a key hash: the bucket-slot fingerprint. */
-constexpr uint16_t
-fingerprint(uint64_t hash)
-{
-    return static_cast<uint16_t>(hash >> 48);
-}
 
 /**
  * @name Record text grammar
@@ -122,57 +99,6 @@ std::string legacyRecordFileName(const std::string &key);
 /** Is @p name shaped like a legacy per-file record ("r-*.rec")? */
 bool isLegacyRecordName(const std::string &name);
 /// @}
-
-/** Index header page (page 0 of index.davf). */
-struct IndexHeader
-{
-    uint32_t version = kLayoutVersion;
-    uint32_t pageSize = kPageSize;
-    uint32_t slotsPerBucket = 0; ///< Must equal kSlotsPerBucket.
-    uint32_t globalDepth = 0;    ///< Directory is 2^globalDepth entries.
-    uint64_t bucketPages = 0;    ///< Bucket pages following the header.
-    uint64_t keyCount = 0;       ///< Live slots at last checkpoint.
-    uint64_t dataCommitted = 0;  ///< Segment bytes covered by buckets.
-    bool clean = false;          ///< Checkpointed; no mutations since.
-
-    bool operator==(const IndexHeader &) const = default;
-};
-
-/** Serialize @p header into exactly one kPageSize page. */
-std::string serializeIndexHeader(const IndexHeader &header);
-
-/** Parse a header page; Err{BadInput} on any damage. */
-Result<IndexHeader> parseIndexHeader(std::string_view page);
-
-/** One bucket slot: a key hash and where its record frame lives. */
-struct BucketSlot
-{
-    uint64_t hash = 0;   ///< fnv1a64 of the store key.
-    uint64_t offset = 0; ///< Frame offset in segments.davf.
-    uint32_t size = 0;   ///< Record text size (frame body bytes).
-    uint32_t reserved = 0;
-
-    bool operator==(const BucketSlot &) const = default;
-};
-
-/** Slots that fit one 4 KiB bucket page after its 24-byte header. */
-constexpr uint32_t kSlotsPerBucket =
-    (kPageSize - 24) / static_cast<uint32_t>(sizeof(BucketSlot));
-
-/** The persistent image of one bucket (page 1 + id of index.davf). */
-struct BucketImage
-{
-    uint64_t prefix = 0;     ///< Low localDepth bits every hash shares.
-    uint32_t localDepth = 0;
-    uint32_t count = 0;      ///< Live slots ([0, count) are valid).
-    BucketSlot slots[kSlotsPerBucket] = {};
-};
-
-/** Serialize @p bucket into exactly one checksummed kPageSize page. */
-std::string serializeBucketPage(const BucketImage &bucket);
-
-/** Parse a bucket page; Err{BadInput} on checksum/shape damage. */
-Result<BucketImage> parseBucketPage(std::string_view page);
 
 /// @name Segment frames
 /// @{

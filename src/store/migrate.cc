@@ -131,16 +131,15 @@ migrateLegacyRecords(IndexStore &store)
         }
         metrics.remaining.add(-1);
     }
-    store.checkpoint();
     return report;
 }
 
 MigrateReport
 migrateStore(const std::string &dir)
 {
-    // Opening the indexed tier creates it if absent (and replays /
-    // rebuilds / tail-repairs as needed) — migration of an empty
-    // legacy directory is just index creation.
+    // Opening the store creates its segment file if absent (and
+    // tail-repairs as needed) — migration of an empty legacy directory
+    // is just store creation.
     IndexStore store({.dir = dir});
     return migrateLegacyRecords(store);
 }

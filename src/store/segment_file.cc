@@ -81,9 +81,8 @@ SegmentFile::mapFile(uint64_t size)
 void
 SegmentFile::retireMap()
 {
-    // Never munmap while the object lives: a lock-free reader may be
-    // mid-copy in the old mapping (mirrors HashIndex's retired
-    // directory tables). The destructor frees the backlog.
+    // Never munmap while the object lives: a concurrent reader may be
+    // mid-copy in the old mapping. The destructor frees the backlog.
     if (mapBase != nullptr) {
         retiredMaps.emplace_back(
             const_cast<char *>(mapBase), static_cast<size_t>(mapLen));
@@ -264,7 +263,8 @@ SegmentFile::read(uint64_t offset, uint32_t expectSize) const
 SegmentFile::ScanStats
 SegmentFile::scan(uint64_t from,
                   const std::function<void(uint64_t, const FrameHeader &,
-                                           bool)> &fn) const
+                                           bool)> &fn,
+                  bool verifyBodies) const
 {
     ScanStats stats;
     davf_assert(fd >= 0, "scan on a closed segment file");
@@ -300,10 +300,13 @@ SegmentFile::scan(uint64_t from,
             stats.skippedBytes += at - skipStart;
             skipping = false;
         }
-        std::string record(header.size, '\0');
-        bool bodyValid = preadAll(fd, record.data(), record.size(),
-                                  at + kFrameHeaderBytes)
-            && fnv1a64(record) == header.bodySum;
+        bool bodyValid = true;
+        if (verifyBodies) {
+            std::string record(header.size, '\0');
+            bodyValid = preadAll(fd, record.data(), record.size(),
+                                 at + kFrameHeaderBytes)
+                && fnv1a64(record) == header.bodySum;
+        }
         if (bodyValid)
             ++stats.valid;
         else

@@ -3,9 +3,9 @@
  * The append-only segment data file backing the indexed result store
  * (`segments.davf`, see store/layout.hh for the frame grammar).
  *
- * This file is the single source of truth for an indexed store: the
- * hash index only accelerates locating frames inside it, and can
- * always be rebuilt from a sequential scan. Appends are pwrite()s at a
+ * This file is the single source of truth for a store: the key
+ * directory that locates frames inside it is rebuilt from a sequential
+ * scan at every open (store/index_store.hh). Appends are pwrite()s at a
  * tracked logical offset (re-appending over a failed partial write is
  * self-healing), optionally made durable with fdatasync; reads are
  * safe from any number of threads concurrently with one appender.
@@ -26,6 +26,7 @@
 #ifndef DAVF_STORE_SEGMENT_FILE_HH
 #define DAVF_STORE_SEGMENT_FILE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -104,13 +105,16 @@ class SegmentFile
      * @p fn(offset, header, bodyValid) for each frame found. Damage in
      * the middle of the file is resynchronised over (frames are
      * 16-byte aligned and header-checksummed); damage that reaches EOF
-     * is the torn tail, reported in the result. Never throws on
+     * is the torn tail, reported in the result. With @p verifyBodies
+     * off, bodies are not read and every frame is reported valid
+     * (frame headers and extents are still checked). Never throws on
      * damage.
      */
     ScanStats scan(uint64_t from,
                    const std::function<void(uint64_t offset,
                                             const FrameHeader &header,
-                                            bool bodyValid)> &fn) const;
+                                            bool bodyValid)> &fn,
+                   bool verifyBodies = true) const;
 
     /**
      * Raw bytes [offset, offset+size) with no framing interpretation
@@ -125,7 +129,7 @@ class SegmentFile
      */
     void zeroRange(uint64_t offset, uint64_t size);
 
-    /** fdatasync the file (checkpoint barrier). */
+    /** fdatasync the file (compaction barrier). */
     void sync() const;
 
     /**
@@ -141,7 +145,8 @@ class SegmentFile
      */
     void alignAppend();
 
-    /** Per-append fdatasync (on by default; benches may disable). */
+    /** Per-append fdatasync (on by default; compaction's rewrite
+     * turns it off and syncs once at the end). */
     bool syncAppends = true;
 
     void close();
@@ -151,7 +156,9 @@ class SegmentFile
     void retireMap();
 
     int fd = -1;
-    uint64_t appendOffset = 0;
+    /// Atomic: readers bound their reads by it while one appender
+    /// advances it.
+    std::atomic<uint64_t> appendOffset{0};
     std::string path;
 
     /// Read-only mapping of the first @ref mapLen bytes (see file
@@ -159,7 +166,7 @@ class SegmentFile
     const char *mapBase = nullptr;
     uint64_t mapLen = 0;
     /// Superseded mappings, kept alive for concurrent readers until
-    /// close (same retirement discipline as HashIndex directories).
+    /// the object is destroyed.
     std::vector<std::pair<void *, size_t>> retiredMaps;
 };
 

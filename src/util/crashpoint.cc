@@ -34,11 +34,7 @@ const char *const kKnownPoints[] = {
     "compact.rewrite",
     "fsck.repair",
     "index.append",
-    "index.bucket_write",
-    "index.checkpoint",
     "index.migrate",
-    "index.split_apply",
-    "index.split_journal",
     "index.tail_repair",
     "net.store_write",
     "quarantine.save",

@@ -460,7 +460,7 @@ TEST(QuarantineCrash, TornRecordFileIsSkippedNotFatal)
  * A store directory with one of each kind of damage compact repairs:
  *  - valid records for "alpha" and "delta";
  *  - a superseded frame for "gamma" (rewritten since);
- *  - a garbled frame for "beta" (its index slot goes stale);
+ *  - a garbled frame for "beta";
  *  - a torn segment tail (the last frame, "zeta", cut short);
  *  - a legacy per-file record for "epsilon" and a foreign file.
  */
@@ -670,8 +670,7 @@ TEST(CrashMatrix, StoreRoundTripRecoversFromEveryPublishFault)
     const auto records = matrixStoreRecords();
 
     // Points a store open + record publish + close passes through.
-    const char *points[] = {"store.publish", "index.append",
-                            "index.bucket_write", "index.checkpoint"};
+    const char *points[] = {"store.publish", "index.append"};
     for (const char *point : points) {
         for (const char *action : {"kill", "torn", "enospc", "garble"}) {
             SCOPED_TRACE(std::string(point) + "=" + action);

@@ -292,6 +292,81 @@ TEST(ResultStore_, ConcurrentWritersAndReaders)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ShardCache, NetWriterPicksV3ForAttributionAndParsesStrictly)
+{
+    const std::string dir = tempPath("shard_cache");
+    std::filesystem::remove_all(dir);
+    ShardSpec plain_spec;
+    plain_spec.kind = ShardSpec::Kind::Cycle;
+    plain_spec.structure = "ALU";
+    plain_spec.delayFraction = 0.5;
+    plain_spec.cycle = 3;
+    ShardSpec attr_spec = plain_spec;
+    attr_spec.cycle = 4;
+    ShardSpec savf_spec = plain_spec;
+    savf_spec.kind = ShardSpec::Kind::Savf;
+
+    InjectionCycleOutcome plain;
+    plain.cycle = 3;
+    plain.injections = 12;
+    plain.delayAce = 2;
+    InjectionCycleOutcome attributed = plain;
+    attributed.cycle = 4;
+    attributed.attr.valid = true;
+    attributed.attr.pc = 0x40;
+    attributed.attr.mnemonic = "add x1, x2, x3";
+    attributed.attr.events.push_back({0x44, "sw x1, 0(x2)", "mem", 2});
+    SavfResult savf;
+    savf.savf = 0.25;
+    savf.injections = 8;
+    savf.aceInjections = 2;
+    {
+        ResultStore store({.dir = dir, .memCapacity = 0});
+        const ShardCacheHooks hooks = shardCacheHooks(store, "fp");
+        hooks.store(plain_spec, plain, {});
+        hooks.store(attr_spec, attributed, {});
+        hooks.store(savf_spec, {}, savf);
+    }
+    // The same grammar the query scheduler writes: v3 exactly for the
+    // attribution-bearing outcome.
+    std::ifstream file(dir + "/segments.davf", std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    const auto recordHead = [&](const ShardSpec &spec) {
+        const std::string line = "\nkey " + shardStoreKey("fp", spec);
+        const size_t at = bytes.find(line);
+        EXPECT_NE(at, std::string::npos);
+        return bytes.substr(bytes.rfind("davf-store v", at), 13);
+    };
+    EXPECT_EQ(recordHead(plain_spec), "davf-store v2");
+    EXPECT_EQ(recordHead(attr_spec), "davf-store v3");
+    EXPECT_EQ(recordHead(savf_spec), "davf-store v2");
+
+    ResultStore store({.dir = dir, .memCapacity = 0});
+    const ShardCacheHooks hooks = shardCacheHooks(store, "fp");
+    InjectionCycleOutcome cycle;
+    SavfResult unused;
+    ASSERT_TRUE(hooks.lookup(attr_spec, cycle, unused));
+    EXPECT_EQ(cycle, attributed);
+    ASSERT_TRUE(hooks.lookup(plain_spec, cycle, unused));
+    EXPECT_EQ(cycle, plain);
+    SavfResult savf_hit;
+    ASSERT_TRUE(hooks.lookup(savf_spec, cycle, savf_hit));
+    EXPECT_EQ(savf_hit.injections, 8u);
+
+    // A well-formed record whose payload has a trailing token is a
+    // miss, exactly as the query scheduler reads it.
+    ShardSpec junk_spec = plain_spec;
+    junk_spec.cycle = 5;
+    store.store(shardStoreKey("fp", junk_spec),
+                serializeOutcomeFields(plain) + " junk");
+    EXPECT_FALSE(hooks.lookup(junk_spec, cycle, unused));
+    ShardSpec absent_spec = plain_spec;
+    absent_spec.cycle = 6;
+    EXPECT_FALSE(hooks.lookup(absent_spec, cycle, unused));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ResultStore_, FuzzedRecordParserNeverCrashes)
 {
     const std::string base =

@@ -420,22 +420,11 @@ TEST_F(ShardLink, ServeLoopAnswersShardsAndEndsOnQuit)
 
 TEST_F(ShardLink, HeartbeatsFlowWhileAShardComputes)
 {
-    // A long workload makes one sAVF shard take about a second, so the
-    // worker's heartbeat thread writes frames while the reply path
-    // waits on the same write mutex.
-    test::RandomCircuit circuit = test::makeRandomCircuit(11, 8, 60, 20000);
-    VulnerabilityEngine engine(*circuit.netlist,
-                               CellLibrary::defaultLibrary(),
-                               *circuit.workload);
-    StructureRegistry registry(*circuit.netlist);
-    registry.add("Rnd", "rnd/");
-
-    const std::unique_ptr<Channel> channel = socketChannel();
-    net::FrameConn worker_link(std::exchange(channel->workerIn, -1));
-    channel->workerOut = -1;
-    std::thread worker(
-        [&] { serveShards(worker_link, engine, registry); });
-
+    // A long workload makes one sAVF shard outlast two heartbeat
+    // intervals, so the worker's heartbeat thread writes frames while
+    // the reply path waits on the same write mutex. How long a
+    // workload that takes depends on the host, so the workload doubles
+    // (a bounded number of times) until one exchange is long enough.
     const bool was_metering = obs::MetricsRegistry::enabled();
     obs::MetricsRegistry::setEnabled(true);
     const auto heartbeats = [] {
@@ -443,25 +432,47 @@ TEST_F(ShardLink, HeartbeatsFlowWhileAShardComputes)
             .snapshot()
             .counters["test_link.heartbeats"];
     };
-    const uint64_t before = heartbeats();
-    ShardSpec spec;
-    spec.kind = ShardSpec::Kind::Savf;
-    spec.structure = "Rnd";
-    spec.sampling.maxInjectionCycles = 24;
-    const double started = nowMs();
-    const ShardReply reply = exchangeShard(*channel->parent, spec, 5000.0,
-                                           0.0, started, testMetrics());
-    const double took_ms = nowMs() - started;
-    channel->parent->send("quit");
-    worker.join();
-    const uint64_t after = heartbeats();
+    ShardReply reply;
+    double took_ms = 0.0;
+    uint64_t beats = 0;
+    for (size_t cycles = 20000, tries = 0; tries < 4;
+         cycles *= 2, ++tries) {
+        test::RandomCircuit circuit =
+            test::makeRandomCircuit(11, 8, 60, cycles);
+        VulnerabilityEngine engine(*circuit.netlist,
+                                   CellLibrary::defaultLibrary(),
+                                   *circuit.workload);
+        StructureRegistry registry(*circuit.netlist);
+        registry.add("Rnd", "rnd/");
+
+        const std::unique_ptr<Channel> channel = socketChannel();
+        net::FrameConn worker_link(std::exchange(channel->workerIn, -1));
+        channel->workerOut = -1;
+        std::thread worker(
+            [&] { serveShards(worker_link, engine, registry); });
+
+        const uint64_t before = heartbeats();
+        ShardSpec spec;
+        spec.kind = ShardSpec::Kind::Savf;
+        spec.structure = "Rnd";
+        spec.sampling.maxInjectionCycles = 24;
+        const double started = nowMs();
+        reply = exchangeShard(*channel->parent, spec, 5000.0, 0.0,
+                              started, testMetrics());
+        took_ms = nowMs() - started;
+        channel->parent->send("quit");
+        worker.join();
+        beats = heartbeats() - before;
+        if (reply.status != Status::Ok || took_ms > 400.0)
+            break;
+    }
     obs::MetricsRegistry::setEnabled(was_metering);
 
     ASSERT_EQ(reply.status, Status::Ok) << reply.detail;
     EXPECT_GT(reply.savfOutcome.injections, 0u);
     // Twice the 200 ms heartbeat interval: at least one beat was due.
     ASSERT_GT(took_ms, 400.0) << "shard too short to need a heartbeat";
-    EXPECT_GE(after - before, 1u) << took_ms << " ms";
+    EXPECT_GE(beats, 1u) << took_ms << " ms";
 }
 
 TEST_F(ShardLink, BackoffIsFiniteAndKeepsTheUnclampedJitter)

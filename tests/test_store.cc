@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the persistent extendible-hash index subsystem
- * (src/store/): on-disk layout codecs (including a deterministic fuzz
- * pass over every parser), the append-only segment file's damage
- * resynchronisation, hash-index splits/doubling/persistence, lock-free
- * readers racing a splitting writer, the IndexStore crash model
- * (replay, rebuild, torn-tail quarantine, corrupt-degrades-to-miss),
- * the read-only store of a process that loses the index lock, legacy
- * migration (offline and at open), index fsck/compact, and the
- * kill-anywhere recovery matrix over every `index.*` crash point.
+ * Tests for the result store's disk tier (src/store/): on-disk layout
+ * codecs (including a deterministic fuzz pass over every parser), the
+ * append-only segment file's damage resynchronisation, readers racing
+ * an appending writer through the in-memory key directory, the
+ * IndexStore crash model (open-time scan, torn-tail quarantine,
+ * corrupt-degrades-to-miss), the read-only store of a process that
+ * loses the index lock, an older release's index files, legacy
+ * migration (offline and at open), fsck/compact, and the kill-anywhere
+ * recovery matrix over every `index.*` crash point.
  *
  * Kill-action cases re-execute this binary (--crash-child=...) so the
  * SIGKILL lands in a scratch process, which is why this test has its
@@ -32,7 +32,6 @@
 #include <unistd.h>
 
 #include "src/service/result_store.hh"
-#include "src/store/hash_index.hh"
 #include "src/store/index_fsck.hh"
 #include "src/store/index_store.hh"
 #include "src/store/layout.hh"
@@ -125,6 +124,33 @@ flipByte(const std::string &path, uint64_t offset)
     ASSERT_TRUE(static_cast<bool>(file)) << path;
 }
 
+/** Offset of the newest frame written for @p key in @p dir's segment
+ * file (crafting damage to one record). */
+uint64_t
+frameOffset(const std::string &dir, const std::string &key)
+{
+    SegmentFile segments;
+    segments.open(dir + "/" + kDataFileName, false);
+    uint64_t found = 0;
+    segments.scan(0, [&](uint64_t offset, const FrameHeader &header,
+                         bool) {
+        if (header.keyHash == fnv1a64(key))
+            found = offset;
+    });
+    return found;
+}
+
+/** Does @p dir hold a file an older release's index used? */
+bool
+hasRetiredIndexFile(const std::string &dir)
+{
+    for (const char *name : kRetiredIndexFiles) {
+        if (fs::exists(dir + "/" + name))
+            return true;
+    }
+    return false;
+}
+
 // ------------------------------------------------------------------ layout
 
 TEST(StoreLayout, RecordTextRoundTripsAndMatchesLegacyGrammar)
@@ -209,37 +235,6 @@ TEST(StoreLayout, V3SkipsUnknownExtensionLines)
     EXPECT_FALSE(recordTextFutureVersion("garbage\n"));
 }
 
-TEST(StoreLayout, HeaderAndBucketPagesRoundTrip)
-{
-    IndexHeader header;
-    header.slotsPerBucket = kSlotsPerBucket;
-    header.globalDepth = 3;
-    header.bucketPages = 8;
-    header.keyCount = 123;
-    header.dataCommitted = 4096;
-    header.clean = true;
-    const std::string page = serializeIndexHeader(header);
-    ASSERT_EQ(page.size(), kPageSize);
-    const auto reparsed = parseIndexHeader(page);
-    ASSERT_TRUE(static_cast<bool>(reparsed));
-    EXPECT_EQ(reparsed.value(), header);
-
-    BucketImage bucket;
-    bucket.prefix = 5;
-    bucket.localDepth = 3;
-    bucket.count = 2;
-    bucket.slots[0] = {0x1234567890abcdefull, 64, 80, 0};
-    bucket.slots[1] = {0xfeedfacecafef00dull, 160, 33, 0};
-    const std::string bpage = serializeBucketPage(bucket);
-    ASSERT_EQ(bpage.size(), kPageSize);
-    const auto bparsed = parseBucketPage(bpage);
-    ASSERT_TRUE(static_cast<bool>(bparsed));
-    EXPECT_EQ(bparsed.value().prefix, bucket.prefix);
-    EXPECT_EQ(bparsed.value().count, 2u);
-    EXPECT_EQ(bparsed.value().slots[0], bucket.slots[0]);
-    EXPECT_EQ(bparsed.value().slots[1], bucket.slots[1]);
-}
-
 TEST(StoreLayout, FrameHeaderRoundTripsAndChecksums)
 {
     FrameHeader header;
@@ -262,40 +257,29 @@ TEST(StoreLayout, FrameHeaderRoundTripsAndChecksums)
 TEST(StoreLayoutFuzz, ParsersNeverAcceptMutatedOrRandomInput)
 {
     // Deterministic fuzz corpus over every layout parser: random
-    // pages, truncations of valid pages, and single-byte mutations.
+    // bytes, truncations of valid inputs, and single-byte mutations.
     // The parsers must reject without crashing; accepting any mutation
-    // of a checksummed page would mean the checksum is not covering
+    // of a checksummed header would mean the checksum is not covering
     // those bytes.
     std::mt19937_64 rng(0xda5f5eedull);
     std::uniform_int_distribution<int> byte(0, 255);
 
-    IndexHeader valid_header;
-    valid_header.slotsPerBucket = kSlotsPerBucket;
-    const std::string header_page = serializeIndexHeader(valid_header);
-    BucketImage bucket;
-    bucket.count = 1;
-    bucket.slots[0] = {42, 0, 16, 0};
-    const std::string bucket_page = serializeBucketPage(bucket);
     FrameHeader frame;
     frame.size = 16;
     const std::string frame_bytes = serializeFrameHeader(frame);
 
     for (int round = 0; round < 200; ++round) {
         // Pure noise at assorted sizes.
-        std::string noise(static_cast<size_t>(rng() % (2 * kPageSize)),
-                          '\0');
+        std::string noise(static_cast<size_t>(rng() % 8192), '\0');
         for (char &c : noise)
             c = static_cast<char>(byte(rng));
-        (void)parseIndexHeader(noise);
-        (void)parseBucketPage(noise);
         (void)parseFrameHeader(noise);
         (void)parseRecordText(noise);
         std::string_view k, p;
         (void)splitCanonicalRecord(noise, k, p);
 
-        // A valid page with one mutated checksummed byte must be
-        // rejected. (The index header's checksum covers its 64
-        // meaningful bytes; the page padding is free.)
+        // A valid frame header with one mutated checksummed byte must
+        // be rejected.
         auto mutate = [&](const std::string &valid, size_t covered) {
             std::string damaged = valid;
             const size_t at = rng() % covered;
@@ -306,19 +290,11 @@ TEST(StoreLayoutFuzz, ParsersNeverAcceptMutatedOrRandomInput)
             return damaged;
         };
         EXPECT_FALSE(static_cast<bool>(
-            parseIndexHeader(mutate(header_page, 64))));
-        EXPECT_FALSE(static_cast<bool>(
-            parseBucketPage(mutate(bucket_page, kPageSize))));
-        EXPECT_FALSE(static_cast<bool>(
             parseFrameHeader(mutate(frame_bytes, kFrameHeaderBytes))));
 
         // Truncations of valid inputs.
-        const size_t cut = rng() % kPageSize;
-        (void)parseIndexHeader(std::string_view(header_page).substr(0, cut));
-        (void)parseBucketPage(std::string_view(bucket_page).substr(0, cut));
-        (void)parseFrameHeader(
-            std::string_view(frame_bytes)
-                .substr(0, cut % kFrameHeaderBytes));
+        (void)parseFrameHeader(std::string_view(frame_bytes)
+                                   .substr(0, rng() % kFrameHeaderBytes));
 
         // A v3 record padded with random "future grammar" extension
         // lines: the lenient parser must either reject it or return
@@ -456,170 +432,6 @@ TEST(SegmentFileT, TruncatedFinalFrameIsATornTail)
     fs::remove_all(dir);
 }
 
-// -------------------------------------------------------------- hash index
-
-TEST(HashIndexT, InsertLookupReplaceRemove)
-{
-    const std::string dir = tempPath("hidx_basic");
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    HashIndex index;
-    index.create(dir, dir + "/" + kIndexFileName);
-    EXPECT_FALSE(index.lookup(42).has_value());
-
-    index.insert(42, 64, 10);
-    auto hit = index.lookup(42);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->offset, 64u);
-    EXPECT_EQ(hit->size, 10u);
-
-    // Same hash replaces in place (newest frame wins).
-    index.insert(42, 128, 12);
-    hit = index.lookup(42);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->offset, 128u);
-    EXPECT_EQ(index.keyCount(), 1u);
-
-    // remove() is offset-guarded: a stale repair can't drop the
-    // replacement slot.
-    EXPECT_FALSE(index.remove(42, 64));
-    EXPECT_TRUE(index.remove(42, 128));
-    EXPECT_FALSE(index.lookup(42).has_value());
-    EXPECT_EQ(index.keyCount(), 0u);
-    index.close();
-    fs::remove_all(dir);
-}
-
-TEST(HashIndexT, SplitsAndDirectoryDoublingKeepEveryKey)
-{
-    const std::string dir = tempPath("hidx_split");
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    constexpr size_t kKeys = 4 * kSlotsPerBucket; // forces doublings
-    HashIndex index;
-    index.create(dir, dir + "/" + kIndexFileName);
-    for (size_t i = 0; i < kKeys; ++i)
-        index.insert(fnv1a64(matrixKey(i)), i * 16, 16);
-    EXPECT_GT(index.splits(), 0u);
-    EXPECT_GT(index.globalDepth(), 0u);
-    EXPECT_EQ(index.keyCount(), kKeys);
-    for (size_t i = 0; i < kKeys; ++i) {
-        const auto hit = index.lookup(fnv1a64(matrixKey(i)));
-        ASSERT_TRUE(hit.has_value()) << i;
-        EXPECT_EQ(hit->offset, i * 16) << i;
-    }
-    index.checkpoint(kKeys * 16);
-    index.close();
-
-    // Reload: everything persisted, the checkpoint watermark held.
-    HashIndex reloaded;
-    const auto info =
-        reloaded.load(dir, dir + "/" + kIndexFileName);
-    ASSERT_TRUE(static_cast<bool>(info));
-    EXPECT_TRUE(info.value().clean);
-    EXPECT_EQ(info.value().dataCommitted, kKeys * 16);
-    EXPECT_EQ(reloaded.keyCount(), kKeys);
-    for (size_t i = 0; i < kKeys; ++i) {
-        const auto hit = reloaded.lookup(fnv1a64(matrixKey(i)));
-        ASSERT_TRUE(hit.has_value()) << i;
-        EXPECT_EQ(hit->offset, i * 16) << i;
-    }
-    reloaded.close();
-    fs::remove_all(dir);
-}
-
-TEST(HashIndexT, DamagedPageFailsLoadInsteadOfServingWrongSlots)
-{
-    const std::string dir = tempPath("hidx_damage");
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string path = dir + "/" + kIndexFileName;
-
-    {
-        HashIndex index;
-        index.create(dir, path);
-        for (size_t i = 0; i < 10; ++i)
-            index.insert(fnv1a64(matrixKey(i)), i * 16, 16);
-        index.checkpoint(160);
-        index.close();
-    }
-    flipByte(path, kPageSize + 100); // first bucket page
-
-    HashIndex index;
-    EXPECT_FALSE(static_cast<bool>(index.load(dir, path)));
-    index.close();
-    fs::remove_all(dir);
-}
-
-TEST(HashIndexT, LeftoverSplitJournalFailsLoad)
-{
-    const std::string dir = tempPath("hidx_journal");
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const std::string path = dir + "/" + kIndexFileName;
-
-    {
-        HashIndex index;
-        index.create(dir, path);
-        index.insert(1, 0, 16);
-        index.checkpoint(16);
-        index.close();
-    }
-    std::ofstream(dir + "/" + kSplitJournalName) << "torn split\n";
-
-    HashIndex index;
-    EXPECT_FALSE(static_cast<bool>(index.load(dir, path)));
-    index.close();
-    fs::remove_all(dir);
-}
-
-TEST(HashIndexT, LockFreeReadersSurviveConcurrentSplits)
-{
-    const std::string dir = tempPath("hidx_race");
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    constexpr size_t kKeys = 6 * kSlotsPerBucket;
-    HashIndex index;
-    index.create(dir, dir + "/" + kIndexFileName);
-
-    std::atomic<size_t> published{0};
-    std::atomic<bool> failed{false};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 4; ++t) {
-        readers.emplace_back([&, t] {
-            std::mt19937_64 rng(static_cast<uint64_t>(t) + 1);
-            while (published.load(std::memory_order_acquire) < kKeys) {
-                const size_t limit =
-                    published.load(std::memory_order_acquire);
-                if (limit == 0)
-                    continue;
-                const size_t i = rng() % limit;
-                const auto hit = index.lookup(fnv1a64(matrixKey(i)));
-                // A published key must always be found, mid-split or
-                // not, and must carry its own offset — never a
-                // neighbour's (seqlock + ownership re-check).
-                if (!hit.has_value() || hit->offset != i * 16) {
-                    failed.store(true);
-                    return;
-                }
-            }
-        });
-    }
-    for (size_t i = 0; i < kKeys; ++i) {
-        index.insert(fnv1a64(matrixKey(i)), i * 16, 16);
-        published.store(i + 1, std::memory_order_release);
-    }
-    for (std::thread &reader : readers)
-        reader.join();
-    EXPECT_FALSE(failed.load());
-    EXPECT_GT(index.splits(), 0u);
-    index.close();
-    fs::remove_all(dir);
-}
-
 // ------------------------------------------------------------- index store
 
 TEST(IndexStoreT, RoundTripPersistsAcrossReopen)
@@ -645,9 +457,11 @@ TEST(IndexStoreT, RoundTripPersistsAcrossReopen)
             ASSERT_EQ(result.status, IndexStore::LookupStatus::Hit) << i;
             EXPECT_EQ(result.payload, matrixPayload(i)) << i;
         }
-        EXPECT_EQ(store.stats().rebuilds, 0u)
-            << "a cleanly closed store reopens from its checkpoint";
+        EXPECT_EQ(store.stats().replayed, 50u)
+            << "the open-time scan loads every frame";
     }
+    EXPECT_FALSE(hasRetiredIndexFile(dir))
+        << "the segment file is the only data file";
     fs::remove_all(dir);
 }
 
@@ -656,18 +470,13 @@ TEST(IndexStoreT, UncheckpointedTailIsReplayedOnReopen)
     const std::string dir = tempPath("istore_replay");
     fs::remove_all(dir);
     {
+        // Nothing is ever checkpointed: the data file alone must carry
+        // every record, the newest frame of a rewritten key winning.
         IndexStore store({.dir = dir});
+        store.put(matrixKey(0), "an older payload");
         store.put(matrixKey(0), matrixPayload(0));
-        store.checkpoint();
         store.put(matrixKey(1), matrixPayload(1));
         store.put(matrixKey(2), matrixPayload(2));
-        // Simulate a crash: drop the index so the reopen cannot have
-        // seen the last two appends through it.
-        fs::remove(dir + "/" + kIndexFileName);
-        // The destructor would checkpoint; condemn that by releasing
-        // without one. (close path still best-effort checkpoints, but
-        // with index.davf gone it recreates — the point is the data
-        // file alone must carry all three records.)
     }
     IndexStore store({.dir = dir});
     for (size_t i = 0; i < 3; ++i) {
@@ -675,7 +484,8 @@ TEST(IndexStoreT, UncheckpointedTailIsReplayedOnReopen)
         ASSERT_EQ(result.status, IndexStore::LookupStatus::Hit) << i;
         EXPECT_EQ(result.payload, matrixPayload(i)) << i;
     }
-    EXPECT_EQ(store.stats().rebuilds, 1u);
+    EXPECT_EQ(store.stats().replayed, 4u);
+    EXPECT_EQ(store.stats().keys, 3u);
     fs::remove_all(dir);
 }
 
@@ -683,18 +493,13 @@ TEST(IndexStoreT, GarbledRecordDegradesToAMissAndDropsItsSlot)
 {
     const std::string dir = tempPath("istore_garble");
     fs::remove_all(dir);
-    uint64_t offset = 0;
     {
         IndexStore store({.dir = dir});
         store.put(matrixKey(0), matrixPayload(0));
         store.put(matrixKey(1), matrixPayload(1));
-        store.forEachSlot([&](const BucketSlot &slot) {
-            if (slot.hash == fnv1a64(matrixKey(1)))
-                offset = slot.offset;
-        });
     }
     flipByte(dir + "/" + kDataFileName,
-             offset + kFrameHeaderBytes + 8);
+             frameOffset(dir, matrixKey(1)) + kFrameHeaderBytes + 8);
 
     IndexStore store({.dir = dir});
     const auto damaged = store.lookup(matrixKey(1));
@@ -718,19 +523,12 @@ TEST(IndexStoreT, TornTailIsQuarantinedNotDeleted)
 {
     const std::string dir = tempPath("istore_torntail");
     fs::remove_all(dir);
-    uint64_t tail = 0;
     {
         IndexStore store({.dir = dir});
         store.put(matrixKey(0), matrixPayload(0));
         store.put(matrixKey(1), matrixPayload(1));
-        store.forEachSlot([&](const BucketSlot &slot) {
-            if (slot.hash == fnv1a64(matrixKey(1)))
-                tail = slot.offset;
-        });
-        // Forget the index: the reopen must discover the torn tail
-        // from the data file alone.
-        fs::remove(dir + "/" + kIndexFileName);
     }
+    const uint64_t tail = frameOffset(dir, matrixKey(1));
     fs::resize_file(dir + "/" + kDataFileName,
                     tail + kFrameHeaderBytes + 3);
 
@@ -770,7 +568,6 @@ TEST(IndexStoreT, SecondOpenerIsLockedOut)
     EXPECT_EQ(second.lookup(matrixKey(0)).payload, matrixPayload(0));
     EXPECT_THROW(second.requireOwner(), DavfError);
     EXPECT_THROW(second.put(matrixKey(1), matrixPayload(1)), DavfError);
-    EXPECT_THROW(second.checkpoint(), DavfError);
     EXPECT_THROW(second.compact(), DavfError);
     EXPECT_THROW(migrateStore(dir), DavfError);
     EXPECT_THROW(compactIndexStoreDir(dir), DavfError);
@@ -795,6 +592,97 @@ TEST(IndexStoreT, CompactDropsSupersededFramesAndKeepsPayloads)
         EXPECT_EQ(result.payload, matrixPayload(i)) << i;
     }
     EXPECT_EQ(store.compact(), 0u) << "compaction converges";
+    fs::remove_all(dir);
+}
+
+TEST(IndexStoreT, ConcurrentReadersSurviveAppends)
+{
+    const std::string dir = tempPath("istore_race");
+    fs::remove_all(dir);
+    constexpr size_t kKeys = 600;
+    IndexStore store({.dir = dir});
+
+    // Readers race the appender: a published key must always be a
+    // hit carrying its own payload, never a neighbour's or a torn one.
+    std::atomic<size_t> published{0};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&, t] {
+            std::mt19937_64 rng(static_cast<uint64_t>(t) + 1);
+            while (published.load(std::memory_order_acquire) < kKeys) {
+                const size_t limit =
+                    published.load(std::memory_order_acquire);
+                if (limit == 0)
+                    continue;
+                const size_t i = rng() % limit;
+                const auto result = store.lookup(matrixKey(i));
+                if (result.status != IndexStore::LookupStatus::Hit
+                    || result.payload != matrixPayload(i)) {
+                    failed.store(true);
+                    return;
+                }
+                // Unpublished keys are clean misses, never errors.
+                if (store.lookup("absent " + std::to_string(i)).status
+                    != IndexStore::LookupStatus::Miss) {
+                    failed.store(true);
+                    return;
+                }
+            }
+        });
+    }
+    for (size_t i = 0; i < kKeys; ++i) {
+        store.put(matrixKey(i), matrixPayload(i));
+        published.store(i + 1, std::memory_order_release);
+    }
+    for (std::thread &reader : readers)
+        reader.join();
+    EXPECT_FALSE(failed.load());
+    EXPECT_EQ(store.stats().keys, kKeys);
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    fs::remove_all(dir);
+}
+
+TEST(IndexStoreT, RetiredIndexFilesAreRemovedByTheOwnerOnly)
+{
+    const std::string dir = tempPath("istore_retired");
+    fs::remove_all(dir);
+    {
+        service::ResultStore store({.dir = dir, .memCapacity = 0});
+        for (size_t i = 0; i < 20; ++i)
+            store.store(matrixKey(i), matrixPayload(i));
+    }
+    // Garbage where an older release kept its index and split journal.
+    auto plant = [&] {
+        for (const char *name : kRetiredIndexFiles)
+            std::ofstream(dir + "/" + name, std::ios::binary)
+                << "not an index " << name;
+    };
+    plant();
+    const IndexFsckReport report = fsckIndexStore(dir);
+    EXPECT_TRUE(report.clean()) << "leftover index files are not damage";
+    EXPECT_EQ(report.foreign, 0u);
+
+    {
+        // The owner removes them and serves identical bytes.
+        service::ResultStore owner({.dir = dir, .memCapacity = 0});
+        EXPECT_FALSE(hasRetiredIndexFile(dir));
+        for (size_t i = 0; i < 20; ++i)
+            EXPECT_EQ(owner.lookup(matrixKey(i)).value_or(""),
+                      matrixPayload(i))
+                << i;
+
+        // A read-only lock loser leaves planted ones alone.
+        plant();
+        service::ResultStore reader({.dir = dir, .memCapacity = 0});
+        for (size_t i = 0; i < 20; ++i)
+            EXPECT_EQ(reader.lookup(matrixKey(i)).value_or(""),
+                      matrixPayload(i))
+                << i;
+        for (const char *name : kRetiredIndexFiles)
+            EXPECT_EQ(readFile(dir + "/" + name),
+                      std::string("not an index ") + name);
+    }
     fs::remove_all(dir);
 }
 
@@ -823,7 +711,8 @@ TEST(StoreIntegration, LegacyDirectoryMigratesAtOpen)
     service::ResultStore fresh({.dir = fresh_dir, .memCapacity = 0});
     EXPECT_TRUE(fresh.indexed());
     fresh.store("k", "v");
-    EXPECT_TRUE(IndexStore::present(fresh_dir));
+    EXPECT_TRUE(fs::exists(fresh_dir + "/" + kDataFileName));
+    EXPECT_FALSE(hasRetiredIndexFile(fresh_dir));
     expectNoLegacyRecords(fresh_dir);
     fs::remove_all(legacy_dir);
     fs::remove_all(fresh_dir);
@@ -877,27 +766,23 @@ TEST(StoreIntegration, LockLoserReadsTheIndexReadOnly)
 {
     const std::string dir = tempPath("integ_readonly");
     fs::remove_all(dir);
-    constexpr size_t kCheckpointed = 200; // > kSlotsPerBucket: splits
+    constexpr size_t kEarlier = 200; // written by a closed session
     constexpr size_t kRecords = 250;
     {
-        // A first owner session; its close checkpoints these records.
         service::ResultStore owner({.dir = dir, .memCapacity = 0});
-        for (size_t i = 0; i < kCheckpointed; ++i)
+        for (size_t i = 0; i < kEarlier; ++i)
             owner.store(matrixKey(i), matrixPayload(i));
     }
-    // The live owner: the rest sit only in the tail past the watermark.
+    // The live owner: the rest are appended under its lock.
     service::ResultStore owner({.dir = dir, .memCapacity = 0});
-    for (size_t i = kCheckpointed; i < kRecords; ++i)
+    for (size_t i = kEarlier; i < kRecords; ++i)
         owner.store(matrixKey(i), matrixPayload(i));
-    ASSERT_EQ(owner.indexStats()->checkpoints, 0u);
 
     const std::string segments = dir + "/" + kDataFileName;
-    const std::string index = dir + "/" + kIndexFileName;
     const std::string leftover = segments + ".compact";
     std::ofstream(leftover) << "an unfinished compaction";
     const std::string segment_bytes = readFile(segments);
-    const std::string index_bytes = readFile(index);
-    const auto index_mtime = fs::last_write_time(index);
+    const auto segment_mtime = fs::last_write_time(segments);
     {
         service::ResultStore reader({.dir = dir, .memCapacity = 4});
         ASSERT_TRUE(reader.indexed());
@@ -916,12 +801,12 @@ TEST(StoreIntegration, LockLoserReadsTheIndexReadOnly)
         EXPECT_EQ(reader.stats().writeFailures, 0u);
     }
     EXPECT_EQ(readFile(segments), segment_bytes);
-    EXPECT_EQ(readFile(index), index_bytes);
-    EXPECT_EQ(fs::last_write_time(index), index_mtime)
-        << "not even identical pages are written back";
+    EXPECT_EQ(fs::last_write_time(segments), segment_mtime)
+        << "not even identical bytes are written back";
+    EXPECT_FALSE(hasRetiredIndexFile(dir));
     EXPECT_TRUE(fs::exists(leftover)) << "only the owner removes it";
 
-    // A garbled frame is a miss for the reader, which keeps the slot
+    // A garbled frame is a miss for the reader, which keeps the entry
     // (a second read is corrupt again) and leaves the owner's intact.
     const size_t pos =
         segment_bytes.find("key " + matrixKey(7) + "\npayload ");
@@ -937,7 +822,6 @@ TEST(StoreIntegration, LockLoserReadsTheIndexReadOnly)
                   matrixPayload(8));
     }
     EXPECT_EQ(readFile(segments), garbled_bytes);
-    EXPECT_EQ(readFile(index), index_bytes);
     EXPECT_EQ(owner.indexStats()->keys, kRecords);
 
     // A torn tail (as an owner's append in flight leaves) is left for
@@ -957,7 +841,7 @@ TEST(StoreIntegration, LockLoserReadsTheIndexReadOnly)
     // new record safely, one taken after serves it.
     service::ResultStore before({.dir = dir, .memCapacity = 0});
     owner.store("late key", "late payload");
-    EXPECT_EQ(owner.stats().writes, kRecords - kCheckpointed + 1);
+    EXPECT_EQ(owner.stats().writes, kRecords - kEarlier + 1);
     EXPECT_FALSE(before.lookup("late key").has_value());
     service::ResultStore after({.dir = dir, .memCapacity = 0});
     EXPECT_EQ(after.lookup("late key").value_or(""), "late payload");
@@ -1005,7 +889,7 @@ TEST(StoreMigrate, LegacyDirectoryMigratesByteIdentically)
     EXPECT_EQ(report.migrated, 25u);
     EXPECT_EQ(report.quarantined, 1u);
     EXPECT_FALSE(fs::exists(damaged));
-    EXPECT_TRUE(IndexStore::present(dir));
+    EXPECT_TRUE(fs::exists(dir + "/" + kDataFileName));
     expectNoLegacyRecords(dir);
 
     // Idempotent: a second pass finds nothing to do.
@@ -1044,40 +928,30 @@ TEST(IndexFsck, ClassifiesAndRepairsEveryDamageKind)
 {
     const std::string dir = tempPath("ifsck_damage");
     fs::remove_all(dir);
-    uint64_t victim = 0;
     {
         IndexStore store({.dir = dir});
         for (size_t i = 0; i < 12; ++i)
             store.put(matrixKey(i), matrixPayload(i));
         store.put(matrixKey(3), matrixPayload(3)); // superseded frame
-        store.forEachSlot([&](const BucketSlot &slot) {
-            if (slot.hash == fnv1a64(matrixKey(7)))
-                victim = slot.offset;
-        });
     }
-    // Garble one record body: its frame is damage, and the slot that
-    // pointed at it becomes a stale entry.
-    flipByte(dir + "/" + kDataFileName,
-             victim + kFrameHeaderBytes + 2);
-    const IndexFsckReport garbled = fsckIndexStore(dir);
-    EXPECT_FALSE(garbled.clean());
-    EXPECT_EQ(garbled.garbledFrames, 1u);
-    EXPECT_EQ(garbled.staleEntries, 1u);
-    EXPECT_EQ(garbled.superseded, 1u);
-    EXPECT_FALSE(garbled.notes.empty());
-
-    // A leftover split journal condemns the index outright (it is not
-    // loaded at all, so cross-checks stop mattering).
-    std::ofstream(dir + "/" + kSplitJournalName) << "torn split\n";
+    // Garble one record body, and leave half a frame at the end (an
+    // append that died mid-write).
+    const std::string segments = dir + "/" + kDataFileName;
+    flipByte(segments,
+             frameOffset(dir, matrixKey(7)) + kFrameHeaderBytes + 2);
+    std::ofstream(segments, std::ios::binary | std::ios::app)
+        << "half a frame";
     const IndexFsckReport report = fsckIndexStore(dir);
     EXPECT_FALSE(report.clean());
-    EXPECT_TRUE(report.tornSplit);
     EXPECT_EQ(report.garbledFrames, 1u);
+    EXPECT_GT(report.tornTailBytes, 0u);
+    EXPECT_EQ(report.superseded, 1u);
+    EXPECT_EQ(report.validFrames, 11u);
+    EXPECT_EQ(report.notes.size(), 2u);
 
     const IndexFsckReport repaired =
         fsckIndexStore(dir, {.repair = true});
-    EXPECT_TRUE(repaired.rebuilt);
-    EXPECT_GT(repaired.quarantined, 0u);
+    EXPECT_EQ(repaired.quarantined, 2u);
     EXPECT_TRUE(fsckIndexStore(dir).clean())
         << "repair converges to a clean store";
 
@@ -1093,31 +967,6 @@ TEST(IndexFsck, ClassifiesAndRepairsEveryDamageKind)
                 << i;
         }
     }
-    fs::remove_all(dir);
-}
-
-TEST(IndexFsck, MissingIndexIsStaleAndRepairRebuilds)
-{
-    const std::string dir = tempPath("ifsck_stale");
-    fs::remove_all(dir);
-    {
-        IndexStore store({.dir = dir});
-        for (size_t i = 0; i < 8; ++i)
-            store.put(matrixKey(i), matrixPayload(i));
-    }
-    fs::remove(dir + "/" + kIndexFileName);
-
-    const IndexFsckReport report = fsckIndexStore(dir);
-    EXPECT_TRUE(report.staleIndex);
-    const IndexFsckReport repaired =
-        fsckIndexStore(dir, {.repair = true});
-    EXPECT_TRUE(repaired.rebuilt);
-    EXPECT_TRUE(fsckIndexStore(dir).clean());
-    service::ResultStore store({.dir = dir, .memCapacity = 0});
-    for (size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(store.lookup(matrixKey(i)).value_or(""),
-                  matrixPayload(i))
-            << i;
     fs::remove_all(dir);
 }
 
@@ -1152,7 +1001,7 @@ TEST(IndexFsck, CompactAbsorbsStraysQuarantinesDamageAndReclaims)
 
 // --------------------------------------------------- crash recovery matrix
 
-constexpr size_t kMatrixRecords = 220; // > kSlotsPerBucket: splits fire
+constexpr size_t kMatrixRecords = 220;
 
 /**
  * After a child died mid-write at some index.* point: repair, rerun
@@ -1186,18 +1035,13 @@ recoverAndVerify(const std::string &dir)
 
 TEST(IndexCrashMatrix, KillAtEveryMutationPointRecoversByteIdentically)
 {
-    // Every index.* mutation point, killed mid-flight (plus the two
-    // payload-damage actions the append point supports). Hit counts
-    // land the fault mid-stream — after enough inserts that splits and
-    // bucket rewrites have state to tear.
+    // The append point, killed mid-stream, plus the two payload-damage
+    // actions it supports. (index.tail_repair, index.migrate and
+    // compact.rewrite have their own cases below.)
     const char *specs[] = {
         "index.append:100=kill",
         "index.append:100=torn",
         "index.append:100=garble",
-        "index.bucket_write:150=kill",
-        "index.checkpoint=kill",
-        "index.split_journal=kill",
-        "index.split_apply=kill",
     };
     for (const char *spec : specs) {
         SCOPED_TRACE(spec);
@@ -1281,9 +1125,8 @@ TEST(IndexCrashMatrix, KillMidTailRepairIsRerunnable)
         ASSERT_TRUE(status.signaled && status.signal == SIGKILL)
             << status.describe();
     }
-    // Force the reopen to *discover* the tail via a rebuild scan, then
-    // die mid-quarantine.
-    fs::remove(dir + "/" + kIndexFileName);
+    // The reopen discovers the tail in its scan, then dies
+    // mid-quarantine.
     {
         Subprocess child;
         child.spawn({Subprocess::selfExePath(), "--crash-child=iopen",
@@ -1317,7 +1160,7 @@ TEST(IndexCrashMatrix, KillMidCompactLosesNoRecords)
         << status.describe();
 
     // The interrupted compaction left either the old data file or the
-    // finished rename — both rebuild into every record being served.
+    // finished rename — both rescan into every record being served.
     const IndexFsckReport report = compactIndexStoreDir(dir);
     EXPECT_TRUE(fsckIndexStore(dir).clean());
     (void)report;

@@ -36,7 +36,7 @@ tsan_check() {
     cmake --build "$build_dir" -j "$jobs"
     echo "=== test $build_dir" >&2
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
-        -R '^(Engine|TimedSim|ThreadPool|SweepReuse|SchedulerFixture|Aggregation|ShardLink)\.'
+        -R '^(Engine|TimedSim|ThreadPool|SweepReuse|SchedulerFixture|Aggregation|ShardLink|IndexStoreT)\.'
 }
 
 # Process-isolation smoke: run a tiny campaign with worker processes
@@ -376,11 +376,12 @@ crash_soak() {
 # Store index smoke: the result store end to end against the real
 # binaries (docs/SERVICE.md, docs/ROBUSTNESS.md). A served query seeds
 # the store and its warm reply is captured; then every way the store
-# can change shape — a kill -9 mid-bucket-split followed by fsck
-# repair, and a full compact — must leave a restarted server producing
-# that exact reply, byte for byte. (Legacy-directory migration at open
-# is covered end to end by SchedulerFixture.LegacyDirectoryIsMigratedAtOpen.)
-# Runs under both configs so the segment file, hash index, and
+# can change shape — a kill -9 mid-append followed by fsck repair, and
+# a full compact — must leave a restarted server producing that exact
+# reply, byte for byte, and no stage may write an index file beside
+# the segment file. (Legacy-directory migration at open is covered end
+# to end by SchedulerFixture.LegacyDirectoryIsMigratedAtOpen.) Runs
+# under both configs so the segment file, the open-time scan, and the
 # recovery paths get ASan/UBSan coverage on every CI run.
 store_index_smoke() {
     build_dir="$1"
@@ -439,31 +440,34 @@ store_index_smoke() {
     query > /dev/null
     query > "$smoke_dir/warm.json"
     stop_server
-    if [ ! -f "$store_dir/index.davf" ]; then
-        echo "store index smoke: the server built no index" >&2
-        exit 1
-    fi
+    no_index_file() {
+        if [ -e "$store_dir/index.davf" ]; then
+            echo "store index smoke: $1 wrote an index.davf" >&2
+            exit 1
+        fi
+    }
+    no_index_file "the server"
 
-    # Ballast so the index is one bulk insert away from bucket splits
-    # (the kill target below).
+    # Ballast so the armed populate below has a store to append to.
     "$build_dir/tools/davf_store" populate "$store_dir" 120 \
         2>> "$smoke_dir/store.log"
 
-    # kill -9 mid-split: an armed bulk insert dies while applying a
-    # bucket split, leaving the split journal behind. Plain fsck must
-    # refuse the store, repair must converge, and the repaired store
-    # must still serve the exact reply.
+    # kill -9 mid-append: an armed bulk insert publishes half a frame
+    # and dies (`torn`; a plain `kill` fires before the write and
+    # leaves nothing to find). Plain fsck must refuse the torn tail,
+    # repair must converge, and the repaired store must still serve
+    # the exact reply.
     rc=0
-    env DAVF_TEST_CRASHPOINT='index.split_apply=kill' \
+    env DAVF_TEST_CRASHPOINT='index.append:200=torn' \
         "$build_dir/tools/davf_store" populate "$store_dir" 400 \
         2>> "$smoke_dir/store.log" || rc=$?
     if [ "$rc" -eq 0 ]; then
-        echo "store index smoke: armed populate survived its split" >&2
+        echo "store index smoke: armed populate survived its append" >&2
         exit 1
     fi
     if "$build_dir/tools/davf_store" fsck "$store_dir" \
         2> "$smoke_dir/fsck.log"; then
-        echo "store index smoke: fsck missed the torn split:" >&2
+        echo "store index smoke: fsck missed the torn tail:" >&2
         cat "$smoke_dir/fsck.log" >&2
         exit 1
     fi
@@ -480,13 +484,15 @@ store_index_smoke() {
     "$build_dir/tools/davf_store" compact "$store_dir" \
         2>> "$smoke_dir/store.log"
     expect_reply warm-compacted.json
+    no_index_file "repair or compact"
     echo "=== store index smoke ok (replies byte-identical across" \
-        "split-kill repair, compact)" >&2
+        "append-kill repair, compact)" >&2
 }
 
 # Parse smoke: a garbage numeric flag value is a usage error (exit 2),
-# never a silently different run (util/parse.hh). A rejected populate
-# must not create its store.
+# never a silently different run (util/parse.hh), and so is a flag the
+# chosen mode would ignore. A rejected populate or run must not create
+# its store.
 parse_smoke() {
     build_dir="$1"
     smoke_dir="$build_dir/parse-smoke"
@@ -508,6 +514,13 @@ parse_smoke() {
     expect_usage "$store" populate --payload-bytes 8q "$smoke_dir/store" 3
     if [ -e "$smoke_dir/store" ]; then
         echo "parse smoke: a rejected populate created its store" >&2
+        exit 1
+    fi
+    run="$build_dir/tools/davf_run"
+    expect_usage "$run" --store-dir "$smoke_dir/run-store"
+    expect_usage "$run" --isolate process --store-dir "$smoke_dir/run-store"
+    if [ -e "$smoke_dir/run-store" ]; then
+        echo "parse smoke: a rejected davf_run created its store" >&2
         exit 1
     fi
     expect_usage "$trace" --d abc --cycle 4x

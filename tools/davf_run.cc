@@ -69,7 +69,8 @@
  *                          proceeding with whatever connected
  *                          (default 30000)
  *     --store-dir D        content-addressed result store shared as a
- *                          cache tier: shards found there are not
+ *                          cache tier (--isolate net only; a usage
+ *                          error otherwise): shards found there are not
  *                          recomputed, fresh ones are written back
  *                          (read-only when another process, e.g. a
  *                          davf_serve, owns the directory: its
@@ -182,9 +183,9 @@ printUsage(const char *argv0)
                  "[--isolate thread|process|net] [--workers N]\n"
                  "          [--listen HOST:PORT] [--port-file FILE] "
                  "[--min-nodes N]\n"
-                 "          [--node-wait-ms X] [--store-dir D] "
-                 "[--max-retries N] [--backoff-ms X]\n"
-                 "          [--worker-mem-mb N]\n"
+                 "          [--node-wait-ms X] [--store-dir D (net only)]\n"
+                 "          [--max-retries N] [--backoff-ms X]"
+                 " [--worker-mem-mb N]\n"
                  "          [--shard-timeout-ms X] [--quarantine-dir D]\n"
                  "          [--shard-metrics-csv FILE]\n"
                  "          [--metrics-json FILE] [--trace-json FILE] "
@@ -399,6 +400,8 @@ parse(int argc, char **argv)
         }
     }
 
+    if (!opts.store_dir.empty() && !opts.isolate_net)
+        usageError(argv[0], "--store-dir needs --isolate net");
     if (!knownBenchmark(opts.benchmark)) {
         usageError(argv[0],
                    "--benchmark: unknown benchmark '" + opts.benchmark
@@ -544,20 +547,10 @@ runTool(int argc, char **argv)
             store_options.dir = opts.store_dir;
             net_store = std::make_unique<service::ResultStore>(
                 store_options);
-            const std::string fingerprint = workspace.fingerprint();
-            net_options.cacheLookup =
-                [&store = *net_store, fingerprint](const ShardSpec &spec)
-                -> std::optional<std::string> {
-                return store.lookup(
-                    service::shardStoreKey(fingerprint, spec));
-            };
-            net_options.cacheStore =
-                [&store = *net_store, fingerprint](
-                    const ShardSpec &spec, const std::string &payload) {
-                    store.store(
-                        service::shardStoreKey(fingerprint, spec),
-                        payload);
-                };
+            service::ShardCacheHooks hooks = service::shardCacheHooks(
+                *net_store, workspace.fingerprint());
+            net_options.cacheLookup = std::move(hooks.lookup);
+            net_options.cacheStore = std::move(hooks.store);
         }
 
         coordinator = std::make_unique<net::Coordinator>(

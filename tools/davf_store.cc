@@ -10,22 +10,21 @@
  *   davf_store populate [--payload-bytes N] DIR COUNT
  *   davf_store crashpoints
  *
- * `fsck` checks DIR (store/index_fsck.hh: torn splits, stale index
- * pages/entries, garbled frames, torn tails, legacy strays). Exit 0
+ * `fsck` checks DIR (store/index_fsck.hh: garbled frames, torn tails,
+ * superseded frames, legacy strays, retired index files). Exit 0
  * when the store is damage-free, 1 when damage was found (or, with
  * --repair, when some damage could not be repaired) or the directory
  * is unreadable, 2 on usage errors. With --repair, damage evidence is
- * quarantined into DIR/quarantine/ (never deleted) and the index,
- * being derived data, is rebuilt from the segment file; a repaired
- * store exits 0.
+ * quarantined into DIR/quarantine/ (never deleted); a repaired store
+ * exits 0.
  *
  * `compact` is repair plus space recovery: absorb legacy records,
- * quarantine damage, rewrite the segment file to live records only,
- * rebuild the index. Crash-safe — killing it at any instant leaves a
- * store a rerun finishes.
+ * quarantine damage, rewrite the segment file to live records only.
+ * Crash-safe — killing it at any instant leaves a store a rerun
+ * finishes.
  *
  * `migrate` absorbs every legacy per-file record (`r-*.rec`, written
- * by older releases) into the indexed tier (creating it if absent),
+ * by older releases) into the segment file (creating it if absent),
  * unlinking each legacy file only after its replacement is durable;
  * damaged legacy records are quarantined. Idempotent and crash-safe —
  * rerun after any interruption. The owning ResultStore runs the same
@@ -75,29 +74,22 @@ printReport(const store::IndexFsckReport &report)
     for (const std::string &note : report.notes)
         std::fprintf(stderr, "%s\n", note.c_str());
     std::fprintf(stderr,
-                 "index store: %llu valid frame(s), %llu superseded, "
+                 "store: %llu valid frame(s), %llu superseded, "
                  "%llu garbled, %llu torn-tail byte(s), "
-                 "%llu stale entr(ies), %llu unindexed, "
-                 "%llu legacy stray(s), %llu foreign%s%s\n",
+                 "%llu legacy stray(s), %llu foreign\n",
                  (unsigned long long)report.validFrames,
                  (unsigned long long)report.superseded,
                  (unsigned long long)report.garbledFrames,
                  (unsigned long long)report.tornTailBytes,
-                 (unsigned long long)report.staleEntries,
-                 (unsigned long long)report.unindexed,
                  (unsigned long long)report.legacyStrays,
-                 (unsigned long long)report.foreign,
-                 report.tornSplit ? ", torn split" : "",
-                 report.staleIndex ? ", stale index" : "");
-    if (report.quarantined || report.rebuilt || report.migrated
-        || report.reclaimedBytes) {
+                 (unsigned long long)report.foreign);
+    if (report.quarantined || report.migrated || report.reclaimedBytes) {
         std::fprintf(stderr,
                      "repaired: %llu quarantined, %llu migrated, "
-                     "%llu byte(s) reclaimed%s\n",
+                     "%llu byte(s) reclaimed\n",
                      (unsigned long long)report.quarantined,
                      (unsigned long long)report.migrated,
-                     (unsigned long long)report.reclaimedBytes,
-                     report.rebuilt ? ", index rebuilt" : "");
+                     (unsigned long long)report.reclaimedBytes);
     }
 }
 
