@@ -56,7 +56,7 @@ enum class IsolationMode : uint8_t {
     /**
      * On remote worker nodes through a CampaignOptions::dispatcher
      * (the src/net coordinator): shards travel over TCP with
-     * heartbeats, retry, node quarantine, and local fallback, and
+     * heartbeats, retry, lost nodes retired, and local fallback, and
      * every completed outcome flows through the same journal grammar,
      * so aggregates stay bit-identical to Thread mode at any node
      * count (docs/DISTRIBUTED.md).

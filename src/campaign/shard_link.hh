@@ -5,11 +5,10 @@
  * (supervisor.hh) or a node's TCP connection (net/coordinator.hh).
  *
  * Parent side: exchangeShard() (one `shard <spec>` request and its
- * reply, returned as a transport-neutral ShardReply that each transport
- * maps onto its own failure taxonomy), the retry backoff, and the
- * quit-then-drain shutdown. Worker side: the serveShards() loop.
- * ShardDispatcher is what the campaign and the query scheduler hand
- * whole cells to. Replies use the journal token grammar
+ * reply, returned as a transport-neutral ShardReply), the retry
+ * backoff, and the quit-then-drain shutdown, all driven by the one
+ * dispatch core, ShardDispatcher (fleet.hh). Worker side: the
+ * serveShards() loop. Replies use the journal token grammar
  * (checkpoint.hh), which is why the link lives in src/campaign, and
  * they aggregate bit-identically to thread mode in every transport
  * (docs/ROBUSTNESS.md, "Failure classification and retries").
@@ -19,7 +18,6 @@
 #define DAVF_CAMPAIGN_SHARD_LINK_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,48 +47,6 @@ struct QuarantineRecord
     std::string reason;   ///< e.g. "killed by signal 6 (Aborted)".
 
     bool operator==(const QuarantineRecord &) const = default;
-};
-
-/**
- * Isolated execution of whole campaign cells. The campaign and the
- * query scheduler stay transport-agnostic: they hand cells to this
- * interface and journal (or store) the per-cycle outcomes they get
- * back exactly as in thread mode. Implemented by Supervisor (worker
- * processes) and net::Coordinator (TCP worker nodes).
- */
-class ShardDispatcher
-{
-  public:
-    /** One dispatched cell's outcome. */
-    struct CellResult
-    {
-        bool failed = false; ///< A shard failed beyond repair.
-        std::string failReason;
-        bool stopped = false; ///< The stop flag interrupted the cell.
-
-        /** Injections newly quarantined by this cell (already
-         *  persisted); only process isolation quarantines. */
-        std::vector<QuarantineRecord> quarantined;
-    };
-
-    virtual ~ShardDispatcher() = default;
-
-    /**
-     * Compute the given injection cycles of one (structure, delay)
-     * cell. Every completed outcome is delivered through
-     * @p on_cycle_done (serialized; any thread).
-     */
-    virtual CellResult runDavfCell(
-        const std::string &structure, double delay_fraction,
-        const std::vector<uint64_t> &cycles,
-        const SamplingConfig &sampling,
-        const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done) = 0;
-
-    /** Compute one sAVF cell; @p out on success. */
-    virtual CellResult runSavfCell(const std::string &structure,
-                                   const SamplingConfig &sampling,
-                                   SavfResult &out) = 0;
 };
 
 /**

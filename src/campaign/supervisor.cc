@@ -10,12 +10,9 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "util/atomic_file.hh"
-#include "util/clock.hh"
 #include "util/crashpoint.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
@@ -28,6 +25,12 @@ namespace {
 constexpr double kQuitGraceMs = 2000.0;
 constexpr double kKillGraceMs = 500.0;
 
+/** Budget for a fresh worker's hello (covers its engine build). */
+constexpr double kStartTimeoutMs = 120000.0;
+
+/** Most injections quarantined per cell before giving up on it. */
+constexpr size_t kMaxQuarantinePerCell = 4;
+
 /**
  * Supervisor metric handles (docs/OBSERVABILITY.md). In `--isolate
  * process` mode the engine's own counters live in the worker processes;
@@ -36,10 +39,9 @@ constexpr double kKillGraceMs = 500.0;
  */
 struct SupervisorMetrics
 {
-    LinkMetrics link{"supervisor"};
+    FleetMetrics fleet{"supervisor", "supervisor.retries", false};
     obs::Counter workersSpawned{"supervisor.workers_spawned"};
     obs::Counter workersRetired{"supervisor.workers_retired"};
-    obs::Counter retries{"supervisor.retries"};
     obs::Counter bisectProbes{"supervisor.bisect_probes"};
     obs::Counter quarantines{"supervisor.quarantines"};
     obs::Counter quarantineWriteFailures{
@@ -74,39 +76,6 @@ outcomeCounter(std::string_view name)
 }
 
 } // namespace
-
-const char *
-workerOutcomeName(WorkerOutcome outcome)
-{
-    switch (outcome) {
-    case WorkerOutcome::Ok: return "ok";
-    case WorkerOutcome::Crash: return "crash";
-    case WorkerOutcome::Timeout: return "timeout";
-    case WorkerOutcome::Oom: return "oom";
-    case WorkerOutcome::BadOutput: return "bad-output";
-    case WorkerOutcome::Error: return "error";
-    case WorkerOutcome::Stopped: return "stopped";
-    }
-    return "?";
-}
-
-WorkerOutcome
-classifyWorkerReply(ShardReply::Status status, const ExitStatus &exit)
-{
-    using Status = ShardReply::Status;
-    switch (status) {
-    case Status::Ok: return WorkerOutcome::Ok;
-    case Status::WorkerError: return WorkerOutcome::Error;
-    case Status::Torn:
-    case Status::BadReply: return WorkerOutcome::BadOutput;
-    case Status::Silent:
-    case Status::Deadline: return WorkerOutcome::Timeout;
-    case Status::SendFailed:
-    case Status::Eof: break;
-    }
-    return exit.exited && exit.code == 86 ? WorkerOutcome::Oom
-                                          : WorkerOutcome::Crash;
-}
 
 std::string
 serializeQuarantineRecord(const QuarantineRecord &record)
@@ -219,48 +188,47 @@ loadQuarantineRecords(const std::string &dir)
 // Supervisor
 // ---------------------------------------------------------------------
 
-struct Supervisor::Slot
+struct Supervisor::Worker : Slot
 {
     std::unique_ptr<Subprocess> proc;
     bool ready = false; ///< The worker said hello and is idle.
-};
 
-/** One shard dispatch: the exchange, classified, plus its wall time.
- *  The rusage fields come from the reply or from the reaped worker. */
-struct Supervisor::Attempt : ShardReply
-{
-    WorkerOutcome outcome = WorkerOutcome::Error;
-    double wallMs = 0.0;
-
-    bool retryable() const
+    FrameLink *
+    link() override
     {
-        return outcome == WorkerOutcome::Crash
-            || outcome == WorkerOutcome::Timeout
-            || outcome == WorkerOutcome::Oom
-            || outcome == WorkerOutcome::BadOutput;
+        return proc && proc->running() ? proc.get() : nullptr;
     }
-};
 
-struct Supervisor::CellState
-{
-    std::mutex mutex;
-    size_t next = 0; ///< Next undispatched job index (under mutex).
-    std::vector<QuarantineRecord> quarantined;
-    bool failed = false;
-    std::string failReason;
-    bool stopped = false;
+    void close() override { stop(kQuitGraceMs); }
+
+    /** Kill a worker that failed or would not start. */
+    void
+    retire(double grace_ms)
+    {
+        if (proc)
+            supervisorMetrics().workersRetired.add(1);
+        stop(grace_ms);
+    }
+
+    void
+    stop(double grace_ms)
+    {
+        if (proc && proc->running())
+            proc->terminate(grace_ms);
+        proc.reset();
+        ready = false;
+    }
 };
 
 Supervisor::Supervisor(const VulnerabilityEngine &the_engine,
                        const StructureRegistry &the_registry,
                        SupervisorOptions the_options)
-    : engine(&the_engine), registry(&the_registry),
-      options(std::move(the_options))
+    : ShardDispatcher(the_options, supervisorMetrics().fleet),
+      engine(&the_engine), registry(&the_registry),
+      options(std::move(static_cast<WorkerPoolOptions &>(the_options)))
 {
     davf_assert(!options.workerArgv.empty(),
                 "supervisor needs a worker command line");
-    if (options.workers == 0)
-        options.workers = 1;
     // Known-bad injections from earlier runs keep their exclusions, so
     // a resumed campaign converges instead of re-crashing on the same
     // cell. Records from other configurations are ignored (their
@@ -275,8 +243,11 @@ Supervisor::Supervisor(const VulnerabilityEngine &the_engine,
     // A dead worker surfaces as EPIPE on write, not a process-fatal
     // SIGPIPE.
     ::signal(SIGPIPE, SIG_IGN);
-    for (unsigned i = 0; i < options.workers; ++i)
-        slots.push_back(std::make_unique<Slot>());
+    for (unsigned i = 0; i < std::max(options.workers, 1u); ++i) {
+        auto worker = std::make_shared<Worker>();
+        worker->name = "worker " + std::to_string(i);
+        addSlot(std::move(worker));
+    }
 }
 
 Supervisor::~Supervisor()
@@ -288,121 +259,97 @@ Supervisor::~Supervisor()
     }
 }
 
-bool
-Supervisor::stopRequested() const
+std::vector<WireId>
+Supervisor::sampledWires(const std::string &structure,
+                         const SamplingConfig &sampling)
 {
-    return options.stopFlag
-        && options.stopFlag->load(std::memory_order_relaxed);
+    const Structure *resolved = registry->find(structure);
+    davf_assert(resolved != nullptr, "supervisor: unknown structure '",
+                structure, "'");
+    return engine->sampledWires(*resolved, sampling);
 }
 
 void
-Supervisor::retireWorker(Slot &slot, double grace_ms)
+Supervisor::ensureWorker(Worker &worker)
 {
-    if (!slot.proc)
+    if (worker.proc && worker.proc->running() && worker.ready)
         return;
-    supervisorMetrics().workersRetired.add(1);
-    if (slot.proc->running())
-        slot.proc->terminate(grace_ms);
-    slot.proc.reset();
-    slot.ready = false;
-}
+    worker.retire(0.0);
 
-void
-Supervisor::ensureWorker(Slot &slot)
-{
-    if (slot.proc && slot.proc->running() && slot.ready)
-        return;
-    retireWorker(slot, 0.0);
-
-    slot.proc = std::make_unique<Subprocess>();
+    worker.proc = std::make_unique<Subprocess>();
     SpawnOptions spawn;
     spawn.memLimitMb = options.workerMemMb;
-    slot.proc->spawn(options.workerArgv, spawn);
+    worker.proc->spawn(options.workerArgv, spawn);
     supervisorMetrics().workersSpawned.add(1);
 
     // The hello covers the worker's whole engine build (golden run
     // included), so it gets its own generous budget.
     std::string frame;
     const Subprocess::ReadStatus st =
-        slot.proc->read(frame, options.startTimeoutMs);
+        worker.proc->read(frame, kStartTimeoutMs);
     if (st != Subprocess::ReadStatus::Frame || frame != "hello") {
         std::string detail;
         if (st == Subprocess::ReadStatus::Timeout) {
-            detail = "no hello within "
-                + std::to_string(options.startTimeoutMs) + " ms";
-            retireWorker(slot, kKillGraceMs);
+            detail = "no hello within " + std::to_string(kStartTimeoutMs)
+                + " ms";
+            worker.retire(kKillGraceMs);
         } else if (st == Subprocess::ReadStatus::Eof) {
-            detail = slot.proc->wait().describe();
-            slot.proc.reset();
+            detail = worker.proc->wait().describe();
+            worker.proc.reset();
         } else {
             detail = "unexpected first frame '" + frame + "'";
-            retireWorker(slot, kKillGraceMs);
+            worker.retire(kKillGraceMs);
         }
         davf_throw(ErrorKind::Io, "campaign worker failed to start (",
                    detail, "); command: ", options.workerArgv[0]);
     }
-    slot.ready = true;
+    worker.ready = true;
 }
 
-Supervisor::Attempt
-Supervisor::dispatchOnce(Slot &slot, const ShardSpec &spec)
+ShardAttempt
+Supervisor::dispatch(Slot &slot, const ShardSpec &spec, double started_ms)
 {
-    const LinkMetrics &lm = supervisorMetrics().link;
-    const obs::Span span(lm.dispatchSpan.c_str(), &lm.dispatchNs);
-    lm.dispatches.add(1);
-
-    Attempt attempt;
-    const double started = nowMs();
-    auto finish = [&](WorkerOutcome outcome) {
-        attempt.outcome = outcome;
-        attempt.wallMs = nowMs() - started;
-        outcomeCounter(workerOutcomeName(outcome)).add(1);
-        lm.shardWallUs.observe(
-            static_cast<uint64_t>(attempt.wallMs * 1000.0));
-        return attempt;
-    };
-
+    Worker &worker = static_cast<Worker &>(slot);
     try {
-        ensureWorker(slot);
+        ensureWorker(worker);
     } catch (const DavfError &error) {
-        // A worker that cannot even start is indistinguishable from a
-        // startup crash; the retry path respawns it.
+        ShardAttempt attempt;
+        attempt.outcome = ShardOutcome::Crash;
+        attempt.startFailed = true;
         attempt.detail = error.what();
-        return finish(WorkerOutcome::Crash);
+        return attempt;
     }
 
-    static_cast<ShardReply &>(attempt) =
-        exchangeShard(*slot.proc, spec, options.heartbeatTimeoutMs,
-                      options.shardTimeoutMs, started, lm);
+    ShardAttempt attempt = exchange(*worker.proc, spec, started_ms);
     using Status = ShardReply::Status;
-    ExitStatus exit;
     if (attempt.status == Status::BadReply) {
         // Protocol corruption: retire the worker so the retry starts
         // from a clean process.
-        retireWorker(slot, kKillGraceMs);
-    } else if (attempt.status != Status::Ok
-               && attempt.status != Status::WorkerError) {
+        worker.retire(kKillGraceMs);
+    } else if (attempt.retryable()) {
         // The worker is gone, wedged, or out of frame sync: reap it
         // for its exit status and rusage.
-        exit = attempt.status == Status::Eof
-            ? slot.proc->wait()
-            : slot.proc->terminate(kKillGraceMs);
-        slot.proc.reset();
-        slot.ready = false;
+        const ExitStatus exit = attempt.status == Status::Eof
+            ? worker.proc->wait()
+            : worker.proc->terminate(kKillGraceMs);
+        worker.proc.reset();
+        worker.ready = false;
         attempt.rssKb = exit.maxRssKb;
         attempt.userSec = exit.userSec;
         attempt.sysSec = exit.sysSec;
         if (attempt.status == Status::Eof
             || attempt.status == Status::SendFailed)
             attempt.detail = exit.describe();
+        attempt.outcome = classifyShardReply(attempt.status, exit);
     }
-    return finish(classifyWorkerReply(attempt.status, exit));
+    return attempt;
 }
 
 void
-Supervisor::recordMetrics(const ShardSpec &spec, unsigned attempt,
-                          const Attempt &outcome)
+Supervisor::attempted(const ShardSpec &spec, unsigned attempt,
+                      const ShardAttempt &result)
 {
+    outcomeCounter(shardOutcomeName(result.outcome)).add(1);
     if (options.metricsCsvPath.empty())
         return;
     const std::lock_guard<std::mutex> lock(metricsMutex);
@@ -415,290 +362,132 @@ Supervisor::recordMetrics(const ShardSpec &spec, unsigned attempt,
                 "outcome,wall_ms,max_rss_kb,user_s,sys_s\n";
     }
     char wall[32], user[32], sys[32];
-    std::snprintf(wall, sizeof wall, "%.3f", outcome.wallMs);
-    std::snprintf(user, sizeof user, "%.3f", outcome.userSec);
-    std::snprintf(sys, sizeof sys, "%.3f", outcome.sysSec);
+    std::snprintf(wall, sizeof wall, "%.3f", result.wallMs);
+    std::snprintf(user, sizeof user, "%.3f", result.userSec);
+    std::snprintf(sys, sizeof sys, "%.3f", result.sysSec);
     file << spec.structure << ','
          << (spec.kind == ShardSpec::Kind::Cycle ? "davf" : "savf")
          << ',' << spec.cycle << ',' << spec.wireBegin << ','
          << (spec.wireEnd == SIZE_MAX ? std::string("-")
                                       : std::to_string(spec.wireEnd))
-         << ',' << attempt << ',' << workerOutcomeName(outcome.outcome)
-         << ','
-         << wall << ',' << outcome.rssKb << ',' << user << ',' << sys
-         << '\n';
+         << ',' << attempt << ',' << shardOutcomeName(result.outcome)
+         << ',' << wall << ',' << result.rssKb << ',' << user << ','
+         << sys << '\n';
 }
 
-Supervisor::Attempt
-Supervisor::dispatchWithRetries(Slot &slot, const ShardSpec &spec)
+Settlement
+Supervisor::orphaned(ShardJob &)
 {
-    Attempt attempt;
-    for (unsigned n = 0;; ++n) {
-        if (stopRequested()) {
-            attempt.outcome = WorkerOutcome::Stopped;
-            attempt.detail = "stop requested";
-            return attempt;
-        }
-        attempt = dispatchOnce(slot, spec);
-        recordMetrics(spec, n, attempt);
-        if (!attempt.retryable() || n >= options.maxRetries)
-            return attempt;
-        supervisorMetrics().retries.add(1);
-        davf_warn("shard ", spec.structure, " cycle ", spec.cycle,
-                  " attempt ", n, " failed (", attempt.detail,
-                  "); retrying");
-        sleepRetryBackoff(options.backoffBaseMs, spec, n, options.seed,
-                          supervisorMetrics().link);
+    // Process slots respawn their workers; only shutdown() ends them.
+    return {Settlement::Kind::Fail, "supervisor shut down"};
+}
+
+Settlement
+Supervisor::retriesExhausted(Slot &slot, ShardJob &job,
+                             const ShardAttempt &last, size_t quarantined)
+{
+    // A worker that never started never ran the shard: there is no
+    // culprit injection to bisect for.
+    if (last.startFailed)
+        return {Settlement::Kind::Fail, last.detail};
+    if (job.spec.kind != ShardSpec::Kind::Cycle) {
+        return {Settlement::Kind::Fail,
+                std::string(shardOutcomeName(last.outcome)) + " ("
+                    + last.detail + ")"};
     }
-}
 
-Supervisor::Attempt
-Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
-                                const std::vector<WireId> &wires,
-                                CellState &cell)
-{
+    // A cycle shard is bisected down to a single offending injection,
+    // which is quarantined (up to the per-cell budget); the amended
+    // job then reruns with the injection excluded.
+    const Settlement stop{Settlement::Kind::Stop, {}};
+    if (stopRequested())
+        return stop;
+    if (quarantined >= kMaxQuarantinePerCell) {
+        return {Settlement::Kind::Fail,
+                "crash (quarantine budget ("
+                    + std::to_string(kMaxQuarantinePerCell)
+                    + " per cell) exhausted)"};
+    }
+
+    // Bisection reports culprits by their place in the sampled-wire
+    // order.
+    ShardSpec &spec = job.spec;
+    const std::vector<WireId> wires =
+        sampledWires(spec.structure, spec.sampling);
+
     // Probe one wire-index sub-range with a single attempt; bisection
     // only needs a fails/passes signal, and probe outcomes are always
     // discarded (per-cycle memoization makes sub-range counters
     // non-additive).
-    auto probe_fails = [&](size_t begin, size_t end,
-                           Attempt &last) -> bool {
+    ShardAttempt probe_result;
+    auto probe_fails = [&](size_t begin, size_t end) -> bool {
         ShardSpec probe = spec;
         probe.wireBegin = begin;
         probe.wireEnd = end;
         supervisorMetrics().bisectProbes.add(1);
-        last = dispatchOnce(slot, probe);
-        recordMetrics(probe, 0, last);
-        return last.retryable();
+        probe_result = dispatchTimed(slot, probe, 0);
+        return probe_result.retryable();
     };
 
-    Attempt last;
-    for (;;) {
-        if (stopRequested()) {
-            last.outcome = WorkerOutcome::Stopped;
-            last.detail = "stop requested";
-            return last;
-        }
-        {
-            const std::lock_guard<std::mutex> lock(cell.mutex);
-            if (cell.quarantined.size() >= options.maxQuarantinePerCell) {
-                last.outcome = WorkerOutcome::Crash;
-                last.detail = "quarantine budget ("
-                    + std::to_string(options.maxQuarantinePerCell)
-                    + " per cell) exhausted";
-                return last;
-            }
-        }
-
-        // Binary descent: keep the failing half. The full range is
-        // known to fail, so if the left half passes the culprit is on
-        // the right.
-        size_t lo = 0;
-        size_t hi = wires.size();
-        while (hi - lo > 1) {
-            const size_t mid = lo + (hi - lo) / 2;
-            if (probe_fails(lo, mid, last))
-                hi = mid;
-            else
-                lo = mid;
-            if (stopRequested()) {
-                last.outcome = WorkerOutcome::Stopped;
-                last.detail = "stop requested";
-                return last;
-            }
-        }
-
-        if (hi - lo != 1 || !probe_fails(lo, hi, last)) {
-            // The failure does not reproduce on any single injection —
-            // flaky hardware, or a crash that needs cross-wire state.
-            last.outcome = WorkerOutcome::Crash;
-            last.detail = "crash did not bisect to a single injection";
-            return last;
-        }
-
-        QuarantineRecord record;
-        record.configHash = options.configHash;
-        record.benchmark = options.benchmark;
-        record.structure = spec.structure;
-        record.delayFraction = spec.delayFraction;
-        record.cycle = spec.cycle;
-        record.wireIndex = lo;
-        record.wire = lo < wires.size() ? wires[lo] : 0;
-        record.seed = spec.sampling.seed;
-        record.reason = last.detail;
-        if (!options.quarantineDir.empty()) {
-            // A quarantine record is an optimization (it pre-excludes
-            // the injection on the next run); failing to persist one —
-            // full disk, armed crash point — must not kill the
-            // campaign that just survived the crash it describes.
-            try {
-                saveQuarantineRecord(options.quarantineDir, record);
-            } catch (const DavfError &error) {
-                supervisorMetrics().quarantineWriteFailures.add(1);
-                davf_warn("cannot persist quarantine record (campaign "
-                          "continues): ",
-                          error.what());
-            }
-        }
-        supervisorMetrics().quarantines.add(1);
-        {
-            const std::lock_guard<std::mutex> lock(cell.mutex);
-            cell.quarantined.push_back(record);
-        }
-        davf_warn("quarantined injection: structure ", spec.structure,
-                  " cycle ", spec.cycle, " wire index ", lo, " (",
-                  last.detail, ")");
-
-        spec.quarantined.push_back(lo);
-        std::sort(spec.quarantined.begin(), spec.quarantined.end());
-
-        // Re-run the whole cycle with the exclusion; more culprits send
-        // us around the loop (budget permitting).
-        last = dispatchWithRetries(slot, spec);
-        if (!last.retryable())
-            return last;
+    // Binary descent: keep the failing half. The full range is known
+    // to fail, so if the left half passes the culprit is on the right.
+    size_t lo = 0;
+    size_t hi = wires.size();
+    while (hi - lo > 1) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (probe_fails(lo, mid))
+            hi = mid;
+        else
+            lo = mid;
+        if (probe_result.startFailed)
+            return {Settlement::Kind::Fail, probe_result.detail};
+        if (stopRequested())
+            return stop;
     }
-}
 
-Supervisor::CellResult
-Supervisor::runDavfCell(
-    const std::string &structure, double delay_fraction,
-    const std::vector<uint64_t> &cycles, const SamplingConfig &sampling,
-    const std::function<void(const InjectionCycleOutcome &)>
-        &on_cycle_done)
-{
-    CellResult result;
-    if (cycles.empty())
-        return result;
+    if (hi - lo != 1 || !probe_fails(lo, hi)) {
+        // The failure does not reproduce on any single injection —
+        // flaky hardware, or a crash that needs cross-wire state.
+        return {Settlement::Kind::Fail,
+                "crash (crash did not bisect to a single injection)"};
+    }
+    if (probe_result.startFailed)
+        return {Settlement::Kind::Fail, probe_result.detail};
 
-    // Bisection reports culprits by their place in the sampled-wire
-    // order.
-    const Structure *resolved = registry->find(structure);
-    davf_assert(resolved != nullptr, "supervisor: unknown structure '",
-                structure, "'");
-    const std::vector<WireId> wires =
-        engine->sampledWires(*resolved, sampling);
-
-    // Exclusions apply per cycle: a quarantined injection names one
-    // (cycle, wire index) pair. A record read from disk applies only
-    // while its index still names its wire in this cell's sampled
-    // order; the config hash does not cover the netlist.
-    std::vector<std::vector<size_t>> exclusions(cycles.size());
-    for (const QuarantineRecord &record : known) {
-        if (record.structure != structure
-            || record.delayFraction != delay_fraction
-            || record.seed != sampling.seed
-            || record.wireIndex >= wires.size()
-            || wires[record.wireIndex] != record.wire)
-            continue;
-        for (size_t i = 0; i < cycles.size(); ++i) {
-            if (cycles[i] == record.cycle)
-                exclusions[i].push_back(record.wireIndex);
+    QuarantineRecord record;
+    record.configHash = options.configHash;
+    record.benchmark = options.benchmark;
+    record.structure = spec.structure;
+    record.delayFraction = spec.delayFraction;
+    record.cycle = spec.cycle;
+    record.wireIndex = lo;
+    record.wire = lo < wires.size() ? wires[lo] : 0;
+    record.seed = spec.sampling.seed;
+    record.reason = probe_result.detail;
+    if (!options.quarantineDir.empty()) {
+        // A quarantine record is an optimization (it pre-excludes the
+        // injection on the next run); failing to persist one — full
+        // disk, armed crash point — must not kill the campaign that
+        // just survived the crash it describes.
+        try {
+            saveQuarantineRecord(options.quarantineDir, record);
+        } catch (const DavfError &error) {
+            supervisorMetrics().quarantineWriteFailures.add(1);
+            davf_warn("cannot persist quarantine record (campaign "
+                      "continues): ",
+                      error.what());
         }
     }
-    for (std::vector<size_t> &list : exclusions)
-        std::sort(list.begin(), list.end());
+    supervisorMetrics().quarantines.add(1);
+    davf_warn("quarantined injection: structure ", spec.structure,
+              " cycle ", spec.cycle, " wire index ", lo, " (",
+              probe_result.detail, ")");
 
-    CellState cell;
-    auto drain = [&](Slot &slot) {
-        for (;;) {
-            size_t job;
-            {
-                const std::lock_guard<std::mutex> lock(cell.mutex);
-                if (cell.failed || cell.stopped
-                    || cell.next >= cycles.size())
-                    return;
-                job = cell.next++;
-            }
-            if (stopRequested()) {
-                const std::lock_guard<std::mutex> lock(cell.mutex);
-                cell.stopped = true;
-                return;
-            }
-
-            ShardSpec spec;
-            spec.kind = ShardSpec::Kind::Cycle;
-            spec.structure = structure;
-            spec.delayFraction = delay_fraction;
-            spec.cycle = cycles[job];
-            spec.quarantined = exclusions[job];
-            spec.sampling = sampling;
-
-            Attempt attempt = dispatchWithRetries(slot, spec);
-            if (attempt.retryable())
-                attempt = bisectAndQuarantine(slot, spec, wires, cell);
-
-            const std::lock_guard<std::mutex> lock(cell.mutex);
-            if (attempt.outcome == WorkerOutcome::Ok) {
-                if (on_cycle_done)
-                    on_cycle_done(attempt.cycleOutcome);
-            } else if (attempt.outcome == WorkerOutcome::Stopped) {
-                cell.stopped = true;
-            } else if (!cell.failed) {
-                cell.failed = true;
-                cell.failReason = "cycle "
-                    + std::to_string(cycles[job]) + ": "
-                    + workerOutcomeName(attempt.outcome) + " ("
-                    + attempt.detail + ")";
-            }
-        }
-    };
-
-    const size_t pool =
-        std::min<size_t>(options.workers, cycles.size());
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (size_t i = 1; i < pool; ++i)
-        threads.emplace_back([&, i] { drain(*slots[i]); });
-    drain(*slots[0]);
-    for (std::thread &thread : threads)
-        thread.join();
-
-    result.quarantined = std::move(cell.quarantined);
-    result.failed = cell.failed;
-    result.failReason = std::move(cell.failReason);
-    result.stopped = cell.stopped;
-    return result;
-}
-
-Supervisor::CellResult
-Supervisor::runSavfCell(const std::string &structure,
-                        const SamplingConfig &sampling, SavfResult &out)
-{
-    CellResult result;
-    ShardSpec spec;
-    spec.kind = ShardSpec::Kind::Savf;
-    spec.structure = structure;
-    spec.sampling = sampling;
-
-    const Attempt attempt = dispatchWithRetries(*slots[0], spec);
-    if (attempt.outcome == WorkerOutcome::Ok) {
-        out = attempt.savfOutcome;
-    } else if (attempt.outcome == WorkerOutcome::Stopped) {
-        result.stopped = true;
-    } else {
-        result.failed = true;
-        result.failReason = std::string(workerOutcomeName(attempt.outcome))
-            + " (" + attempt.detail + ")";
-    }
-    return result;
-}
-
-void
-Supervisor::shutdown()
-{
-    std::vector<FrameLink *> links;
-    for (const std::unique_ptr<Slot> &slot : slots) {
-        if (slot->proc && slot->proc->running())
-            links.push_back(slot->proc.get());
-    }
-    quitAndDrain(links, kQuitGraceMs);
-    for (const std::unique_ptr<Slot> &slot : slots) {
-        if (slot->proc && slot->proc->running())
-            slot->proc->terminate(kQuitGraceMs);
-        slot->proc.reset();
-        slot->ready = false;
-    }
+    // Rerun the whole cycle with the exclusion; another culprit brings
+    // it back here (budget permitting).
+    spec.quarantined.push_back(lo);
+    std::sort(spec.quarantined.begin(), spec.quarantined.end());
+    return {Settlement::Kind::Rerun, {}, std::move(record)};
 }
 
 int

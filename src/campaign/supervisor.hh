@@ -1,6 +1,7 @@
 /**
  * @file
- * Supervised, process-isolated campaign execution.
+ * Supervised, process-isolated campaign execution: the worker-process
+ * source of the shard fleet (fleet.hh).
  *
  * Thread-mode campaigns share one address space with the engine: a
  * crash, a runaway allocation, or a hard hang inside a single injection
@@ -10,15 +11,18 @@
  *  - the campaign re-executes its own binary in a hidden worker mode
  *    (the worker builds the same engine, then serves shards through
  *    the shard link, shard_link.hh, over its stdin/stdout pipes);
- *  - each shard (one injection cycle, or one whole sAVF evaluation) is
- *    dispatched to a pool of N workers; a worker that crashes, hangs
- *    past its deadline, or trips its memory cap is killed and respawned;
- *  - failed shards are retried with exponential backoff; a shard that
- *    keeps crashing is **bisected** over its sampled-wire index range
- *    down to the single offending injection, which is recorded as a
- *    quarantine record and excluded (tallied as skipped with reason
- *    "quarantined", leaving the AVF denominators) while the rest of the
- *    cell completes;
+ *  - each of the N fleet slots spawns its worker lazily and waits for
+ *    its hello; a worker that crashes, hangs past its deadline, trips
+ *    its memory cap, or garbles a reply is reaped (its exit status
+ *    tells crash from oom) and respawned in the same slot;
+ *  - the fleet retries failed shards with exponential backoff; a shard
+ *    that keeps crashing is **bisected** over its sampled-wire index
+ *    range down to the single offending injection, which is recorded
+ *    as a quarantine record and excluded (tallied as skipped with
+ *    reason "quarantined", leaving the AVF denominators) while the rest
+ *    of the cell completes. A worker that never starts is not a crash
+ *    of the shard: it is never bisected, and fails the cell once its
+ *    retries are used up;
  *  - shard replies carry the exact journal token grammar, so results
  *    aggregate bit-identically to thread mode at any worker count.
  *
@@ -29,14 +33,12 @@
 #ifndef DAVF_CAMPAIGN_SUPERVISOR_HH
 #define DAVF_CAMPAIGN_SUPERVISOR_HH
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "campaign/fleet.hh"
 #include "campaign/shard_link.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
@@ -46,8 +48,8 @@
 
 namespace davf {
 
-/** How workers are run and how their failures are handled. */
-struct SupervisorOptions
+/** How worker processes are run and their crashes quarantined. */
+struct WorkerPoolOptions
 {
     /**
      * Command line that starts one worker process (argv[0] is the
@@ -59,30 +61,11 @@ struct SupervisorOptions
     /** Worker process pool size. */
     unsigned workers = 1;
 
-    /** Re-dispatch attempts per shard beyond the first. */
-    unsigned maxRetries = 2;
-
-    /** Base of the exponential retry backoff (with jitter). */
-    double backoffBaseMs = 50.0;
-
-    /** A worker silent for this long is presumed hung and killed. */
-    double heartbeatTimeoutMs = 10000.0;
-
-    /** Per-attempt wall-clock budget for one shard; 0 = unlimited.
-     *  Catches hangs that keep heartbeating. */
-    double shardTimeoutMs = 0.0;
-
-    /** Budget for a fresh worker's hello (covers engine build). */
-    double startTimeoutMs = 120000.0;
-
     /** RLIMIT_AS cap per worker in MiB; 0 = unlimited. */
     uint64_t workerMemMb = 0;
 
     /** Directory for quarantine records; empty keeps them in memory. */
     std::string quarantineDir;
-
-    /** Most injections quarantined per cell before giving up on it. */
-    unsigned maxQuarantinePerCell = 4;
 
     /** Per-attempt metrics CSV (appended); empty disables. */
     std::string metricsCsvPath;
@@ -90,13 +73,11 @@ struct SupervisorOptions
     /** Campaign identity stamped into quarantine records. */
     std::string configHash;
     std::string benchmark;
-
-    /** Deterministic backoff jitter seed. */
-    uint64_t seed = 1;
-
-    /** Cooperative stop flag; checked between attempts. */
-    const std::atomic<bool> *stopFlag = nullptr;
 };
+
+/** The whole process-isolation configuration. */
+struct SupervisorOptions : DispatchOptions, WorkerPoolOptions
+{};
 
 /** One-line text form (the "davf-quarantine v1" record). */
 std::string serializeQuarantineRecord(const QuarantineRecord &record);
@@ -112,29 +93,7 @@ void saveQuarantineRecord(const std::string &dir,
 std::vector<QuarantineRecord>
 loadQuarantineRecords(const std::string &dir);
 
-/** The process-mode failure taxonomy (docs/ROBUSTNESS.md). */
-enum class WorkerOutcome : uint8_t {
-    Ok,        ///< A well-formed reply arrived.
-    Crash,     ///< The worker died (signal or nonzero exit).
-    Timeout,   ///< Heartbeat or shard deadline expired; killed.
-    Oom,       ///< The worker exceeded its memory cap (exit 86).
-    BadOutput, ///< A torn or oversized frame, or an unparseable reply.
-    Error,     ///< The worker reported a deterministic DavfError.
-    Stopped,   ///< The cooperative stop flag interrupted us.
-};
-
-/** The metrics-CSV name of @p outcome ("ok", "crash", ...). */
-const char *workerOutcomeName(WorkerOutcome outcome);
-
-/**
- * Classify one exchange with a worker process; @p exit is the reaped
- * worker's status, which decides crash vs. oom once the exchange lost
- * the worker (Eof, SendFailed).
- */
-WorkerOutcome classifyWorkerReply(ShardReply::Status status,
-                                  const ExitStatus &exit);
-
-/** The worker pool + failure policy (see file comment). */
+/** The worker-process source of the shard fleet (see file comment). */
 class Supervisor : public ShardDispatcher
 {
   public:
@@ -152,59 +111,25 @@ class Supervisor : public ShardDispatcher
                SupervisorOptions options);
     ~Supervisor() override;
 
-    Supervisor(const Supervisor &) = delete;
-    Supervisor &operator=(const Supervisor &) = delete;
-
-    /**
-     * Compute the given injection cycles of one (structure, delay)
-     * cell across the worker pool, retrying, bisecting, and
-     * quarantining persistent failures (see file comment). New
-     * quarantine records come back in CellResult::quarantined.
-     */
-    CellResult runDavfCell(
-        const std::string &structure, double delay_fraction,
-        const std::vector<uint64_t> &cycles,
-        const SamplingConfig &sampling,
-        const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done) override;
-
-    /** Compute one sAVF cell in a worker (retried, never bisected). */
-    CellResult runSavfCell(const std::string &structure,
-                           const SamplingConfig &sampling,
-                           SavfResult &out) override;
-
-    /** Shut every worker down (quit, drain, then escalating kill). */
-    void shutdown();
-
   private:
-    struct Slot;      // One worker process and its state.
-    struct Attempt;   // One shard dispatch and its classified outcome.
-    struct CellState; // Shared per-cell dispatch bookkeeping.
+    struct Worker; // One slot's worker process.
 
-    bool stopRequested() const;
-    void ensureWorker(Slot &slot);
-    void retireWorker(Slot &slot, double grace_ms);
-    Attempt dispatchOnce(Slot &slot, const ShardSpec &spec);
-    Attempt dispatchWithRetries(Slot &slot, const ShardSpec &spec);
-    void recordMetrics(const ShardSpec &spec, unsigned attempt,
-                       const Attempt &outcome);
+    ShardAttempt dispatch(Slot &slot, const ShardSpec &spec,
+                          double started_ms) override;
+    void attempted(const ShardSpec &spec, unsigned attempt,
+                   const ShardAttempt &result) override;
+    Settlement retriesExhausted(Slot &slot, ShardJob &job,
+                                const ShardAttempt &last,
+                                size_t quarantined) override;
+    Settlement orphaned(ShardJob &job) override;
+    std::vector<WireId> sampledWires(const std::string &structure,
+                                     const SamplingConfig &sampling) override;
 
-    /**
-     * Narrow a persistently failing cycle shard to single offending
-     * sampled-wire indices, quarantining up to the per-cell budget.
-     * Returns the final full-range attempt (success, or the failure
-     * that exhausted the budget).
-     */
-    Attempt bisectAndQuarantine(Slot &slot, ShardSpec spec,
-                                const std::vector<WireId> &wires,
-                                CellState &cell);
+    void ensureWorker(Worker &worker);
 
     const VulnerabilityEngine *engine;
     const StructureRegistry *registry;
-    SupervisorOptions options;
-    /// Loaded at construction, read-only after.
-    std::vector<QuarantineRecord> known;
-    std::vector<std::unique_ptr<Slot>> slots;
+    const WorkerPoolOptions options;
     std::mutex metricsMutex;
 };
 

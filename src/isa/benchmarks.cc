@@ -673,18 +673,27 @@ extraBenchmarks()
     return programs;
 }
 
-const BenchmarkProgram &
-beebsBenchmark(const std::string &name)
+const BenchmarkProgram *
+findBenchmark(const std::string &name)
 {
     for (const BenchmarkProgram &program : beebsBenchmarks()) {
         if (program.name == name)
-            return program;
+            return &program;
     }
     for (const BenchmarkProgram &program : extraBenchmarks()) {
         if (program.name == name)
-            return program;
+            return &program;
     }
-    davf_throw(ErrorKind::NotFound, "unknown benchmark '", name, "'");
+    return nullptr;
+}
+
+const BenchmarkProgram &
+beebsBenchmark(const std::string &name)
+{
+    const BenchmarkProgram *program = findBenchmark(name);
+    if (!program)
+        davf_throw(ErrorKind::NotFound, "unknown benchmark '", name, "'");
+    return *program;
 }
 
 } // namespace davf

@@ -45,7 +45,10 @@ const std::vector<BenchmarkProgram> &beebsBenchmarks();
 const std::vector<BenchmarkProgram> &extraBenchmarks();
 
 /** Look up one benchmark by name (paper suite first, then extras);
- *  fatal if unknown. */
+ *  null if unknown. */
+const BenchmarkProgram *findBenchmark(const std::string &name);
+
+/** findBenchmark(), throwing DavfError{NotFound} if unknown. */
 const BenchmarkProgram &beebsBenchmark(const std::string &name);
 
 /**

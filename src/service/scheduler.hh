@@ -49,7 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "campaign/shard_link.hh"
+#include "campaign/fleet.hh"
 #include "core/report.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
@@ -71,23 +71,15 @@ std::string shardStoreKey(const std::string &fingerprint,
 
 /**
  * The net coordinator's shared cache tier over @p store: the
- * CoordinatorOptions::cacheLookup/cacheStore pair (net/coordinator.hh)
- * for shards keyed under @p fingerprint. They use the same shard
- * record codec as the query scheduler, so both writers persist the
- * same bytes: a cycle outcome is written in record grammar v3 exactly
- * when it carries attribution (plain outcomes stay byte-identical v2),
- * and a payload that fails to parse strictly — damage or trailing
- * tokens — is a miss the caller recomputes.
+ * CoordinatorOptions::cache pair (net/coordinator.hh) for shards keyed
+ * under @p fingerprint. They use the same shard record codec as the
+ * query scheduler, so both writers persist the same bytes: a cycle
+ * outcome is written in record grammar v3 exactly when it carries
+ * attribution (plain outcomes stay byte-identical v2), and a payload
+ * that fails to parse strictly — damage or trailing tokens — is a miss
+ * the caller recomputes.
  */
-struct ShardCacheHooks
-{
-    std::function<bool(const ShardSpec &, InjectionCycleOutcome &,
-                       SavfResult &)>
-        lookup;
-    std::function<void(const ShardSpec &, const InjectionCycleOutcome &,
-                       const SavfResult &)>
-        store;
-};
+using ShardCacheHooks = ShardCache;
 ShardCacheHooks shardCacheHooks(ResultStore &store,
                                 std::string fingerprint);
 

@@ -914,6 +914,54 @@ TEST(Campaign, WorkerCrashIsRetriedBisectedAndQuarantined)
         std::remove(path.c_str());
 }
 
+TEST(Campaign, QuarantineBudgetRunsOutWhileAnotherWorkerBisects)
+{
+    // Every cycle of the cell crashes on one injection, so two workers
+    // bisect side by side until the per-cell quarantine budget (4)
+    // runs out. The slot that finds the budget spent fails the cell
+    // while the other may still be bisecting: the run must end with a
+    // failed cell that reports every injection it quarantined. With a
+    // retry (and its backoff) per shard, the other slot's shard uses up
+    // its retries just after the cell failed; that late step must
+    // still see the spent budget.
+    const std::string qdir = tempPath("budget_qdir");
+    std::filesystem::remove_all(qdir);
+
+    CampaignFixture fixture;
+    CampaignOptions opts = processOptions(fixture, 2);
+    opts.delays = {0.6};
+    opts.runSavf = false;
+    opts.sampling.cycleFraction = 1.0;
+    opts.sampling.maxInjectionCycles = 8;
+    opts.supervisor.maxRetries = 1;
+    opts.supervisor.backoffBaseMs = 20.0;
+    opts.supervisor.quarantineDir = qdir;
+    const std::vector<uint64_t> cycles =
+        fixture.engine->injectionCycles(opts.sampling);
+    ASSERT_GT(cycles.size(), 4u);
+
+    EnvGuard fault("DAVF_TEST_FAULT", "crash@Rnd:*:2");
+    Campaign campaign(*fixture.engine, *fixture.registry, opts);
+    const CampaignSummary summary = campaign.run();
+
+    EXPECT_FALSE(summary.interrupted);
+    ASSERT_EQ(summary.cells.size(), 1u);
+    EXPECT_TRUE(summary.cells[0].failed);
+    EXPECT_NE(summary.cells[0].failReason.find("quarantine budget"),
+              std::string::npos)
+        << summary.cells[0].failReason;
+    // Both slots may pass the budget check before either records its
+    // quarantine, so the budget can be overrun by one per extra slot.
+    EXPECT_GE(summary.quarantined.size(), 4u);
+    EXPECT_LE(summary.quarantined.size(), 5u);
+    for (const QuarantineRecord &record : summary.quarantined)
+        EXPECT_EQ(record.wireIndex, 2u);
+    EXPECT_EQ(loadQuarantineRecords(qdir).size(),
+              summary.quarantined.size());
+
+    std::filesystem::remove_all(qdir);
+}
+
 TEST(Campaign, HungWorkerIsKilledByTheShardDeadline)
 {
     const std::string qdir = tempPath("hang_qdir");
@@ -956,6 +1004,42 @@ TEST(Campaign, HungWorkerIsKilledByTheShardDeadline)
               std::string::npos)
         << summary.quarantined[0].reason;
 
+    std::filesystem::remove_all(qdir);
+}
+
+TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
+{
+    // A worker that exits before its hello never ran the shard: the
+    // start failure is retried, then fails the cell naming it. It must
+    // not be bisected, or the quarantine directory would exclude a
+    // healthy injection from every later run.
+    const std::string qdir = tempPath("nostart_qdir");
+    std::filesystem::remove_all(qdir);
+
+    CampaignFixture fixture;
+    CampaignOptions opts = processOptions(fixture, 1);
+    opts.supervisor.workerArgv = {"/bin/false"};
+    opts.delays = {0.6};
+    opts.runSavf = false;
+    opts.supervisor.maxRetries = 1;
+    opts.supervisor.quarantineDir = qdir;
+    Campaign campaign(*fixture.engine, *fixture.registry, opts);
+    const CampaignSummary summary = campaign.run();
+
+    EXPECT_FALSE(summary.interrupted);
+    ASSERT_EQ(summary.cells.size(), 1u);
+    EXPECT_TRUE(summary.cells[0].failed);
+    EXPECT_NE(summary.cells[0].failReason.find(
+                  "campaign worker failed to start"),
+              std::string::npos)
+        << summary.cells[0].failReason;
+    EXPECT_TRUE(summary.quarantined.empty());
+    EXPECT_TRUE(loadQuarantineRecords(qdir).empty());
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(qdir, ec)) {
+        ADD_FAILURE() << "quarantine file written: " << entry.path();
+    }
     std::filesystem::remove_all(qdir);
 }
 

@@ -549,10 +549,11 @@ TEST(NetCampaign, NarrowLaneCoordinatorMatchesReference)
     std::remove(csv.c_str());
 }
 
-// The fault-injection tests below run the faulted node as the *only*
-// node, so the fault deterministically fires on its first shard (with
-// a second node present, work stealing may hand the faulted node no
-// work at all on a fast machine). Multi-node redispatch is covered by
+// The fault-injection tests below (but the first) run the faulted node
+// as the *only* node, so the fault deterministically fires on its first
+// shard (with a second node present, work stealing may hand the
+// faulted node no work at all on a fast machine). Multi-node
+// redispatch is covered by GarbledReplyIsRedispatched,
 // BitIdenticalToThreadModeAtAnyNodeCount and the CI net_smoke.
 
 TEST(NetCampaign, GarbledReplyIsRedispatched)
@@ -560,12 +561,18 @@ TEST(NetCampaign, GarbledReplyIsRedispatched)
     const EnvGuard fault("DAVF_TEST_NETFAULT", "garble@w0");
     NetFixture fixture;
     NetHarness harness(fixture);
+    // w0 joins first, so it is the first slot and every cell starts
+    // its dispatch thread first: across the campaign's cells it is
+    // sure to take a shard, and so to garble one.
     harness.spawnWorker("w0");
     ASSERT_EQ(harness.coordinator->waitForNodes(1, 30000.0), 1u);
-    // The garbled reply is BadOutput: the connection stays usable and
-    // the shard is re-dispatched to the same node, which answers
-    // correctly the second time (the fault fires once per process).
+    harness.spawnWorker("w1");
+    ASSERT_EQ(harness.coordinator->waitForNodes(2, 30000.0), 2u);
+    // A garbled reply retires its node like any other retryable
+    // failure: w0 is disconnected and its shard is re-dispatched to
+    // w1.
     expectNetRunMatchesReference(harness, "garble");
+    EXPECT_EQ(harness.coordinator->nodeCount(), 1u);
 }
 
 TEST(NetCampaign, DisconnectingNodeIsSurvived)

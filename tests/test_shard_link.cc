@@ -5,9 +5,9 @@
  *
  *  - the same scripted worker frames over a pipe pair (the process
  *    transport) and a socketpair (the net transport) end the exchange
- *    with the same transport-neutral status, and each transport maps
- *    that status onto its documented taxonomy (docs/ROBUSTNESS.md for
- *    processes, docs/DISTRIBUTED.md for nodes);
+ *    with the same transport-neutral status, and both sources map that
+ *    status onto the one classification (docs/ROBUSTNESS.md), with or
+ *    without a reaped worker's exit status;
  *  - the worker serve loop answers, rejects, and hands shards to its
  *    hook over a real link;
  *  - the retry backoff stays finite for any attempt and keeps the
@@ -31,9 +31,8 @@
 #include <vector>
 
 #include "src/campaign/checkpoint.hh"
+#include "src/campaign/fleet.hh"
 #include "src/campaign/shard_link.hh"
-#include "src/campaign/supervisor.hh"
-#include "src/net/coordinator.hh"
 #include "src/net/frame.hh"
 #include "src/obs/metrics.hh"
 #include "src/util/clock.hh"
@@ -152,8 +151,9 @@ struct Case
     double heartbeatMs;
     double shardMs;
     Status status;
-    WorkerOutcome process; ///< For a worker killed by SIGABRT.
-    net::NodeOutcome node;
+    /** For a worker reaped after SIGABRT, and for a node (no exit
+     *  status). */
+    ShardOutcome outcome;
 };
 
 std::vector<Case>
@@ -167,31 +167,28 @@ scriptedCases()
              writeFrameFd(c.workerOut, "hb");
              writeFrameFd(c.workerOut, ok_reply);
          },
-         2000.0, 0.0, Status::Ok, WorkerOutcome::Ok, net::NodeOutcome::Ok},
+         2000.0, 0.0, Status::Ok, ShardOutcome::Ok},
         {"err kind message",
          [](Channel &c) {
              writeFrameFd(c.workerOut, "err timeout budget blown");
          },
-         2000.0, 0.0, Status::WorkerError, WorkerOutcome::Error,
-         net::NodeOutcome::Error},
+         2000.0, 0.0, Status::WorkerError, ShardOutcome::Error},
         {"garbage payload",
          [](Channel &c) {
              writeFrameFd(c.workerOut, "ok davf !garbled!");
          },
-         2000.0, 0.0, Status::BadReply, WorkerOutcome::BadOutput,
-         net::NodeOutcome::BadOutput},
+         2000.0, 0.0, Status::BadReply, ShardOutcome::BadOutput},
         {"eof mid-shard", [](Channel &c) { c.closeWorker(); }, 2000.0, 0.0,
-         Status::Eof, WorkerOutcome::Crash, net::NodeOutcome::NodeLost},
+         Status::Eof, ShardOutcome::Crash},
         {"torn length prefix",
          [](Channel &c) {
              const char prefix[2] = {5, 0};
              EXPECT_EQ(::write(c.workerOut, prefix, sizeof prefix), 2);
              c.closeWorker();
          },
-         2000.0, 0.0, Status::Torn, WorkerOutcome::BadOutput,
-         net::NodeOutcome::NodeLost},
+         2000.0, 0.0, Status::Torn, ShardOutcome::BadOutput},
         {"heartbeat silence", [](Channel &) { sleepMs(600); }, 100.0, 0.0,
-         Status::Silent, WorkerOutcome::Timeout, net::NodeOutcome::Timeout},
+         Status::Silent, ShardOutcome::Timeout},
         {"heartbeating stall past the deadline",
          [](Channel &c) {
              for (int i = 0; i < 40; ++i) {
@@ -203,8 +200,7 @@ scriptedCases()
                  }
              }
          },
-         1000.0, 200.0, Status::Deadline, WorkerOutcome::Timeout,
-         net::NodeOutcome::Timeout},
+         1000.0, 200.0, Status::Deadline, ShardOutcome::Timeout},
     };
 }
 
@@ -250,9 +246,9 @@ TEST_F(ShardLink, ScriptedRepliesClassifyAlikeOverPipesAndSockets)
                 over_socket ? socketChannel() : pipeChannel();
             const ShardReply reply = runScripted(*channel, scripted);
             EXPECT_EQ(reply.status, scripted.status) << reply.detail;
-            EXPECT_EQ(classifyWorkerReply(reply.status, abortedWorker()),
-                      scripted.process);
-            EXPECT_EQ(net::classifyNodeReply(reply.status), scripted.node);
+            EXPECT_EQ(classifyShardReply(reply.status, abortedWorker()),
+                      scripted.outcome);
+            EXPECT_EQ(classifyShardReply(reply.status), scripted.outcome);
             if (reply.status == Status::Ok) {
                 EXPECT_EQ(reply.cycleOutcome, sampleOutcome());
                 EXPECT_EQ(reply.rssKb, 4242);
@@ -277,10 +273,9 @@ TEST_F(ShardLink, UnsendableRequestIsALostWorker)
             *channel->parent, cycleSpec(), 2000.0, 0.0, nowMs(),
             testMetrics());
         EXPECT_EQ(reply.status, Status::SendFailed) << reply.detail;
-        EXPECT_EQ(classifyWorkerReply(reply.status, abortedWorker()),
-                  WorkerOutcome::Crash);
-        EXPECT_EQ(net::classifyNodeReply(reply.status),
-                  net::NodeOutcome::NodeLost);
+        EXPECT_EQ(classifyShardReply(reply.status, abortedWorker()),
+                  ShardOutcome::Crash);
+        EXPECT_EQ(classifyShardReply(reply.status), ShardOutcome::Crash);
     }
 }
 
@@ -290,11 +285,11 @@ TEST_F(ShardLink, LostWorkerExitingWith86IsOom)
     oom.exited = true;
     oom.code = 86;
     for (const Status status : {Status::Eof, Status::SendFailed})
-        EXPECT_EQ(classifyWorkerReply(status, oom), WorkerOutcome::Oom);
+        EXPECT_EQ(classifyShardReply(status, oom), ShardOutcome::Oom);
     // A protocol failure is the worker's output, whatever its exit.
-    EXPECT_EQ(classifyWorkerReply(Status::Torn, oom),
-              WorkerOutcome::BadOutput);
-    EXPECT_STREQ(workerOutcomeName(WorkerOutcome::BadOutput), "bad-output");
+    EXPECT_EQ(classifyShardReply(Status::Torn, oom),
+              ShardOutcome::BadOutput);
+    EXPECT_STREQ(shardOutcomeName(ShardOutcome::BadOutput), "bad-output");
 }
 
 TEST_F(ShardLink, QuitAndDrainConsumesAReplyRacingTheQuit)

@@ -36,7 +36,7 @@ tsan_check() {
     cmake --build "$build_dir" -j "$jobs"
     echo "=== test $build_dir" >&2
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
-        -R '^(Engine|TimedSim|ThreadPool|SweepReuse|SchedulerFixture|Aggregation|ShardLink|IndexStoreT)\.'
+        -R '^(Engine|TimedSim|ThreadPool|SweepReuse|SchedulerFixture|Aggregation|ShardLink|Fleet|IndexStoreT)\.'
 }
 
 # Process-isolation smoke: run a tiny campaign with worker processes

@@ -98,26 +98,6 @@ usageError(const char *argv0, const std::string &detail)
     std::exit(2);
 }
 
-uint64_t
-parseU64(const char *argv0, const std::string &flag, const char *text)
-{
-    try {
-        return parseU64Strict(text, flag);
-    } catch (const DavfError &error) {
-        usageError(argv0, error.what());
-    }
-}
-
-double
-parseDouble(const char *argv0, const std::string &flag, const char *text)
-{
-    try {
-        return parseDoubleStrict(text, flag);
-    } catch (const DavfError &error) {
-        usageError(argv0, error.what());
-    }
-}
-
 void
 parseDelays(const char *argv0, const char *spec, Options &opts)
 {
@@ -130,13 +110,11 @@ parseDelays(const char *argv0, const char *spec, Options &opts)
         usageError(argv0, "--delays expects LO:HI:STEP, got '" + text
                               + "'");
     }
-    opts.delay_lo = parseDouble(argv0, "--delays LO",
-                                text.substr(0, first).c_str());
-    opts.delay_hi = parseDouble(
-        argv0, "--delays HI",
-        text.substr(first + 1, second - first - 1).c_str());
-    opts.delay_step = parseDouble(argv0, "--delays STEP",
-                                  text.substr(second + 1).c_str());
+    opts.delay_lo = parseDoubleStrict(text.substr(0, first), "--delays LO");
+    opts.delay_hi = parseDoubleStrict(
+        text.substr(first + 1, second - first - 1), "--delays HI");
+    opts.delay_step =
+        parseDoubleStrict(text.substr(second + 1), "--delays STEP");
     if (opts.delay_lo > opts.delay_hi)
         usageError(argv0, "--delays range is inverted: " + text);
     if (opts.delay_lo < 0.0 || opts.delay_hi > 1.0)
@@ -147,7 +125,7 @@ parseDelays(const char *argv0, const char *spec, Options &opts)
 
 Options
 parse(int argc, char **argv)
-{
+try {
     Options opts;
     opts.query.sampling.maxInjectionCycles = 8;
     opts.query.sampling.maxWires = 400;
@@ -183,23 +161,23 @@ parse(int argc, char **argv)
             opts.query.sampling.attribution = true;
         } else if (arg == "--cycles") {
             opts.query.sampling.maxInjectionCycles =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--wires") {
             opts.query.sampling.maxWires =
-                static_cast<size_t>(parseU64(argv[0], arg, need(i)));
+                static_cast<size_t>(parseU64Strict(need(i), arg));
         } else if (arg == "--flops") {
             opts.query.sampling.maxFlops =
-                static_cast<size_t>(parseU64(argv[0], arg, need(i)));
+                static_cast<size_t>(parseU64Strict(need(i), arg));
         } else if (arg == "--seed") {
-            opts.query.sampling.seed = parseU64(argv[0], arg, need(i));
+            opts.query.sampling.seed = parseU64Strict(need(i), arg);
         } else if (arg == "--timeout-ms") {
             opts.query.sampling.injectionTimeoutMs =
-                parseDouble(argv[0], arg, need(i));
+                parseDoubleStrict(need(i), arg);
             if (opts.query.sampling.injectionTimeoutMs < 0.0)
                 usageError(argv[0], "--timeout-ms must be >= 0");
         } else if (arg == "--max-failure-rate") {
             opts.query.sampling.maxFailureRate =
-                parseDouble(argv[0], arg, need(i));
+                parseDoubleStrict(need(i), arg);
             if (opts.query.sampling.maxFailureRate < 0.0
                 || opts.query.sampling.maxFailureRate > 1.0) {
                 usageError(argv[0],
@@ -207,13 +185,13 @@ parse(int argc, char **argv)
             }
         } else if (arg == "--connect-retries") {
             opts.connect_retries =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--backoff-ms") {
-            opts.backoff_ms = parseDouble(argv[0], arg, need(i));
+            opts.backoff_ms = parseDoubleStrict(need(i), arg);
             if (opts.backoff_ms < 0.0)
                 usageError(argv[0], "--backoff-ms must be >= 0");
         } else if (arg == "--connect-timeout-ms") {
-            opts.connect_timeout_ms = parseDouble(argv[0], arg, need(i));
+            opts.connect_timeout_ms = parseDoubleStrict(need(i), arg);
             if (opts.connect_timeout_ms < 0.0)
                 usageError(argv[0], "--connect-timeout-ms must be >= 0");
         } else {
@@ -230,6 +208,9 @@ parse(int argc, char **argv)
         opts.query.delays.push_back(d);
     }
     return opts;
+} catch (const DavfError &error) {
+    // The strict numeric parsers name the flag and its bad value.
+    usageError(argv[0], error.what());
 }
 
 /**

@@ -55,7 +55,7 @@
  *                          docs/ROBUSTNESS.md);
  *                            net — dispatch shards to davf_worker
  *                          nodes over TCP with heartbeats, retry,
- *                          node quarantine, and graceful local
+ *                          lost nodes retired, and graceful local
  *                          fallback (see docs/DISTRIBUTED.md)
  *     --workers N          worker processes for --isolate process
  *                          (default 1)
@@ -202,26 +202,6 @@ usageError(const char *argv0, const std::string &detail)
     std::exit(2);
 }
 
-uint64_t
-parseU64(const char *argv0, const std::string &flag, const char *text)
-{
-    try {
-        return parseU64Strict(text, flag);
-    } catch (const DavfError &error) {
-        usageError(argv0, error.what());
-    }
-}
-
-double
-parseDouble(const char *argv0, const std::string &flag, const char *text)
-{
-    try {
-        return parseDoubleStrict(text, flag);
-    } catch (const DavfError &error) {
-        usageError(argv0, error.what());
-    }
-}
-
 void
 parseDelays(const char *argv0, const char *spec, Options &opts)
 {
@@ -234,14 +214,11 @@ parseDelays(const char *argv0, const char *spec, Options &opts)
         usageError(argv0, "--delays expects LO:HI:STEP, got '" + text
                               + "'");
     }
-    opts.delay_lo = parseDouble(argv0, "--delays LO",
-                                text.substr(0, first).c_str());
-    opts.delay_hi = parseDouble(
-        argv0, "--delays HI",
-        text.substr(first + 1, second - first - 1).c_str());
+    opts.delay_lo = parseDoubleStrict(text.substr(0, first), "--delays LO");
+    opts.delay_hi = parseDoubleStrict(
+        text.substr(first + 1, second - first - 1), "--delays HI");
     opts.delay_step =
-        parseDouble(argv0, "--delays STEP",
-                    text.substr(second + 1).c_str());
+        parseDoubleStrict(text.substr(second + 1), "--delays STEP");
     if (opts.delay_lo > opts.delay_hi) {
         usageError(argv0, "--delays range is inverted: " + text);
     }
@@ -254,23 +231,9 @@ parseDelays(const char *argv0, const char *spec, Options &opts)
     }
 }
 
-bool
-knownBenchmark(const std::string &name)
-{
-    for (const auto &program : beebsBenchmarks()) {
-        if (program.name == name)
-            return true;
-    }
-    for (const auto &program : extraBenchmarks()) {
-        if (program.name == name)
-            return true;
-    }
-    return false;
-}
-
 Options
 parse(int argc, char **argv)
-{
+try {
     Options opts;
     opts.sampling.maxInjectionCycles = 8;
     opts.sampling.maxWires = 400;
@@ -304,18 +267,18 @@ parse(int argc, char **argv)
             opts.json = true;
         } else if (arg == "--cycles") {
             opts.sampling.maxInjectionCycles =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--wires") {
             opts.sampling.maxWires =
-                static_cast<size_t>(parseU64(argv[0], arg, need(i)));
+                static_cast<size_t>(parseU64Strict(need(i), arg));
         } else if (arg == "--flops") {
             opts.sampling.maxFlops =
-                static_cast<size_t>(parseU64(argv[0], arg, need(i)));
+                static_cast<size_t>(parseU64Strict(need(i), arg));
         } else if (arg == "--seed") {
-            opts.sampling.seed = parseU64(argv[0], arg, need(i));
+            opts.sampling.seed = parseU64Strict(need(i), arg);
         } else if (arg == "--threads") {
             opts.sampling.threads =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--csv") {
             opts.csv_path = need(i);
         } else if (arg == "--checkpoint") {
@@ -324,12 +287,12 @@ parse(int argc, char **argv)
             opts.checkpoint_path = need(i);
             opts.resume = true;
         } else if (arg == "--timeout-ms") {
-            opts.timeout_ms = parseDouble(argv[0], arg, need(i));
+            opts.timeout_ms = parseDoubleStrict(need(i), arg);
             if (opts.timeout_ms < 0.0)
                 usageError(argv[0], "--timeout-ms must be >= 0");
         } else if (arg == "--max-failure-rate") {
             opts.max_failure_rate =
-                parseDouble(argv[0], arg, need(i));
+                parseDoubleStrict(need(i), arg);
             if (opts.max_failure_rate < 0.0
                 || opts.max_failure_rate > 1.0) {
                 usageError(argv[0],
@@ -351,29 +314,29 @@ parse(int argc, char **argv)
             opts.port_file = need(i);
         } else if (arg == "--min-nodes") {
             opts.min_nodes =
-                static_cast<size_t>(parseU64(argv[0], arg, need(i)));
+                static_cast<size_t>(parseU64Strict(need(i), arg));
         } else if (arg == "--node-wait-ms") {
-            opts.node_wait_ms = parseDouble(argv[0], arg, need(i));
+            opts.node_wait_ms = parseDoubleStrict(need(i), arg);
             if (opts.node_wait_ms < 0.0)
                 usageError(argv[0], "--node-wait-ms must be >= 0");
         } else if (arg == "--store-dir") {
             opts.store_dir = need(i);
         } else if (arg == "--workers") {
             opts.workers =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
             if (opts.workers == 0)
                 usageError(argv[0], "--workers must be >= 1");
         } else if (arg == "--max-retries") {
             opts.max_retries =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--backoff-ms") {
-            opts.backoff_ms = parseDouble(argv[0], arg, need(i));
+            opts.backoff_ms = parseDoubleStrict(need(i), arg);
             if (opts.backoff_ms < 0.0)
                 usageError(argv[0], "--backoff-ms must be >= 0");
         } else if (arg == "--worker-mem-mb") {
-            opts.worker_mem_mb = parseU64(argv[0], arg, need(i));
+            opts.worker_mem_mb = parseU64Strict(need(i), arg);
         } else if (arg == "--shard-timeout-ms") {
-            opts.shard_timeout_ms = parseDouble(argv[0], arg, need(i));
+            opts.shard_timeout_ms = parseDoubleStrict(need(i), arg);
             if (opts.shard_timeout_ms < 0.0)
                 usageError(argv[0], "--shard-timeout-ms must be >= 0");
         } else if (arg == "--quarantine-dir") {
@@ -402,12 +365,15 @@ parse(int argc, char **argv)
 
     if (!opts.store_dir.empty() && !opts.isolate_net)
         usageError(argv[0], "--store-dir needs --isolate net");
-    if (!knownBenchmark(opts.benchmark)) {
+    if (!findBenchmark(opts.benchmark)) {
         usageError(argv[0],
                    "--benchmark: unknown benchmark '" + opts.benchmark
                        + "' (try --list)");
     }
     return opts;
+} catch (const DavfError &error) {
+    // The strict numeric parsers name the flag and its bad value.
+    usageError(argv[0], error.what());
 }
 
 /**
@@ -547,10 +513,8 @@ runTool(int argc, char **argv)
             store_options.dir = opts.store_dir;
             net_store = std::make_unique<service::ResultStore>(
                 store_options);
-            service::ShardCacheHooks hooks = service::shardCacheHooks(
+            net_options.cache = service::shardCacheHooks(
                 *net_store, workspace.fingerprint());
-            net_options.cacheLookup = std::move(hooks.lookup);
-            net_options.cacheStore = std::move(hooks.store);
         }
 
         coordinator = std::make_unique<net::Coordinator>(

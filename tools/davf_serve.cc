@@ -92,19 +92,9 @@ usageError(const char *argv0, const std::string &detail)
     std::exit(2);
 }
 
-uint64_t
-parseU64(const char *argv0, const std::string &flag, const char *text)
-{
-    try {
-        return parseU64Strict(text, flag);
-    } catch (const DavfError &error) {
-        usageError(argv0, error.what());
-    }
-}
-
 Options
 parse(int argc, char **argv)
-{
+try {
     Options opts;
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -119,7 +109,7 @@ parse(int argc, char **argv)
             opts.store_dir = need(i);
         } else if (arg == "--mem-capacity") {
             opts.mem_capacity =
-                static_cast<size_t>(parseU64(argv[0], arg, need(i)));
+                static_cast<size_t>(parseU64Strict(need(i), arg));
         } else if (arg == "--benchmark") {
             opts.workspace.benchmark = need(i);
         } else if (arg == "--ecc") {
@@ -128,7 +118,7 @@ parse(int argc, char **argv)
             opts.workspace.staPeriod = true;
         } else if (arg == "--threads") {
             opts.threads =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--isolate") {
             const std::string mode = need(i);
             if (mode == "process")
@@ -140,14 +130,14 @@ parse(int argc, char **argv)
                                     "'process', got '" + mode + "'");
         } else if (arg == "--workers") {
             opts.workers =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
             if (opts.workers == 0)
                 usageError(argv[0], "--workers must be >= 1");
         } else if (arg == "--max-retries") {
             opts.max_retries =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--worker-mem-mb") {
-            opts.worker_mem_mb = parseU64(argv[0], arg, need(i));
+            opts.worker_mem_mb = parseU64Strict(need(i), arg);
         } else if (arg == "--worker-shard") {
             opts.worker_shard = true;
         } else {
@@ -157,6 +147,9 @@ parse(int argc, char **argv)
     if (!opts.worker_shard && opts.socket_path.empty())
         usageError(argv[0], "--socket is required");
     return opts;
+} catch (const DavfError &error) {
+    // The strict numeric parsers name the flag and its bad value.
+    usageError(argv[0], error.what());
 }
 
 /** One client connection: a reader loop plus one in-flight query. */

@@ -75,43 +75,9 @@ usageError(const char *argv0, const std::string &detail)
     std::exit(2);
 }
 
-uint64_t
-parseU64(const char *argv0, const std::string &flag, const char *text)
-{
-    try {
-        return parseU64Strict(text, flag);
-    } catch (const DavfError &error) {
-        usageError(argv0, error.what());
-    }
-}
-
-double
-parseDouble(const char *argv0, const std::string &flag, const char *text)
-{
-    try {
-        return parseDoubleStrict(text, flag);
-    } catch (const DavfError &error) {
-        usageError(argv0, error.what());
-    }
-}
-
-bool
-knownBenchmark(const std::string &name)
-{
-    for (const auto &program : beebsBenchmarks()) {
-        if (program.name == name)
-            return true;
-    }
-    for (const auto &program : extraBenchmarks()) {
-        if (program.name == name)
-            return true;
-    }
-    return false;
-}
-
 Options
 parse(int argc, char **argv)
-{
+try {
     Options opts;
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -135,14 +101,14 @@ parse(int argc, char **argv)
             opts.node = need(i);
         } else if (arg == "--connect-retries") {
             opts.net.connectRetries =
-                static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
+                static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--backoff-ms") {
-            opts.net.backoffBaseMs = parseDouble(argv[0], arg, need(i));
+            opts.net.backoffBaseMs = parseDoubleStrict(need(i), arg);
             if (opts.net.backoffBaseMs < 0.0)
                 usageError(argv[0], "--backoff-ms must be >= 0");
         } else if (arg == "--connect-timeout-ms") {
             opts.net.connectTimeoutMs =
-                parseDouble(argv[0], arg, need(i));
+                parseDoubleStrict(need(i), arg);
             if (opts.net.connectTimeoutMs < 0.0)
                 usageError(argv[0], "--connect-timeout-ms must be >= 0");
         } else {
@@ -152,11 +118,14 @@ parse(int argc, char **argv)
 
     if (opts.connect.empty())
         usageError(argv[0], "--connect HOST:PORT is required");
-    if (!knownBenchmark(opts.benchmark)) {
+    if (!findBenchmark(opts.benchmark)) {
         usageError(argv[0], "--benchmark: unknown benchmark '"
                                 + opts.benchmark + "'");
     }
     return opts;
+} catch (const DavfError &error) {
+    // The strict numeric parsers name the flag and its bad value.
+    usageError(argv[0], error.what());
 }
 
 int
