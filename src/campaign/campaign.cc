@@ -44,6 +44,27 @@ delayFromKey(const CheckpointKey &key)
 
 } // namespace
 
+std::vector<ReportRow>
+reportRows(const CampaignSummary &summary, const std::string &label)
+{
+    std::vector<ReportRow> rows;
+    for (const char *kind : {"davf", "savf"}) {
+        for (const CampaignCellResult &cell : summary.cells) {
+            if (cell.key.kind != kind || cell.failed)
+                continue;
+            ReportRow row;
+            row.kind = kind;
+            row.benchmark = cell.key.benchmark;
+            row.structure = cell.key.structure + label;
+            row.delayFraction = cell.delay;
+            row.davf = cell.davf;
+            row.savf = cell.savf;
+            rows.push_back(std::move(row));
+        }
+    }
+    return rows;
+}
+
 std::string
 campaignConfigHash(const CampaignOptions &options)
 {
@@ -211,14 +232,13 @@ Campaign::run()
             && options.stopFlag->load(std::memory_order_relaxed);
     };
 
-    // The isolated modes hand whole cells to one dispatcher; thread
-    // mode computes them in-process.
-    ShardDispatcher *dispatcher = nullptr;
-    if (options.isolate == IsolationMode::Net) {
-        davf_assert(options.dispatcher != nullptr,
-                    "IsolationMode::Net needs a ShardDispatcher");
-        dispatcher = options.dispatcher;
-    } else if (options.isolate == IsolationMode::Process) {
+    // A dispatcher runs whole cells: the caller's in any mode, else a
+    // supervisor of the campaign's own in process mode. Without one,
+    // cells compute in-process.
+    ShardDispatcher *dispatcher = options.dispatcher;
+    davf_assert(dispatcher || options.isolate != IsolationMode::Net,
+                "IsolationMode::Net needs a ShardDispatcher");
+    if (!dispatcher && options.isolate == IsolationMode::Process) {
         SupervisorOptions sup = options.supervisor;
         sup.configHash = journal.configHash;
         sup.benchmark = options.benchmark;
@@ -278,10 +298,24 @@ Campaign::run()
         cell.key = planned.key;
         cell.delay = planned.delay;
 
-        // Each kind of cell runs dispatched or in-process.
+        // The cell's shards under the cache tier's keys; the sampling
+        // knobs are the effective ones (threads and the stop flag are
+        // not part of a key).
+        ShardSpec spec;
+        spec.structure = planned.key.structure;
+        spec.sampling = config;
+
+        // Each kind of cell comes from the cache, or runs dispatched or
+        // in-process.
         bool stopped = false;
         if (planned.key.kind == "savf") {
-            if (dispatcher) {
+            spec.kind = ShardSpec::Kind::Savf;
+            InjectionCycleOutcome unused;
+            const bool hit = options.cache.lookup
+                && options.cache.lookup(spec, unused, cell.savf);
+            if (hit) {
+                ++summary.shardsFromCache;
+            } else if (dispatcher) {
                 const ShardDispatcher::CellResult shard =
                     dispatcher->runSavfCell(planned.key.structure, config,
                                             cell.savf);
@@ -292,30 +326,72 @@ Campaign::run()
                 cell.savf = engine->savf(*planned.structure, config);
                 stopped = cell.savf.stopped;
             }
+            if (!hit && !stopped && !cell.failed) {
+                ++summary.shardsComputed;
+                if (options.cache.store)
+                    options.cache.store(spec, {}, cell.savf);
+            }
         } else {
+            spec.kind = ShardSpec::Kind::Cycle;
+            spec.delayFraction = planned.delay;
+
+            // Journal every completed injection cycle: an interruption
+            // (even SIGKILL) loses at most one cycle of work.
+            auto journal_cycle = [&](const InjectionCycleOutcome &outcome) {
+                if (!journal.hasPartial
+                    || !(journal.partialKey == planned.key)) {
+                    journal.hasPartial = true;
+                    journal.partialKey = planned.key;
+                    journal.partialCycles.clear();
+                }
+                for (const InjectionCycleOutcome &have :
+                     journal.partialCycles) {
+                    if (have.cycle == outcome.cycle)
+                        return;
+                }
+                journal.partialCycles.push_back(outcome);
+                save();
+            };
+
+            // Completed cycles are the journal's partial ones plus the
+            // cache's hits; only the rest is computed.
             DelayAvfProgress progress;
             if (journal.hasPartial
                 && journal.partialKey == planned.key) {
                 progress.completed = journal.partialCycles;
             }
-            // Journal every completed injection cycle: an interruption
-            // (even SIGKILL) loses at most one cycle of work. Calls are
+            std::vector<uint64_t> todo;
+            for (uint64_t cycle : engine->injectionCycles(config)) {
+                if (std::any_of(progress.completed.begin(),
+                                progress.completed.end(),
+                                [&](const InjectionCycleOutcome &out) {
+                                    return out.cycle == cycle;
+                                }))
+                    continue;
+                spec.cycle = cycle;
+                InjectionCycleOutcome hit;
+                SavfResult unused;
+                if (options.cache.lookup
+                    && options.cache.lookup(spec, hit, unused)) {
+                    ++summary.shardsFromCache;
+                    journal_cycle(hit);
+                    progress.completed.push_back(std::move(hit));
+                } else {
+                    todo.push_back(cycle);
+                }
+            }
+
+            // Every computed outcome is journaled and cached. Calls are
             // serialized by the engine or the dispatcher.
             progress.onCycleDone =
                 [&](const InjectionCycleOutcome &outcome) {
-                    if (!journal.hasPartial
-                        || !(journal.partialKey == planned.key)) {
-                        journal.hasPartial = true;
-                        journal.partialKey = planned.key;
-                        journal.partialCycles.clear();
+                    journal_cycle(outcome);
+                    ++summary.shardsComputed;
+                    if (options.cache.store) {
+                        ShardSpec computed = spec;
+                        computed.cycle = outcome.cycle;
+                        options.cache.store(computed, outcome, {});
                     }
-                    for (const InjectionCycleOutcome &have :
-                         journal.partialCycles) {
-                        if (have.cycle == outcome.cycle)
-                            return;
-                    }
-                    journal.partialCycles.push_back(outcome);
-                    save();
                 };
 
             // Aggregation from completed outcomes is shared by every
@@ -331,25 +407,15 @@ Campaign::run()
                         throw;
                     cell.failed = true;
                     cell.failReason = error.what();
+                    cell.failKind = error.kind();
                 }
             };
 
             if (dispatcher) {
-                // Dispatch only the cycles the journal does not already
-                // have; workers compute, the dispatcher retries (and,
+                // Workers compute the rest, the dispatcher retries (and,
                 // for processes, quarantines), and every completed
                 // outcome is journaled through the same onCycleDone as
                 // thread mode.
-                std::vector<uint64_t> todo;
-                for (uint64_t cycle : engine->injectionCycles(config)) {
-                    if (std::none_of(progress.completed.begin(),
-                                     progress.completed.end(),
-                                     [&](const InjectionCycleOutcome &out) {
-                                         return out.cycle == cycle;
-                                     }))
-                        todo.push_back(cycle);
-                }
-
                 ShardDispatcher::CellResult shard =
                     dispatcher->runDavfCell(planned.key.structure,
                                             planned.delay, todo, config,
@@ -373,6 +439,8 @@ Campaign::run()
                     aggregate(&completed);
                 }
             } else {
+                // delayAvf() simulates exactly the cycles missing from
+                // progress.completed: the checkpoint-resume path.
                 aggregate(&progress);
                 stopped = !cell.failed && cell.davf.stopped;
             }

@@ -20,7 +20,12 @@
  *    cannot poison the sweep;
  *  - **cooperative stop**: when the stop flag (stop.hh) is raised, the
  *    engine returns between injections, the journal and the partial CSV
- *    are flushed, and run() reports interrupted.
+ *    are flushed, and run() reports interrupted;
+ *  - **cache tier**: with CampaignOptions::cache set, a shard the cache
+ *    already holds is adopted like a journaled cycle instead of being
+ *    computed, and every computed shard is handed to the cache. davf_run
+ *    puts the result store behind it, and davf_serve answers every
+ *    query that misses by running it as a one-structure campaign.
  */
 
 #ifndef DAVF_CAMPAIGN_CAMPAIGN_HH
@@ -34,6 +39,8 @@
 
 #include "campaign/checkpoint.hh"
 #include "campaign/supervisor.hh"
+#include "core/report.hh"
+#include "core/shard.hh"
 #include "core/vulnerability.hh"
 #include "netlist/structure.hh"
 
@@ -55,13 +62,29 @@ enum class IsolationMode : uint8_t {
 
     /**
      * On remote worker nodes through a CampaignOptions::dispatcher
-     * (the src/net coordinator): shards travel over TCP with
-     * heartbeats, retry, lost nodes retired, and local fallback, and
-     * every completed outcome flows through the same journal grammar,
-     * so aggregates stay bit-identical to Thread mode at any node
-     * count (docs/DISTRIBUTED.md).
+     * (the src/net coordinator), which this mode requires: shards
+     * travel over TCP with heartbeats, retry, lost nodes retired, and
+     * local fallback, and every completed outcome flows through the
+     * same journal grammar, so aggregates stay bit-identical to Thread
+     * mode at any node count (docs/DISTRIBUTED.md).
      */
     Net,
+};
+
+/**
+ * A campaign's optional cache tier (service/scheduler.hh's
+ * shardCacheHooks puts the result store behind it). @c lookup fills the
+ * outcome its spec's kind names and says whether it found one; @c store
+ * receives every shard the campaign computed.
+ */
+struct ShardCache
+{
+    std::function<bool(const ShardSpec &, InjectionCycleOutcome &,
+                       SavfResult &)>
+        lookup;
+    std::function<void(const ShardSpec &, const InjectionCycleOutcome &,
+                       const SavfResult &)>
+        store;
 };
 
 /** What to run and how to survive it. */
@@ -118,11 +141,15 @@ struct CampaignOptions
     SupervisorOptions supervisor;
 
     /**
-     * Remote dispatch hook (shard_link.hh), required for
-     * IsolationMode::Net; the caller owns it (and its node fleet) and
-     * it must outlive run().
+     * A caller-owned dispatcher (campaign/fleet.hh) that runs every
+     * cell in any isolation mode, in place of the thread pool or a
+     * campaign-made supervisor; required for IsolationMode::Net. It
+     * must outlive run().
      */
     ShardDispatcher *dispatcher = nullptr;
+
+    /** Shard cache tier; unset hooks disable it. */
+    ShardCache cache;
 };
 
 /** One cell's outcome as the campaign saw it. */
@@ -133,6 +160,11 @@ struct CampaignCellResult
     bool fromCheckpoint = false; ///< Adopted, not recomputed.
     bool failed = false;
     std::string failReason;
+
+    /** Why a cell this run computed failed: ExcessiveFailures when its
+     *  aggregate was untrustworthy, Internal when dispatch failed it. */
+    ErrorKind failKind = ErrorKind::Internal;
+
     DelayAvfResult davf;
     SavfResult savf;
 };
@@ -146,6 +178,11 @@ struct CampaignSummary
     uint64_t cellsFromCheckpoint = 0;
     uint64_t cellsFailed = 0;
 
+    /** Shards (injection cycles and sAVF cells) the cache tier served,
+     *  and shards this run computed. */
+    uint64_t shardsFromCache = 0;
+    uint64_t shardsComputed = 0;
+
     /** Process isolation only: injections newly quarantined this run
      *  (already excluded from the affected cells' denominators). */
     std::vector<QuarantineRecord> quarantined;
@@ -158,6 +195,15 @@ struct CampaignSummary
  * affecting results.
  */
 std::string campaignConfigHash(const CampaignOptions &options);
+
+/**
+ * The report rows (core/report.hh) of @p summary's completed cells:
+ * the DelayAVF rows in cell order, then the sAVF rows, each structure
+ * name suffixed with @p label — the rows of davf_run --json and of a
+ * davf_serve reply.
+ */
+std::vector<ReportRow> reportRows(const CampaignSummary &summary,
+                                  const std::string &label);
 
 /** The sweep executor (see file comment). */
 class Campaign

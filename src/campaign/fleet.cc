@@ -8,7 +8,6 @@
 
 #include "obs/trace.hh"
 #include "util/clock.hh"
-#include "util/crashpoint.hh"
 #include "util/logging.hh"
 
 namespace davf {
@@ -65,16 +64,9 @@ classifyShardReply(ShardReply::Status status, const ExitStatus &exit)
 }
 
 FleetMetrics::FleetMetrics(const std::string &the_prefix,
-                           const std::string &retries_name,
-                           bool cache_tier)
+                           const std::string &retries_name)
     : prefix(the_prefix), link(the_prefix), retries(retries_name)
-{
-    if (cache_tier) {
-        storeHits.emplace(prefix + ".store_hits");
-        storeWrites.emplace(prefix + ".store_writes");
-        storeWriteFailures.emplace(prefix + ".store_write_failures");
-    }
-}
+{}
 
 /** The running cell's queue and outcome, under the fleet lock. */
 struct ShardDispatcher::Cell
@@ -100,13 +92,9 @@ struct ShardDispatcher::Cell
 };
 
 ShardDispatcher::ShardDispatcher(const DispatchOptions &the_policy,
-                                 const FleetMetrics &the_metrics,
-                                 ShardCache the_cache)
-    : policy(the_policy), metrics(the_metrics), cache(std::move(the_cache))
-{
-    davf_assert(!cache.lookup || metrics.storeHits,
-                "a cache tier needs its store counters");
-}
+                                 const FleetMetrics &the_metrics)
+    : policy(the_policy), metrics(the_metrics)
+{}
 
 ShardDispatcher::~ShardDispatcher() = default;
 
@@ -195,24 +183,6 @@ ShardDispatcher::finishJob(Cell &cell, ShardJob &job)
     {
         const std::lock_guard<std::mutex> lock(cell.deliverMutex);
         cell.deliver(job);
-        if (cache.store && !job.fromCache) {
-            // The store is a cache tier: the shard's result is already
-            // delivered above, so a store that cannot accept the write
-            // (full disk, armed crash point) costs a future hit, never
-            // the campaign.
-            try {
-                static const crashpoint::CrashPoint store_point(
-                    "net.store_write");
-                store_point.fire();
-                cache.store(job.spec, job.cycleOutcome, job.savfOutcome);
-                metrics.storeWrites->add(1);
-            } catch (const DavfError &error) {
-                metrics.storeWriteFailures->add(1);
-                davf_warn("shared-store write failed (campaign "
-                          "continues): ",
-                          error.what());
-            }
-        }
     }
     const std::lock_guard<std::mutex> lock(mutex);
     --cell.outstanding;
@@ -349,20 +319,8 @@ ShardDispatcher::runCell(std::vector<ShardJob> jobs,
     cell.jobs = std::move(jobs);
     cell.deliver = deliver;
     cell.outstanding = cell.jobs.size();
-
-    // A shard the cache tier already holds (any worker, any earlier
-    // run) is a hit, not work.
-    for (size_t i = 0; i < cell.jobs.size(); ++i) {
-        ShardJob &job = cell.jobs[i];
-        if (cache.lookup
-            && cache.lookup(job.spec, job.cycleOutcome, job.savfOutcome)) {
-            job.fromCache = true;
-            metrics.storeHits->add(1);
-            finishJob(cell, job);
-        } else {
-            cell.queue.push_back(i);
-        }
-    }
+    for (size_t i = 0; i < cell.jobs.size(); ++i)
+        cell.queue.push_back(i);
 
     std::vector<std::thread> threads;
     std::set<uint64_t> started;

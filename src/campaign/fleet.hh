@@ -6,9 +6,8 @@
  * jobs and drains the queue with one dispatch thread per worker slot,
  * work-stealing style, so a fast worker takes more shards and a slow
  * one never gates the queue. The retries and their backoff, the reply
- * rule, the stop flag, the optional store cache tier, exclusions from
- * loaded quarantine records, and the quit-then-drain shutdown exist
- * here once (docs/ROBUSTNESS.md, "Failure classification and
+ * rule, the stop flag, exclusions from loaded quarantine records, and
+ * the quit-then-drain shutdown exist here once (docs/ROBUSTNESS.md, "Failure classification and
  * retries").
  *
  * A worker source derives from it and decides only what its transport
@@ -66,21 +65,6 @@ struct DispatchOptions
     const std::atomic<bool> *stopFlag = nullptr;
 };
 
-/**
- * The optional shared cache tier: a shard @c lookup finds (filling the
- * outcome its spec's kind names) is delivered without dispatch, and
- * every dispatched outcome is handed to @c store once delivered.
- */
-struct ShardCache
-{
-    std::function<bool(const ShardSpec &, InjectionCycleOutcome &,
-                       SavfResult &)>
-        lookup;
-    std::function<void(const ShardSpec &, const InjectionCycleOutcome &,
-                       const SavfResult &)>
-        store;
-};
-
 /** How one dispatch ended (docs/ROBUSTNESS.md). */
 enum class ShardOutcome : uint8_t {
     Ok,        ///< A well-formed reply arrived.
@@ -127,7 +111,6 @@ struct ShardJob
 {
     ShardSpec spec;
     unsigned attempts = 0; ///< Dispatches so far (under the fleet lock).
-    bool fromCache = false;
     InjectionCycleOutcome cycleOutcome;
     SavfResult savfOutcome;
 };
@@ -151,29 +134,22 @@ struct Settlement
 };
 
 /**
- * A source's dispatch counters: the link metrics under @p prefix, the
- * re-dispatch counter @p retries, and with @p cache_tier the
- * `<prefix>.store_hits`, `<prefix>.store_writes` and
- * `<prefix>.store_write_failures` counters of the cache tier.
+ * A source's dispatch counters: the link metrics under @p prefix and
+ * the re-dispatch counter @p retries.
  */
 struct FleetMetrics
 {
-    FleetMetrics(const std::string &prefix, const std::string &retries,
-                 bool cache_tier);
+    FleetMetrics(const std::string &prefix, const std::string &retries);
 
     const std::string prefix;
     LinkMetrics link;
     obs::Counter retries;
-    std::optional<obs::Counter> storeHits;
-    std::optional<obs::Counter> storeWrites;
-    std::optional<obs::Counter> storeWriteFailures;
 };
 
 /**
- * The dispatch core (see file comment). The campaign and the query
- * scheduler hand it whole cells and journal (or store) the per-cycle
- * outcomes it delivers exactly as in thread mode. One cell runs at a
- * time.
+ * The dispatch core (see file comment). The campaign hands it whole
+ * cells and journals the per-cycle outcomes it delivers exactly as in
+ * thread mode. One cell runs at a time.
  */
 class ShardDispatcher
 {
@@ -242,7 +218,7 @@ class ShardDispatcher
     };
 
     ShardDispatcher(const DispatchOptions &policy,
-                    const FleetMetrics &metrics, ShardCache cache = {});
+                    const FleetMetrics &metrics);
 
     /** Admit @p slot; a running cell gives it a dispatch thread at
      *  once. */
@@ -325,7 +301,6 @@ class ShardDispatcher
                const SamplingConfig &sampling);
 
     const FleetMetrics &metrics;
-    const ShardCache cache;
 
     /** Serializes cells: the slots serve one cell at a time. */
     std::mutex cellMutex;

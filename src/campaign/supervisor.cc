@@ -39,7 +39,7 @@ constexpr size_t kMaxQuarantinePerCell = 4;
  */
 struct SupervisorMetrics
 {
-    FleetMetrics fleet{"supervisor", "supervisor.retries", false};
+    FleetMetrics fleet{"supervisor", "supervisor.retries"};
     obs::Counter workersSpawned{"supervisor.workers_spawned"};
     obs::Counter workersRetired{"supervisor.workers_retired"};
     obs::Counter bisectProbes{"supervisor.bisect_probes"};

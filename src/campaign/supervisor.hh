@@ -104,7 +104,8 @@ class Supervisor : public ShardDispatcher
      * options.configHash are loaded here and excluded up front.
      * Records found later are only returned, never applied to later
      * cells: a campaign dispatches each (structure, delay) cell once,
-     * and the query scheduler's cells each bring their own sampling.
+     * and the query scheduler's campaigns each bring their own
+     * sampling.
      */
     Supervisor(const VulnerabilityEngine &engine,
                const StructureRegistry &registry,

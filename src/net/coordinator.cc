@@ -20,7 +20,7 @@ constexpr double kHelloTimeoutMs = 5000.0;
  */
 struct NetMetrics
 {
-    FleetMetrics fleet{"net", "net.redispatches", true};
+    FleetMetrics fleet{"net", "net.redispatches"};
     obs::Counter nodesConnected{"net.nodes_connected"};
     obs::Counter nodesRejected{"net.nodes_rejected"};
     obs::Counter nodesLost{"net.nodes_lost"};
@@ -52,8 +52,7 @@ struct Coordinator::Node : Slot
 
 Coordinator::Coordinator(ListenSocket listener,
                          CoordinatorOptions the_options)
-    : ShardDispatcher(the_options, netMetrics().fleet,
-                      std::move(the_options.cache)),
+    : ShardDispatcher(the_options, netMetrics().fleet),
       fingerprint(std::move(the_options.fingerprint)),
       localCycle(std::move(the_options.localCycle)),
       localSavf(std::move(the_options.localSavf)), listenFd(listener.fd),

@@ -22,11 +22,6 @@
  *    infrastructure failures never fail a cell and a campaign with no
  *    (surviving) workers degrades to exactly a thread-mode run.
  *
- * The optional cache tier lets the content-addressed result store act
- * as a shared tier: a shard any node (or any earlier run) already
- * computed is a store hit, not a recompute, and fresh outcomes are
- * written back as they arrive.
- *
  * Replies carry the exact journal token grammar, and aggregation runs
  * through the checkpoint-resume path, so results are byte-identical
  * to thread/process mode at any node count (docs/DISTRIBUTED.md).
@@ -58,17 +53,14 @@ struct CoordinatorOptions : DispatchOptions
     std::string fingerprint;
 
     /**
-     * @name Local execution + shared cache tier
+     * @name Local execution
      * localCycle/localSavf compute one shard in-process (the graceful
      * degradation path; engine calls are serialized internally by the
-     * coordinator). The cache, when set, resolves shards against the
-     * content-addressed result store before dispatching and persists
-     * fresh outcomes (service/scheduler.hh's shardCacheHooks).
+     * coordinator).
      */
     /// @{
     std::function<InjectionCycleOutcome(const ShardSpec &)> localCycle;
     std::function<SavfResult(const ShardSpec &)> localSavf;
-    ShardCache cache;
     /// @}
 };
 

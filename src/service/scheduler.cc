@@ -40,8 +40,8 @@ elapsedMs(Clock::time_point since)
         .count();
 }
 
-/** Parse one stored payload with @p parse; any damage or trailing
- * token fails. */
+/** Parse the payload stored under @p key with @p parse; damage or a
+ *  trailing token is a miss. */
 template <typename T, typename Parse>
 bool
 lookupStrict(ResultStore &store, const std::string &key, T &out,
@@ -59,39 +59,6 @@ lookupStrict(ResultStore &store, const std::string &key, T &out,
               "' unparseable; recomputing");
     return false;
 }
-
-/// @name Shard record codec (see shardCacheHooks in scheduler.hh)
-/// @{
-/** A cycle outcome is v3 exactly when it carries attribution. */
-void
-storeShardOutcome(ResultStore &store, const std::string &key,
-                  const InjectionCycleOutcome &outcome)
-{
-    store.store(key, serializeOutcomeFields(outcome),
-                outcome.attr.valid ? 3 : 2);
-}
-
-void
-storeShardOutcome(ResultStore &store, const std::string &key,
-                  const SavfResult &result)
-{
-    store.store(key, serializeSavfFields(result));
-}
-
-bool
-lookupShardOutcome(ResultStore &store, const std::string &key,
-                   InjectionCycleOutcome &outcome)
-{
-    return lookupStrict(store, key, outcome, parseOutcomeFields);
-}
-
-bool
-lookupShardOutcome(ResultStore &store, const std::string &key,
-                   SavfResult &result)
-{
-    return lookupStrict(store, key, result, parseSavfFields);
-}
-/// @}
 
 std::string
 histogramJson(const Histogram &h)
@@ -120,8 +87,10 @@ QueryScheduler::QueryScheduler(VulnerabilityEngine &the_engine,
                                ResultStore &the_store, Options the_options)
     : engine(&the_engine), registry(&the_registry),
       fingerprint(std::move(the_fingerprint)), store(&the_store),
-      options(std::move(the_options)), lookupMs(0.0, 50.0, 25),
-      computeMs(0.0, 5000.0, 25), aggregateMs(0.0, 50.0, 25)
+      options(std::move(the_options)),
+      cache(shardCacheHooks(the_store, fingerprint)),
+      lookupMs(0.0, 50.0, 25), computeMs(0.0, 5000.0, 25),
+      aggregateMs(0.0, 50.0, 25)
 {
     if (!options.workerArgv.empty()) {
         SupervisorOptions sup;
@@ -144,26 +113,29 @@ shardStoreKey(const std::string &fingerprint, const ShardSpec &spec)
     return fingerprint + " " + serializeShardSpec(spec);
 }
 
-ShardCacheHooks
+ShardCache
 shardCacheHooks(ResultStore &store, std::string fingerprint)
 {
-    ShardCacheHooks hooks;
+    ShardCache hooks;
     hooks.lookup = [&store, fingerprint](const ShardSpec &spec,
                                          InjectionCycleOutcome &cycle,
                                          SavfResult &savf) {
         const std::string key = shardStoreKey(fingerprint, spec);
         return spec.kind == ShardSpec::Kind::Cycle
-            ? lookupShardOutcome(store, key, cycle)
-            : lookupShardOutcome(store, key, savf);
+            ? lookupStrict(store, key, cycle, parseOutcomeFields)
+            : lookupStrict(store, key, savf, parseSavfFields);
     };
     hooks.store = [&store, fingerprint](const ShardSpec &spec,
                                         const InjectionCycleOutcome &cycle,
                                         const SavfResult &savf) {
         const std::string key = shardStoreKey(fingerprint, spec);
-        if (spec.kind == ShardSpec::Kind::Cycle)
-            storeShardOutcome(store, key, cycle);
-        else
-            storeShardOutcome(store, key, savf);
+        // A cycle outcome is v3 exactly when it carries attribution.
+        if (spec.kind == ShardSpec::Kind::Cycle) {
+            store.store(key, serializeOutcomeFields(cycle),
+                        cycle.attr.valid ? 3 : 2);
+        } else {
+            store.store(key, serializeSavfFields(savf));
+        }
     };
     return hooks;
 }
@@ -174,246 +146,73 @@ QueryScheduler::shardKey(const ShardSpec &spec) const
     return shardStoreKey(fingerprint, spec);
 }
 
-void
-QueryScheduler::storeOutcome(ShardSpec spec,
-                             const InjectionCycleOutcome &outcome)
+std::optional<CampaignSummary>
+QueryScheduler::answerFromStore(const Structure &structure,
+                                const QuerySpec &query, uint64_t &hits)
 {
-    spec.cycle = outcome.cycle;
-    storeShardOutcome(*store, shardKey(spec), outcome);
-}
-
-Result<DelayAvfResult>
-QueryScheduler::runDavfCell(const Structure &structure,
-                            const QuerySpec &query, double d,
-                            const std::atomic<bool> *cancel,
-                            QueryReply &reply)
-{
-    using R = Result<DelayAvfResult>;
-
-    SamplingConfig sampling = query.sampling;
-    sampling.threads = options.threads;
-    sampling.stopFlag = cancel;
-
-    // The spec prototype that, with a cycle filled in, keys one shard.
-    // Its sampling is the query's verbatim (threads and stop flag are
-    // operational and not serialized), so every process pointed at the
-    // same store derives the same keys.
-    ShardSpec spec;
-    spec.kind = ShardSpec::Kind::Cycle;
-    spec.structure = query.structure;
-    spec.delayFraction = d;
-    spec.sampling = query.sampling;
-
-    const std::vector<uint64_t> cycles = engine->injectionCycles(sampling);
-
-    DelayAvfProgress progress;
-    std::vector<uint64_t> missing;
     const Clock::time_point lookup_start = Clock::now();
-    for (uint64_t cycle : cycles) {
-        spec.cycle = cycle;
-        InjectionCycleOutcome outcome;
-        if (lookupShardOutcome(*store, shardKey(spec), outcome)) {
-            progress.completed.push_back(std::move(outcome));
-            ++reply.storeHits;
-            schedulerMetrics().shardHits.add(1);
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            ++counters.shardHits;
-        } else {
-            missing.push_back(cycle);
-        }
-    }
-    {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        lookupMs.add(elapsedMs(lookup_start));
-    }
 
-    // An all-hit cell aggregates without the compute lock; only an STA
-    // fallback (no quarantine-free outcome) needs the engine below.
-    if (missing.empty()) {
-        if (std::optional<DelayAvfResult> result =
-                aggregateHits(structure, sampling, progress.completed))
-            return R::Ok(std::move(*result));
-    }
-
-    const std::lock_guard<std::mutex> engine_lock(engineMutex);
-
-    if (!missing.empty()) {
-        // Double-check under the compute lock: a concurrent client may
-        // have computed (and stored) these shards while we waited. This
-        // is the in-flight dedupe — identical concurrent queries cost
-        // one simulation.
-        std::vector<uint64_t> still;
-        for (uint64_t cycle : missing) {
+    // The keys the campaign's cache tier uses: the query's sampling
+    // verbatim (threads and the stop flag are not part of a key), so
+    // every process pointed at the same store derives the same keys.
+    ShardSpec spec;
+    spec.structure = query.structure;
+    spec.sampling = query.sampling;
+    CampaignSummary summary;
+    bool all_hits = true;
+    const std::vector<uint64_t> cycles =
+        engine->injectionCycles(query.sampling);
+    std::vector<std::vector<InjectionCycleOutcome>> completed;
+    for (double d : query.delays) {
+        spec.delayFraction = d;
+        std::vector<InjectionCycleOutcome> &cell = completed.emplace_back();
+        for (uint64_t cycle : cycles) {
             spec.cycle = cycle;
             InjectionCycleOutcome outcome;
-            if (lookupShardOutcome(*store, shardKey(spec), outcome)) {
-                progress.completed.push_back(std::move(outcome));
-                ++reply.storeHits;
-                schedulerMetrics().shardHits.add(1);
-                schedulerMetrics().inFlightHits.add(1);
-                const std::lock_guard<std::mutex> stats_lock(statsMutex);
-                ++counters.shardHits;
-                ++counters.inFlightHits;
+            SavfResult unused;
+            if (cache.lookup(spec, outcome, unused)) {
+                cell.push_back(std::move(outcome));
+                ++hits;
             } else {
-                still.push_back(cycle);
+                all_hits = false;
             }
         }
-        missing = std::move(still);
+        CampaignCellResult &result = summary.cells.emplace_back();
+        result.key = {"davf", options.benchmark, query.structure,
+                      canonicalDelay(d)};
+        result.delay = d;
     }
-
-    // Every computed outcome is persisted as it arrives.
-    auto on_computed = [&](const InjectionCycleOutcome &outcome) {
-        storeOutcome(spec, outcome);
-        ++reply.storeMisses;
-        schedulerMetrics().shardsComputed.add(1);
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        ++counters.shardsComputed;
-    };
-
-    if (!missing.empty() && dispatcher) {
-        // Isolated compute: ship the missing cycles to the workers.
-        // (Cancellation takes effect between cells in this mode.)
-        const Clock::time_point compute_start = Clock::now();
-        const ShardDispatcher::CellResult cell = dispatcher->runDavfCell(
-            query.structure, d, missing, query.sampling,
-            [&](const InjectionCycleOutcome &outcome) {
-                on_computed(outcome);
-                progress.completed.push_back(outcome);
-            });
-        {
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            computeMs.add(elapsedMs(compute_start));
-        }
-        if (cell.stopped)
-            return R::Err(ErrorKind::Timeout, "query cancelled");
-        if (cell.failed) {
-            return R::Err(ErrorKind::Internal,
-                          "isolated cell failed: " + cell.failReason);
-        }
-        missing.clear();
+    if (query.runSavf) {
+        spec.kind = ShardSpec::Kind::Savf;
+        CampaignCellResult &result = summary.cells.emplace_back();
+        result.key = {"savf", options.benchmark, query.structure,
+                      canonicalDelay(0.0)};
+        InjectionCycleOutcome unused;
+        if (cache.lookup(spec, unused, result.savf))
+            ++hits;
+        else
+            all_hits = false;
     }
-
-    if (!missing.empty()) {
-        // In-process compute: delayAvf() simulates exactly the cycles
-        // absent from progress.completed on the engine thread pool and
-        // aggregates everything — the checkpoint-resume path, so the
-        // result is bit-identical to a cold run.
-        progress.onCycleDone = on_computed;
-        const Clock::time_point compute_start = Clock::now();
-        DelayAvfResult result =
-            engine->delayAvf(structure, d, sampling, &progress);
-        {
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            computeMs.add(elapsedMs(compute_start));
-        }
-        if (result.stopped)
-            return R::Err(ErrorKind::Timeout, "query cancelled");
-        return R::Ok(std::move(result));
-    }
-
-    // Aggregation only: every cycle came from the store (or the worker
-    // pool). delayAvf() simulates nothing here, so it needs no stop
-    // flag; it runs the STA fallback (under this lock, as Sta requires)
-    // only when no outcome is quarantine-free.
-    SamplingConfig agg_sampling = sampling;
-    agg_sampling.stopFlag = nullptr;
-    progress.onCycleDone = nullptr;
-    const Clock::time_point agg_start = Clock::now();
-    DelayAvfResult result =
-        engine->delayAvf(structure, d, agg_sampling, &progress);
-    {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        aggregateMs.add(elapsedMs(agg_start));
-    }
-    return R::Ok(std::move(result));
-}
-
-std::optional<DelayAvfResult>
-QueryScheduler::aggregateHits(
-    const Structure &structure, const SamplingConfig &sampling,
-    std::span<const InjectionCycleOutcome> completed)
-{
-    const Clock::time_point agg_start = Clock::now();
-    std::optional<DelayAvfResult> result =
-        engine->aggregateDelayAvf(structure, sampling, completed);
-    if (result) {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        aggregateMs.add(elapsedMs(agg_start));
-    }
-    return result;
-}
-
-Result<SavfResult>
-QueryScheduler::runSavfCell(const Structure &structure,
-                            const QuerySpec &query,
-                            const std::atomic<bool> *cancel,
-                            QueryReply &reply)
-{
-    using R = Result<SavfResult>;
-
-    ShardSpec spec;
-    spec.kind = ShardSpec::Kind::Savf;
-    spec.structure = query.structure;
-    spec.sampling = query.sampling;
-    const std::string key = shardKey(spec);
-
-    const Clock::time_point lookup_start = Clock::now();
-    auto tryLookup = [&]() -> std::optional<SavfResult> {
-        SavfResult result;
-        if (lookupShardOutcome(*store, key, result))
-            return result;
-        return std::nullopt;
-    };
-    std::optional<SavfResult> hit = tryLookup();
     {
         const std::lock_guard<std::mutex> stats_lock(statsMutex);
         lookupMs.add(elapsedMs(lookup_start));
     }
-    if (hit) {
-        ++reply.storeHits;
-        schedulerMetrics().shardHits.add(1);
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        ++counters.shardHits;
-        return R::Ok(std::move(*hit));
-    }
+    if (!all_hits)
+        return std::nullopt;
 
-    const std::lock_guard<std::mutex> engine_lock(engineMutex);
-    if ((hit = tryLookup())) {
-        ++reply.storeHits;
-        schedulerMetrics().shardHits.add(1);
-        schedulerMetrics().inFlightHits.add(1);
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        ++counters.shardHits;
-        ++counters.inFlightHits;
-        return R::Ok(std::move(*hit));
+    // Aggregation without the compute lock; a cell that needs the STA
+    // fallback goes to the campaign, which may run it.
+    const Clock::time_point agg_start = Clock::now();
+    for (size_t i = 0; i < completed.size(); ++i) {
+        std::optional<DelayAvfResult> result = engine->aggregateDelayAvf(
+            structure, query.sampling, completed[i]);
+        if (!result)
+            return std::nullopt;
+        summary.cells[i].davf = std::move(*result);
     }
-
-    const Clock::time_point compute_start = Clock::now();
-    SavfResult result;
-    if (dispatcher) {
-        const ShardDispatcher::CellResult cell =
-            dispatcher->runSavfCell(query.structure, query.sampling, result);
-        if (cell.failed) {
-            return R::Err(ErrorKind::Internal,
-                          "isolated sAVF cell failed: " + cell.failReason);
-        }
-    } else {
-        SamplingConfig sampling = query.sampling;
-        sampling.threads = options.threads;
-        sampling.stopFlag = cancel;
-        result = engine->savf(structure, sampling);
-    }
-    schedulerMetrics().shardsComputed.add(1);
-    {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        computeMs.add(elapsedMs(compute_start));
-        ++counters.shardsComputed;
-    }
-    if (result.stopped)
-        return R::Err(ErrorKind::Timeout, "query cancelled");
-    storeShardOutcome(*store, key, result);
-    ++reply.storeMisses;
-    return R::Ok(std::move(result));
+    const std::lock_guard<std::mutex> stats_lock(statsMutex);
+    aggregateMs.add(elapsedMs(agg_start));
+    return summary;
 }
 
 Result<QueryScheduler::QueryReply>
@@ -432,50 +231,75 @@ QueryScheduler::run(const QuerySpec &query,
         }
 
         QueryReply reply;
-        std::vector<ReportRow> rows;
-        for (double d : query.delays) {
-            Result<DelayAvfResult> cell =
-                runDavfCell(*structure, query, d, cancel, reply);
-            if (!cell) {
-                if (cell.error().kind() == ErrorKind::Timeout) {
-                    schedulerMetrics().cancelled.add(1);
-                    const std::lock_guard<std::mutex> lock(statsMutex);
-                    ++counters.cancelled;
-                }
-                return R::Err(cell.error());
-            }
-            ReportRow row;
-            row.kind = "davf";
-            row.benchmark = options.benchmark;
-            row.structure = query.structure + options.structureLabel;
-            row.delayFraction = d;
-            row.davf = std::move(cell.value());
-            rows.push_back(std::move(row));
+        uint64_t first_hits = 0;
+        std::optional<CampaignSummary> summary =
+            answerFromStore(*structure, query, first_hits);
+        if (summary) {
+            reply.storeHits = first_hits;
+        } else {
+            // A miss: run the query as a campaign with the store as its
+            // cache tier, which looks every shard up again under the
+            // lock and computes only what is still missing.
+            const std::lock_guard<std::mutex> engine_lock(engineMutex);
+            const Clock::time_point compute_start = Clock::now();
+            CampaignOptions campaign;
+            campaign.benchmark = options.benchmark;
+            campaign.structures = {query.structure};
+            campaign.delays = query.delays;
+            campaign.runSavf = query.runSavf;
+            campaign.sampling = query.sampling;
+            campaign.sampling.threads = options.threads;
+            campaign.injectionTimeoutMs = query.sampling.injectionTimeoutMs;
+            campaign.maxFailureRate = query.sampling.maxFailureRate;
+            campaign.stopFlag = cancel;
+            campaign.dispatcher = dispatcher.get();
+            campaign.cache = cache;
+            summary =
+                Campaign(*engine, *registry, std::move(campaign)).run();
+            reply.storeHits = summary->shardsFromCache;
+            reply.storeMisses = summary->shardsComputed;
+            const std::lock_guard<std::mutex> stats_lock(statsMutex);
+            computeMs.add(elapsedMs(compute_start));
         }
 
-        if (query.runSavf) {
-            Result<SavfResult> cell =
-                runSavfCell(*structure, query, cancel, reply);
-            if (!cell) {
-                if (cell.error().kind() == ErrorKind::Timeout) {
-                    schedulerMetrics().cancelled.add(1);
-                    const std::lock_guard<std::mutex> lock(statsMutex);
-                    ++counters.cancelled;
-                }
-                return R::Err(cell.error());
-            }
-            ReportRow row;
-            row.kind = "savf";
-            row.benchmark = options.benchmark;
-            row.structure = query.structure + options.structureLabel;
-            row.savf = std::move(cell.value());
-            rows.push_back(std::move(row));
+        // Shards that missed the first lookup but were stored by the
+        // time the campaign looked again were computed by another
+        // client's query: in-flight hits.
+        const uint64_t in_flight =
+            reply.storeHits > first_hits ? reply.storeHits - first_hits : 0;
+        schedulerMetrics().shardHits.add(reply.storeHits);
+        schedulerMetrics().inFlightHits.add(in_flight);
+        schedulerMetrics().shardsComputed.add(reply.storeMisses);
+        {
+            const std::lock_guard<std::mutex> stats_lock(statsMutex);
+            counters.shardHits += reply.storeHits;
+            counters.inFlightHits += in_flight;
+            counters.shardsComputed += reply.storeMisses;
         }
 
-        reply.reportJson = reportJson(rows);
+        for (const CampaignCellResult &cell : summary->cells) {
+            if (!cell.failed)
+                continue;
+            if (cell.failKind != ErrorKind::Internal)
+                return R::Err(cell.failKind, cell.failReason);
+            return R::Err(ErrorKind::Internal,
+                          (cell.key.kind == "savf"
+                               ? "isolated sAVF cell failed: "
+                               : "isolated cell failed: ")
+                              + cell.failReason);
+        }
+        if (summary->interrupted) {
+            schedulerMetrics().cancelled.add(1);
+            const std::lock_guard<std::mutex> stats_lock(statsMutex);
+            ++counters.cancelled;
+            return R::Err(ErrorKind::Timeout, "query cancelled");
+        }
+
+        reply.reportJson =
+            reportJson(reportRows(*summary, options.structureLabel));
         schedulerMetrics().queries.add(1);
         {
-            const std::lock_guard<std::mutex> lock(statsMutex);
+            const std::lock_guard<std::mutex> stats_lock(statsMutex);
             ++counters.queries;
         }
         return R::Ok(std::move(reply));

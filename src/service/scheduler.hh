@@ -3,37 +3,36 @@
  * The davf_serve query scheduler.
  *
  * Decomposes one client query (structure × delay list [× sAVF]) into
- * the same shard units the process-isolated campaign uses — one
- * DelayAVF injection cycle or one whole sAVF evaluation (core/shard) —
- * and resolves each shard against the persistent result store before
- * ever touching the engine:
+ * the shard units every campaign uses — one DelayAVF injection cycle or
+ * one whole sAVF evaluation (core/shard) — keyed in the persistent
+ * result store, and answers it in one of two ways:
  *
- *  - **store hit**: the shard's outcome payload is parsed back from the
- *    journal token grammar; no simulation runs.
- *  - **store miss**: the shard is computed — in-process on the engine's
- *    thread pool, or dispatched to supervised worker processes when the
- *    scheduler was given a worker command line — and the fresh outcome
- *    is written back to the store as it completes.
+ *  - **all hits**: a lock-free pass looks up every shard of the query
+ *    and aggregates each cell with
+ *    VulnerabilityEngine::aggregateDelayAvf(), a pure function of the
+ *    cell's outcomes; no simulation runs and no lock is taken.
+ *  - **any miss**: the query runs as a one-structure Campaign
+ *    (campaign/campaign.hh) under the compute lock, with the store as
+ *    its cache tier: every shard is looked up again, only the misses
+ *    are computed — in-process on the engine's thread pool, or on
+ *    supervised worker processes when the scheduler was given a worker
+ *    command line — and each fresh outcome is written back as it
+ *    completes.
  *
- * Aggregation is VulnerabilityEngine::aggregateDelayAvf() over the
- * cell's outcomes, a pure function of them: the same bytes delayAvf()
- * returns with the outcomes supplied as DelayAvfProgress::completed (the
- * proven checkpoint-resume path), so a reply assembled from cached
- * shards is bit-identical to a cold evaluation at any thread or worker
- * count. Only when no outcome is quarantine-free does aggregation fall
- * back to delayAvf(), which runs the STA filter.
+ * Both ways aggregate the same outcomes through the checkpoint-resume
+ * path, so a reply assembled from cached shards is bit-identical to a
+ * cold evaluation (and to davf_run --json) at any thread or worker
+ * count. A cell whose every outcome quarantined a wire needs the STA
+ * fallback, which only the locked campaign runs.
  *
  * Concurrency: the engine's delayAvf/delayAvfCycle entry points share
  * mutable snapshot and STA state and must not run concurrently, so one
- * mutex serializes all *compute* (each compute still fans out
- * internally across the engine thread pool) and the STA fallback. A
- * cell whose every shard is a store hit is looked up and aggregated
- * without that lock, so warm queries proceed in parallel with each
- * other and with another client's misses. A miss re-checks the store
- * after acquiring the compute lock: identical shards requested by
- * concurrent clients are therefore computed once — the second client
- * finds them already stored (tallied as inFlightHits, a subset of
- * shardHits) and only aggregates, still under the lock.
+ * mutex serializes every campaign (each still fans out internally
+ * across the engine thread pool). Warm queries proceed in parallel with
+ * each other and with another client's misses. The campaign's lookups
+ * under the lock are the in-flight dedupe: identical shards requested
+ * by concurrent clients are computed once, and the second client finds
+ * them stored (tallied as inFlightHits, a subset of shardHits).
  */
 
 #ifndef DAVF_SERVICE_SCHEDULER_HH
@@ -41,16 +40,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "campaign/fleet.hh"
-#include "core/report.hh"
+#include "campaign/campaign.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
 #include "netlist/structure.hh"
@@ -62,26 +58,21 @@ namespace davf::service {
 
 /**
  * The content-addressed store key of one shard under one workspace
- * build fingerprint. Shared by the query scheduler and the net
- * coordinator's cache tier (src/net/coordinator.hh), so a shard
- * computed by either is a hit for the other.
+ * build fingerprint. Every campaign cache over the store uses it, so a
+ * shard computed by davf_serve or davf_run is a hit for the other.
  */
 std::string shardStoreKey(const std::string &fingerprint,
                           const ShardSpec &spec);
 
 /**
- * The net coordinator's shared cache tier over @p store: the
- * CoordinatorOptions::cache pair (net/coordinator.hh) for shards keyed
- * under @p fingerprint. They use the same shard record codec as the
- * query scheduler, so both writers persist the same bytes: a cycle
- * outcome is written in record grammar v3 exactly when it carries
- * attribution (plain outcomes stay byte-identical v2), and a payload
- * that fails to parse strictly — damage or trailing tokens — is a miss
- * the caller recomputes.
+ * A campaign cache tier (CampaignOptions::cache) over @p store, for
+ * shards keyed under @p fingerprint. It is the one shard record codec:
+ * a cycle outcome is written in record grammar v3 exactly when it
+ * carries attribution (plain outcomes stay byte-identical v2), and a
+ * payload that fails to parse strictly — damage or trailing tokens — is
+ * a miss the campaign recomputes.
  */
-using ShardCacheHooks = ShardCache;
-ShardCacheHooks shardCacheHooks(ResultStore &store,
-                                std::string fingerprint);
+ShardCache shardCacheHooks(ResultStore &store, std::string fingerprint);
 
 /** Monotonic scheduler counters (store counters live in StoreStats). */
 struct SchedulerStats
@@ -148,9 +139,12 @@ class QueryScheduler
 
     /**
      * Answer @p query. @p cancel, when given, stops the evaluation
-     * cooperatively between injections (Err{Timeout, "cancelled"}).
-     * Unknown structures are Err{NotFound}; out-of-domain delays are
-     * Err{OutOfRange}; engine failures surface as their own kinds.
+     * cooperatively between injections (Err{Timeout, "query
+     * cancelled"}). Unknown structures are Err{NotFound}; out-of-domain
+     * delays are Err{OutOfRange}; a cell with too many failed
+     * injections is Err{ExcessiveFailures}; a cell the worker processes
+     * failed is Err{Internal, "isolated cell failed: ..."}; other
+     * engine failures surface as their own kinds.
      */
     Result<QueryReply> run(const QuerySpec &query,
                            const std::atomic<bool> *cancel = nullptr);
@@ -162,35 +156,22 @@ class QueryScheduler
 
     /**
      * Scheduler + store counters and the per-stage latency histograms
-     * (lookup / compute / aggregate, milliseconds) as one JSON line —
-     * the body of the protocol's "ok stats" reply.
+     * (lookup / compute / aggregate, milliseconds, one sample per
+     * query) as one JSON line — the body of the protocol's "ok stats"
+     * reply.
      */
     std::string statsJson() const;
 
   private:
-    Result<DelayAvfResult> runDavfCell(const Structure &structure,
-                                       const QuerySpec &query, double d,
-                                       const std::atomic<bool> *cancel,
-                                       QueryReply &reply);
-    Result<SavfResult> runSavfCell(const Structure &structure,
-                                   const QuerySpec &query,
-                                   const std::atomic<bool> *cancel,
-                                   QueryReply &reply);
-
     /**
-     * Aggregate a cell whose every cycle is in @p completed, without
-     * the compute lock (VulnerabilityEngine::aggregateDelayAvf);
-     * std::nullopt when it needs the STA fallback, which only
-     * delayAvf() under engineMutex may run.
+     * The lock-free pass (see file comment): the query's cells when
+     * every shard is a hit and every cell aggregates without STA;
+     * std::nullopt otherwise. @p hits counts the shards found either
+     * way.
      */
-    std::optional<DelayAvfResult>
-    aggregateHits(const Structure &structure,
-                  const SamplingConfig &sampling,
-                  std::span<const InjectionCycleOutcome> completed);
-
-    /** Persist one freshly computed outcome under its shard key. */
-    void storeOutcome(ShardSpec spec,
-                      const InjectionCycleOutcome &outcome);
+    std::optional<CampaignSummary>
+    answerFromStore(const Structure &structure, const QuerySpec &query,
+                    uint64_t &hits);
 
     VulnerabilityEngine *engine;
     const StructureRegistry *registry;
@@ -198,7 +179,10 @@ class QueryScheduler
     ResultStore *store;
     Options options;
 
-    /** Serializes every engine compute (see file comment). */
+    /** The store as a campaign cache tier (shardCacheHooks). */
+    const ShardCache cache;
+
+    /** Serializes every campaign (see file comment). */
     std::mutex engineMutex;
 
     /** Worker processes for misses when Options::workerArgv is set. */
@@ -206,9 +190,9 @@ class QueryScheduler
 
     mutable std::mutex statsMutex;
     SchedulerStats counters;
-    Histogram lookupMs;    ///< Store-resolution time per cell.
-    Histogram computeMs;   ///< Simulation time per cell with misses.
-    Histogram aggregateMs; ///< Aggregation-only time per cell.
+    Histogram lookupMs;    ///< The lock-free pass's lookups.
+    Histogram computeMs;   ///< The locked campaign of a query that missed.
+    Histogram aggregateMs; ///< The lock-free pass's aggregation.
 };
 
 } // namespace davf::service

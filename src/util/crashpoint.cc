@@ -36,7 +36,6 @@ const char *const kKnownPoints[] = {
     "index.append",
     "index.migrate",
     "index.tail_repair",
-    "net.store_write",
     "quarantine.save",
     "store.publish",
 };

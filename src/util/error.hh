@@ -51,21 +51,25 @@ class DavfError : public std::runtime_error
   public:
     DavfError(ErrorKind kind, const std::string &message,
               const char *file = nullptr, int line = 0)
-        : std::runtime_error(decorate(message, file, line)), errKind(kind)
+        : std::runtime_error(message), errKind(kind), srcFile(file),
+          srcLine(line)
     {}
 
     ErrorKind kind() const noexcept { return errKind; }
 
-  private:
-    static std::string
-    decorate(const std::string &message, const char *file, int line)
-    {
-        if (!file)
-            return message;
-        return message + " (" + file + ":" + std::to_string(line) + ")";
-    }
+    /**
+     * Where davf_throw()/davf_fatal() raised it (null otherwise). Not
+     * part of what(): the message travels into journals, reports and
+     * replies, which must not depend on the build directory. Only a
+     * line a human reads on stderr (guardedMain's "fatal:") adds it.
+     */
+    const char *file() const noexcept { return srcFile; }
+    int line() const noexcept { return srcLine; }
 
+  private:
     ErrorKind errKind;
+    const char *srcFile;
+    int srcLine;
 };
 
 /**

@@ -65,7 +65,12 @@ guardedMain(Fn &&body)
     try {
         return body();
     } catch (const DavfError &error) {
-        std::fprintf(stderr, "fatal: %s\n", error.what());
+        if (error.file()) {
+            std::fprintf(stderr, "fatal: %s (%s:%d)\n", error.what(),
+                         error.file(), error.line());
+        } else {
+            std::fprintf(stderr, "fatal: %s\n", error.what());
+        }
         return 1;
     }
 }

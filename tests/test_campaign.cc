@@ -50,6 +50,7 @@
 #include "src/service/scheduler.hh"
 #include "src/util/atomic_file.hh"
 #include "src/util/error.hh"
+#include "src/util/logging.hh"
 #include "src/util/rng.hh"
 #include "src/util/subprocess.hh"
 #include "tests/helpers.hh"
@@ -94,6 +95,24 @@ TEST(ErrorTaxonomy, ResultCarriesValueOrError)
     EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.error().kind(), ErrorKind::Io);
     EXPECT_THROW(err.value(), DavfError);
+}
+
+TEST(ErrorTaxonomy, ThrownMessageIsItsTextAlone)
+{
+    // what() travels into journals, reports and replies, so it must not
+    // carry the build's source path; the location stays available for
+    // the stderr "fatal:" line.
+    try {
+        davf_throw(ErrorKind::Io, "disk on fire: ", 42);
+        FAIL() << "expected DavfError";
+    } catch (const DavfError &error) {
+        EXPECT_STREQ(error.what(), "disk on fire: 42");
+        EXPECT_EQ(error.kind(), ErrorKind::Io);
+        ASSERT_NE(error.file(), nullptr);
+        EXPECT_NE(std::string_view(error.file()).find("test_campaign"),
+                  std::string_view::npos);
+        EXPECT_GT(error.line(), 0);
+    }
 }
 
 TEST(ErrorTaxonomy, UnknownBenchmarkThrowsNotFound)
@@ -1014,7 +1033,9 @@ TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
     // not be bisected, or the quarantine directory would exclude a
     // healthy injection from every later run.
     const std::string qdir = tempPath("nostart_qdir");
+    const std::string ckpt = tempPath("nostart.ckpt");
     std::filesystem::remove_all(qdir);
+    std::remove(ckpt.c_str());
 
     CampaignFixture fixture;
     CampaignOptions opts = processOptions(fixture, 1);
@@ -1023,6 +1044,7 @@ TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
     opts.runSavf = false;
     opts.supervisor.maxRetries = 1;
     opts.supervisor.quarantineDir = qdir;
+    opts.checkpointPath = ckpt;
     Campaign campaign(*fixture.engine, *fixture.registry, opts);
     const CampaignSummary summary = campaign.run();
 
@@ -1041,6 +1063,20 @@ TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
         ADD_FAILURE() << "quarantine file written: " << entry.path();
     }
     std::filesystem::remove_all(qdir);
+
+    // The journaled reason names the failure, not the source file that
+    // raised it: journals must not depend on the build directory.
+    const Result<Checkpoint> journal = loadCheckpoint(ckpt);
+    ASSERT_TRUE(journal.ok()) << journal.error().what();
+    ASSERT_EQ(journal.value().cells.size(), 1u);
+    EXPECT_TRUE(journal.value().cells[0].failed);
+    EXPECT_NE(journal.value().cells[0].failReason.find(
+                  "campaign worker failed to start"),
+              std::string::npos);
+    EXPECT_EQ(journal.value().cells[0].failReason.find(".cc:"),
+              std::string::npos)
+        << journal.value().cells[0].failReason;
+    std::remove(ckpt.c_str());
 }
 
 // ------------------------------------------ isolated query scheduler

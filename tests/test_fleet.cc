@@ -40,8 +40,7 @@ namespace {
 const FleetMetrics &
 testMetrics()
 {
-    static const FleetMetrics metrics("test_fleet", "test_fleet.retries",
-                                      false);
+    static const FleetMetrics metrics("test_fleet", "test_fleet.retries");
     return metrics;
 }
 

@@ -27,6 +27,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -36,12 +37,16 @@
 #include <vector>
 
 #include "src/campaign/campaign.hh"
+#include "src/campaign/supervisor.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/net/coordinator.hh"
 #include "src/net/frame.hh"
 #include "src/net/netfault.hh"
 #include "src/net/worker.hh"
+#include "src/obs/metrics.hh"
+#include "src/service/result_store.hh"
+#include "src/service/scheduler.hh"
 #include "src/util/error.hh"
 #include "src/util/subprocess.hh"
 #include "tests/helpers.hh"
@@ -690,6 +695,82 @@ TEST(NetCampaign, ShutdownDrainsReplyRacingQuit)
     fake.join();
 }
 
+TEST(NetCampaign, CacheTierServesAWarmRunInEveryMode)
+{
+    // The result store is the campaign's cache tier, whatever runs the
+    // cells: a cold run writes every shard once, and a warm run over the
+    // same directory takes them all from it, computes nothing, and —
+    // in net mode, with no node connected — neither dispatches nor
+    // falls back to local compute.
+    obs::MetricsRegistry::setEnabled(true);
+    const auto counter = [](const char *name) {
+        return obs::MetricsRegistry::instance().snapshot().counters[name];
+    };
+    const std::string dir = tempPath("cache_tier");
+    for (const IsolationMode mode :
+         {IsolationMode::Thread, IsolationMode::Process,
+          IsolationMode::Net}) {
+        const std::string tag =
+            std::to_string(static_cast<int>(mode));
+        SCOPED_TRACE("isolation mode " + tag);
+        std::filesystem::remove_all(dir);
+        NetFixture fixture;
+        const CampaignOptions base = fixture.options();
+        const size_t shards = base.delays.size()
+                * fixture.engine->injectionCycles(base.sampling).size()
+            + 1;
+
+        // One run over a fresh store on the directory; a cold net run
+        // has two nodes, a warm one none.
+        auto run = [&](bool warm) {
+            service::ResultStore store(
+                service::ResultStore::Options{.dir = dir});
+            std::unique_ptr<NetHarness> harness;
+            CampaignOptions opts = base;
+            opts.isolate = mode;
+            if (mode == IsolationMode::Process) {
+                opts.supervisor.workerArgv = {Subprocess::selfExePath(),
+                                              "--campaign-worker"};
+                opts.supervisor.workers = 2;
+                opts.supervisor.backoffBaseMs = 1.0;
+            } else if (mode == IsolationMode::Net) {
+                harness = std::make_unique<NetHarness>(fixture);
+                if (!warm) {
+                    harness->spawnWorker("w0");
+                    harness->spawnWorker("w1");
+                    EXPECT_EQ(
+                        harness->coordinator->waitForNodes(2, 30000.0),
+                        2u);
+                }
+                opts.dispatcher = harness->coordinator.get();
+            }
+            opts.cache = service::shardCacheHooks(store, kTestFingerprint);
+            Campaign campaign(*fixture.engine, *fixture.registry, opts);
+            const CampaignSummary summary = campaign.run();
+            EXPECT_FALSE(summary.interrupted);
+            EXPECT_EQ(summary.cellsFailed, 0u);
+            EXPECT_EQ(store.stats().writes, warm ? 0u : shards);
+            return summary;
+        };
+
+        const CampaignSummary cold = run(false);
+        EXPECT_EQ(cold.shardsComputed, shards);
+        EXPECT_EQ(cold.shardsFromCache, 0u);
+
+        const uint64_t dispatches = counter("net.dispatches");
+        const uint64_t fallbacks = counter("net.local_fallbacks");
+        const CampaignSummary warm = run(true);
+        EXPECT_EQ(warm.shardsFromCache, shards);
+        EXPECT_EQ(warm.shardsComputed, 0u);
+        EXPECT_EQ(reportJson(reportRows(warm, "")),
+                  reportJson(reportRows(cold, "")));
+        EXPECT_EQ(counter("net.dispatches"), dispatches);
+        EXPECT_EQ(counter("net.local_fallbacks"), fallbacks);
+    }
+    std::filesystem::remove_all(dir);
+    obs::MetricsRegistry::setEnabled(false);
+}
+
 // ----------------------------------------------------------- worker main
 
 /** Child process entry: serve shards over TCP against the same fixture
@@ -731,6 +812,13 @@ main(int argc, char **argv)
         if (arg.rfind(kFlag, 0) == 0) {
             return davf::netWorkerMain(
                 std::string(arg.substr(kFlag.size())));
+        }
+    }
+    for (int i = 1; i < argc; ++i) {
+        if (std::string_view(argv[i]) == "--campaign-worker") {
+            davf::NetFixture fixture;
+            return davf::runCampaignWorker(*fixture.engine,
+                                           *fixture.registry);
         }
     }
     ::testing::InitGoogleTest(&argc, argv);

@@ -322,7 +322,7 @@ TEST(ShardCache, NetWriterPicksV3ForAttributionAndParsesStrictly)
     savf.aceInjections = 2;
     {
         ResultStore store({.dir = dir, .memCapacity = 0});
-        const ShardCacheHooks hooks = shardCacheHooks(store, "fp");
+        const ShardCache hooks = shardCacheHooks(store, "fp");
         hooks.store(plain_spec, plain, {});
         hooks.store(attr_spec, attributed, {});
         hooks.store(savf_spec, {}, savf);
@@ -343,7 +343,7 @@ TEST(ShardCache, NetWriterPicksV3ForAttributionAndParsesStrictly)
     EXPECT_EQ(recordHead(savf_spec), "davf-store v2");
 
     ResultStore store({.dir = dir, .memCapacity = 0});
-    const ShardCacheHooks hooks = shardCacheHooks(store, "fp");
+    const ShardCache hooks = shardCacheHooks(store, "fp");
     InjectionCycleOutcome cycle;
     SavfResult unused;
     ASSERT_TRUE(hooks.lookup(attr_spec, cycle, unused));

@@ -26,7 +26,8 @@ run_config() {
 # pass, the injection cycles fan out over the thread pool with
 # cross-delay sweep reuse shared between workers, and the query
 # scheduler aggregates store hits without its compute lock while
-# another client computes.
+# another client computes; the campaign's delivery path (process and
+# net dispatch threads) writes the store.
 tsan_check() {
     build_dir="$1"
     echo "=== configure $build_dir (ThreadSanitizer)" >&2
@@ -36,7 +37,7 @@ tsan_check() {
     cmake --build "$build_dir" -j "$jobs"
     echo "=== test $build_dir" >&2
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
-        -R '^(Engine|TimedSim|ThreadPool|SweepReuse|SchedulerFixture|Aggregation|ShardLink|Fleet|IndexStoreT)\.'
+        -R '^(Engine|TimedSim|ThreadPool|SweepReuse|SchedulerFixture|Aggregation|ShardLink|Fleet|IndexStoreT|SchedulerIsolation|NetCampaign)\.'
 }
 
 # Process-isolation smoke: run a tiny campaign with worker processes
@@ -706,6 +707,7 @@ net_smoke() {
         --isolate net --listen 127.0.0.1:0 --port-file "$port_file" \
         --min-nodes 3 --node-wait-ms 60000 \
         --shard-timeout-ms 2000 --backoff-ms 1 \
+        --store-dir "$smoke_dir/store" \
         --metrics-json "$smoke_dir/metrics.json" \
         > "$smoke_dir/net.json" 2> "$smoke_dir/run.log" &
     run_pid=$!
@@ -785,8 +787,37 @@ net_smoke() {
         cat "$smoke_dir/metrics.json" >&2
         exit 1
     fi
+
+    # Warm rerun with no nodes over the store the fleet run filled: the
+    # campaign's cache tier serves every shard from disk, so nothing is
+    # dispatched or computed locally and the report is unchanged.
+    # shellcheck disable=SC2086
+    if ! "$build_dir/tools/davf_run" --json $sweep_args \
+        --isolate net --listen 127.0.0.1:0 --min-nodes 0 \
+        --store-dir "$smoke_dir/store" \
+        --metrics-json "$smoke_dir/warm-metrics.json" \
+        > "$smoke_dir/warm.json" 2> "$smoke_dir/warm.log"; then
+        echo "net smoke: warm store run failed" >&2
+        cat "$smoke_dir/warm.log" >&2
+        exit 1
+    fi
+    if ! cmp -s "$smoke_dir/ref.json" "$smoke_dir/warm.json"; then
+        echo "net smoke: warm.json differs from in-process ref.json" >&2
+        exit 1
+    fi
+    disk_hits=$(sed -n 's/.*"store\.disk_hits":\([0-9]*\).*/\1/p' \
+        "$smoke_dir/warm-metrics.json")
+    fallbacks=$(sed -n 's/.*"net\.local_fallbacks":\([0-9]*\).*/\1/p' \
+        "$smoke_dir/warm-metrics.json")
+    if [ "${disk_hits:-0}" -eq 0 ] || [ "${fallbacks:-1}" -ne 0 ]; then
+        echo "net smoke: warm run did not come from the store" \
+            "(disk_hits=$disk_hits local_fallbacks=$fallbacks):" >&2
+        cat "$smoke_dir/warm-metrics.json" >&2
+        exit 1
+    fi
     echo "=== net smoke ok (report bit-identical," \
-        "$lost node(s) lost, $redispatched re-dispatch(es))" >&2
+        "$lost node(s) lost, $redispatched re-dispatch(es)," \
+        "$disk_hits warm store hit(s))" >&2
 }
 
 run_config "$root/build-ci-release" -DCMAKE_BUILD_TYPE=Release

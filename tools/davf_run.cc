@@ -513,7 +513,7 @@ runTool(int argc, char **argv)
             store_options.dir = opts.store_dir;
             net_store = std::make_unique<service::ResultStore>(
                 store_options);
-            net_options.cache = service::shardCacheHooks(
+            campaign_options.cache = service::shardCacheHooks(
                 *net_store, workspace.fingerprint());
         }
 
@@ -564,31 +564,10 @@ runTool(int argc, char **argv)
         // The structured report: the same rows, in the same order, as a
         // davf_serve reply for this query (davf rows per delay, then
         // the sAVF row), so the two outputs compare byte-for-byte.
-        std::vector<ReportRow> rows;
-        for (const CampaignCellResult &cell : summary.cells) {
-            if (cell.key.kind != "davf" || cell.failed)
-                continue;
-            ReportRow row;
-            row.kind = "davf";
-            row.benchmark = opts.benchmark;
-            row.structure =
-                opts.structure + campaign_options.structureLabel;
-            row.delayFraction = cell.delay;
-            row.davf = cell.davf;
-            rows.push_back(std::move(row));
-        }
-        for (const CampaignCellResult &cell : summary.cells) {
-            if (cell.key.kind != "savf" || cell.failed)
-                continue;
-            ReportRow row;
-            row.kind = "savf";
-            row.benchmark = opts.benchmark;
-            row.structure =
-                opts.structure + campaign_options.structureLabel;
-            row.savf = cell.savf;
-            rows.push_back(std::move(row));
-        }
-        std::printf("%s\n", reportJson(rows).c_str());
+        std::printf("%s\n",
+                    reportJson(reportRows(
+                                   summary, campaign_options.structureLabel))
+                        .c_str());
         if (summary.interrupted)
             return 130;
         return summary.cellsFailed > 0 ? 3 : 0;
