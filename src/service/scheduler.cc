@@ -1,5 +1,6 @@
 #include "scheduler.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -148,7 +149,7 @@ QueryScheduler::shardKey(const ShardSpec &spec) const
 
 std::optional<CampaignSummary>
 QueryScheduler::answerFromStore(const Structure &structure,
-                                const QuerySpec &query, uint64_t &hits)
+                                const QuerySpec &query, StoreHits &hits)
 {
     const Clock::time_point lookup_start = Clock::now();
 
@@ -162,17 +163,17 @@ QueryScheduler::answerFromStore(const Structure &structure,
     bool all_hits = true;
     const std::vector<uint64_t> cycles =
         engine->injectionCycles(query.sampling);
-    std::vector<std::vector<InjectionCycleOutcome>> completed;
     for (double d : query.delays) {
         spec.delayFraction = d;
-        std::vector<InjectionCycleOutcome> &cell = completed.emplace_back();
+        std::vector<InjectionCycleOutcome> &cell =
+            hits.cycles.emplace_back();
         for (uint64_t cycle : cycles) {
             spec.cycle = cycle;
             InjectionCycleOutcome outcome;
             SavfResult unused;
             if (cache.lookup(spec, outcome, unused)) {
                 cell.push_back(std::move(outcome));
-                ++hits;
+                ++hits.count;
             } else {
                 all_hits = false;
             }
@@ -188,10 +189,12 @@ QueryScheduler::answerFromStore(const Structure &structure,
         result.key = {"savf", options.benchmark, query.structure,
                       canonicalDelay(0.0)};
         InjectionCycleOutcome unused;
-        if (cache.lookup(spec, unused, result.savf))
-            ++hits;
-        else
+        if (cache.lookup(spec, unused, result.savf)) {
+            hits.savf = result.savf;
+            ++hits.count;
+        } else {
             all_hits = false;
+        }
     }
     {
         const std::lock_guard<std::mutex> stats_lock(statsMutex);
@@ -203,9 +206,9 @@ QueryScheduler::answerFromStore(const Structure &structure,
     // Aggregation without the compute lock; a cell that needs the STA
     // fallback goes to the campaign, which may run it.
     const Clock::time_point agg_start = Clock::now();
-    for (size_t i = 0; i < completed.size(); ++i) {
+    for (size_t i = 0; i < hits.cycles.size(); ++i) {
         std::optional<DelayAvfResult> result = engine->aggregateDelayAvf(
-            structure, query.sampling, completed[i]);
+            structure, query.sampling, hits.cycles[i]);
         if (!result)
             return std::nullopt;
         summary.cells[i].davf = std::move(*result);
@@ -231,15 +234,16 @@ QueryScheduler::run(const QuerySpec &query,
         }
 
         QueryReply reply;
-        uint64_t first_hits = 0;
+        StoreHits first;
         std::optional<CampaignSummary> summary =
-            answerFromStore(*structure, query, first_hits);
+            answerFromStore(*structure, query, first);
         if (summary) {
-            reply.storeHits = first_hits;
+            reply.storeHits = first.count;
         } else {
-            // A miss: run the query as a campaign with the store as its
-            // cache tier, which looks every shard up again under the
-            // lock and computes only what is still missing.
+            // A miss: run the query as a campaign whose cache tier
+            // serves the pass's hits as read and looks every other
+            // shard up again in the store, under the lock, computing
+            // only what is still missing.
             const std::lock_guard<std::mutex> engine_lock(engineMutex);
             const Clock::time_point compute_start = Clock::now();
             CampaignOptions campaign;
@@ -254,6 +258,28 @@ QueryScheduler::run(const QuerySpec &query,
             campaign.stopFlag = cancel;
             campaign.dispatcher = dispatcher.get();
             campaign.cache = cache;
+            campaign.cache.lookup = [&](const ShardSpec &spec,
+                                        InjectionCycleOutcome &cycle,
+                                        SavfResult &savf) {
+                if (spec.kind == ShardSpec::Kind::Savf && first.savf) {
+                    savf = *first.savf;
+                    return true;
+                }
+                const auto d = std::find(query.delays.begin(),
+                                         query.delays.end(),
+                                         spec.delayFraction);
+                if (spec.kind == ShardSpec::Kind::Cycle
+                    && d != query.delays.end()) {
+                    for (const InjectionCycleOutcome &hit :
+                         first.cycles[d - query.delays.begin()]) {
+                        if (hit.cycle == spec.cycle) {
+                            cycle = hit;
+                            return true;
+                        }
+                    }
+                }
+                return cache.lookup(spec, cycle, savf);
+            };
             summary =
                 Campaign(*engine, *registry, std::move(campaign)).run();
             reply.storeHits = summary->shardsFromCache;
@@ -265,8 +291,9 @@ QueryScheduler::run(const QuerySpec &query,
         // Shards that missed the first lookup but were stored by the
         // time the campaign looked again were computed by another
         // client's query: in-flight hits.
-        const uint64_t in_flight =
-            reply.storeHits > first_hits ? reply.storeHits - first_hits : 0;
+        const uint64_t in_flight = reply.storeHits > first.count
+            ? reply.storeHits - first.count
+            : 0;
         schedulerMetrics().shardHits.add(reply.storeHits);
         schedulerMetrics().inFlightHits.add(in_flight);
         schedulerMetrics().shardsComputed.add(reply.storeMisses);

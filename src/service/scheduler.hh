@@ -13,11 +13,11 @@
  *    cell's outcomes; no simulation runs and no lock is taken.
  *  - **any miss**: the query runs as a one-structure Campaign
  *    (campaign/campaign.hh) under the compute lock, with the store as
- *    its cache tier: every shard is looked up again, only the misses
- *    are computed — in-process on the engine's thread pool, or on
- *    supervised worker processes when the scheduler was given a worker
- *    command line — and each fresh outcome is written back as it
- *    completes.
+ *    its cache tier: the pass's hits are served as read, every other
+ *    shard is looked up again, only the misses are computed —
+ *    in-process on the engine's thread pool, or on supervised worker
+ *    processes when the scheduler was given a worker command line —
+ *    and each fresh outcome is written back as it completes.
  *
  * Both ways aggregate the same outcomes through the checkpoint-resume
  * path, so a reply assembled from cached shards is bit-identical to a
@@ -29,10 +29,11 @@
  * mutable snapshot and STA state and must not run concurrently, so one
  * mutex serializes every campaign (each still fans out internally
  * across the engine thread pool). Warm queries proceed in parallel with
- * each other and with another client's misses. The campaign's lookups
- * under the lock are the in-flight dedupe: identical shards requested
- * by concurrent clients are computed once, and the second client finds
- * them stored (tallied as inFlightHits, a subset of shardHits).
+ * each other and with another client's misses. The campaign's store
+ * lookups under the lock are the in-flight dedupe: identical shards
+ * requested by concurrent clients are computed once, and the second
+ * client finds them stored (tallied as inFlightHits, a subset of
+ * shardHits).
  */
 
 #ifndef DAVF_SERVICE_SCHEDULER_HH
@@ -163,15 +164,24 @@ class QueryScheduler
     std::string statsJson() const;
 
   private:
+    /** The shards the lock-free pass read. */
+    struct StoreHits
+    {
+        /** Per query delay, the cycle outcomes found. */
+        std::vector<std::vector<InjectionCycleOutcome>> cycles;
+        std::optional<SavfResult> savf;
+        uint64_t count = 0;
+    };
+
     /**
      * The lock-free pass (see file comment): the query's cells when
      * every shard is a hit and every cell aggregates without STA;
-     * std::nullopt otherwise. @p hits counts the shards found either
-     * way.
+     * std::nullopt otherwise. @p hits receives the shards found either
+     * way, so a campaign run after a miss reads none of them twice.
      */
     std::optional<CampaignSummary>
     answerFromStore(const Structure &structure, const QuerySpec &query,
-                    uint64_t &hits);
+                    StoreHits &hits);
 
     VulnerabilityEngine *engine;
     const StructureRegistry *registry;

@@ -138,69 +138,51 @@ Sta::longestPathThrough(WireId id) const
     return 0.0;
 }
 
-void
-Sta::staticallyReachable(WireId id, double extra_delay, double period,
-                         std::vector<StateElemId> &reachable) const
+std::vector<Sta::EndpointArrival>
+Sta::endpointArrivals(WireId id) const
 {
-    reachable.clear();
     const Netlist &netlist = *nl;
-    constexpr double kEps = 1e-9;
+    std::vector<EndpointArrival> endpoints;
 
     ++coneStamp;
     const uint32_t stamp = coneStamp;
-
-    // Latest arrival, through the faulted wire, at the sink pin of the
-    // injected wire.
-    const Wire &wire = netlist.wire(id);
-    const double t0 = arrivals[wire.net] + delays->wireDelay(id)
-        + extra_delay;
-
-    // Track per-state-element worst arrival; small sets, so a flat
-    // vector of (elem, time) pairs with linear dedup is fine.
-    auto note_endpoint = [&](StateElemId elem, double when) {
-        if (when > period + kEps) {
-            if (std::find(reachable.begin(), reachable.end(), elem)
-                == reachable.end()) {
-                reachable.push_back(elem);
-            }
-        }
-    };
-
-    auto endpoint_elem = [&](const Sink &sink) -> StateElemId {
-        const CellType type = netlist.cell(sink.cell).type;
-        if (type == CellType::Dff || type == CellType::Dffe)
-            return netlist.flopStateElem(sink.cell);
-        return netlist.pinStateElem(sink.cell, sink.pin);
-    };
 
     // Min-heap on topological level so every cone cell is finalized after
     // all of its in-cone predecessors.
     using Entry = std::pair<unsigned, CellId>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
 
-    auto seed_sink = [&](const Sink &sink, double pin_time) {
+    // A transition reaching @p sink at @p pin_time: an endpoint is
+    // noted, a combinational cell's output arrival is raised (and the
+    // cell queued on first touch).
+    auto relax = [&](const Sink &sink, double pin_time) {
+        const CellType type = netlist.cell(sink.cell).type;
         if (isEndpointSink(netlist, sink)) {
-            note_endpoint(endpoint_elem(sink), pin_time);
+            endpoints.push_back(
+                {type == CellType::Dff || type == CellType::Dffe
+                     ? netlist.flopStateElem(sink.cell)
+                     : netlist.pinStateElem(sink.cell, sink.pin),
+                 pin_time});
             return;
         }
-        const Cell &cell = netlist.cell(sink.cell);
-        if (!cellIsCombinational(cell.type))
+        if (!cellIsCombinational(type))
             return;
         const double out_time = pin_time + delays->cellDelay(sink.cell);
-        if (coneMark[sink.cell] != stamp) {
+        if (coneMark[sink.cell] == stamp) {
+            coneLatest[sink.cell] =
+                std::max(coneLatest[sink.cell], out_time);
+        } else if (coneMark[sink.cell] != (stamp ^ 0x80000000u)) {
             coneMark[sink.cell] = stamp;
             coneLatest[sink.cell] = out_time;
             queue.emplace(netlist.level(sink.cell), sink.cell);
-        } else {
-            coneLatest[sink.cell] =
-                std::max(coneLatest[sink.cell], out_time);
         }
     };
 
-    seed_sink(netlist.wireSink(id), t0);
+    relax(netlist.wireSink(id),
+          arrivals[netlist.wire(id).net] + delays->wireDelay(id));
 
     while (!queue.empty()) {
-        const auto [level, cell_id] = queue.top();
+        const CellId cell_id = queue.top().second;
         queue.pop();
         // A cell may be pushed once per in-cone fanin; only its first pop
         // (by then coneLatest holds the max, as all predecessors have
@@ -210,34 +192,23 @@ Sta::staticallyReachable(WireId id, double extra_delay, double period,
             continue; // Already expanded (mark advanced below).
         coneMark[cell_id] = stamp ^ 0x80000000u;
 
-        const double out_time = coneLatest[cell_id];
-        const NetId out = netlist.cell(cell_id).outputs[0];
-        const Net &net = netlist.net(out);
+        const Net &net = netlist.net(netlist.cell(cell_id).outputs[0]);
         for (uint32_t s = 0; s < net.sinks.size(); ++s) {
-            const double pin_time = out_time
-                + delays->wireDelay(net.firstWire + s);
-            const Sink &sink = net.sinks[s];
-            if (isEndpointSink(netlist, sink)) {
-                note_endpoint(endpoint_elem(sink), pin_time);
-                continue;
-            }
-            const Cell &cell = netlist.cell(sink.cell);
-            if (!cellIsCombinational(cell.type))
-                continue;
-            const double next_out =
-                pin_time + delays->cellDelay(sink.cell);
-            if (coneMark[sink.cell] == stamp) {
-                coneLatest[sink.cell] =
-                    std::max(coneLatest[sink.cell], next_out);
-            } else if (coneMark[sink.cell] != (stamp ^ 0x80000000u)) {
-                coneMark[sink.cell] = stamp;
-                coneLatest[sink.cell] = next_out;
-                queue.emplace(netlist.level(sink.cell), sink.cell);
-            }
+            relax(net.sinks[s], coneLatest[cell_id]
+                                    + delays->wireDelay(net.firstWire + s));
         }
     }
 
-    std::sort(reachable.begin(), reachable.end());
+    // One entry per element, its latest pin: latest first within an
+    // element, so unique() keeps it.
+    std::ranges::sort(endpoints, {}, [](const EndpointArrival &e) {
+        return std::pair(e.elem, -e.arrival);
+    });
+    const auto dups =
+        std::ranges::unique(endpoints, {}, &EndpointArrival::elem);
+    endpoints.erase(dups.begin(), dups.end());
+    endpoints.shrink_to_fit(); // A sweep may hold it: drop pin slack.
+    return endpoints;
 }
 
 } // namespace davf

@@ -89,34 +89,65 @@ class Sta
      */
     double longestPathThrough(WireId id) const;
 
+    /** An endpoint of a wire's fanout cone and its latest arrival
+     *  through the wire at zero extra delay (ps). */
+    struct EndpointArrival
+    {
+        StateElemId elem;
+        double arrival;
+    };
+
+    /**
+     * The cone-restricted DP, proportional to wire @p id's fanout cone:
+     * each state element terminating a path through the wire, with its
+     * latest arrival, one entry per element, sorted by element.
+     */
+    std::vector<EndpointArrival> endpointArrivals(WireId id) const;
+
+    /**
+     * Statically reachable set (Definition 2) at @p extra_delay from a
+     * wire's endpointArrivals(): the elements whose arrival plus the
+     * delay exceeds @p period, sorted. The one place the test is made.
+     */
+    static void
+    reachableAt(const std::vector<EndpointArrival> &arrivals,
+                double extra_delay, double period,
+                std::vector<StateElemId> &reachable)
+    {
+        reachable.clear();
+        for (const EndpointArrival &endpoint : arrivals) {
+            if (endpoint.arrival + extra_delay > period + 1e-9)
+                reachable.push_back(endpoint.elem);
+        }
+    }
+
     /**
      * Statically reachable set (Definition 2): state elements terminating
      * a path through wire @p id whose length exceeds @p period when the
-     * wire's delay is increased by @p extra_delay. Cone-restricted DP;
-     * complexity is proportional to the wire's fanout cone.
+     * wire's delay is increased by @p extra_delay.
      *
      * @param id           the faulted wire.
      * @param extra_delay  the SDF duration d (ps).
      * @param period       the clock period (ps).
      * @param reachable    output: the statically reachable set.
      */
-    void staticallyReachable(WireId id, double extra_delay, double period,
-                             std::vector<StateElemId> &reachable) const;
+    void
+    staticallyReachable(WireId id, double extra_delay, double period,
+                        std::vector<StateElemId> &reachable) const
+    {
+        reachableAt(endpointArrivals(id), extra_delay, period, reachable);
+    }
 
     const DelayModel &delayModel() const { return *delays; }
 
   private:
-    /** Longest combinational delay from a net transition to any sampled
-     *  endpoint pin (0 when the net directly feeds an endpoint). */
-    double downstream(NetId id) const { return downstreams[id]; }
-
     const DelayModel *delays;
     const Netlist *nl;
     std::vector<double> arrivals;     ///< Per net.
-    std::vector<double> downstreams;  ///< Per net.
+    std::vector<double> downstreams;  ///< Per net: to any endpoint pin.
     double maxPathDelay = 0.0;
 
-    /** Scratch for staticallyReachable (per-instance; not thread-safe,
+    /** Scratch for endpointArrivals (per-instance; not thread-safe,
      *  use one Sta clone per thread or external locking). */
     mutable std::vector<double> coneLatest;   ///< Per cell output latest.
     mutable std::vector<uint32_t> coneMark;   ///< Visit stamps per cell.

@@ -2,9 +2,10 @@
  * @file
  * Shared test fixtures: a seeded random sequential-circuit generator used
  * by the property tests (STA bounds, timed-vs-untimed equivalence, and
- * the two-step-vs-brute-force DelayACE exactness check), and plain
- * per-wire / per-flip reference loops the engine's batched path is
- * checked against.
+ * the two-step-vs-brute-force DelayACE exactness check), a path
+ * enumeration the STA cone DP is checked against, and plain per-wire /
+ * per-flip reference loops the engine's batched path is checked
+ * against.
  */
 
 #ifndef DAVF_TESTS_HELPERS_HH
@@ -23,6 +24,7 @@
 #include "core/vulnerability.hh"
 #include "core/workload.hh"
 #include "netlist/netlist.hh"
+#include "timing/sta.hh"
 #include "tsim/timed_sim.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
@@ -150,6 +152,46 @@ makeEngine(const RandomCircuit &circuit, unsigned lanes = 64)
     return std::make_unique<VulnerabilityEngine>(
         *circuit.netlist, CellLibrary::defaultLibrary(), *circuit.workload,
         options);
+}
+
+/**
+ * Reference for Sta::endpointArrivals(): walks every path from wire
+ * @p wire's sink pin to a sampled endpoint, one at a time (no cone DP,
+ * no visit marks), summing delays along it, and keeps the longest per
+ * state element. Exponential in the cone's reconvergence; small
+ * circuits only.
+ */
+inline std::map<StateElemId, double>
+latestArrivalsByPathEnumeration(const Sta &sta, WireId wire)
+{
+    const DelayModel &delays = sta.delayModel();
+    const Netlist &nl = delays.netlist();
+    std::map<StateElemId, double> latest;
+    auto walk = [&](auto &self, const Sink &sink, double pin_time) -> void {
+        const CellType type = nl.cell(sink.cell).type;
+        if (type == CellType::Dff || type == CellType::Dffe
+            || type == CellType::Behav || type == CellType::Output) {
+            const StateElemId elem =
+                type == CellType::Dff || type == CellType::Dffe
+                ? nl.flopStateElem(sink.cell)
+                : nl.pinStateElem(sink.cell, sink.pin);
+            const auto [it, fresh] = latest.emplace(elem, pin_time);
+            if (!fresh)
+                it->second = std::max(it->second, pin_time);
+            return;
+        }
+        if (!cellIsCombinational(type))
+            return;
+        const double out_time = pin_time + delays.cellDelay(sink.cell);
+        const Net &net = nl.net(nl.cell(sink.cell).outputs[0]);
+        for (uint32_t s = 0; s < net.sinks.size(); ++s) {
+            self(self, net.sinks[s],
+                 out_time + delays.wireDelay(net.firstWire + s));
+        }
+    };
+    walk(walk, nl.wireSink(wire),
+         sta.arrival(nl.wire(wire).net) + delays.wireDelay(wire));
+    return latest;
 }
 
 /**

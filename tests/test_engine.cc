@@ -1032,7 +1032,8 @@ TEST(TsimDifferential, ResumeCrossesTsimPaths)
  * @name Cross-delay sweep reuse
  *
  * beginDelaySweep() lets adjacent delay values of one campaign share
- * per-cycle golden contexts, STA filter results, and failure verdicts.
+ * per-cycle golden contexts, per-wire endpoint arrival tables (the STA
+ * filter), and failure verdicts.
  * Every reuse rule is provably outcome-preserving, so a sweep must be
  * byte-identical to independent per-delay runs — including the derived
  * counters — at any thread count.
@@ -1052,39 +1053,47 @@ TEST(SweepReuse, MultiDelaySweepBitIdenticalToIndependentRuns)
     config.cycleFraction = 0.25;
     config.maxInjectionCycles = 4;
     config.recordPerWire = true;
-    const std::vector<double> fractions = {0.2, 0.45, 0.7, 0.95};
 
     auto row_json = [&](VulnerabilityEngine &batched, double d) {
         return davfJson(batched.delayAvf(structure, d, config), d);
     };
 
-    // Reference: the sweep-blind reference loop, per delay value.
-    std::map<double, std::string> independent;
-    for (double d : fractions)
-        independent[d] = davfJson(referenceDelayAvf(engine, structure, d,
-                                                    config),
-                                  d);
+    // A coarse sweep and the 19-point grid 0.05:0.95:0.05.
+    std::vector<double> fine;
+    for (int k = 1; k <= 19; ++k)
+        fine.push_back(0.05 * k);
+    for (const std::vector<double> &fractions :
+         {std::vector<double>{0.2, 0.45, 0.7, 0.95}, fine}) {
+        // Reference: the sweep-blind reference loop, per delay value.
+        std::map<double, std::string> independent;
+        for (double d : fractions)
+            independent[d] = davfJson(referenceDelayAvf(engine, structure,
+                                                        d, config),
+                                      d);
 
-    for (unsigned lanes : kWidths) {
-        const auto batched = test::makeEngine(circuit, lanes);
-        for (unsigned threads : {1u, 4u}) {
-            config.threads = threads;
-            batched->beginDelaySweep(fractions);
-            for (double d : fractions) {
-                EXPECT_EQ(independent.at(d), row_json(*batched, d))
-                    << "d " << d << " threads " << threads << " lanes "
-                    << lanes;
+        for (unsigned lanes : kWidths) {
+            const auto batched = test::makeEngine(circuit, lanes);
+            for (unsigned threads : {1u, 4u}) {
+                config.threads = threads;
+                batched->beginDelaySweep(fractions);
+                for (double d : fractions) {
+                    EXPECT_EQ(independent.at(d), row_json(*batched, d))
+                        << "d " << d << " threads " << threads
+                        << " lanes " << lanes;
+                }
+                batched->endDelaySweep();
             }
-            batched->endDelaySweep();
         }
-    }
 
-    // Visiting the delay list in descending order must not matter.
-    config.threads = 2;
-    engine.beginDelaySweep(fractions);
-    for (auto it = fractions.rbegin(); it != fractions.rend(); ++it)
-        EXPECT_EQ(independent.at(*it), row_json(engine, *it)) << "d " << *it;
-    engine.endDelaySweep();
+        // Visiting the delay list in descending order must not matter.
+        config.threads = 2;
+        engine.beginDelaySweep(fractions);
+        for (auto it = fractions.rbegin(); it != fractions.rend(); ++it) {
+            EXPECT_EQ(independent.at(*it), row_json(engine, *it))
+                << "d " << *it;
+        }
+        engine.endDelaySweep();
+    }
 }
 
 TEST(SweepReuse, ReuseCountersAreScheduleInvariant)
@@ -1125,12 +1134,18 @@ TEST(SweepReuse, ReuseCountersAreScheduleInvariant)
     };
 
     const auto one = countersOf(1);
-    EXPECT_EQ(one, countersOf(4));
+    const auto four = countersOf(4);
+    EXPECT_EQ(one, four);
     // The second and third delay values run entirely out of the shared
     // caches' golden contexts, and verdict reuse must actually fire.
     EXPECT_GT(one.at("engine.tsim.ctx_reuse"), 0u);
-    EXPECT_GT(one.at("engine.tsim.sta_reuse"), 0u);
     EXPECT_GT(one.at("engine.tsim.sweep_verdict_reuse"), 0u);
+    // One endpoint arrival table per sampled wire, filled at the first
+    // delay and served at every later one.
+    const uint64_t tables = engine.sampledWires(structure, config).size()
+        * (fractions.size() - 1);
+    EXPECT_EQ(one.at("engine.tsim.sta_reuse"), tables);
+    EXPECT_EQ(four.at("engine.tsim.sta_reuse"), tables);
 }
 
 /// @}

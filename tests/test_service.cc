@@ -621,6 +621,44 @@ TEST_F(SchedulerFixture, ColdComputesWarmHitsByteIdentically)
     EXPECT_EQ(stats.shardHits, shards);
 }
 
+TEST_F(SchedulerFixture, AMissingQueryReadsEachStoreHitOnce)
+{
+    // A query sharing two of its three delays with an earlier one: the
+    // lock-free pass reads the shared shards, and the campaign that
+    // computes the third delay takes them from the pass instead of
+    // reading them from the store again.
+    ASSERT_TRUE(scheduler->run(query()).ok());
+    QuerySpec wider = query();
+    wider.delays.push_back(0.9);
+    const size_t cycles = engine->injectionCycles(wider.sampling).size();
+    ASSERT_GT(cycles, 0u);
+
+    const StoreStats before = store->stats();
+    auto reply = scheduler->run(wider);
+    ASSERT_TRUE(reply.ok()) << reply.error().what();
+    const StoreStats after = store->stats();
+    EXPECT_EQ(reply.value().storeHits, 2 * cycles);
+    EXPECT_EQ(reply.value().storeMisses, cycles);
+    EXPECT_EQ(after.memoryHits + after.diskHits - before.memoryHits
+                  - before.diskHits,
+              2 * cycles);
+    const SchedulerStats stats = scheduler->stats();
+    EXPECT_EQ(stats.shardHits, 2 * cycles);
+    EXPECT_EQ(stats.inFlightHits, 0u);
+
+    // The same bytes as a cold evaluation of the wider query.
+    const std::string cold_dir = tempPath("sched-cold");
+    std::filesystem::remove_all(cold_dir);
+    {
+        ResultStore cold_store(
+            ResultStore::Options{.dir = cold_dir, .memCapacity = 64});
+        auto cold = makeScheduler(cold_store)->run(wider);
+        ASSERT_TRUE(cold.ok()) << cold.error().what();
+        EXPECT_EQ(reply.value().reportJson, cold.value().reportJson);
+    }
+    std::filesystem::remove_all(cold_dir);
+}
+
 TEST_F(SchedulerFixture, MatchesADirectEngineEvaluation)
 {
     QuerySpec q = query();

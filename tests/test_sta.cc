@@ -2,12 +2,13 @@
  * @file
  * Tests for static timing analysis: hand-computed arrivals on a tiny
  * pipeline, path queries, statically-reachable-set semantics, and
- * monotonicity properties on random circuits.
+ * monotonicity and path-enumeration properties on random circuits.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "src/builder/builder.hh"
 #include "src/timing/sta.hh"
@@ -174,6 +175,63 @@ TEST_P(StaRandom, ReachableMatchesPathArithmetic)
                                             reachable.end(), elem);
         EXPECT_EQ(got, want);
     }
+}
+
+TEST_P(StaRandom, StaticReachMatchesPathEnumeration)
+{
+    // Every wire's endpoint table equals an enumeration of every path
+    // through it, and the reachable set equals the enumeration's at a
+    // delay grid plus each endpoint's exact threshold (excluded) and
+    // that threshold plus 2e-9 (included).
+    const auto circuit = test::makeRandomCircuit(GetParam() + 200, 8, 40);
+    const Netlist &nl = *circuit.netlist;
+    DelayModel delays(nl, CellLibrary::defaultLibrary());
+    Sta sta(delays);
+    const double period = sta.maxPath();
+
+    std::vector<StateElemId> got;
+    size_t endpoints = 0;
+    for (WireId w = 0; w < nl.numWires(); ++w) {
+        const std::map<StateElemId, double> paths =
+            test::latestArrivalsByPathEnumeration(sta, w);
+        const std::vector<Sta::EndpointArrival> table =
+            sta.endpointArrivals(w);
+        ASSERT_EQ(table.size(), paths.size()) << "wire " << w;
+        auto path = paths.begin();
+        for (const Sta::EndpointArrival &entry : table) {
+            EXPECT_EQ(entry.elem, path->first) << "wire " << w;
+            EXPECT_EQ(entry.arrival, path->second) << "wire " << w;
+            ++path;
+        }
+        endpoints += paths.size();
+
+        std::vector<double> probes;
+        for (int k = 0; k <= 20; ++k)
+            probes.push_back(period * k / 20.0);
+        for (const auto &[elem, arrival] : paths) {
+            probes.push_back(period - arrival);
+            probes.push_back(period - arrival + 2e-9);
+        }
+        for (double d : probes) {
+            std::vector<StateElemId> want;
+            for (const auto &[elem, arrival] : paths) {
+                if (arrival + d > period + 1e-9)
+                    want.push_back(elem);
+            }
+            sta.staticallyReachable(w, d, period, got);
+            EXPECT_EQ(got, want) << "wire " << w << " d " << d;
+        }
+        for (const auto &[elem, arrival] : paths) {
+            sta.staticallyReachable(w, period - arrival, period, got);
+            EXPECT_FALSE(std::binary_search(got.begin(), got.end(), elem))
+                << "wire " << w << " elem " << elem;
+            sta.staticallyReachable(w, period - arrival + 2e-9, period,
+                                    got);
+            EXPECT_TRUE(std::binary_search(got.begin(), got.end(), elem))
+                << "wire " << w << " elem " << elem;
+        }
+    }
+    EXPECT_GT(endpoints, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StaRandom,

@@ -80,9 +80,10 @@ isolation_smoke() {
 # run the same cheap sweep by default, with --timeout-ms 600000 (each
 # continuation alone beside the golden lane, under a deadline that
 # never fires) and with worker processes, and require every
-# `davf_run --json` report byte-identical (docs/PERFORMANCE.md). Runs
-# under both configs so the lane batching and the width-1 route get
-# ASan/UBSan coverage on every CI run.
+# `davf_run --json` report byte-identical (docs/PERFORMANCE.md), which
+# checks the sweep's STA arrival tables against per-call STA at every
+# interior delay. Runs under both configs so the lane batching and the
+# width-1 route get ASan/UBSan coverage on every CI run.
 engine_smoke() {
     build_dir="$1"
     smoke_dir="$build_dir/engine-smoke"
@@ -91,8 +92,8 @@ engine_smoke() {
     echo "=== engine smoke $build_dir" >&2
     sweep() {
         "$build_dir/tools/davf_run" --json \
-            --benchmark popcount --structure ALU --delays 0.5:0.9:0.2 \
-            --cycles 3 --wires 24 --savf --flops 16 "$@"
+            --benchmark popcount --structure ALU --delays 0.1:0.9:0.1 \
+            --cycles 3 --wires 200 --savf --flops 16 "$@"
     }
     sweep > "$smoke_dir/default.json"
     sweep --timeout-ms 600000 > "$smoke_dir/timeout.json"
