@@ -54,6 +54,7 @@ Coordinator::Coordinator(ListenSocket listener,
                          CoordinatorOptions the_options)
     : ShardDispatcher(the_options, netMetrics().fleet),
       fingerprint(std::move(the_options.fingerprint)),
+      clockPeriod(the_options.clockPeriod),
       localCycle(std::move(the_options.localCycle)),
       localSavf(std::move(the_options.localSavf)), listenFd(listener.fd),
       listenPort(listener.port)
@@ -110,7 +111,7 @@ Coordinator::acceptLoop()
                     + hello.value().fingerprint));
                 continue;
             }
-            conn.send(makeWelcome());
+            conn.send(makeWelcome(clockPeriod));
 
             auto node = std::make_shared<Node>();
             node->name = hello.value().node;

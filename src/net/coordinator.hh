@@ -7,7 +7,8 @@
  *
  * Topology: the coordinator owns a listening socket; davf_worker
  * processes connect, handshake (versioned hello carrying the node
- * name and workspace fingerprint — a mismatch is rejected), and join
+ * name and workspace fingerprint — a mismatch is rejected; the welcome
+ * carries the clock period the node adopts), and join
  * the fleet as one slot each, waking a running cell at once. The fleet
  * drains each cell's shard queue with one dispatch thread per node,
  * work-stealing style, so fast nodes naturally take more shards and a
@@ -51,6 +52,11 @@ struct CoordinatorOptions : DispatchOptions
     /** Expected workspace fingerprint; a hello naming another one is
      *  rejected (empty accepts anything — tests only). */
     std::string fingerprint;
+
+    /** The coordinator's observed-max clock period, sent bit-exactly
+     *  in every welcome so nodes skip their timed golden pass; 0 sends
+     *  a bare welcome (STA clock: nodes need no timed pass). */
+    double clockPeriod = 0.0;
 
     /**
      * @name Local execution
@@ -98,6 +104,7 @@ class Coordinator : public ShardDispatcher
     void stopAdmitting() override;
 
     const std::string fingerprint;
+    const double clockPeriod;
     const std::function<InjectionCycleOutcome(const ShardSpec &)> localCycle;
     const std::function<SavfResult(const ShardSpec &)> localSavf;
     int listenFd = -1;

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/subprocess.hh"
 
 namespace davf::net {
@@ -261,10 +262,13 @@ parseHello(const std::string &payload)
 }
 
 std::string
-makeWelcome()
+makeWelcome(double period_ps)
 {
-    return std::string(kNetMagic) + ' ' + std::string(kNetVersion)
-        + " welcome";
+    std::string frame = std::string(kNetMagic) + ' '
+        + std::string(kNetVersion) + " welcome";
+    if (period_ps > 0.0)
+        frame += ' ' + hexDouble(period_ps);
+    return frame;
 }
 
 std::string
@@ -274,10 +278,10 @@ makeReject(const std::string &reason)
         + " reject " + reason;
 }
 
-Result<bool>
-parseHandshakeReply(const std::string &payload, std::string &reason)
+Result<HandshakeReply>
+parseHandshakeReply(const std::string &payload)
 {
-    using R = Result<bool>;
+    using R = Result<HandshakeReply>;
     std::istringstream is(payload);
     std::string magic, version, verb;
     if (!(is >> magic >> version >> verb) || magic != kNetMagic
@@ -285,13 +289,25 @@ parseHandshakeReply(const std::string &payload, std::string &reason)
         return R::Err(ErrorKind::BadInput,
                       "handshake: bad reply: " + payload.substr(0, 60));
     }
-    if (verb == "welcome")
-        return R::Ok(true);
+    HandshakeReply reply;
+    if (verb == "welcome") {
+        reply.welcome = true;
+        std::string token, trailing;
+        if (is >> token) {
+            if (!textToPositiveHexDouble(token, reply.periodPs)
+                || (is >> trailing)) {
+                return R::Err(ErrorKind::BadInput,
+                              "handshake: bad welcome: "
+                                  + payload.substr(0, 60));
+            }
+        }
+        return R::Ok(std::move(reply));
+    }
     if (verb == "reject") {
-        std::getline(is, reason);
-        if (!reason.empty() && reason.front() == ' ')
-            reason.erase(0, 1);
-        return R::Ok(false);
+        std::getline(is, reply.reason);
+        if (!reply.reason.empty() && reply.reason.front() == ' ')
+            reply.reason.erase(0, 1);
+        return R::Ok(std::move(reply));
     }
     return R::Err(ErrorKind::BadInput,
                   "handshake: unknown verb '" + verb + "'");

@@ -12,7 +12,7 @@
  * introduces itself first:
  *
  *   worker -> coordinator   "davf-net v1 hello <node> <fingerprint>"
- *   coordinator -> worker   "davf-net v1 welcome"
+ *   coordinator -> worker   "davf-net v1 welcome [<period>]"
  *                         | "davf-net v1 reject <reason>"
  *
  * The fingerprint is the workspace build fingerprint
@@ -21,6 +21,15 @@
  * refuses nodes built from a different design/workload instead of
  * silently mixing results. A garbage or wrong-version hello is rejected
  * and the connection closed.
+ *
+ * The optional <period> is the coordinator's observed-max clock period
+ * in picoseconds, as one positive, finite `%a` hexfloat token (util/
+ * parse hexDouble), so it arrives bit-exact. A node that has not
+ * measured its own period adopts it and skips the timed golden pass; a
+ * bare welcome (an STA-clock coordinator, or one that predates the
+ * token) leaves the node to measure. The token is append-only: a
+ * welcome with anything else after the verb — a second token, a
+ * decimal, zero, negative, inf or nan — is malformed.
  *
  * See docs/DISTRIBUTED.md for the full frame grammar.
  */
@@ -138,18 +147,24 @@ std::string makeHello(const std::string &node,
 /** Parse a hello frame; wrong magic/version/shape is an Err. */
 Result<Hello> parseHello(const std::string &payload);
 
-/** The "davf-net v1 welcome" frame text. */
-std::string makeWelcome();
+/** The "davf-net v1 welcome" frame text, with the hexfloat period
+ *  token appended when @p period_ps > 0. */
+std::string makeWelcome(double period_ps = 0.0);
 
 /** The "davf-net v1 reject <reason>" frame text. */
 std::string makeReject(const std::string &reason);
 
-/**
- * Classify a handshake reply: Ok(true) for welcome, Ok(false) with
- * @p reason filled for reject, Err for anything else.
- */
-Result<bool> parseHandshakeReply(const std::string &payload,
-                                 std::string &reason);
+/** A parsed coordinator reply to a hello. */
+struct HandshakeReply
+{
+    bool welcome = false;  ///< Welcome (else reject).
+    std::string reason;    ///< The reject reason.
+    double periodPs = 0.0; ///< The welcome's period token; 0 if bare.
+};
+
+/** Classify a handshake reply; anything but a well-formed welcome or
+ *  reject (see file comment) is an Err. */
+Result<HandshakeReply> parseHandshakeReply(const std::string &payload);
 
 } // namespace davf::net
 

@@ -109,15 +109,25 @@ runNetWorker(VulnerabilityEngine &engine,
                          node.c_str());
             return 1;
         }
-        std::string reason;
-        Result<bool> welcome = parseHandshakeReply(payload, reason);
-        if (!welcome)
-            throw welcome.error();
-        if (!welcome.value()) {
+        Result<HandshakeReply> reply = parseHandshakeReply(payload);
+        if (!reply)
+            throw reply.error();
+        if (!reply.value().welcome) {
             std::fprintf(stderr, "net worker %s: rejected: %s\n",
-                         node.c_str(), reason.c_str());
+                         node.c_str(), reply.value().reason.c_str());
             return 2;
         }
+        // The coordinator ran the timed golden pass: adopt its period,
+        // or measure here when a bare welcome leaves it unknown.
+        if (engine.periodSource()
+            == VulnerabilityEngine::PeriodSource::Unset) {
+            if (reply.value().periodPs > 0.0)
+                engine.adoptClockPeriod(reply.value().periodPs);
+            else
+                engine.measureClockPeriod();
+        }
+        std::fprintf(stderr, "net worker %s: %s\n", node.c_str(),
+                     goldenLine(engine).c_str());
 
         NetFaultHook hook(conn, node);
         switch (serveShards(conn, engine, registry, &hook)) {

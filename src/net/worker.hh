@@ -7,7 +7,8 @@
  * A worker connects (with retries and exponential backoff, so it can
  * be started before its coordinator), introduces itself with the
  * versioned hello carrying its node name and workspace fingerprint,
- * and then serves "shard <spec>" requests exactly like a pipe worker:
+ * settles its clock period from the welcome (net/frame.hh), and then
+ * serves "shard <spec>" requests exactly like a pipe worker:
  * one shard at a time, sampling.threads forced to 1, "hb" heartbeats
  * while computing, replies in the journal token grammar so results
  * aggregate bit-identically on the coordinator.
@@ -56,7 +57,9 @@ struct NetWorkerOptions
 /**
  * Connect, handshake, and serve shards until quit (exit 0), a lost
  * coordinator (exit 1), or a rejected handshake (exit 2). Returns the
- * process exit code.
+ * process exit code. An @p engine whose period is still unset (built
+ * with EngineOptions::measurePeriod false) adopts the welcome's period
+ * token, or measures its own when the welcome is bare.
  */
 int runNetWorker(VulnerabilityEngine &engine,
                  const StructureRegistry &registry,

@@ -76,7 +76,9 @@ netlistHash(const Netlist &netlist)
     return hash;
 }
 
-Workspace::Workspace(const WorkspaceSpec &spec) : wsSpec(spec)
+Workspace::Workspace(const WorkspaceSpec &spec,
+                     const WorkspaceOptions &ws_options)
+    : wsSpec(spec)
 {
     const BenchmarkProgram &program = beebsBenchmark(spec.benchmark);
     IbexMiniConfig config;
@@ -86,6 +88,8 @@ Workspace::Workspace(const WorkspaceSpec &spec) : wsSpec(spec)
     workloadPtr = std::make_unique<SocWorkload>(*socPtr);
 
     EngineOptions options;
+    options.goldenThreads = ws_options.threads;
+    options.measurePeriod = ws_options.measurePeriod;
     if (!spec.staPeriod) {
         // Timing-closure emulation (see EngineOptions): the observed
         // critical activity sets the clock, as in an optimized core.

@@ -48,6 +48,26 @@ struct WorkspaceSpec
     bool operator==(const WorkspaceSpec &) const = default;
 };
 
+/**
+ * How one process builds a Workspace. Unlike WorkspaceSpec these knobs
+ * change no result byte, so they stay out of the fingerprint.
+ */
+struct WorkspaceOptions
+{
+    /** Threads of the batched timed golden pass (0 = all cores);
+     *  the tools pass their --threads value. */
+    unsigned threads = 0;
+
+    /**
+     * Measure the observed-max clock period at construction. When
+     * false only the untimed golden pass runs (enough for the
+     * fingerprint), and the caller must engine().adoptClockPeriod() or
+     * engine().measureClockPeriod() before the period is read: a worker
+     * handed its parent's period skips the timed pass.
+     */
+    bool measurePeriod = true;
+};
+
 /** Canonical one-line text form (protocol + cache key component). */
 std::string serializeWorkspaceSpec(const WorkspaceSpec &spec);
 
@@ -72,7 +92,8 @@ class Workspace
      * the benchmark's expected output (the build is then miscompiled —
      * an invariant, not an input error).
      */
-    explicit Workspace(const WorkspaceSpec &spec);
+    explicit Workspace(const WorkspaceSpec &spec,
+                       const WorkspaceOptions &options = {});
 
     const WorkspaceSpec &spec() const { return wsSpec; }
     IbexMini &soc() { return *socPtr; }

@@ -82,6 +82,14 @@ textToDouble(const std::string &text, double &out)
 }
 
 bool
+textToPositiveHexDouble(const std::string &text, double &out)
+{
+    const bool hex = text.rfind("0x", 0) == 0 || text.rfind("0X", 0) == 0;
+    return hex && textToDouble(text, out) && std::isfinite(out)
+        && out > 0.0;
+}
+
+bool
 readDouble(std::istream &is, double &out)
 {
     std::string text;

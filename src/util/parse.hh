@@ -55,6 +55,13 @@ std::string hexDouble(double value);
 /** Parse a whole-token double (hexfloat or decimal); false on junk. */
 bool textToDouble(const std::string &text, double &out);
 
+/**
+ * textToDouble() restricted to a positive, finite hexfloat ("0x"
+ * prefix, no sign): the form a clock period travels in between
+ * processes. False on anything else.
+ */
+bool textToPositiveHexDouble(const std::string &text, double &out);
+
 /** Read the next token of @p is with textToDouble. */
 bool readDouble(std::istream &is, double &out);
 /// @}

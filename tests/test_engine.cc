@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <map>
 #include <new>
 
@@ -1110,10 +1111,11 @@ TEST(SweepReuse, ReuseCountersAreScheduleInvariant)
     config.maxInjectionCycles = 3;
     const std::vector<double> fractions = {0.3, 0.6, 0.9};
 
-    auto countersOf = [&](unsigned threads) {
+    auto countersOf = [&](unsigned threads, double timeout_ms = 0.0) {
         obs::MetricsRegistry::instance().reset();
         obs::MetricsRegistry::setEnabled(true);
         config.threads = threads;
+        config.injectionTimeoutMs = timeout_ms;
         engine.beginDelaySweep(fractions);
         for (double d : fractions)
             engine.delayAvf(structure, d, config);
@@ -1146,9 +1148,122 @@ TEST(SweepReuse, ReuseCountersAreScheduleInvariant)
         * (fractions.size() - 1);
     EXPECT_EQ(one.at("engine.tsim.sta_reuse"), tables);
     EXPECT_EQ(four.at("engine.tsim.sta_reuse"), tables);
+
+    // The tables involve no simulation, so a per-injection timeout —
+    // which turns off every other reuse — still filters them per delay.
+    const auto timed = countersOf(4, 600000.0);
+    EXPECT_EQ(timed.at("engine.tsim.sta_reuse"), tables);
+    const auto ctx_reuse = timed.find("engine.tsim.ctx_reuse");
+    EXPECT_TRUE(ctx_reuse == timed.end() || ctx_reuse->second == 0);
 }
 
 /// @}
+
+TEST(Engine, GoldenPassWidthLeavesThePeriodBitIdentical)
+{
+    // The batched timed golden pass honours EngineOptions::
+    // goldenThreads (the tools' --threads); a max over the batch does
+    // not depend on how many threads filled it.
+    const auto circuit = test::makeRandomCircuit(
+        96, 12, 90, 3 * VulnerabilityEngine::kGoldenBatch + 5);
+    auto periodAt = [&](unsigned threads) {
+        EngineOptions options;
+        options.periodMode =
+            EngineOptions::PeriodMode::ObservedMaxPlusMargin;
+        options.goldenThreads = threads;
+        const VulnerabilityEngine engine(*circuit.netlist,
+                                         CellLibrary::defaultLibrary(),
+                                         *circuit.workload, options);
+        return std::bit_cast<uint64_t>(engine.clockPeriod());
+    };
+    EXPECT_EQ(periodAt(1), periodAt(4));
+    EXPECT_EQ(periodAt(1), periodAt(0));
+}
+
+TEST(Engine, AdoptedPeriodMatchesAMeasuringEngine)
+{
+    // A deferred engine runs the untimed pass only; adopting a
+    // measuring engine's period, or measuring it later, gives the same
+    // period bit for bit and the same results.
+    const auto circuit = test::makeRandomCircuit(97, 10, 70, 40);
+    StructureRegistry registry(*circuit.netlist);
+    const Structure &structure = registry.add("Rnd", "rnd/");
+    EngineOptions options;
+    options.periodMode = EngineOptions::PeriodMode::ObservedMaxPlusMargin;
+    VulnerabilityEngine measuring(*circuit.netlist,
+                                  CellLibrary::defaultLibrary(),
+                                  *circuit.workload, options);
+    EXPECT_EQ(measuring.periodSource(),
+              VulnerabilityEngine::PeriodSource::Measured);
+
+    options.measurePeriod = false;
+    VulnerabilityEngine adopting(*circuit.netlist,
+                                 CellLibrary::defaultLibrary(),
+                                 *circuit.workload, options);
+    VulnerabilityEngine remeasuring(*circuit.netlist,
+                                    CellLibrary::defaultLibrary(),
+                                    *circuit.workload, options);
+    EXPECT_EQ(adopting.periodSource(),
+              VulnerabilityEngine::PeriodSource::Unset);
+    EXPECT_EQ(adopting.goldenCycles(), measuring.goldenCycles());
+    EXPECT_EQ(adopting.goldenOutput(), measuring.goldenOutput());
+
+    obs::MetricsRegistry::instance().reset();
+    obs::MetricsRegistry::setEnabled(true);
+    adopting.adoptClockPeriod(measuring.clockPeriod());
+    obs::MetricsRegistry::setEnabled(false);
+    EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().counters.at(
+                  "engine.golden.period_adopted"),
+              1u);
+    obs::MetricsRegistry::instance().reset();
+    remeasuring.measureClockPeriod();
+
+    EXPECT_EQ(adopting.periodSource(),
+              VulnerabilityEngine::PeriodSource::Adopted);
+    EXPECT_EQ(remeasuring.periodSource(),
+              VulnerabilityEngine::PeriodSource::Measured);
+    EXPECT_EQ(std::bit_cast<uint64_t>(adopting.clockPeriod()),
+              std::bit_cast<uint64_t>(measuring.clockPeriod()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(remeasuring.clockPeriod()),
+              std::bit_cast<uint64_t>(measuring.clockPeriod()));
+    EXPECT_EQ(remeasuring.goldenCycles(), measuring.goldenCycles());
+
+    SamplingConfig config;
+    config.maxInjectionCycles = 4;
+    config.threads = 2;
+    const std::string reference =
+        davfJson(measuring.delayAvf(structure, 0.6, config));
+    EXPECT_EQ(davfJson(adopting.delayAvf(structure, 0.6, config)),
+              reference);
+    EXPECT_EQ(davfJson(remeasuring.delayAvf(structure, 0.6, config)),
+              reference);
+}
+
+TEST(EngineDeathTest, UnsetPeriodIsNeverReadSilently)
+{
+    // A deferred engine has no period until one of the two steps runs:
+    // reading it asserts rather than falling back to the STA period.
+    const auto circuit = test::makeRandomCircuit(98, 8, 40, 12);
+    EngineOptions options;
+    options.periodMode = EngineOptions::PeriodMode::ObservedMaxPlusMargin;
+    options.measurePeriod = false;
+    VulnerabilityEngine engine(*circuit.netlist,
+                               CellLibrary::defaultLibrary(),
+                               *circuit.workload, options);
+    EXPECT_DEATH(engine.clockPeriod(), "measured or adopted");
+    EXPECT_DEATH(engine.adoptClockPeriod(0.0), "positive and finite");
+    engine.adoptClockPeriod(1000.0);
+    EXPECT_DEATH(engine.adoptClockPeriod(1000.0), "deferred");
+    EXPECT_DEATH(engine.measureClockPeriod(), "deferred");
+
+    // An STA-clock engine is never deferred.
+    VulnerabilityEngine sta(*circuit.netlist,
+                            CellLibrary::defaultLibrary(),
+                            *circuit.workload);
+    EXPECT_EQ(sta.periodSource(), VulnerabilityEngine::PeriodSource::Sta);
+    EXPECT_EQ(sta.clockPeriod(), sta.sta().maxPath());
+    EXPECT_DEATH(sta.adoptClockPeriod(1000.0), "deferred");
+}
 
 TEST(Observability, MetricsAndTracingNeverPerturbResults)
 {

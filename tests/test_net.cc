@@ -23,12 +23,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -38,6 +41,7 @@
 
 #include "src/campaign/campaign.hh"
 #include "src/campaign/supervisor.hh"
+#include "src/core/report.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/net/coordinator.hh"
@@ -47,6 +51,7 @@
 #include "src/obs/metrics.hh"
 #include "src/service/result_store.hh"
 #include "src/service/scheduler.hh"
+#include "src/service/workspace.hh"
 #include "src/util/error.hh"
 #include "src/util/subprocess.hh"
 #include "tests/helpers.hh"
@@ -327,24 +332,60 @@ TEST(Handshake, RejectsGarbageAndTruncations)
     for (size_t len = 0; len <= fp_start; ++len)
         EXPECT_FALSE(net::parseHello(valid.substr(0, len)).ok()) << len;
     EXPECT_TRUE(net::parseHello(valid).ok());
+
+    // The welcome's period token is one positive, finite hexfloat or
+    // nothing: every other tail is malformed, not ignored.
+    for (const char *bad :
+         {"davf-net v1 welcome 1234.5", "davf-net v1 welcome 0x0p+0",
+          "davf-net v1 welcome -0x1p+10", "davf-net v1 welcome inf",
+          "davf-net v1 welcome nan", "davf-net v1 welcome 0x1p+99999",
+          "davf-net v1 welcome 0x", "davf-net v1 welcome 0x1p+10x",
+          "davf-net v1 welcome 0x1p+10 0x1p+10",
+          "davf-net v1 welcome extra"}) {
+        EXPECT_FALSE(net::parseHandshakeReply(bad).ok())
+            << '"' << bad << '"';
+    }
+    // Every truncation of a period-carrying welcome is either the bare
+    // welcome, a shorter valid hexfloat, or rejected: never a crash or
+    // a different kind of reply.
+    const std::string welcome = net::makeWelcome(1234.5);
+    for (size_t len = 0; len <= welcome.size(); ++len) {
+        const Result<net::HandshakeReply> reply =
+            net::parseHandshakeReply(welcome.substr(0, len));
+        EXPECT_TRUE(!reply.ok() || reply.value().welcome) << len;
+    }
 }
 
 TEST(Handshake, ReplyClassification)
 {
-    std::string reason;
-    Result<bool> ok = net::parseHandshakeReply(net::makeWelcome(), reason);
-    ASSERT_TRUE(ok.ok());
-    EXPECT_TRUE(ok.value());
+    Result<net::HandshakeReply> reply =
+        net::parseHandshakeReply(net::makeWelcome());
+    ASSERT_TRUE(reply.ok());
+    EXPECT_TRUE(reply.value().welcome);
+    EXPECT_EQ(reply.value().periodPs, 0.0); // Bare: the node measures.
+    EXPECT_EQ(net::makeWelcome(), "davf-net v1 welcome");
 
-    ok = net::parseHandshakeReply(net::makeReject("fingerprint clash"),
-                                  reason);
-    ASSERT_TRUE(ok.ok());
-    EXPECT_FALSE(ok.value());
-    EXPECT_EQ(reason, "fingerprint clash");
+    // The period token round-trips bit for bit, including values with
+    // no short decimal form.
+    for (double period : {1234.5, 0.1 * 3.0, 1e-300, 7.0e12}) {
+        reply = net::parseHandshakeReply(net::makeWelcome(period));
+        ASSERT_TRUE(reply.ok()) << net::makeWelcome(period);
+        EXPECT_TRUE(reply.value().welcome);
+        EXPECT_EQ(std::bit_cast<uint64_t>(reply.value().periodPs),
+                  std::bit_cast<uint64_t>(period));
+    }
+    EXPECT_EQ(net::makeWelcome(1.5), "davf-net v1 welcome 0x1.8p+0");
+
+    reply = net::parseHandshakeReply(net::makeReject("fingerprint clash"));
+    ASSERT_TRUE(reply.ok());
+    EXPECT_FALSE(reply.value().welcome);
+    EXPECT_EQ(reply.value().reason, "fingerprint clash");
 
     for (const char *bad :
-         {"", "welcome", "davf-net v2 welcome", "davf-net v1 wlcome"}) {
-        EXPECT_FALSE(net::parseHandshakeReply(bad, reason).ok())
+         {"", "welcome", "davf-net v2 welcome", "davf-net v1 wlcome",
+          "davf-net v1 welcome 0x1p+10 trailing",
+          "davf-net v1 welcome 42", "davf-net v1 welcome -0x1p+0"}) {
+        EXPECT_FALSE(net::parseHandshakeReply(bad).ok())
             << '"' << bad << '"';
     }
 }
@@ -658,10 +699,10 @@ TEST(NetCampaign, WrongVersionHelloIsRejected)
     std::string payload;
     ASSERT_EQ(conn.read(payload, 5000.0),
               net::FrameConn::ReadStatus::Frame);
-    std::string reason;
-    const Result<bool> reply = net::parseHandshakeReply(payload, reason);
+    const Result<net::HandshakeReply> reply =
+        net::parseHandshakeReply(payload);
     ASSERT_TRUE(reply.ok()) << payload;
-    EXPECT_FALSE(reply.value());
+    EXPECT_FALSE(reply.value().welcome);
     EXPECT_EQ(harness.coordinator->nodeCount(), 0u);
 }
 
@@ -776,6 +817,195 @@ TEST(NetCampaign, CacheTierServesAWarmRunInEveryMode)
 /** Child process entry: serve shards over TCP against the same fixture
  *  engine. Must match NetFixture exactly, or the bit-identity tests
  *  above would (correctly) fail. */
+
+// ------------------------------------------------------ period adoption
+//
+// The observed-max clock period is measured once per campaign: process
+// workers (hidden --worker-period) and net nodes (the welcome's period
+// token) adopt the parent's period. These tests drive the real davf_run
+// and davf_worker binaries, whose "golden:" stderr line names where the
+// period came from.
+
+/** The shared sweep: popcount under the observed-max clock. */
+const char *const kToolSweep =
+    " --benchmark popcount --structure ALU --delays 0.5:0.9:0.4"
+    " --cycles 2 --wires 12";
+
+std::string
+tool(const std::string &name)
+{
+    return std::string(DAVF_TOOLS_DIR) + "/" + name;
+}
+
+/** Lines of @p log that are a golden line whose period came from
+ *  @p source ("measured", "adopted"). */
+size_t
+goldenLines(const std::string &log, const std::string &source)
+{
+    std::istringstream is(log);
+    size_t count = 0;
+    for (std::string line; std::getline(is, line);) {
+        if (line.find("golden: ") != std::string::npos
+            && line.find("(" + source + ")") != std::string::npos)
+            ++count;
+    }
+    return count;
+}
+
+/** davf_run --json of kToolSweep in thread mode, computed once. */
+const std::string &
+toolThreadReport()
+{
+    static const std::string report = [] {
+        const std::string out = tempPath("adopt_thread.json");
+        EXPECT_EQ(std::system((tool("davf_run") + " --json" + kToolSweep
+                               + " > " + out + " 2> /dev/null")
+                                  .c_str()),
+                  0);
+        std::string bytes = slurp(out);
+        std::remove(out.c_str());
+        return bytes;
+    }();
+    return report;
+}
+
+TEST(PeriodAdoption, ProcessWorkersAdoptAndMatchThreadMode)
+{
+    ASSERT_FALSE(toolThreadReport().empty());
+    const std::string out = tempPath("adopt_process.json");
+    const std::string log = tempPath("adopt_process.log");
+    ASSERT_EQ(std::system((tool("davf_run") + " --json" + kToolSweep
+                           + " --isolate process --workers 2 > " + out
+                           + " 2> " + log)
+                              .c_str()),
+              0)
+        << slurp(log);
+    EXPECT_EQ(slurp(out), toolThreadReport());
+    // The parent measures; every worker it started adopts.
+    const std::string stderr_text = slurp(log);
+    EXPECT_EQ(goldenLines(stderr_text, "measured"), 1u) << stderr_text;
+    EXPECT_GE(goldenLines(stderr_text, "adopted"), 1u) << stderr_text;
+    std::remove(out.c_str());
+    std::remove(log.c_str());
+}
+
+TEST(PeriodAdoption, NetNodesAdoptAndMatchThreadMode)
+{
+    ASSERT_FALSE(toolThreadReport().empty());
+    const std::string dir = tempPath("adopt_net");
+    std::filesystem::create_directories(dir);
+    // The coordinator publishes its port; two nodes join once it does.
+    const std::string script = "cd " + dir + " || exit 1; "
+        + tool("davf_run") + " --json" + kToolSweep
+        + " --isolate net --listen 127.0.0.1:0 --port-file port"
+          " --min-nodes 2 --node-wait-ms 60000 > net.json 2> run.log &"
+          " run=$!; i=0;"
+          " while [ ! -s port ] && [ $i -lt 1200 ]; do"
+          " sleep 0.05; i=$((i + 1)); done;"
+          " for n in n1 n2; do " + tool("davf_worker")
+        + " --connect 127.0.0.1:$(cat port) --benchmark popcount"
+          " --node $n 2> $n.log & done;"
+          " wait $run; status=$?; wait; exit $status";
+    ASSERT_EQ(std::system(script.c_str()), 0)
+        << slurp(dir + "/run.log");
+    EXPECT_EQ(slurp(dir + "/net.json"), toolThreadReport());
+    for (const char *node : {"n1", "n2"}) {
+        const std::string node_log = slurp(dir + "/" + node + ".log");
+        EXPECT_EQ(goldenLines(node_log, "adopted"), 1u) << node_log;
+        EXPECT_EQ(goldenLines(node_log, "measured"), 0u) << node_log;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(PeriodAdoption, HiddenPeriodFlagIsStrict)
+{
+    // The hidden flag takes one positive, finite hexfloat, only in
+    // worker mode and never beside --sta-period; anything else is a
+    // usage error (exit 2) before any workspace is built.
+    for (const std::string bin : {"davf_run", "davf_serve"}) {
+        for (const std::string args :
+             {"--worker-shard --worker-period 1155.7",
+              "--worker-shard --worker-period 0x0p+0",
+              "--worker-shard --worker-period -0x1p+10",
+              "--worker-shard --worker-period inf",
+              "--worker-shard --worker-period nan",
+              "--worker-shard --worker-period 0x1p+99999",
+              "--worker-shard --worker-period",
+              "--worker-period 0x1p+10",
+              "--worker-shard --sta-period --worker-period 0x1p+10"}) {
+            const int status = std::system(
+                (tool(bin) + " " + args + " > /dev/null 2>&1").c_str());
+            EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+                << bin << ' ' << args << ": status " << status;
+        }
+    }
+}
+
+TEST(PeriodAdoption, BareWelcomeNodeMeasuresItsOwnPeriod)
+{
+    // A coordinator that sends no period token (one that predates it)
+    // leaves a davf_worker node to measure the period itself; the
+    // bytes still match thread mode.
+    service::WorkspaceSpec spec;
+    spec.benchmark = "popcount";
+    service::Workspace workspace(spec);
+    VulnerabilityEngine &engine = workspace.engine();
+
+    CampaignOptions opts;
+    opts.benchmark = "popcount";
+    opts.structures = {"ALU"};
+    opts.delays = {0.5, 0.9};
+    opts.sampling.maxInjectionCycles = 2;
+    opts.sampling.maxWires = 12;
+    auto reportOf = [&](const CampaignOptions &options) {
+        Campaign campaign(engine, workspace.structures(), options);
+        const CampaignSummary summary = campaign.run();
+        EXPECT_EQ(summary.cellsFailed, 0u);
+        return reportJson(reportRows(summary, ""));
+    };
+    const std::string reference = reportOf(opts);
+
+    net::ListenSocket listener = net::listenTcp("127.0.0.1", 0);
+    const uint16_t port = listener.port;
+    net::CoordinatorOptions net_options;
+    net_options.fingerprint = workspace.fingerprint();
+    net_options.localCycle = [&](const ShardSpec &shard) {
+        return engine.delayAvfCycle(
+            workspace.structure(shard.structure), shard.delayFraction,
+            shard.cycle, shard.sampling, shard.wireBegin, shard.wireEnd,
+            shard.quarantined);
+    };
+    net::Coordinator coordinator(listener, std::move(net_options));
+
+    const std::string log = tempPath("bare_welcome.log");
+    Subprocess node;
+    node.spawn({"/bin/sh", "-c",
+                "exec " + tool("davf_worker")
+                    + " --connect 127.0.0.1:" + std::to_string(port)
+                    + " --benchmark popcount --node bare 2> " + log});
+    ASSERT_EQ(coordinator.waitForNodes(1, 60000.0), 1u);
+
+    opts.isolate = IsolationMode::Net;
+    opts.dispatcher = &coordinator;
+    obs::MetricsRegistry::instance().reset();
+    obs::MetricsRegistry::setEnabled(true);
+    EXPECT_EQ(reportOf(opts), reference);
+    coordinator.shutdown();
+    obs::MetricsRegistry::setEnabled(false);
+    std::map<std::string, uint64_t> counters =
+        obs::MetricsRegistry::instance().snapshot().counters;
+    obs::MetricsRegistry::instance().reset();
+    EXPECT_GT(counters["net.dispatches"], 0u); // The node served.
+    EXPECT_EQ(counters["net.local_fallbacks"], 0u);
+    const ExitStatus status = node.wait();
+    EXPECT_TRUE(status.exited && status.code == 0) << status.describe();
+
+    const std::string node_log = slurp(log);
+    EXPECT_EQ(goldenLines(node_log, "measured"), 1u) << node_log;
+    EXPECT_EQ(goldenLines(node_log, "adopted"), 0u) << node_log;
+    std::remove(log.c_str());
+}
+
 int
 netWorkerMain(const std::string &spec)
 {

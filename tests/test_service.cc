@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -86,6 +87,30 @@ TEST(NetlistHash, StableAndDiscriminating)
     const auto b = test::makeRandomCircuit(6, 6, 24, 8);
     EXPECT_EQ(netlistHash(*a1.netlist), netlistHash(*a2.netlist));
     EXPECT_NE(netlistHash(*a1.netlist), netlistHash(*b.netlist));
+}
+
+TEST(WorkspacePeriod, AdoptingMatchesMeasuringBitForBit)
+{
+    // What a process worker or net node builds: the untimed pass only,
+    // then the parent's period adopted. Everything the store and the
+    // handshake key on must match a measuring build.
+    WorkspaceSpec spec;
+    spec.benchmark = "popcount";
+    Workspace measured(spec);
+    WorkspaceOptions deferred;
+    deferred.measurePeriod = false;
+    Workspace adopted(spec, deferred);
+    EXPECT_EQ(adopted.fingerprint(), measured.fingerprint());
+    adopted.engine().adoptClockPeriod(measured.engine().clockPeriod());
+    EXPECT_EQ(adopted.engine().periodSource(),
+              VulnerabilityEngine::PeriodSource::Adopted);
+
+    EXPECT_EQ(std::bit_cast<uint64_t>(adopted.engine().clockPeriod()),
+              std::bit_cast<uint64_t>(measured.engine().clockPeriod()));
+    EXPECT_EQ(adopted.engine().goldenCycles(),
+              measured.engine().goldenCycles());
+    EXPECT_EQ(adopted.engine().goldenOutput(),
+              measured.engine().goldenOutput());
 }
 
 // ------------------------------------------------------------ the store

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -424,6 +425,28 @@ TEST(Parse, DoubleStrict)
     // u64 parser is the one that must reject it.
     EXPECT_DOUBLE_EQ(parseDoubleStrict("99999999999999999999", "--d"),
                      1e20);
+}
+
+TEST(Parse, PositiveHexDouble)
+{
+    // The form a clock period travels in: hexDouble() output of a
+    // positive, finite value round-trips bit for bit; nothing else
+    // parses.
+    for (double value : {1.5, 1155.7, 0.1 * 3.0, 5e-324, 1.7e308}) {
+        double parsed = 0.0;
+        ASSERT_TRUE(textToPositiveHexDouble(hexDouble(value), parsed))
+            << hexDouble(value);
+        EXPECT_EQ(std::bit_cast<uint64_t>(parsed),
+                  std::bit_cast<uint64_t>(value));
+    }
+    for (const char *bad :
+         {"", "1.5", "1e3", "0x", "0x0p+0", "-0x1p+0", "+0x1p+0",
+          " 0x1p+0", "0x1p+0 ", "0x1p+0x", "0x1p+99999", "inf", "nan",
+          "0xinf"}) {
+        double parsed = 0.0;
+        EXPECT_FALSE(textToPositiveHexDouble(bad, parsed))
+            << '"' << bad << '"';
+    }
 }
 
 } // namespace

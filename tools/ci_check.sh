@@ -22,8 +22,8 @@ run_config() {
 }
 
 # ThreadSanitizer race check of the suites that exercise concurrency:
-# every engine construction runs the batched parallel golden timing
-# pass, the injection cycles fan out over the thread pool with
+# every measuring engine construction runs the batched parallel golden
+# timing pass, the injection cycles fan out over the thread pool with
 # cross-delay sweep reuse shared between workers, and the query
 # scheduler aggregates store hits without its compute lock while
 # another client computes; the campaign's delivery path (process and
@@ -44,7 +44,9 @@ tsan_check() {
 # and the deterministic crash hook armed. The supervisor must retry,
 # bisect the crash down to one injection, quarantine it, and still
 # complete with exit 0 — under sanitizers, so the worker protocol and
-# the bisection path get ASan/UBSan coverage on every CI run.
+# the bisection path get ASan/UBSan coverage on every CI run. Only the
+# parent measures the clock period: every worker, respawns included,
+# must print a "golden: ... (adopted)" line.
 # RLIMIT_AS (--worker-mem-mb) is incompatible with ASan's shadow
 # mappings and is deliberately not passed here.
 isolation_smoke() {
@@ -61,7 +63,15 @@ isolation_smoke() {
         --quarantine-dir "$smoke_dir/quarantine" \
         --shard-metrics-csv "$smoke_dir/shards.csv" \
         --checkpoint "$smoke_dir/journal.ckpt" \
-        --csv "$smoke_dir/davf.csv"
+        --csv "$smoke_dir/davf.csv" 2> "$smoke_dir/run.log"
+    measured=$(grep -c '^golden: .*(measured)$' "$smoke_dir/run.log" || true)
+    adopted=$(grep -c '^golden: .*(adopted)$' "$smoke_dir/run.log" || true)
+    if [ "$measured" -ne 1 ] || [ "$adopted" -lt 2 ]; then
+        echo "isolation smoke: workers did not adopt the period" \
+            "(measured=$measured adopted=$adopted)" >&2
+        cat "$smoke_dir/run.log" >&2
+        exit 1
+    fi
     quarantined=$(ls "$smoke_dir/quarantine"/*.qr 2>/dev/null | wc -l)
     if [ "$quarantined" -eq 0 ]; then
         echo "isolation smoke: no quarantine records written" >&2
@@ -73,17 +83,20 @@ isolation_smoke() {
             exit 1
         fi
     done
-    echo "=== isolation smoke ok ($quarantined quarantined)" >&2
+    echo "=== isolation smoke ok ($quarantined quarantined," \
+        "$adopted worker start(s) adopted the period)" >&2
 }
 
 # Engine smoke: the engine's routes must be invisible in the output —
 # run the same cheap sweep by default, with --timeout-ms 600000 (each
 # continuation alone beside the golden lane, under a deadline that
-# never fires) and with worker processes, and require every
-# `davf_run --json` report byte-identical (docs/PERFORMANCE.md), which
-# checks the sweep's STA arrival tables against per-call STA at every
-# interior delay. Runs under both configs so the lane batching and the
-# width-1 route get ASan/UBSan coverage on every CI run.
+# never fires; it still filters the sweep's STA arrival tables) and
+# with worker processes, and require every `davf_run --json` report
+# byte-identical (docs/PERFORMANCE.md). Workers run each shard outside
+# a delay sweep, so isolated.json is the per-call STA reference that
+# checks the sweep's arrival tables at every interior delay. Runs under
+# both configs so the lane batching and the width-1 route get ASan/UBSan
+# coverage on every CI run.
 engine_smoke() {
     build_dir="$1"
     smoke_dir="$build_dir/engine-smoke"
@@ -525,6 +538,17 @@ parse_smoke() {
         echo "parse smoke: a rejected davf_run created its store" >&2
         exit 1
     fi
+    # The hidden worker period: one positive, finite hexfloat, in
+    # worker mode only, never beside --sta-period.
+    serve="$build_dir/tools/davf_serve"
+    for tool in "$run" "$serve"; do
+        for bad in 1155.7 0x0p+0 -0x1p+10 inf nan 0x1p+99999; do
+            expect_usage "$tool" --worker-shard --worker-period "$bad"
+        done
+        expect_usage "$tool" --worker-shard --sta-period \
+            --worker-period 0x1p+10
+    done
+    expect_usage "$run" --worker-period 0x1p+10
     expect_usage "$trace" --d abc --cycle 4x
     expect_usage "$trace" --cycle 4x
     expect_usage "$trace" --d 1.5
@@ -685,6 +709,8 @@ attr_smoke() {
 # final --json report must still be byte-identical to the same sweep
 # computed in-process single-threaded, and the metrics snapshot must
 # show the fleet connected, a node lost, and at least one re-dispatch.
+# Every node adopts the coordinator's clock period from its welcome:
+# each prints a "golden: ... (adopted)" line, none measures.
 # Runs under both configs so the socket transport, coordinator, and
 # worker serve loop get ASan/UBSan coverage on every CI run.
 net_smoke() {
@@ -743,11 +769,13 @@ net_smoke() {
     worker w3 'stall@w3' &
     w3=$!
 
-    # Once the whole fleet has joined, the campaign is running and the
-    # stalled node pins it for at least the shard deadline — a window
-    # in which killing a healthy node is genuinely mid-campaign.
+    # Once the whole fleet has joined (and each node has settled its
+    # period), the campaign is running and the stalled node pins it for
+    # at least the shard deadline — a window in which killing a healthy
+    # node is genuinely mid-campaign.
     waited=0
-    while ! grep -q '3 node(s) connected' "$smoke_dir/run.log"; do
+    while ! grep -q '3 node(s) connected' "$smoke_dir/run.log" \
+        || [ "$(grep -c 'golden: ' "$smoke_dir/workers.log")" -lt 3 ]; do
         if ! kill -0 "$run_pid" 2>/dev/null; then
             echo "net smoke: coordinator exited before the fleet" >&2
             cat "$smoke_dir/run.log" "$smoke_dir/workers.log" >&2
@@ -772,6 +800,15 @@ net_smoke() {
 
     if ! cmp -s "$smoke_dir/ref.json" "$smoke_dir/net.json"; then
         echo "net smoke: net.json differs from in-process ref.json" >&2
+        exit 1
+    fi
+    adopted=$(grep -c 'golden: .*(adopted)$' "$smoke_dir/workers.log" \
+        || true)
+    if [ "$adopted" -ne 3 ] \
+        || grep -q 'golden: .*(measured)$' "$smoke_dir/workers.log"; then
+        echo "net smoke: not every node adopted the period" \
+            "(adopted=$adopted):" >&2
+        cat "$smoke_dir/workers.log" >&2
         exit 1
     fi
     connected=$(sed -n 's/.*"net\.nodes_connected":\([0-9]*\).*/\1/p' \
@@ -816,8 +853,8 @@ net_smoke() {
         cat "$smoke_dir/warm-metrics.json" >&2
         exit 1
     fi
-    echo "=== net smoke ok (report bit-identical," \
-        "$lost node(s) lost, $redispatched re-dispatch(es)," \
+    echo "=== net smoke ok (report bit-identical, 3 node(s) adopted" \
+        "the period, $lost node(s) lost, $redispatched re-dispatch(es)," \
         "$disk_hits warm store hit(s))" >&2
 }
 

@@ -96,7 +96,10 @@
  *
  * The hidden --worker-shard flag turns the process into a campaign
  * worker serving shards over stdin/stdout; it is appended automatically
- * when the supervisor re-executes this binary.
+ * when the supervisor re-executes this binary, together with the hidden
+ * --worker-period HEX: the parent's measured clock period as a `%a`
+ * hexfloat, which the worker adopts bit-exactly instead of re-running
+ * the timed golden pass (not sent with --sta-period).
  */
 
 #include <cerrno>
@@ -164,6 +167,7 @@ struct Options
     std::string metrics_json_path;
     std::string trace_json_path;
     bool worker_shard = false; ///< Hidden: serve shards over stdio.
+    double worker_period = 0.0; ///< Hidden: the period to adopt.
 };
 
 void
@@ -349,6 +353,14 @@ try {
             opts.trace_json_path = need(i);
         } else if (arg == "--worker-shard") {
             opts.worker_shard = true;
+        } else if (arg == "--worker-period") {
+            const char *value = need(i);
+            if (!textToPositiveHexDouble(value, opts.worker_period)) {
+                usageError(argv[0],
+                           std::string("--worker-period expects a "
+                                       "positive, finite hexfloat, got '")
+                               + value + "'");
+            }
         } else if (arg == "--list") {
             std::printf("benchmarks:");
             for (const auto &program : beebsBenchmarks())
@@ -365,6 +377,10 @@ try {
 
     if (!opts.store_dir.empty() && !opts.isolate_net)
         usageError(argv[0], "--store-dir needs --isolate net");
+    if (opts.worker_period > 0.0 && !opts.worker_shard)
+        usageError(argv[0], "--worker-period needs --worker-shard");
+    if (opts.worker_period > 0.0 && opts.sta_period)
+        usageError(argv[0], "--worker-period conflicts with --sta-period");
     if (!findBenchmark(opts.benchmark)) {
         usageError(argv[0],
                    "--benchmark: unknown benchmark '" + opts.benchmark
@@ -427,7 +443,10 @@ runTool(int argc, char **argv)
     std::fprintf(stderr, "building IbexMini (%s regfile), assembling "
                  "%s, running golden capture...\n",
                  opts.ecc ? "ECC" : "plain", opts.benchmark.c_str());
-    service::Workspace workspace(ws_spec);
+    service::WorkspaceOptions ws_options;
+    ws_options.threads = opts.sampling.threads;
+    ws_options.measurePeriod = opts.worker_period == 0.0;
+    service::Workspace workspace(ws_spec, ws_options);
 
     if (!workspace.structures().find(opts.structure)) {
         usageError(argv[0], "--structure: unknown structure '"
@@ -435,10 +454,9 @@ runTool(int argc, char **argv)
     }
 
     VulnerabilityEngine &engine = workspace.engine();
-    std::fprintf(stderr,
-                 "golden: %llu cycles, clock period %.1f ps\n\n",
-                 static_cast<unsigned long long>(engine.goldenCycles()),
-                 engine.clockPeriod());
+    if (opts.worker_period > 0.0)
+        engine.adoptClockPeriod(opts.worker_period);
+    std::fprintf(stderr, "%s\n\n", goldenLine(engine).c_str());
 
     // Hidden worker mode: same engine build as above, then serve shard
     // requests from the supervising campaign over stdin/stdout.
@@ -484,6 +502,8 @@ runTool(int argc, char **argv)
 
         net::CoordinatorOptions net_options;
         net_options.fingerprint = workspace.fingerprint();
+        if (!opts.sta_period)
+            net_options.clockPeriod = engine.clockPeriod();
         net_options.maxRetries = opts.max_retries;
         net_options.backoffBaseMs = opts.backoff_ms;
         net_options.shardTimeoutMs = opts.shard_timeout_ms;
@@ -536,11 +556,16 @@ runTool(int argc, char **argv)
         campaign_options.isolate = IsolationMode::Process;
         SupervisorOptions &sup = campaign_options.supervisor;
         // Workers re-execute this binary with the same arguments (so
-        // they build the same engine) plus the hidden worker flag.
+        // they build the same engine) plus the hidden worker flags; the
+        // period rides along so they skip the timed golden pass.
         sup.workerArgv.push_back(Subprocess::selfExePath());
         for (int i = 1; i < argc; ++i)
             sup.workerArgv.push_back(argv[i]);
         sup.workerArgv.push_back("--worker-shard");
+        if (!opts.sta_period) {
+            sup.workerArgv.push_back("--worker-period");
+            sup.workerArgv.push_back(hexDouble(engine.clockPeriod()));
+        }
         sup.workers = opts.workers;
         sup.maxRetries = opts.max_retries;
         sup.backoffBaseMs = opts.backoff_ms;

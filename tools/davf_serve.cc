@@ -28,7 +28,10 @@
  *
  * The hidden --worker-shard flag turns the process into a campaign
  * worker serving shards over stdin/stdout; it is appended automatically
- * when the scheduler re-executes this binary.
+ * when the scheduler re-executes this binary, together with the hidden
+ * --worker-period HEX: the server's measured clock period as a `%a`
+ * hexfloat, which the worker adopts bit-exactly instead of re-running
+ * the timed golden pass (not sent with --sta-period).
  */
 
 #include <malloc.h>
@@ -74,6 +77,7 @@ struct Options
     unsigned max_retries = 2;
     uint64_t worker_mem_mb = 0;
     bool worker_shard = false; ///< Hidden: serve shards over stdio.
+    double worker_period = 0.0; ///< Hidden: the period to adopt.
 };
 
 [[noreturn]] void
@@ -140,12 +144,24 @@ try {
             opts.worker_mem_mb = parseU64Strict(need(i), arg);
         } else if (arg == "--worker-shard") {
             opts.worker_shard = true;
+        } else if (arg == "--worker-period") {
+            const char *value = need(i);
+            if (!textToPositiveHexDouble(value, opts.worker_period)) {
+                usageError(argv[0],
+                           std::string("--worker-period expects a "
+                                       "positive, finite hexfloat, got '")
+                               + value + "'");
+            }
         } else {
             usageError(argv[0], "unknown flag '" + arg + "'");
         }
     }
     if (!opts.worker_shard && opts.socket_path.empty())
         usageError(argv[0], "--socket is required");
+    if (opts.worker_period > 0.0 && !opts.worker_shard)
+        usageError(argv[0], "--worker-period needs --worker-shard");
+    if (opts.worker_period > 0.0 && opts.workspace.staPeriod)
+        usageError(argv[0], "--worker-period conflicts with --sta-period");
     return opts;
 } catch (const DavfError &error) {
     // The strict numeric parsers name the flag and its bad value.
@@ -307,18 +323,23 @@ runTool(int argc, char **argv)
                  opts.workspace.benchmark.c_str(),
                  opts.workspace.ecc ? "ECC" : "plain",
                  opts.workspace.staPeriod ? "STA" : "observed-max");
-    Workspace workspace(opts.workspace);
+    WorkspaceOptions ws_options;
+    ws_options.threads = opts.threads;
+    ws_options.measurePeriod = opts.worker_period == 0.0;
+    Workspace workspace(opts.workspace, ws_options);
+    VulnerabilityEngine &engine = workspace.engine();
+    if (opts.worker_period > 0.0)
+        engine.adoptClockPeriod(opts.worker_period);
 
     // Hidden worker mode: same workspace build, then serve shard
     // requests from the scheduler's supervisor over stdin/stdout.
     if (opts.worker_shard) {
-        return runCampaignWorker(workspace.engine(),
-                                 workspace.structures());
+        std::fprintf(stderr, "%s\n", goldenLine(engine).c_str());
+        return runCampaignWorker(engine, workspace.structures());
     }
 
-    std::fprintf(stderr, "golden: %llu cycles, fingerprint %s\n",
-                 static_cast<unsigned long long>(
-                     workspace.engine().goldenCycles()),
+    std::fprintf(stderr, "%s, fingerprint %s\n",
+                 goldenLine(engine).c_str(),
                  workspace.fingerprint().c_str());
 
     ResultStore::Options store_options;
@@ -332,20 +353,26 @@ runTool(int argc, char **argv)
     sched_options.threads = opts.threads;
     if (opts.isolate_process) {
         // Workers re-execute this binary with the same workspace flags
-        // (so they build the same engine) plus the hidden worker flag.
+        // (so they build the same engine) plus the hidden worker flags;
+        // the period rides along so they skip the timed golden pass.
         sched_options.workerArgv.push_back(Subprocess::selfExePath());
         sched_options.workerArgv.push_back("--benchmark");
         sched_options.workerArgv.push_back(opts.workspace.benchmark);
         if (opts.workspace.ecc)
             sched_options.workerArgv.push_back("--ecc");
-        if (opts.workspace.staPeriod)
+        if (opts.workspace.staPeriod) {
             sched_options.workerArgv.push_back("--sta-period");
+        } else {
+            sched_options.workerArgv.push_back("--worker-period");
+            sched_options.workerArgv.push_back(
+                hexDouble(engine.clockPeriod()));
+        }
         sched_options.workerArgv.push_back("--worker-shard");
         sched_options.workers = opts.workers;
         sched_options.maxRetries = opts.max_retries;
         sched_options.workerMemMb = opts.worker_mem_mb;
     }
-    QueryScheduler scheduler(workspace.engine(), workspace.structures(),
+    QueryScheduler scheduler(engine, workspace.structures(),
                              workspace.fingerprint(), store,
                              std::move(sched_options));
 

@@ -3,9 +3,11 @@
  * The remote campaign worker node (see docs/DISTRIBUTED.md).
  *
  * One davf_worker builds the same workspace as its coordinator —
- * benchmark, ECC switch, clock model — then connects, introduces itself
- * with the versioned hello carrying the workspace build fingerprint,
- * and serves shards until told to quit. A coordinator built from a
+ * benchmark, ECC switch, clock model — through the untimed golden pass
+ * only, then connects, introduces itself with the versioned hello
+ * carrying the workspace build fingerprint, adopts the clock period
+ * the coordinator's welcome carries (measuring its own only when the
+ * welcome has none), and serves shards until told to quit. A coordinator built from a
  * different design/workload rejects the hello instead of silently
  * mixing results, so the only configuration that must agree here is
  * the workspace spec; every sampling knob arrives per-shard.
@@ -144,7 +146,11 @@ runTool(int argc, char **argv)
                  "worker: building IbexMini (%s regfile), assembling "
                  "%s, running golden capture...\n",
                  opts.ecc ? "ECC" : "plain", opts.benchmark.c_str());
-    service::Workspace workspace(ws_spec);
+    // The untimed golden pass is all the fingerprint needs; the clock
+    // period arrives in the coordinator's welcome (runNetWorker).
+    service::WorkspaceOptions ws_options;
+    ws_options.measurePeriod = false;
+    service::Workspace workspace(ws_spec, ws_options);
 
     net.fingerprint = workspace.fingerprint();
 
