@@ -1,7 +1,6 @@
 #include "campaign.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/report.hh"
@@ -34,12 +33,6 @@ campaignMetrics()
 {
     static CampaignMetrics *const metrics = new CampaignMetrics();
     return *metrics;
-}
-
-double
-delayFromKey(const CheckpointKey &key)
-{
-    return std::strtod(key.delay.c_str(), nullptr);
 }
 
 } // namespace
@@ -170,6 +163,35 @@ Campaign::run()
         resolved.push_back(structure);
     }
 
+    // The cell schedule, in deterministic order; the journal holds one
+    // cell per planned cell, in plan order, which is what makes its
+    // serialization canonical.
+    struct PlannedCell
+    {
+        CheckpointKey key;
+        const Structure *structure;
+        double delay;
+    };
+    std::vector<PlannedCell> plan;
+    for (size_t s = 0; s < resolved.size(); ++s) {
+        for (double d : options.delays) {
+            plan.push_back({{"davf", options.benchmark,
+                             options.structures[s], canonicalDelay(d)},
+                            resolved[s], d});
+        }
+        if (options.runSavf) {
+            plan.push_back({{"savf", options.benchmark,
+                             options.structures[s],
+                             canonicalDelay(0.0)},
+                            resolved[s], 0.0});
+        }
+    }
+    journal.cells.clear();
+    for (const PlannedCell &planned : plan) {
+        journal.cells.emplace_back();
+        journal.cells.back().key = planned.key;
+    }
+
     if (options.resume) {
         if (options.checkpointPath.empty()) {
             davf_throw(ErrorKind::BadArgument,
@@ -202,28 +224,15 @@ Campaign::run()
                        loaded.value().configHash, ", expected ",
                        journal.configHash, ")");
         }
-        journal = std::move(loaded.value());
-    }
-
-    // The cell schedule, in deterministic order.
-    struct PlannedCell
-    {
-        CheckpointKey key;
-        const Structure *structure;
-        double delay;
-    };
-    std::vector<PlannedCell> plan;
-    for (size_t s = 0; s < resolved.size(); ++s) {
-        for (double d : options.delays) {
-            plan.push_back({{"davf", options.benchmark,
-                             options.structures[s], canonicalDelay(d)},
-                            resolved[s], d});
-        }
-        if (options.runSavf) {
-            plan.push_back({{"savf", options.benchmark,
-                             options.structures[s],
-                             canonicalDelay(0.0)},
-                            resolved[s], 0.0});
+        for (CheckpointCell &cell : loaded.value().cells) {
+            CheckpointCell *planned = journal.find(cell.key);
+            if (!planned) {
+                davf_throw(ErrorKind::BadInput, "checkpoint '",
+                           options.checkpointPath, "': cell ",
+                           cell.key.kind, ' ', cell.key.structure, ' ',
+                           cell.key.delay, " is not in this campaign");
+            }
+            *planned = std::move(cell);
         }
     }
 
@@ -260,22 +269,48 @@ Campaign::run()
     } sweep_guard{engine};
 
     CampaignSummary summary;
-    for (const PlannedCell &planned : plan) {
-        // Adopt journaled cells verbatim: this is what makes a resumed
-        // campaign bit-identical to an uninterrupted one.
-        if (const CheckpointCell *cached = journal.find(planned.key)) {
-            CampaignCellResult cell;
-            cell.key = cached->key;
-            cell.delay = delayFromKey(cached->key);
+    for (size_t index = 0; index < plan.size(); ++index) {
+        const PlannedCell &planned = plan[index];
+        CheckpointCell &entry = journal.cells[index];
+
+        SamplingConfig config = options.sampling;
+        config.stopFlag = options.stopFlag;
+        config.maxFailureRate = options.maxFailureRate;
+
+        CampaignCellResult cell;
+        cell.key = planned.key;
+        cell.delay = planned.delay;
+
+        // A journaled verdict is final. An ok davf cell's aggregate is
+        // derived from its journaled outcomes again, which simulates
+        // nothing; the failure-rate gate already passed when the
+        // verdict was written, so a stricter rate on resume cannot
+        // overturn it.
+        if (entry.state != CheckpointCell::State::Open) {
             cell.fromCheckpoint = true;
-            cell.failed = cached->failed;
-            cell.failReason = cached->failReason;
-            cell.davf = cached->davf;
-            cell.savf = cached->savf;
+            cell.failed = entry.state == CheckpointCell::State::Failed;
+            cell.failReason = entry.failReason;
+            cell.savf = entry.savf;
+            if (!cell.failed && planned.key.kind == "davf") {
+                if (entry.cycles.size()
+                    != engine->injectionCycles(config).size()) {
+                    davf_throw(ErrorKind::BadInput, "checkpoint '",
+                               options.checkpointPath, "': finished cell ",
+                               planned.key.structure, ' ',
+                               planned.key.delay, " journals ",
+                               entry.cycles.size(), " of its cycles");
+                }
+                DelayAvfProgress progress;
+                progress.completed = entry.cycles;
+                config.maxFailureRate = 1.0;
+                cell.davf = engine->delayAvf(*planned.structure,
+                                             planned.delay, config,
+                                             &progress);
+            }
             summary.cells.push_back(std::move(cell));
             ++summary.cellsFromCheckpoint;
             campaignMetrics().cellsFromCheckpoint.add(1);
-            if (cached->failed)
+            if (entry.state == CheckpointCell::State::Failed)
                 ++summary.cellsFailed;
             continue;
         }
@@ -288,15 +323,6 @@ Campaign::run()
 
         const obs::Span cell_span("campaign.cell",
                                   &campaignMetrics().cellNs);
-
-        SamplingConfig config = options.sampling;
-        config.stopFlag = options.stopFlag;
-        config.injectionTimeoutMs = options.injectionTimeoutMs;
-        config.maxFailureRate = options.maxFailureRate;
-
-        CampaignCellResult cell;
-        cell.key = planned.key;
-        cell.delay = planned.delay;
 
         // The cell's shards under the cache tier's keys; the sampling
         // knobs are the effective ones (threads and the stop flag are
@@ -338,32 +364,17 @@ Campaign::run()
             // Journal every completed injection cycle: an interruption
             // (even SIGKILL) loses at most one cycle of work.
             auto journal_cycle = [&](const InjectionCycleOutcome &outcome) {
-                if (!journal.hasPartial
-                    || !(journal.partialKey == planned.key)) {
-                    journal.hasPartial = true;
-                    journal.partialKey = planned.key;
-                    journal.partialCycles.clear();
-                }
-                for (const InjectionCycleOutcome &have :
-                     journal.partialCycles) {
-                    if (have.cycle == outcome.cycle)
-                        return;
-                }
-                journal.partialCycles.push_back(outcome);
-                save();
+                if (entry.addCycle(outcome))
+                    save();
             };
 
-            // Completed cycles are the journal's partial ones plus the
-            // cache's hits; only the rest is computed.
+            // Completed cycles are the journaled ones plus the cache's
+            // hits; only the rest is computed.
             DelayAvfProgress progress;
-            if (journal.hasPartial
-                && journal.partialKey == planned.key) {
-                progress.completed = journal.partialCycles;
-            }
+            progress.completed = entry.cycles;
             std::vector<uint64_t> todo;
             for (uint64_t cycle : engine->injectionCycles(config)) {
-                if (std::any_of(progress.completed.begin(),
-                                progress.completed.end(),
+                if (std::any_of(entry.cycles.begin(), entry.cycles.end(),
                                 [&](const InjectionCycleOutcome &out) {
                                     return out.cycle == cycle;
                                 }))
@@ -397,11 +408,11 @@ Campaign::run()
             // Aggregation from completed outcomes is shared by every
             // mode; catching ExcessiveFailures (the cell is
             // untrustworthy) records why and moves on.
-            auto aggregate = [&](DelayAvfProgress *with) {
+            auto aggregate = [&] {
                 try {
                     cell.davf = engine->delayAvf(*planned.structure,
                                                  planned.delay, config,
-                                                 with);
+                                                 &progress);
                 } catch (const DavfError &error) {
                     if (error.kind() != ErrorKind::ExcessiveFailures)
                         throw;
@@ -415,11 +426,14 @@ Campaign::run()
                 // Workers compute the rest, the dispatcher retries (and,
                 // for processes, quarantines), and every completed
                 // outcome is journaled through the same onCycleDone as
-                // thread mode.
+                // thread mode and joins the cell's completed cycles.
                 ShardDispatcher::CellResult shard =
-                    dispatcher->runDavfCell(planned.key.structure,
-                                            planned.delay, todo, config,
-                                            progress.onCycleDone);
+                    dispatcher->runDavfCell(
+                        planned.key.structure, planned.delay, todo, config,
+                        [&](const InjectionCycleOutcome &outcome) {
+                            progress.onCycleDone(outcome);
+                            progress.completed.push_back(outcome);
+                        });
                 for (QuarantineRecord &record : shard.quarantined)
                     summary.quarantined.push_back(std::move(record));
                 stopped = shard.stopped;
@@ -427,21 +441,15 @@ Campaign::run()
                     cell.failed = true;
                     cell.failReason = std::move(shard.failReason);
                 } else if (!stopped) {
-                    // Every outcome is in the journal now; the engine
-                    // call only aggregates (no cycle is re-simulated),
-                    // which keeps the isolated modes bit-identical to
-                    // thread mode at any worker count.
-                    DelayAvfProgress completed;
-                    if (journal.hasPartial
-                        && journal.partialKey == planned.key) {
-                        completed.completed = journal.partialCycles;
-                    }
-                    aggregate(&completed);
+                    // No cycle is left to simulate, so the engine call
+                    // only aggregates, which keeps the isolated modes
+                    // bit-identical to thread mode at any worker count.
+                    aggregate();
                 }
             } else {
                 // delayAvf() simulates exactly the cycles missing from
-                // progress.completed: the checkpoint-resume path.
-                aggregate(&progress);
+                // progress.completed.
+                aggregate();
                 stopped = !cell.failed && cell.davf.stopped;
             }
         }
@@ -453,19 +461,11 @@ Campaign::run()
             break;
         }
 
-        // The cell is final (completed or failed): promote it to the
-        // journal and drop any partial progress it had.
-        CheckpointCell record;
-        record.key = planned.key;
-        record.failed = cell.failed;
-        record.failReason = cell.failReason;
-        record.davf = cell.davf;
-        record.savf = cell.savf;
-        journal.cells.push_back(std::move(record));
-        if (journal.hasPartial && journal.partialKey == planned.key) {
-            journal.hasPartial = false;
-            journal.partialCycles.clear();
-        }
+        // The cell is final (completed or failed): journal its verdict.
+        entry.state = cell.failed ? CheckpointCell::State::Failed
+                                  : CheckpointCell::State::Ok;
+        entry.failReason = cell.failReason;
+        entry.savf = cell.savf;
 
         if (cell.failed) {
             ++summary.cellsFailed;

@@ -9,11 +9,12 @@
  *    completed injection cycle inside a cell — the journal is rewritten
  *    atomically (checkpoint.hh), so no interruption point loses more
  *    than one injection cycle of work;
- *  - **resume**: a rerun with CampaignOptions::resume adopts completed
- *    cells verbatim and completed cycles of the in-flight cell exactly,
- *    reproducing bit-identical aggregates versus an uninterrupted run,
- *    at any thread count (the engine's per-cycle outcomes are
- *    deterministic and aggregated in cycle order);
+ *  - **resume**: a rerun with CampaignOptions::resume adopts every
+ *    journaled cycle outcome and cell verdict and derives each
+ *    aggregate from the outcomes again, reproducing bit-identical
+ *    results versus an uninterrupted run, at any thread count (the
+ *    engine's per-cycle outcomes are deterministic and aggregated in
+ *    cycle order);
  *  - **fault isolation**: a cell whose failure rate crosses
  *    CampaignOptions::maxFailureRate is recorded as failed with its
  *    reason and the campaign moves on — one pathological structure
@@ -102,13 +103,12 @@ struct CampaignOptions
     /** Also run a particle-strike sAVF cell per structure. */
     bool runSavf = false;
 
-    /** Engine sampling; threads/stop flag are campaign-managed. */
+    /** Engine sampling, injection timeout included; the stop flag is
+     *  campaign-managed. */
     SamplingConfig sampling;
 
-    /** Per-injection wall-clock budget in ms (0 = unlimited). */
-    double injectionTimeoutMs = 0.0;
-
-    /** Failed-injection fraction beyond which a cell is abandoned. */
+    /** Failed-injection fraction beyond which a cell is abandoned;
+     *  overrides sampling.maxFailureRate. */
     double maxFailureRate = 0.05;
 
     /** Journal path; empty disables checkpointing. */
@@ -157,7 +157,7 @@ struct CampaignCellResult
 {
     CheckpointKey key;
     double delay = 0.0;          ///< Parsed back from key.delay.
-    bool fromCheckpoint = false; ///< Adopted, not recomputed.
+    bool fromCheckpoint = false; ///< Journaled verdict, not recomputed.
     bool failed = false;
     std::string failReason;
 

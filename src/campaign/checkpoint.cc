@@ -1,5 +1,6 @@
 #include "checkpoint.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -194,118 +195,12 @@ readAttr(std::istream &is, CycleAttribution &attr)
     return true;
 }
 
-/** The optional per-cell attribution table — same opt-in rule as the
- *  attr section: " attrtab <nRows> {<pc> <mnem> <injections>
- *  <delayAce> <firstCorruptions> <nDest> {<dest> <count>}}". */
-void
-writeAttrTable(std::ostream &os,
-               const std::vector<DelayAvfResult::AttrRow> &rows)
-{
-    os << " attrtab " << rows.size();
-    for (const DelayAvfResult::AttrRow &row : rows) {
-        os << ' ' << row.pc << ' ' << encodeText(row.mnemonic) << ' '
-           << row.injections << ' ' << row.delayAce << ' '
-           << row.firstCorruptions << ' ' << row.destinations.size();
-        for (const auto &[dest, count] : row.destinations)
-            os << ' ' << encodeText(dest) << ' ' << count;
-    }
-}
-
-bool
-readAttrTable(std::istream &is,
-              std::vector<DelayAvfResult::AttrRow> &rows)
-{
-    size_t count = 0;
-    if (!(is >> count) || count > 65536)
-        return false;
-    rows.resize(count);
-    for (DelayAvfResult::AttrRow &row : rows) {
-        std::string mnemonic;
-        size_t dests = 0;
-        if (!(is >> row.pc >> mnemonic >> row.injections >> row.delayAce
-                 >> row.firstCorruptions >> dests)
-            || dests > 1024 || !decodeText(mnemonic, row.mnemonic)) {
-            return false;
-        }
-        for (size_t i = 0; i < dests; ++i) {
-            std::string dest;
-            uint64_t tally = 0;
-            if (!(is >> dest >> tally))
-                return false;
-            std::string decoded;
-            if (!decodeText(dest, decoded))
-                return false;
-            row.destinations[decoded] = tally;
-        }
-    }
-    return true;
-}
-
-void
-writeDavfResult(std::ostream &os, const DelayAvfResult &result)
-{
-    os << ' ' << hexDouble(result.delayAvf) << ' '
-       << hexDouble(result.orDelayAvf) << ' '
-       << hexDouble(result.staticWireFraction) << ' '
-       << hexDouble(result.dynamicWireFraction) << ' '
-       << hexDouble(result.groupAceWireFraction) << ' '
-       << result.injections << ' ' << result.staticInjections << ' '
-       << result.errorInjections << ' ' << result.multiBitInjections
-       << ' ' << result.delayAceInjections << ' '
-       << result.orAceInjections << ' ' << result.sdc << ' '
-       << result.due << ' ' << result.aceInterference << ' '
-       << result.aceCompounding << ' ' << result.skippedNoToggle << ' '
-       << result.uniqueGroupSims << ' ' << result.skippedErrors << ' '
-       << result.wiresInjected << ' ' << result.cyclesInjected;
-    writeSkipReasons(os, result.skipReasons);
-    if (result.attrValid)
-        writeAttrTable(os, result.attribution);
-}
-
-bool
-readDavfResult(std::istream &is, DelayAvfResult &result)
-{
-    std::string davf, ordavf, stat, dyn, group;
-    if (!(is >> davf >> ordavf >> stat >> dyn >> group
-             >> result.injections >> result.staticInjections
-             >> result.errorInjections >> result.multiBitInjections
-             >> result.delayAceInjections >> result.orAceInjections
-             >> result.sdc >> result.due >> result.aceInterference
-             >> result.aceCompounding >> result.skippedNoToggle
-             >> result.uniqueGroupSims >> result.skippedErrors
-             >> result.wiresInjected >> result.cyclesInjected)) {
-        return false;
-    }
-    if (!textToDouble(davf, result.delayAvf)
-        || !textToDouble(ordavf, result.orDelayAvf)
-        || !textToDouble(stat, result.staticWireFraction)
-        || !textToDouble(dyn, result.dynamicWireFraction)
-        || !textToDouble(group, result.groupAceWireFraction)
-        || !readSkipReasons(is, result.skipReasons)) {
-        return false;
-    }
-    std::string tag;
-    if (!(is >> tag))
-        return true; // No attribution section (the common case).
-    if (tag != "attrtab" || !readAttrTable(is, result.attribution))
-        return false;
-    result.attrValid = true;
-    return true;
-}
-
 void
 writeSavfFields(std::ostream &os, const SavfResult &result)
 {
     os << hexDouble(result.savf) << ' ' << result.injections << ' '
        << result.aceInjections << ' ' << result.sdc << ' ' << result.due
        << ' ' << result.skippedErrors;
-}
-
-void
-writeSavfResult(std::ostream &os, const SavfResult &result)
-{
-    os << ' ';
-    writeSavfFields(os, result);
 }
 
 bool
@@ -334,14 +229,6 @@ writeOutcomeFields(std::ostream &os, const InjectionCycleOutcome &outcome)
     writeBits(os, outcome.wireAce);
     if (outcome.attr.valid)
         writeAttr(os, outcome.attr);
-}
-
-void
-writeOutcome(std::ostream &os, const InjectionCycleOutcome &outcome)
-{
-    os << "pcycle ";
-    writeOutcomeFields(os, outcome);
-    os << '\n';
 }
 
 bool
@@ -376,10 +263,24 @@ readOutcome(std::istream &is, InjectionCycleOutcome &outcome)
 
 } // namespace
 
-const CheckpointCell *
-Checkpoint::find(const CheckpointKey &key) const
+bool
+CheckpointCell::addCycle(InjectionCycleOutcome outcome)
 {
-    for (const CheckpointCell &cell : cells) {
+    const auto at = std::lower_bound(
+        cycles.begin(), cycles.end(), outcome.cycle,
+        [](const InjectionCycleOutcome &have, uint64_t cycle) {
+            return have.cycle < cycle;
+        });
+    if (at != cycles.end() && at->cycle == outcome.cycle)
+        return false;
+    cycles.insert(at, std::move(outcome));
+    return true;
+}
+
+CheckpointCell *
+Checkpoint::find(const CheckpointKey &key)
+{
+    for (CheckpointCell &cell : cells) {
         if (cell.key == key)
             return &cell;
     }
@@ -405,28 +306,30 @@ serializeCheckpoint(const Checkpoint &checkpoint)
         checkToken(cell.key.benchmark, "benchmark");
         checkToken(cell.key.structure, "structure");
         checkToken(cell.key.delay, "delay");
+        // A failed cell's verdict is all a resume needs of it.
+        if (cell.state != CheckpointCell::State::Failed) {
+            for (const InjectionCycleOutcome &outcome : cell.cycles) {
+                os << "cycle ";
+                writeKey(os, cell.key);
+                os << ' ';
+                writeOutcomeFields(os, outcome);
+                os << '\n';
+            }
+        }
+        if (cell.state == CheckpointCell::State::Open)
+            continue;
         os << "cell ";
         writeKey(os, cell.key);
-        if (cell.failed) {
-            os << " failed " << cell.failReason << '\n';
+        if (cell.state == CheckpointCell::State::Failed) {
+            os << " failed " << cell.failReason;
         } else {
             os << " ok";
-            if (cell.key.kind == "savf")
-                writeSavfResult(os, cell.savf);
-            else
-                writeDavfResult(os, cell.davf);
-            os << '\n';
+            if (cell.key.kind == "savf") {
+                os << ' ';
+                writeSavfFields(os, cell.savf);
+            }
         }
-    }
-
-    if (checkpoint.hasPartial) {
-        os << "partial ";
-        writeKey(os, checkpoint.partialKey);
         os << '\n';
-        for (const InjectionCycleOutcome &outcome :
-             checkpoint.partialCycles) {
-            writeOutcome(os, outcome);
-        }
     }
     os << "end\n";
     return os.str();
@@ -466,65 +369,67 @@ parseCheckpoint(const std::string &text, CheckpointLoadStats *stats)
         return true;
     };
 
+    // The journaled cell @p key, created at its first record.
+    auto cellFor = [&](const CheckpointKey &key) -> CheckpointCell & {
+        if (CheckpointCell *cell = checkpoint.find(key))
+            return *cell;
+        checkpoint.cells.push_back({});
+        checkpoint.cells.back().key = key;
+        return checkpoint.cells.back();
+    };
+    auto atEnd = [](std::istream &ls) {
+        std::string extra;
+        return !(ls >> extra);
+    };
+
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
         std::istringstream ls(line);
         std::string tag;
         ls >> tag;
+        bool ok = true;
         if (tag == "config") {
-            if (!(ls >> checkpoint.configHash)) {
-                if (tolerateTornTail())
-                    break;
-                return R::Err(ErrorKind::BadInput,
-                              "checkpoint: bad config line");
+            ok = static_cast<bool>(ls >> checkpoint.configHash)
+                && atEnd(ls);
+        } else if (tag == "cycle") {
+            CheckpointKey key;
+            InjectionCycleOutcome outcome;
+            ok = readKey(ls, key) && key.kind == "davf"
+                && readOutcome(ls, outcome) && atEnd(ls);
+            if (ok) {
+                CheckpointCell &cell = cellFor(key);
+                ok = cell.state != CheckpointCell::State::Failed
+                    && cell.addCycle(std::move(outcome));
             }
         } else if (tag == "cell") {
-            CheckpointCell cell;
+            CheckpointKey key;
             std::string status;
-            bool ok = readKey(ls, cell.key) && (ls >> status);
+            SavfResult savf;
+            std::string reason;
+            ok = readKey(ls, key) && (ls >> status);
+            if (ok && status == "failed") {
+                std::getline(ls, reason);
+                if (!reason.empty() && reason.front() == ' ')
+                    reason.erase(0, 1);
+            } else if (ok && status == "ok") {
+                ok = (key.kind != "savf" || readSavfResult(ls, savf))
+                    && atEnd(ls);
+            } else {
+                ok = false;
+            }
             if (ok) {
-                if (status == "failed") {
-                    cell.failed = true;
-                    std::getline(ls, cell.failReason);
-                    if (!cell.failReason.empty()
-                        && cell.failReason.front() == ' ')
-                        cell.failReason.erase(0, 1);
-                } else if (status == "ok") {
-                    ok = cell.key.kind == "savf"
-                        ? readSavfResult(ls, cell.savf)
-                        : readDavfResult(ls, cell.davf);
-                } else {
-                    ok = false;
+                CheckpointCell &cell = cellFor(key);
+                ok = cell.state == CheckpointCell::State::Open
+                    && (status == "ok" || cell.cycles.empty());
+                if (ok) {
+                    cell.state = status == "ok"
+                        ? CheckpointCell::State::Ok
+                        : CheckpointCell::State::Failed;
+                    cell.failReason = std::move(reason);
+                    cell.savf = savf;
                 }
             }
-            if (!ok) {
-                if (tolerateTornTail())
-                    break;
-                return R::Err(ErrorKind::BadInput,
-                              "checkpoint: bad cell line: " + line);
-            }
-            checkpoint.cells.push_back(std::move(cell));
-        } else if (tag == "partial") {
-            if (!readKey(ls, checkpoint.partialKey)) {
-                if (tolerateTornTail())
-                    break;
-                return R::Err(ErrorKind::BadInput,
-                              "checkpoint: bad partial line: " + line);
-            }
-            checkpoint.hasPartial = true;
-        } else if (tag == "pcycle") {
-            if (!checkpoint.hasPartial)
-                return R::Err(ErrorKind::BadInput,
-                              "checkpoint: pcycle before partial");
-            InjectionCycleOutcome outcome;
-            if (!readOutcome(ls, outcome)) {
-                if (tolerateTornTail())
-                    break;
-                return R::Err(ErrorKind::BadInput,
-                              "checkpoint: bad pcycle line: " + line);
-            }
-            checkpoint.partialCycles.push_back(std::move(outcome));
         } else if (tag == "end") {
             sawEnd = true;
             break;
@@ -533,6 +438,12 @@ parseCheckpoint(const std::string &text, CheckpointLoadStats *stats)
                 break;
             return R::Err(ErrorKind::BadInput,
                           "checkpoint: unknown record '" + tag + "'");
+        }
+        if (!ok) {
+            if (tolerateTornTail())
+                break;
+            return R::Err(ErrorKind::BadInput,
+                          "checkpoint: bad " + tag + " line: " + line);
         }
     }
     if (!sawEnd) {

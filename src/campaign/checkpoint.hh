@@ -2,19 +2,17 @@
  * @file
  * The campaign journal: a versioned, human-readable checkpoint of a
  * sweep's progress, written atomically (tmp + rename) after every
- * completed cell and every completed injection cycle of the in-flight
- * cell.
+ * completed cell and every completed injection cycle.
  *
  * Contents (see docs/ROBUSTNESS.md for the line grammar):
  *  - a version stamp and the campaign's config hash (a resume against a
  *    different configuration is rejected);
- *  - one record per completed (kind, benchmark, structure, delay) cell
- *    with its full aggregate result — doubles are serialized as C
- *    hexfloats ("%a"), so a resumed campaign reproduces aggregates
- *    bit-identically without re-simulation;
- *  - at most one partial cell: the per-injection-cycle outcomes that
- *    completed before the interruption. Cycles are mutually independent
- *    in the engine, so adopting them on resume is exact.
+ *  - the outcome of every completed injection cycle of every davf cell,
+ *    in the shared outcome codec (serializeOutcomeFields()). Cycles are
+ *    mutually independent in the engine, so adopting them on resume is
+ *    exact, and every aggregate is derived from them, never stored;
+ *  - a verdict per finished cell: ok (an sAVF cell carries its result,
+ *    which is its one shard) or failed with its reason.
  */
 
 #ifndef DAVF_CAMPAIGN_CHECKPOINT_HH
@@ -41,29 +39,37 @@ struct CheckpointKey
     bool operator==(const CheckpointKey &) const = default;
 };
 
-/** One completed (or permanently failed) cell. */
+/** One cell's journaled state: its completed cycles and its verdict. */
 struct CheckpointCell
 {
+    /** Open until the cell finishes; Ok and Failed are final. */
+    enum class State : uint8_t { Open, Ok, Failed };
+
     CheckpointKey key;
-    bool failed = false;
-    std::string failReason;     ///< Only when failed.
-    DelayAvfResult davf;        ///< Valid when kind == "davf" && !failed.
-    SavfResult savf;            ///< Valid when kind == "savf" && !failed.
+    State state = State::Open;
+    std::string failReason; ///< Only when Failed.
+    SavfResult savf;        ///< An Ok sAVF cell's result.
+
+    /** A davf cell's completed injection cycles, ascending by cycle
+     *  (the engine's schedule order). A failed cell's are not written. */
+    std::vector<InjectionCycleOutcome> cycles;
+
+    /** Insert @p outcome in cycle order; false (and no change) when
+     *  its cycle is already present. */
+    bool addCycle(InjectionCycleOutcome outcome);
 };
 
 /** The whole journal. */
 struct Checkpoint
 {
-    static constexpr uint32_t kVersion = 1;
+    static constexpr uint32_t kVersion = 2;
 
     std::string configHash;
+
+    /** Serialized in this order; parsing keeps first-appearance order. */
     std::vector<CheckpointCell> cells;
 
-    bool hasPartial = false;
-    CheckpointKey partialKey;
-    std::vector<InjectionCycleOutcome> partialCycles;
-
-    const CheckpointCell *find(const CheckpointKey &key) const;
+    CheckpointCell *find(const CheckpointKey &key);
 };
 
 /**
@@ -84,13 +90,18 @@ struct CheckpointLoadStats
 /** Canonical exact text form of a delay fraction (C hexfloat). */
 std::string canonicalDelay(double delay);
 
-/** Serialize to the journal text form. */
+/**
+ * Serialize to the journal text form: cells in vector order, each as
+ * its cycle records in cycle order followed by its verdict, so equal
+ * journals serialize to equal bytes whatever order their records were
+ * produced or parsed in.
+ */
 std::string serializeCheckpoint(const Checkpoint &checkpoint);
 
 /**
  * Parse journal text; corrupt or version-mismatched input is an Err.
- * With @p stats, a damaged *final* line is skipped and reported there
- * instead (see CheckpointLoadStats).
+ * Records may come in any order. With @p stats, a damaged *final* line
+ * is skipped and reported there instead (see CheckpointLoadStats).
  */
 Result<Checkpoint> parseCheckpoint(const std::string &text,
                                    CheckpointLoadStats *stats = nullptr);
@@ -105,8 +116,8 @@ Result<Checkpoint> loadCheckpoint(const std::string &path,
 /**
  * @name Field-level forms shared with the process-isolation protocol
  * The same space-separated hexfloat-exact token grammar the journal
- * uses for cycle outcomes and sAVF results, without the record tag, so
- * worker replies aggregate and journal bit-identically.
+ * uses for cycle outcomes and sAVF results, without the record tag and
+ * key, so worker replies aggregate and journal bit-identically.
  */
 /// @{
 std::string serializeOutcomeFields(const InjectionCycleOutcome &outcome);

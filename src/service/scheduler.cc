@@ -253,7 +253,6 @@ QueryScheduler::run(const QuerySpec &query,
             campaign.runSavf = query.runSavf;
             campaign.sampling = query.sampling;
             campaign.sampling.threads = options.threads;
-            campaign.injectionTimeoutMs = query.sampling.injectionTimeoutMs;
             campaign.maxFailureRate = query.sampling.maxFailureRate;
             campaign.stopFlag = cancel;
             campaign.dispatcher = dispatcher.get();

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -43,6 +44,7 @@
 #include "src/isa/assembler.hh"
 #include "src/service/protocol.hh"
 #include "src/service/workspace.hh"
+#include "src/util/parse.hh"
 
 namespace davf {
 namespace {
@@ -320,18 +322,31 @@ smallSampling()
     return config;
 }
 
-/** Bit-exact comparable text form of a full DelayAVF result (the
- *  journal cell grammar serializes doubles as hexfloats). */
+/** Bit-exact comparable text form of a full DelayAVF result: every
+ *  reported field, doubles as hexfloats, then the attribution table. */
 std::string
 resultText(const DelayAvfResult &result)
 {
-    Checkpoint checkpoint;
-    checkpoint.configHash = "test";
-    CheckpointCell cell;
-    cell.key = {"davf", "popcount", "ALU", canonicalDelay(0.5)};
-    cell.davf = result;
-    checkpoint.cells.push_back(cell);
-    return serializeCheckpoint(checkpoint);
+    std::ostringstream os;
+    for (double value :
+         {result.delayAvf, result.orDelayAvf, result.staticWireFraction,
+          result.dynamicWireFraction, result.groupAceWireFraction}) {
+        os << hexDouble(value) << ' ';
+    }
+    for (uint64_t value :
+         {result.injections, result.staticInjections,
+          result.errorInjections, result.multiBitInjections,
+          result.delayAceInjections, result.orAceInjections, result.sdc,
+          result.due, result.aceInterference, result.aceCompounding,
+          result.skippedNoToggle, result.uniqueGroupSims,
+          result.skippedErrors, uint64_t(result.wiresInjected),
+          uint64_t(result.cyclesInjected)}) {
+        os << value << ' ';
+    }
+    for (const auto &[reason, count] : result.skipReasons)
+        os << reason << '=' << count << ' ';
+    os << '\n' << attributionCsvRows("popcount", "ALU", 0.5, result);
+    return os.str();
 }
 
 TEST(AttrEngine, TableIsBitIdenticalAcrossThreadCounts)
@@ -417,7 +432,7 @@ TEST(AttrEngine, InterruptedResumeReproducesTablesByteForByte)
     }
     const std::string ref_journal = slurp(ref_ckpt);
     const std::string ref_attr_csv = slurp(ref_csv + ".attr");
-    EXPECT_NE(ref_journal.find(" attrtab "), std::string::npos);
+    EXPECT_NE(ref_journal.find(" attr "), std::string::npos);
     EXPECT_NE(ref_attr_csv.find("popcount"), std::string::npos);
 
     // Both interruption directions: cut at one thread count, resume
@@ -470,22 +485,102 @@ TEST(AttrEngine, InterruptedResumeReproducesTablesByteForByte)
 
 TEST(AttrEngine, JournalRoundTripsAttributionTables)
 {
-    // A full cell result (attrtab section) survives the journal parse
-    // bit-exactly — resume adopts tables instead of recomputing them.
+    // A cell's journaled outcomes carry their attribution sections, so
+    // the table derived from the parsed journal is the engine's own:
+    // resume and davf_trace attr rebuild tables, nothing stores them.
     service::Workspace &ws = workspace();
-    const DelayAvfResult result =
-        ws.engine().delayAvf(ws.structure("ALU"), 0.5, smallSampling());
+    DelayAvfProgress progress;
+    const DelayAvfResult result = ws.engine().delayAvf(
+        ws.structure("ALU"), 0.5, smallSampling(), &progress);
     ASSERT_TRUE(result.attrValid);
 
-    const std::string text = resultText(result);
-    EXPECT_NE(text.find(" attrtab "), std::string::npos);
+    Checkpoint checkpoint;
+    checkpoint.configHash = "test";
+    CheckpointCell cell;
+    cell.key = {"davf", "popcount", "ALU", canonicalDelay(0.5)};
+    cell.state = CheckpointCell::State::Ok;
+    for (const InjectionCycleOutcome &outcome : progress.completed)
+        cell.addCycle(outcome);
+    checkpoint.cells.push_back(cell);
+    const std::string text = serializeCheckpoint(checkpoint);
+    EXPECT_NE(text.find(" attr "), std::string::npos);
+
     const Result<Checkpoint> back = parseCheckpoint(text);
     ASSERT_TRUE(back.ok()) << back.error().what();
     ASSERT_EQ(back.value().cells.size(), 1u);
-    const DelayAvfResult &reparsed = back.value().cells[0].davf;
-    EXPECT_TRUE(reparsed.attrValid);
-    EXPECT_EQ(reparsed.attribution, result.attribution);
-    EXPECT_EQ(resultText(reparsed), text);
+    const std::vector<InjectionCycleOutcome> &cycles =
+        back.value().cells[0].cycles;
+    const auto table = attributionTable(cycles);
+    ASSERT_TRUE(table.has_value());
+    EXPECT_EQ(*table, result.attribution);
+    EXPECT_EQ(serializeCheckpoint(back.value()), text);
+
+    // One outcome without attribution voids the table, as it voids the
+    // aggregate's.
+    std::vector<InjectionCycleOutcome> unattributed = cycles;
+    unattributed.back().attr = {};
+    EXPECT_FALSE(attributionTable(unattributed).has_value());
+    EXPECT_FALSE(attributionTable({}).has_value());
+}
+
+std::string
+tool(const std::string &name)
+{
+    return std::string(DAVF_TOOLS_DIR) + "/" + name;
+}
+
+/** The attribution-table lines of a tool's output (column header, one
+ *  line per instruction, one per destination), each with @p indent
+ *  stripped; lines without it are skipped. */
+std::vector<std::string>
+tableLines(const std::string &text, const std::string &indent)
+{
+    std::vector<std::string> lines;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);) {
+        if (line.compare(0, indent.size(), indent) != 0)
+            continue;
+        line.erase(0, indent.size());
+        if (line.rfind("pc ", 0) == 0 || line.rfind("0x", 0) == 0
+            || line.rfind(std::string(12, ' ') + "  -> ", 0) == 0)
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+TEST(AttrTools, TraceAttrPrintsTheTablesDavfRunPrints)
+{
+    // davf_trace attr derives each table from the journaled outcomes;
+    // it must print the rows davf_run printed for the same campaign
+    // (indented by two spaces under a per-cell heading).
+    const std::string ckpt = tempPath("tools_attr.ckpt");
+    const std::string run_out = tempPath("tools_attr_run.txt");
+    const std::string trace_out = tempPath("tools_attr_trace.txt");
+    ASSERT_EQ(std::system((tool("davf_run")
+                           + " --benchmark popcount --structure ALU"
+                             " --delays 0.5:0.7:0.2 --cycles 3 --wires 40"
+                             " --attribution --checkpoint "
+                           + ckpt + " > " + run_out + " 2> /dev/null")
+                              .c_str()),
+              0);
+    ASSERT_EQ(std::system((tool("davf_trace") + " attr --checkpoint "
+                           + ckpt + " > " + trace_out)
+                              .c_str()),
+              0);
+    const std::string run_text = slurp(run_out);
+    const std::string trace_text = slurp(trace_out);
+    const std::vector<std::string> rows = tableLines(run_text, "");
+    EXPECT_GT(rows.size(), 4u) << run_text;
+    EXPECT_EQ(tableLines(trace_text, "  "), rows) << trace_text;
+    // One table per delay.
+    size_t tables = 0;
+    for (size_t at = trace_text.find("popcount ALU d=");
+         at != std::string::npos;
+         at = trace_text.find("popcount ALU d=", at + 1))
+        ++tables;
+    EXPECT_EQ(tables, 2u) << trace_text;
+    for (const std::string &path : {ckpt, run_out, trace_out})
+        std::remove(path.c_str());
 }
 
 } // namespace

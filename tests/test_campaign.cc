@@ -43,9 +43,11 @@
 #include "src/campaign/checkpoint.hh"
 #include "src/campaign/stop.hh"
 #include "src/campaign/supervisor.hh"
+#include "src/core/report.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/isa/benchmarks.hh"
+#include "src/obs/metrics.hh"
 #include "src/service/result_store.hh"
 #include "src/service/scheduler.hh"
 #include "src/util/atomic_file.hh"
@@ -170,6 +172,24 @@ TEST(AtomicFile, UnwritablePathThrowsIo)
 
 // ------------------------------------------------------------ checkpoint
 
+/** A journaled outcome of @p cycle over four sampled wires. */
+InjectionCycleOutcome
+sampleOutcome(uint64_t cycle)
+{
+    InjectionCycleOutcome outcome;
+    outcome.cycle = cycle;
+    outcome.injections = 40;
+    outcome.staticInjections = 3;
+    outcome.delayAce = 4;
+    outcome.skippedErrors = 1;
+    outcome.skipReasons = {{"timeout", 1}};
+    outcome.wireDyn = {1, 0, 1, 1};
+    outcome.wireAce = {0, 0, 1, 0};
+    return outcome;
+}
+
+/** Every record kind: a finished davf cell, a failed one, a finished
+ *  sAVF cell, and two open davf cells. */
 Checkpoint
 sampleCheckpoint()
 {
@@ -178,41 +198,31 @@ sampleCheckpoint()
 
     CheckpointCell davf_cell;
     davf_cell.key = {"davf", "md5", "ALU", canonicalDelay(1.0 / 3.0)};
-    davf_cell.davf.delayAvf = 1.0 / 3.0;
-    davf_cell.davf.orDelayAvf = 0.1;
-    davf_cell.davf.staticWireFraction = 5e-324; // subnormal
-    davf_cell.davf.dynamicWireFraction = 0.25;
-    davf_cell.davf.injections = 1234;
-    davf_cell.davf.sdc = 3;
-    davf_cell.davf.skippedErrors = 2;
-    davf_cell.davf.skipReasons = {{"timeout", 1}, {"exception", 1}};
+    davf_cell.state = CheckpointCell::State::Ok;
+    davf_cell.addCycle(sampleOutcome(40));
+    davf_cell.addCycle(sampleOutcome(17));
     checkpoint.cells.push_back(davf_cell);
 
     CheckpointCell failed_cell;
     failed_cell.key = {"davf", "md5", "LSU", canonicalDelay(0.5)};
-    failed_cell.failed = true;
+    failed_cell.state = CheckpointCell::State::Failed;
     failed_cell.failReason = "structure 'LSU': too many failures";
     checkpoint.cells.push_back(failed_cell);
 
     CheckpointCell savf_cell;
     savf_cell.key = {"savf", "md5", "ALU", canonicalDelay(0.0)};
-    savf_cell.savf.savf = 0.7;
+    savf_cell.state = CheckpointCell::State::Ok;
+    savf_cell.savf.savf = 5e-324; // subnormal
     savf_cell.savf.injections = 64;
     savf_cell.savf.aceInjections = 44;
     checkpoint.cells.push_back(savf_cell);
 
-    checkpoint.hasPartial = true;
-    checkpoint.partialKey = {"davf", "md5", "Regfile",
-                             canonicalDelay(0.7)};
-    InjectionCycleOutcome outcome;
-    outcome.cycle = 17;
-    outcome.injections = 40;
-    outcome.delayAce = 4;
-    outcome.skippedErrors = 1;
-    outcome.skipReasons = {{"timeout", 1}};
-    outcome.wireDyn = {1, 0, 1, 1};
-    outcome.wireAce = {0, 0, 1, 0};
-    checkpoint.partialCycles.push_back(outcome);
+    for (double d : {0.7, 0.9}) {
+        CheckpointCell open_cell;
+        open_cell.key = {"davf", "md5", "Regfile", canonicalDelay(d)};
+        open_cell.addCycle(sampleOutcome(17));
+        checkpoint.cells.push_back(open_cell);
+    }
     return checkpoint;
 }
 
@@ -226,40 +236,111 @@ TEST(CheckpointFormat, RoundTripsBitExactly)
 
     EXPECT_EQ(after.configHash, before.configHash);
     ASSERT_EQ(after.cells.size(), before.cells.size());
-    // Hexfloat serialization must be bit-exact, including subnormals.
-    EXPECT_EQ(after.cells[0].davf.delayAvf, before.cells[0].davf.delayAvf);
-    EXPECT_EQ(after.cells[0].davf.staticWireFraction, 5e-324);
-    EXPECT_EQ(after.cells[0].davf.skipReasons,
-              before.cells[0].davf.skipReasons);
-    EXPECT_TRUE(after.cells[1].failed);
+    for (size_t i = 0; i < after.cells.size(); ++i) {
+        EXPECT_TRUE(after.cells[i].key == before.cells[i].key) << i;
+        EXPECT_EQ(after.cells[i].state, before.cells[i].state) << i;
+        EXPECT_EQ(after.cells[i].cycles, before.cells[i].cycles) << i;
+    }
+    // addCycle keeps schedule (ascending cycle) order.
+    ASSERT_EQ(after.cells[0].cycles.size(), 2u);
+    EXPECT_EQ(after.cells[0].cycles[0].cycle, 17u);
     EXPECT_EQ(after.cells[1].failReason, before.cells[1].failReason);
+    // Hexfloat serialization must be bit-exact, including subnormals.
+    EXPECT_EQ(after.cells[2].savf.savf, 5e-324);
     EXPECT_EQ(after.cells[2].savf.aceInjections, 44u);
-    ASSERT_TRUE(after.hasPartial);
-    EXPECT_TRUE(after.partialKey == before.partialKey);
-    ASSERT_EQ(after.partialCycles.size(), 1u);
-    EXPECT_TRUE(after.partialCycles[0] == before.partialCycles[0]);
 
     // Serialization is deterministic.
     EXPECT_EQ(serializeCheckpoint(after), text);
 }
 
+TEST(CheckpointFormat, RecordsParseInAnyOrderAndSerializeCanonically)
+{
+    const std::string text = serializeCheckpoint(sampleCheckpoint());
+    std::vector<std::string> records;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);)
+        records.push_back(line);
+    ASSERT_EQ(records.front(), "davf-checkpoint v2");
+    ASSERT_EQ(records.back(), "end");
+
+    // Reverse every record between the config line and the end: each
+    // cell's verdict now precedes its cycles, and cycles run backwards.
+    std::string shuffled = records[0] + "\n" + records[1] + "\n";
+    for (size_t i = records.size() - 2; i >= 2; --i)
+        shuffled += records[i] + "\n";
+    shuffled += "end\n";
+    ASSERT_NE(shuffled, text);
+
+    const Result<Checkpoint> parsed = parseCheckpoint(shuffled);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().what();
+    // Cells keep first-appearance order; sorting them back into the
+    // sample's order restores the canonical bytes.
+    Checkpoint reordered = parsed.value();
+    const Checkpoint sample = sampleCheckpoint();
+    std::vector<CheckpointCell> cells;
+    for (const CheckpointCell &want : sample.cells) {
+        const CheckpointCell *have = reordered.find(want.key);
+        ASSERT_NE(have, nullptr);
+        cells.push_back(*have);
+    }
+    reordered.cells = std::move(cells);
+    EXPECT_EQ(serializeCheckpoint(reordered), text);
+}
+
 TEST(CheckpointFormat, RejectsCorruptInput)
 {
+    const std::string head = "davf-checkpoint v2\nconfig abc\n";
+    const std::string cycle = "cycle davf b s 0x1p-1 "
+        + serializeOutcomeFields(sampleOutcome(17)) + "\n";
+    EXPECT_TRUE(parseCheckpoint(head + cycle + "end\n").ok());
+
     EXPECT_FALSE(parseCheckpoint("").ok());
     EXPECT_FALSE(parseCheckpoint("davf-checkpoint v999\nend\n").ok());
-    EXPECT_FALSE(
-        parseCheckpoint("davf-checkpoint v1\nconfig abc\n").ok())
+    EXPECT_FALSE(parseCheckpoint(head).ok())
         << "truncated journal (no end record) must be rejected";
+    EXPECT_FALSE(parseCheckpoint(head + "wat\nend\n").ok());
+    EXPECT_FALSE(parseCheckpoint(head + "cell savf b s 0x0p+0 ok\nend\n")
+                     .ok())
+        << "sAVF cell with missing result fields must be rejected";
     EXPECT_FALSE(
-        parseCheckpoint("davf-checkpoint v1\nconfig abc\nwat\nend\n")
-            .ok());
-    EXPECT_FALSE(
-        parseCheckpoint(
-            "davf-checkpoint v1\nconfig abc\ncell davf b s 0.1 ok\nend\n")
+        parseCheckpoint(head + "cell davf b s 0x1p-1 ok 0x1p-2\nend\n")
             .ok())
-        << "cell with missing result fields must be rejected";
-    EXPECT_FALSE(parseCheckpoint("davf-checkpoint v1\nend\n").ok())
+        << "a davf verdict carries no aggregate";
+    EXPECT_FALSE(parseCheckpoint(head + cycle + cycle + "end\n").ok())
+        << "a cycle journaled twice must be rejected";
+    EXPECT_FALSE(parseCheckpoint(head + "cycle savf b s 0x0p+0 "
+                                 + serializeOutcomeFields(sampleOutcome(17))
+                                 + "\nend\n")
+                     .ok())
+        << "sAVF cells have no cycle records";
+    EXPECT_FALSE(parseCheckpoint(head + cycle
+                                 + "cell davf b s 0x1p-1 failed x\nend\n")
+                     .ok())
+        << "a failed cell journals no cycles";
+    EXPECT_FALSE(parseCheckpoint(head + "cell davf b s 0x1p-1 ok\n"
+                                 + "cell davf b s 0x1p-1 ok\nend\n")
+                     .ok())
+        << "one verdict per cell";
+    EXPECT_FALSE(parseCheckpoint("davf-checkpoint v2\nend\n").ok())
         << "journal without a config record must be rejected";
+}
+
+TEST(CheckpointFormat, RefusesVersionOneJournalsNamingBothVersions)
+{
+    const Result<Checkpoint> parsed = parseCheckpoint(
+        "davf-checkpoint v1\nconfig abc\n"
+        "cell davf b s 0x1p-1 ok 0x0p+0\nend\n");
+    ASSERT_FALSE(parsed.ok());
+    const std::string message = parsed.error().what();
+    EXPECT_NE(message.find("davf-checkpoint v2"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("davf-checkpoint v1"), std::string::npos)
+        << message;
+    CheckpointLoadStats stats;
+    EXPECT_FALSE(parseCheckpoint("davf-checkpoint v1\nconfig abc\nend\n",
+                                 &stats)
+                     .ok())
+        << "lenient loading does not relax the version gate";
 }
 
 TEST(CheckpointFormat, SaveLoadRoundTrips)
@@ -422,6 +503,113 @@ TEST(Campaign, InterruptedResumeIsBitIdenticalAcrossThreadCounts)
         std::remove(path.c_str());
 }
 
+/** The --json report of @p summary. */
+std::string
+reportOf(const CampaignSummary &summary)
+{
+    return reportJson(reportRows(summary, ""));
+}
+
+TEST(Campaign, ShuffledJournalWithTwoOpenCellsResumesCanonically)
+{
+    const std::string ref_ckpt = tempPath("open2_ref.ckpt");
+    const std::string ref_csv = tempPath("open2_ref.csv");
+    const std::string ckpt = tempPath("open2.ckpt");
+    const std::string csv = tempPath("open2.csv");
+
+    std::string ref_report;
+    {
+        CampaignFixture fixture;
+        CampaignOptions opts = fixture.options();
+        opts.sampling.cycleFraction = 1.0; // all maxInjectionCycles
+        opts.sampling.threads = 1;
+        opts.checkpointPath = ref_ckpt;
+        opts.csvPath = ref_csv;
+        ref_report = reportOf(
+            Campaign(*fixture.engine, *fixture.registry, opts).run());
+    }
+    const std::string reference = slurp(ref_ckpt);
+
+    // A journal no single run writes: two davf cells open at once (the
+    // first two cycles of one, the last two of the other), no verdicts,
+    // and records interleaved across cells and out of cycle order.
+    std::string header;
+    std::vector<std::string> low, mid;
+    {
+        std::istringstream is(reference);
+        const std::string prefix = "cycle davf rndtrace Rnd ";
+        for (std::string line; std::getline(is, line);) {
+            if (line.rfind("davf-checkpoint ", 0) == 0
+                || line.rfind("config ", 0) == 0)
+                header += line + "\n";
+            else if (line.rfind(prefix + canonicalDelay(0.3) + " ", 0) == 0)
+                low.push_back(line);
+            else if (line.rfind(prefix + canonicalDelay(0.6) + " ", 0) == 0)
+                mid.push_back(line);
+        }
+    }
+    ASSERT_GE(low.size(), 3u);
+    ASSERT_GE(mid.size(), 3u);
+    writeFileAtomic(ckpt, header + mid[mid.size() - 1] + "\n" + low[1]
+                              + "\n" + mid[mid.size() - 2] + "\n"
+                              + low[0] + "\nend\n");
+
+    CampaignFixture fixture;
+    CampaignOptions opts = fixture.options();
+    opts.sampling.cycleFraction = 1.0;
+    opts.sampling.threads = 3;
+    opts.checkpointPath = ckpt;
+    opts.csvPath = csv;
+    opts.resume = true;
+    const CampaignSummary summary =
+        Campaign(*fixture.engine, *fixture.registry, opts).run();
+    EXPECT_FALSE(summary.interrupted);
+    EXPECT_EQ(summary.cellsComputed, 4u);
+    EXPECT_EQ(reportOf(summary), ref_report);
+    EXPECT_EQ(slurp(ckpt), reference);
+    EXPECT_EQ(slurp(csv), slurp(ref_csv));
+
+    for (const auto &path : {ref_ckpt, ref_csv, ckpt, csv})
+        std::remove(path.c_str());
+}
+
+TEST(Campaign, ResumingACompleteJournalComputesNothing)
+{
+    const std::string ckpt = tempPath("complete.ckpt");
+    std::string ref_report;
+    {
+        CampaignFixture fixture;
+        CampaignOptions opts = fixture.options();
+        opts.checkpointPath = ckpt;
+        ref_report = reportOf(
+            Campaign(*fixture.engine, *fixture.registry, opts).run());
+    }
+    const std::string reference = slurp(ckpt);
+
+    CampaignFixture fixture;
+    CampaignOptions opts = fixture.options();
+    opts.checkpointPath = ckpt;
+    opts.resume = true;
+    obs::MetricsRegistry::instance().reset();
+    obs::MetricsRegistry::setEnabled(true);
+    const CampaignSummary summary =
+        Campaign(*fixture.engine, *fixture.registry, opts).run();
+    obs::MetricsRegistry::setEnabled(false);
+    const std::map<std::string, uint64_t> counters =
+        obs::MetricsRegistry::instance().snapshot().counters;
+    obs::MetricsRegistry::instance().reset();
+
+    EXPECT_EQ(summary.cellsFromCheckpoint, summary.cells.size());
+    EXPECT_EQ(summary.cells.size(), 4u);
+    EXPECT_EQ(summary.cellsComputed, 0u);
+    const auto computed = counters.find("engine.cycles_computed");
+    EXPECT_EQ(computed == counters.end() ? 0u : computed->second, 0u);
+    // The aggregates are derived from the journaled outcomes again.
+    EXPECT_EQ(reportOf(summary), ref_report);
+    EXPECT_EQ(slurp(ckpt), reference);
+    std::remove(ckpt.c_str());
+}
+
 TEST(Campaign, TimeoutsBecomeSkipsNotCrashes)
 {
     CampaignFixture fixture;
@@ -429,7 +617,7 @@ TEST(Campaign, TimeoutsBecomeSkipsNotCrashes)
     opts.delays = {0.6};
     opts.runSavf = false;
     // An impossible per-injection budget: every continuation times out.
-    opts.injectionTimeoutMs = 1e-6;
+    opts.sampling.injectionTimeoutMs = 1e-6;
     opts.maxFailureRate = 1.0; // tolerate them all
     Campaign campaign(*fixture.engine, *fixture.registry, opts);
     const CampaignSummary summary = campaign.run();
@@ -447,7 +635,7 @@ TEST(Campaign, ExcessiveFailuresFailTheCellNotTheCampaign)
     CampaignFixture fixture;
     CampaignOptions opts = fixture.options();
     opts.runSavf = false;
-    opts.injectionTimeoutMs = 1e-6; // force a ~100% failure rate
+    opts.sampling.injectionTimeoutMs = 1e-6; // force a ~100% failure rate
     opts.maxFailureRate = 0.01;
     Campaign campaign(*fixture.engine, *fixture.registry, opts);
     const CampaignSummary summary = campaign.run();
@@ -492,7 +680,7 @@ TEST(CheckpointFormat, LenientLoadDropsTornFinalLine)
 {
     const std::string text = serializeCheckpoint(sampleCheckpoint());
     // Tear the tail mid-record: drop "end\n" plus part of the final
-    // pcycle line, the shape a crashed copy or torn write leaves.
+    // cycle line, the shape a crashed copy or torn write leaves.
     const std::string torn = text.substr(0, text.size() - 12);
 
     EXPECT_FALSE(parseCheckpoint(torn).ok())
@@ -503,9 +691,10 @@ TEST(CheckpointFormat, LenientLoadDropsTornFinalLine)
     ASSERT_TRUE(parsed.ok()) << parsed.error().what();
     EXPECT_TRUE(stats.truncatedTail);
     EXPECT_FALSE(stats.droppedLine.empty());
-    // Everything before the torn line survives.
+    // Everything before the torn line survives; the torn line was the
+    // last open cell's only cycle.
     EXPECT_EQ(parsed.value().configHash, "feedc0de");
-    EXPECT_EQ(parsed.value().cells.size(), 3u);
+    EXPECT_EQ(parsed.value().cells.size(), 4u);
 }
 
 TEST(CheckpointFormat, LenientLoadToleratesOnlyTheFinalLine)
@@ -534,7 +723,7 @@ TEST(CheckpointFormat, LenientLoadReportsMissingEnd)
     ASSERT_TRUE(parsed.ok());
     EXPECT_TRUE(stats.missingEnd);
     EXPECT_FALSE(stats.truncatedTail);
-    EXPECT_EQ(parsed.value().cells.size(), 3u);
+    EXPECT_EQ(parsed.value().cells.size(), 5u);
 }
 
 TEST(CheckpointFormat, FuzzedInputNeverCrashesTheParser)
@@ -1069,7 +1258,8 @@ TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
     const Result<Checkpoint> journal = loadCheckpoint(ckpt);
     ASSERT_TRUE(journal.ok()) << journal.error().what();
     ASSERT_EQ(journal.value().cells.size(), 1u);
-    EXPECT_TRUE(journal.value().cells[0].failed);
+    EXPECT_EQ(journal.value().cells[0].state,
+              CheckpointCell::State::Failed);
     EXPECT_NE(journal.value().cells[0].failReason.find(
                   "campaign worker failed to start"),
               std::string::npos);

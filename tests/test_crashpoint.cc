@@ -491,12 +491,17 @@ TEST(CheckpointCrash, GarbledJournalIsRefusedStrictAndLenient)
 {
     // Torn tails are recoverable (the lenient loader drops them); a
     // garbled byte mid-journal is corruption and must be refused, so a
-    // resume never silently adopts damaged aggregates.
+    // resume never silently adopts damaged outcomes.
     Checkpoint checkpoint;
     checkpoint.configHash = "feedc0de";
     CheckpointCell cell;
     cell.key = {"davf", "md5", "ALU", canonicalDelay(0.5)};
-    cell.davf.delayAvf = 0.25;
+    cell.state = CheckpointCell::State::Ok;
+    InjectionCycleOutcome outcome;
+    outcome.cycle = 3;
+    outcome.injections = 4;
+    outcome.delayAce = 1;
+    cell.addCycle(outcome);
     checkpoint.cells.push_back(cell);
     std::string text = serializeCheckpoint(checkpoint);
 

@@ -712,9 +712,14 @@ attr_smoke() {
 # Every node adopts the coordinator's clock period from its welcome:
 # each prints a "golden: ... (adopted)" line, none measures.
 # Runs under both configs so the socket transport, coordinator, and
-# worker serve loop get ASan/UBSan coverage on every CI run.
+# worker serve loop get ASan/UBSan coverage on every CI run. The second
+# argument is the shard deadline in ms: it must sit well above the
+# config's heaviest healthy shard (ASan shards take up to ~2.4 s), so
+# only the stall and the kill retire nodes; w2, neither stalled nor
+# killed, must never be lost.
 net_smoke() {
     build_dir="$1"
+    shard_timeout_ms="$2"
     smoke_dir="$build_dir/net-smoke"
     rm -rf "$smoke_dir"
     mkdir -p "$smoke_dir"
@@ -733,7 +738,7 @@ net_smoke() {
     "$build_dir/tools/davf_run" --json $sweep_args \
         --isolate net --listen 127.0.0.1:0 --port-file "$port_file" \
         --min-nodes 3 --node-wait-ms 60000 \
-        --shard-timeout-ms 2000 --backoff-ms 1 \
+        --shard-timeout-ms "$shard_timeout_ms" --backoff-ms 1 \
         --store-dir "$smoke_dir/store" \
         --metrics-json "$smoke_dir/metrics.json" \
         > "$smoke_dir/net.json" 2> "$smoke_dir/run.log" &
@@ -811,6 +816,12 @@ net_smoke() {
         cat "$smoke_dir/workers.log" >&2
         exit 1
     fi
+    if grep -q "net: node 'w2' lost" "$smoke_dir/run.log"; then
+        echo "net smoke: healthy node w2 was retired (shard deadline" \
+            "$shard_timeout_ms ms too tight?):" >&2
+        cat "$smoke_dir/run.log" >&2
+        exit 1
+    fi
     connected=$(sed -n 's/.*"net\.nodes_connected":\([0-9]*\).*/\1/p' \
         "$smoke_dir/metrics.json")
     lost=$(sed -n 's/.*"net\.nodes_lost":\([0-9]*\).*/\1/p' \
@@ -865,7 +876,7 @@ obs_smoke "$root/build-ci-release"
 serve_smoke "$root/build-ci-release"
 store_index_smoke "$root/build-ci-release"
 parse_smoke "$root/build-ci-release"
-net_smoke "$root/build-ci-release"
+net_smoke "$root/build-ci-release" 2000
 attr_smoke "$root/build-ci-release"
 crash_soak "$root/build-ci-release"
 run_config "$root/build-ci-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -876,7 +887,7 @@ obs_smoke "$root/build-ci-asan"
 serve_smoke "$root/build-ci-asan"
 store_index_smoke "$root/build-ci-asan"
 parse_smoke "$root/build-ci-asan"
-net_smoke "$root/build-ci-asan"
+net_smoke "$root/build-ci-asan" 8000
 attr_smoke "$root/build-ci-asan"
 crash_soak "$root/build-ci-asan"
 tsan_check "$root/build-ci-tsan"

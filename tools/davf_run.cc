@@ -144,7 +144,6 @@ struct Options
     bool sta_period = false;
     bool json = false;
     SamplingConfig sampling;
-    double timeout_ms = 0.0;
     double max_failure_rate = 0.05;
     std::string csv_path;
     std::string checkpoint_path;
@@ -291,8 +290,9 @@ try {
             opts.checkpoint_path = need(i);
             opts.resume = true;
         } else if (arg == "--timeout-ms") {
-            opts.timeout_ms = parseDoubleStrict(need(i), arg);
-            if (opts.timeout_ms < 0.0)
+            opts.sampling.injectionTimeoutMs =
+                parseDoubleStrict(need(i), arg);
+            if (opts.sampling.injectionTimeoutMs < 0.0)
                 usageError(argv[0], "--timeout-ms must be >= 0");
         } else if (arg == "--max-failure-rate") {
             opts.max_failure_rate =
@@ -472,7 +472,6 @@ runTool(int argc, char **argv)
     }
     campaign_options.runSavf = opts.run_savf;
     campaign_options.sampling = opts.sampling;
-    campaign_options.injectionTimeoutMs = opts.timeout_ms;
     campaign_options.maxFailureRate = opts.max_failure_rate;
     campaign_options.checkpointPath = opts.checkpoint_path;
     campaign_options.resume = opts.resume;

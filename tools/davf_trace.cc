@@ -69,20 +69,26 @@ runAttr(int argc, char **argv)
         return 1;
     }
 
+    // A finished davf cell's table is derived from its journaled
+    // cycle outcomes, exactly as the campaign aggregated it.
     size_t tables = 0;
     for (const CheckpointCell &cell : loaded.value().cells) {
-        if (cell.key.kind != "davf" || cell.failed
-            || !cell.davf.attrValid) {
+        if (cell.key.kind != "davf"
+            || cell.state != CheckpointCell::State::Ok) {
             continue;
         }
+        const std::optional<std::vector<DelayAvfResult::AttrRow>> table =
+            attributionTable(cell.cycles);
+        if (!table)
+            continue;
         ++tables;
         std::printf("%s %s d=%s — %zu instruction(s)\n",
                     cell.key.benchmark.c_str(),
                     cell.key.structure.c_str(), cell.key.delay.c_str(),
-                    cell.davf.attribution.size());
+                    table->size());
         std::printf("  %-12s%-22s%12s%12s%12s\n", "pc", "instruction",
                     "injections", "delay-ace", "corrupted");
-        for (const DelayAvfResult::AttrRow &row : cell.davf.attribution) {
+        for (const DelayAvfResult::AttrRow &row : *table) {
             std::printf("  0x%08llx  %-22s%12llu%12llu%12llu\n",
                         static_cast<unsigned long long>(row.pc),
                         row.mnemonic.c_str(),
