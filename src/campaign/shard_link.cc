@@ -91,6 +91,14 @@ selfRusageSuffix()
 
 } // namespace
 
+void
+withHeartbeat(FrameLink &link, const std::function<void()> &work)
+{
+    std::mutex write_mutex;
+    const Heartbeat heartbeat(link, write_mutex);
+    work();
+}
+
 LinkMetrics::LinkMetrics(const std::string &prefix)
     : dispatchSpan(prefix + ".dispatch"), backoffSpan(prefix + ".backoff"),
       dispatches(prefix + ".dispatches"), heartbeats(prefix + ".heartbeats"),

@@ -18,6 +18,7 @@
 #define DAVF_CAMPAIGN_SHARD_LINK_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,11 @@ class ShardHook
     virtual bool beforeReply(const ShardSpec &spec,
                              std::string &reply) = 0;
 };
+
+/** Run @p work while sending `hb` frames on @p link every 200 ms, as
+ *  serveShards() does while a shard computes; nothing else may write
+ *  to @p link meanwhile. */
+void withHeartbeat(FrameLink &link, const std::function<void()> &work);
 
 /** Why serveShards() returned. */
 enum class ServeEnd : uint8_t {

@@ -118,13 +118,15 @@ runNetWorker(VulnerabilityEngine &engine,
             return 2;
         }
         // The coordinator ran the timed golden pass: adopt its period,
-        // or measure here when a bare welcome leaves it unknown.
+        // or measure here when a bare welcome leaves it unknown,
+        // heartbeating meanwhile so the coordinator, which may already
+        // have sent a shard, does not retire the node as silent.
         if (engine.periodSource()
             == VulnerabilityEngine::PeriodSource::Unset) {
             if (reply.value().periodPs > 0.0)
                 engine.adoptClockPeriod(reply.value().periodPs);
             else
-                engine.measureClockPeriod();
+                withHeartbeat(conn, [&] { engine.measureClockPeriod(); });
         }
         std::fprintf(stderr, "net worker %s: %s\n", node.c_str(),
                      goldenLine(engine).c_str());

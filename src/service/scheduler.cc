@@ -5,9 +5,9 @@
 #include <sstream>
 
 #include "campaign/checkpoint.hh"
-#include "campaign/supervisor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "service/cli.hh"
 #include "util/logging.hh"
 
 namespace davf::service {
@@ -92,21 +92,7 @@ QueryScheduler::QueryScheduler(VulnerabilityEngine &the_engine,
       cache(shardCacheHooks(the_store, fingerprint)),
       lookupMs(0.0, 50.0, 25), computeMs(0.0, 5000.0, 25),
       aggregateMs(0.0, 50.0, 25)
-{
-    if (!options.workerArgv.empty()) {
-        SupervisorOptions sup;
-        sup.workerArgv = options.workerArgv;
-        sup.workers = options.workers;
-        sup.maxRetries = options.maxRetries;
-        sup.workerMemMb = options.workerMemMb;
-        sup.configHash = fingerprint;
-        sup.benchmark = options.benchmark;
-        dispatcher = std::make_unique<Supervisor>(*engine, *registry,
-                                                  std::move(sup));
-    }
-}
-
-QueryScheduler::~QueryScheduler() = default;
+{}
 
 std::string
 shardStoreKey(const std::string &fingerprint, const ShardSpec &spec)
@@ -246,16 +232,11 @@ QueryScheduler::run(const QuerySpec &query,
             // only what is still missing.
             const std::lock_guard<std::mutex> engine_lock(engineMutex);
             const Clock::time_point compute_start = Clock::now();
-            CampaignOptions campaign;
+            CampaignOptions campaign = queryCampaign(query);
             campaign.benchmark = options.benchmark;
-            campaign.structures = {query.structure};
-            campaign.delays = query.delays;
-            campaign.runSavf = query.runSavf;
-            campaign.sampling = query.sampling;
             campaign.sampling.threads = options.threads;
-            campaign.maxFailureRate = query.sampling.maxFailureRate;
             campaign.stopFlag = cancel;
-            campaign.dispatcher = dispatcher.get();
+            campaign.dispatcher = options.dispatcher;
             campaign.cache = cache;
             campaign.cache.lookup = [&](const ShardSpec &spec,
                                         InjectionCycleOutcome &cycle,

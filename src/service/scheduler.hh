@@ -15,8 +15,8 @@
  *    (campaign/campaign.hh) under the compute lock, with the store as
  *    its cache tier: the pass's hits are served as read, every other
  *    shard is looked up again, only the misses are computed —
- *    in-process on the engine's thread pool, or on supervised worker
- *    processes when the scheduler was given a worker command line —
+ *    in-process on the engine's thread pool, or through the caller's
+ *    dispatcher (davf_serve --isolate process hands it a Supervisor) —
  *    and each fresh outcome is written back as it completes.
  *
  * Both ways aggregate the same outcomes through the checkpoint-resume
@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -102,16 +101,10 @@ class QueryScheduler
         /** Engine compute threads (0 = hardware concurrency). */
         unsigned threads = 0;
 
-        /**
-         * Worker command line for process-isolated compute; empty runs
-         * misses in-process on the engine thread pool.
-         */
-        std::vector<std::string> workerArgv;
-
-        /** Worker pool size / retry budget / memory cap (process mode). */
-        unsigned workers = 1;
-        unsigned maxRetries = 2;
-        uint64_t workerMemMb = 0;
+        /** A caller-owned dispatcher (e.g. a Supervisor) that computes
+         *  every query's misses, outliving the scheduler; null computes
+         *  them in-process on the engine thread pool. */
+        ShardDispatcher *dispatcher = nullptr;
     };
 
     /**
@@ -123,7 +116,6 @@ class QueryScheduler
                    const StructureRegistry &registry,
                    std::string fingerprint, ResultStore &store,
                    Options options);
-    ~QueryScheduler();
 
     QueryScheduler(const QueryScheduler &) = delete;
     QueryScheduler &operator=(const QueryScheduler &) = delete;
@@ -194,9 +186,6 @@ class QueryScheduler
 
     /** Serializes every campaign (see file comment). */
     std::mutex engineMutex;
-
-    /** Worker processes for misses when Options::workerArgv is set. */
-    std::unique_ptr<ShardDispatcher> dispatcher;
 
     mutable std::mutex statsMutex;
     SchedulerStats counters;

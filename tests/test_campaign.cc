@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -1288,8 +1289,17 @@ TEST(SchedulerIsolation, WorkerRepliesAreByteIdenticalToInProcess)
         service::QueryScheduler::Options options;
         options.benchmark = "rndtrace";
         options.threads = 2;
-        options.workerArgv = std::move(worker_argv);
-        options.workers = 2;
+        std::unique_ptr<Supervisor> supervisor;
+        if (!worker_argv.empty()) {
+            SupervisorOptions sup;
+            sup.workerArgv = std::move(worker_argv);
+            sup.workers = 2;
+            sup.configHash = "test-fp";
+            sup.benchmark = options.benchmark;
+            supervisor = std::make_unique<Supervisor>(
+                *fixture.engine, *fixture.registry, std::move(sup));
+        }
+        options.dispatcher = supervisor.get();
         service::QueryScheduler scheduler(*fixture.engine,
                                           *fixture.registry, "test-fp",
                                           store, options);
@@ -1360,13 +1370,19 @@ TEST(SchedulerIsolation, QuarantineStaysWithTheQueryThatFoundIt)
     service::QueryScheduler::Options options;
     options.benchmark = "rndtrace";
     options.threads = 2;
-    options.maxRetries = 1;
     service::ResultStore reference_store(service::ResultStore::Options{});
     service::QueryScheduler reference(*fixture.engine, *fixture.registry,
                                       "test-fp", reference_store, options);
     const std::string fault_file = tempPath("scheduler_fault");
-    options.workerArgv = {Subprocess::selfExePath(), "--campaign-worker",
-                          "--fault-file=" + fault_file};
+    SupervisorOptions sup;
+    sup.workerArgv = {Subprocess::selfExePath(), "--campaign-worker",
+                      "--fault-file=" + fault_file};
+    sup.maxRetries = 1;
+    sup.configHash = "test-fp";
+    sup.benchmark = options.benchmark;
+    Supervisor supervisor(*fixture.engine, *fixture.registry,
+                          std::move(sup));
+    options.dispatcher = &supervisor;
     service::ResultStore isolated_store(service::ResultStore::Options{});
     service::QueryScheduler isolated(*fixture.engine, *fixture.registry,
                                      "test-fp", isolated_store, options);

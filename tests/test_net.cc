@@ -1006,6 +1006,105 @@ TEST(PeriodAdoption, BareWelcomeNodeMeasuresItsOwnPeriod)
     std::remove(log.c_str());
 }
 
+// ------------------------------------------------- the store as a tier
+//
+// davf_run --store-dir puts the result store behind the campaign in
+// every isolation mode, and only the parent opens it. These tests drive
+// the real davf_run binary.
+
+/** Every file under @p dir with its bytes. */
+std::map<std::string, std::string>
+dirContents(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (entry.is_regular_file())
+            files[entry.path().string()] = slurp(entry.path().string());
+    }
+    return files;
+}
+
+/** Counter @p name of a davf-metrics snapshot; 0 when absent. */
+uint64_t
+metricsCounter(const std::string &json, const std::string &name)
+{
+    const std::string key = "\"" + name + "\":";
+    const size_t at = json.find(key);
+    return at == std::string::npos
+        ? 0
+        : std::stoull(json.substr(at + key.size()));
+}
+
+TEST(StoreTier, ProcessRunOverAThreadRunsStoreComputesNothing)
+{
+    ASSERT_FALSE(toolThreadReport().empty());
+    const std::string dir = tempPath("store_tier");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto run = [&](const std::string &mode, const std::string &name) {
+        const std::string args = " --json" + std::string(kToolSweep)
+            + mode + " --store-dir " + dir + "/store --metrics-json "
+            + dir + "/" + name + ".metrics > " + dir + "/" + name
+            + ".json 2> " + dir + "/" + name + ".log";
+        EXPECT_EQ(std::system((tool("davf_run") + args).c_str()), 0)
+            << slurp(dir + "/" + name + ".log");
+        return slurp(dir + "/" + name + ".json");
+    };
+
+    // Cold, in-process: computes every shard and fills the store.
+    EXPECT_EQ(run("", "thread"), toolThreadReport());
+    EXPECT_GT(metricsCounter(slurp(dir + "/thread.metrics"),
+                             "engine.cycles_computed"),
+              0u);
+    const auto filled = dirContents(dir + "/store");
+    ASSERT_FALSE(filled.empty());
+
+    // Warm, process-isolated over the same store: the same bytes, no
+    // shard computed or dispatched, and the store untouched.
+    EXPECT_EQ(run(" --isolate process --workers 2", "process"),
+              toolThreadReport());
+    const std::string metrics = slurp(dir + "/process.metrics");
+    EXPECT_GT(metricsCounter(metrics, "store.disk_hits"), 0u) << metrics;
+    EXPECT_EQ(metricsCounter(metrics, "engine.cycles_computed"), 0u);
+    EXPECT_EQ(metricsCounter(metrics, "supervisor.dispatches"), 0u);
+    EXPECT_EQ(dirContents(dir + "/store"), filled);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StoreTier, ProcessWorkersNeverOpenTheStore)
+{
+    ASSERT_FALSE(toolThreadReport().empty());
+    const std::string dir = tempPath("store_workers");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    // Cold, process-isolated: the workers are started with the
+    // parent's arguments, --store-dir included, and must leave the
+    // store to the parent; a worker opening it would lose the lock
+    // and warn.
+    const std::string cold = tool("davf_run") + " --json" + kToolSweep
+        + " --isolate process --workers 2 --store-dir " + dir
+        + "/store > " + dir + "/cold.json 2> " + dir + "/cold.log";
+    ASSERT_EQ(std::system(cold.c_str()), 0) << slurp(dir + "/cold.log");
+    EXPECT_EQ(slurp(dir + "/cold.json"), toolThreadReport());
+    const std::string cold_log = slurp(dir + "/cold.log");
+    EXPECT_GE(goldenLines(cold_log, "adopted"), 1u) << cold_log;
+    EXPECT_EQ(cold_log.find("another process owns the store"),
+              std::string::npos)
+        << cold_log;
+
+    // What the parent stored serves a warm in-process run whole.
+    const std::string warm = tool("davf_run") + " --json" + kToolSweep
+        + " --store-dir " + dir + "/store --metrics-json " + dir
+        + "/warm.metrics > " + dir + "/warm.json 2> /dev/null";
+    ASSERT_EQ(std::system(warm.c_str()), 0);
+    EXPECT_EQ(slurp(dir + "/warm.json"), toolThreadReport());
+    EXPECT_EQ(metricsCounter(slurp(dir + "/warm.metrics"),
+                             "engine.cycles_computed"),
+              0u);
+    std::filesystem::remove_all(dir);
+}
+
 int
 netWorkerMain(const std::string &spec)
 {

@@ -41,10 +41,12 @@
 #include "src/core/report.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
+#include "src/service/cli.hh"
 #include "src/service/protocol.hh"
 #include "src/service/result_store.hh"
 #include "src/service/scheduler.hh"
 #include "src/service/workspace.hh"
+#include "src/util/parse.hh"
 #include "src/util/rng.hh"
 #include "src/util/subprocess.hh"
 #include "tests/helpers.hh"
@@ -554,6 +556,241 @@ TEST(UnixSocket, FramesCrossTheSocket)
     server.join();
     ::close(listen_fd);
     ::unlink(path.c_str());
+}
+
+// ------------------------------------------------------ shared flags
+
+/** The shared query flags over @p args (argv[0] is implied), with
+ *  every token required to be one of them. */
+QuerySpec
+parseQueryArgs(const std::vector<std::string> &args)
+{
+    std::vector<std::string> storage = {"tool"};
+    storage.insert(storage.end(), args.begin(), args.end());
+    std::vector<char *> argv;
+    for (std::string &arg : storage)
+        argv.push_back(arg.data());
+    const int argc = static_cast<int>(argv.size());
+    QuerySpec query = defaultQuery();
+    for (int i = 1; i < argc; ++i) {
+        EXPECT_TRUE(parseQueryFlag(argc, argv.data(), i, query))
+            << "not a query flag: " << argv[i];
+    }
+    return query;
+}
+
+/** The message the shared parser rejects @p args with; empty when it
+ *  accepts them. */
+std::string
+rejection(const std::vector<std::string> &args)
+{
+    try {
+        parseQueryArgs(args);
+    } catch (const DavfError &error) {
+        EXPECT_EQ(error.kind(), ErrorKind::BadArgument);
+        return error.what();
+    }
+    return "";
+}
+
+/** The delays of LO:HI:STEP as the front ends expanded them before
+ *  sharing one parser, as hexfloat text. */
+std::vector<std::string>
+accumulatedDelays(double lo, double hi, double step)
+{
+    std::vector<std::string> out;
+    for (double d = lo; d <= hi + 1e-9; d += step)
+        out.push_back(hexDouble(d));
+    return out;
+}
+
+std::vector<std::string>
+hexDelays(const std::vector<double> &delays)
+{
+    std::vector<std::string> out;
+    for (double d : delays)
+        out.push_back(hexDouble(d));
+    return out;
+}
+
+TEST(QueryFlags, DefaultsAreTheFrontEnds)
+{
+    const QuerySpec query = parseQueryArgs({});
+    EXPECT_EQ(query.workspace, WorkspaceSpec{});
+    EXPECT_EQ(query.workspace.benchmark, "libstrstr");
+    EXPECT_EQ(query.structure, "ALU");
+    EXPECT_EQ(hexDelays(query.delays), accumulatedDelays(0.1, 0.9, 0.2));
+    EXPECT_EQ(query.delays.size(), 5u);
+    EXPECT_FALSE(query.runSavf);
+    EXPECT_FALSE(query.sampling.attribution);
+    EXPECT_EQ(query.sampling.maxInjectionCycles, 8u);
+    EXPECT_EQ(query.sampling.maxWires, 400u);
+    EXPECT_EQ(query.sampling.maxFlops, 96u);
+    EXPECT_EQ(query.sampling.seed, 1u);
+    EXPECT_EQ(query.sampling.injectionTimeoutMs, 0.0);
+    EXPECT_EQ(query.sampling.maxFailureRate, 0.05);
+}
+
+TEST(QueryFlags, EveryFlagSetsItsField)
+{
+    const QuerySpec query = parseQueryArgs(
+        {"--benchmark", "popcount", "--ecc", "--sta-period",
+         "--structure", "Regfile", "--delays", "0.3:0.9:0.2", "--savf",
+         "--attribution", "--cycles", "3", "--wires", "0", "--flops",
+         "7", "--seed", "42", "--timeout-ms", "12.5",
+         "--max-failure-rate", "1"});
+    EXPECT_EQ(query.workspace.benchmark, "popcount");
+    EXPECT_TRUE(query.workspace.ecc);
+    EXPECT_TRUE(query.workspace.staPeriod);
+    EXPECT_EQ(query.structure, "Regfile");
+    EXPECT_EQ(hexDelays(query.delays), accumulatedDelays(0.3, 0.9, 0.2));
+    EXPECT_TRUE(query.runSavf);
+    EXPECT_TRUE(query.sampling.attribution);
+    EXPECT_EQ(query.sampling.maxInjectionCycles, 3u);
+    EXPECT_EQ(query.sampling.maxWires, 0u);
+    EXPECT_EQ(query.sampling.maxFlops, 7u);
+    EXPECT_EQ(query.sampling.seed, 42u);
+    EXPECT_EQ(query.sampling.injectionTimeoutMs, 12.5);
+    EXPECT_EQ(query.sampling.maxFailureRate, 1.0);
+
+    // A tool's own flags are left to the tool.
+    std::string tool = "tool";
+    std::string threads = "--threads";
+    std::string two = "2";
+    char *argv[] = {tool.data(), threads.data(), two.data()};
+    int i = 1;
+    QuerySpec untouched = defaultQuery();
+    EXPECT_FALSE(parseQueryFlag(3, argv, i, untouched));
+    EXPECT_EQ(i, 1);
+    WorkspaceSpec spec;
+    EXPECT_FALSE(parseWorkspaceFlag(3, argv, i, spec));
+}
+
+TEST(QueryFlags, RejectionsKeepTheirMessages)
+{
+    EXPECT_EQ(rejection({"--delays", "0.1:0.9"}),
+              "--delays expects LO:HI:STEP, got '0.1:0.9'");
+    EXPECT_EQ(rejection({"--delays", "0.1:0.5:0.1:0.2"}),
+              "--delays expects LO:HI:STEP, got '0.1:0.5:0.1:0.2'");
+    EXPECT_EQ(rejection({"--delays", "0.9:0.1:0.2"}),
+              "--delays range is inverted: 0.9:0.1:0.2");
+    EXPECT_EQ(rejection({"--delays", "-0.1:0.5:0.2"}),
+              "--delays fractions must lie in [0, 1]: -0.1:0.5:0.2");
+    EXPECT_EQ(rejection({"--delays", "0.1:1.5:0.2"}),
+              "--delays fractions must lie in [0, 1]: 0.1:1.5:0.2");
+    EXPECT_EQ(rejection({"--delays", "0.1:0.5:0"}),
+              "--delays STEP must be > 0: 0.1:0.5:0");
+    EXPECT_EQ(rejection({"--delays", "0.1:0.5:-0.1"}),
+              "--delays STEP must be > 0: 0.1:0.5:-0.1");
+    EXPECT_EQ(rejection({"--delays", "0.1:x:0.2"}),
+              "--delays HI: trailing characters after number in 'x'");
+    EXPECT_EQ(rejection({"--cycles", "4x"}),
+              "--cycles: trailing characters after number in '4x'");
+    EXPECT_EQ(rejection({"--seed", "-1"}),
+              "--seed expects an unsigned integer, got '-1'");
+    EXPECT_EQ(rejection({"--max-failure-rate", "1.5"}),
+              "--max-failure-rate must lie in [0, 1]");
+    EXPECT_EQ(rejection({"--max-failure-rate", "-0.1"}),
+              "--max-failure-rate must lie in [0, 1]");
+    EXPECT_EQ(rejection({"--timeout-ms", "-1"}),
+              "--timeout-ms must be >= 0");
+    EXPECT_EQ(rejection({"--wires"}), "--wires expects a value");
+    EXPECT_EQ(rejection({"--benchmark"}), "--benchmark expects a value");
+}
+
+TEST(QueryFlags, DelayExpansionIsTheAccumulatingLoop)
+{
+    EXPECT_EQ(hexDelays(parseDelayRange("0.1:0.9:0.1")),
+              accumulatedDelays(0.1, 0.9, 0.1));
+    EXPECT_EQ(parseDelayRange("0.1:0.9:0.1").size(), 9u);
+    EXPECT_EQ(hexDelays(parseDelayRange("0.3:0.9:0.2")),
+              accumulatedDelays(0.3, 0.9, 0.2));
+    EXPECT_EQ(parseDelayRange("0.3:0.9:0.2").size(), 4u);
+    EXPECT_EQ(parseDelayRange("0.5:0.5:0.1"), std::vector<double>{0.5});
+}
+
+TEST(QueryFlags, OneArgvIsOneQueryAndOneSetOfStoreKeys)
+{
+    // davf_run runs the parsed query as queryCampaign(); davf_client
+    // sends it to davf_serve, whose scheduler looks its shards up under
+    // the query's own sampling. Both must name the same query and
+    // derive the same store keys.
+    const std::vector<std::string> args = {
+        "--benchmark", "popcount", "--structure", "ALU", "--delays",
+        "0.1:0.9:0.1", "--cycles", "4", "--wires", "24", "--seed", "3",
+        "--max-failure-rate", "0.25", "--attribution"};
+    const QuerySpec run_query = parseQueryArgs(args);
+    const Result<ClientFrame> served =
+        parseClientFrame(makeQueryFrame(parseQueryArgs(args)));
+    ASSERT_TRUE(served.ok()) << served.error().what();
+    const QuerySpec &serve_query = served.value().query;
+    EXPECT_EQ(serializeQuerySpec(serve_query), serializeQuerySpec(run_query));
+
+    const CampaignOptions campaign = queryCampaign(run_query);
+    EXPECT_EQ(campaign.benchmark, "popcount");
+    EXPECT_EQ(campaign.structureLabel, "");
+    EXPECT_EQ(campaign.structures, std::vector<std::string>{"ALU"});
+    EXPECT_EQ(hexDelays(campaign.delays), hexDelays(run_query.delays));
+    EXPECT_EQ(campaign.maxFailureRate, 0.25);
+    for (size_t k = 0; k < campaign.delays.size(); ++k) {
+        // The campaign keys a shard under its effective sampling: the
+        // query's, with the campaign's failure rate.
+        ShardSpec from_run;
+        from_run.structure = campaign.structures[0];
+        from_run.sampling = campaign.sampling;
+        from_run.sampling.maxFailureRate = campaign.maxFailureRate;
+        from_run.delayFraction = campaign.delays[k];
+        from_run.cycle = 17;
+        ShardSpec from_serve;
+        from_serve.structure = serve_query.structure;
+        from_serve.sampling = serve_query.sampling;
+        from_serve.delayFraction = serve_query.delays[k];
+        from_serve.cycle = 17;
+        EXPECT_EQ(shardStoreKey("fp", from_run),
+                  shardStoreKey("fp", from_serve));
+    }
+
+    QuerySpec ecc = run_query;
+    ecc.workspace.ecc = true;
+    EXPECT_EQ(queryCampaign(ecc).structureLabel, " (ECC)");
+}
+
+TEST(WorkspaceFlags, UnknownBenchmarkIsAUsageError)
+{
+    EXPECT_EQ(rejection({"--benchmark", "nosuch"}),
+              "--benchmark: unknown benchmark 'nosuch' "
+              "(davf_run --list names them)");
+    EXPECT_EQ(rejection({"--benchmark", "popcount"}), "");
+}
+
+TEST(HiddenWorkerFlags, ParseAndCheck)
+{
+    auto parse = [](std::vector<std::string> args, WorkerFlags &flags) {
+        args.insert(args.begin(), "tool");
+        std::vector<char *> argv;
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        const int argc = static_cast<int>(argv.size());
+        for (int i = 1; i < argc; ++i)
+            EXPECT_TRUE(flags.parse(argc, argv.data(), i)) << argv[i];
+    };
+    WorkerFlags flags;
+    parse({"--worker-shard", "--worker-period", "0x1p+10"}, flags);
+    EXPECT_TRUE(flags.shard);
+    EXPECT_EQ(flags.period, 1024.0);
+    EXPECT_FALSE(flags.workspaceOptions(3).measurePeriod);
+    EXPECT_EQ(flags.workspaceOptions(3).threads, 3u);
+    EXPECT_NO_THROW(flags.check(WorkspaceSpec{}));
+    WorkspaceSpec sta;
+    sta.staPeriod = true;
+    EXPECT_THROW(flags.check(sta), DavfError);
+
+    WorkerFlags parent;
+    parse({"--worker-period", "0x1p+10"}, parent);
+    EXPECT_THROW(parent.check(WorkspaceSpec{}), DavfError);
+    WorkerFlags bad;
+    EXPECT_THROW(parse({"--worker-period", "1155.7"}, bad), DavfError);
+    EXPECT_TRUE(WorkerFlags{}.workspaceOptions(0).measurePeriod);
 }
 
 // ------------------------------------------------------------ scheduler

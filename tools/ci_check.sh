@@ -505,9 +505,9 @@ store_index_smoke() {
 }
 
 # Parse smoke: a garbage numeric flag value is a usage error (exit 2),
-# never a silently different run (util/parse.hh), and so is a flag the
-# chosen mode would ignore. A rejected populate or run must not create
-# its store.
+# never a silently different run (util/parse.hh), and so are an
+# unknown benchmark and a flag the chosen mode would ignore. A rejected
+# populate must not create its store.
 parse_smoke() {
     build_dir="$1"
     smoke_dir="$build_dir/parse-smoke"
@@ -532,15 +532,42 @@ parse_smoke() {
         exit 1
     fi
     run="$build_dir/tools/davf_run"
-    expect_usage "$run" --store-dir "$smoke_dir/run-store"
-    expect_usage "$run" --isolate process --store-dir "$smoke_dir/run-store"
-    if [ -e "$smoke_dir/run-store" ]; then
-        echo "parse smoke: a rejected davf_run created its store" >&2
+    serve="$build_dir/tools/davf_serve"
+    client="$build_dir/tools/davf_client"
+    # An unknown benchmark is a usage error in every front end, before
+    # any workspace is built or socket bound.
+    expect_usage "$run" --benchmark nosuch
+    expect_usage "$serve" --socket "$smoke_dir/s.sock" --benchmark nosuch
+    expect_usage "$client" --socket "$smoke_dir/s.sock" --benchmark nosuch
+    expect_usage "$build_dir/tools/davf_worker" --connect 127.0.0.1:1 \
+        --benchmark nosuch
+    if [ -e "$smoke_dir/s.sock" ]; then
+        echo "parse smoke: a rejected davf_serve bound its socket" >&2
+        exit 1
+    fi
+    # --store-dir is a cache tier in every isolation mode: a process-
+    # isolated run over a thread run's store prints the same bytes and
+    # dispatches no shard.
+    tiny="--benchmark popcount --structure ALU --delays 0.5:0.9:0.4
+        --cycles 2 --wires 12"
+    # shellcheck disable=SC2086
+    "$run" --json $tiny --store-dir "$smoke_dir/run-store" \
+        > "$smoke_dir/store-thread.json" 2>> "$smoke_dir/parse.log"
+    # shellcheck disable=SC2086
+    "$run" --json $tiny --isolate process \
+        --store-dir "$smoke_dir/run-store" \
+        --metrics-json "$smoke_dir/store-process.metrics" \
+        > "$smoke_dir/store-process.json" 2>> "$smoke_dir/parse.log"
+    dispatches=$(sed -n 's/.*"supervisor\.dispatches":\([0-9]*\).*/\1/p' \
+        "$smoke_dir/store-process.metrics")
+    if ! cmp -s "$smoke_dir/store-thread.json" \
+        "$smoke_dir/store-process.json" || [ "${dispatches:-0}" -ne 0 ]; then
+        echo "parse smoke: a warm --store-dir process run differs or" \
+            "dispatched $dispatches shard(s)" >&2
         exit 1
     fi
     # The hidden worker period: one positive, finite hexfloat, in
     # worker mode only, never beside --sta-period.
-    serve="$build_dir/tools/davf_serve"
     for tool in "$run" "$serve"; do
         for bad in 1155.7 0x0p+0 -0x1p+10 inf nan 0x1p+99999; do
             expect_usage "$tool" --worker-shard --worker-period "$bad"
@@ -555,6 +582,30 @@ parse_smoke() {
     expect_usage "$trace" --wire -1
     expect_usage "$trace" --tail 9z
     echo "=== parse smoke ok" >&2
+}
+
+# kill -9 the node process $2 as soon as the journal $3 of the net
+# campaign $run_pid holds a completed cycle: the kill lands
+# mid-campaign, while the stalled node pins it, so the coordinator must
+# retire the node it lost. $1 labels the errors.
+kill_node_mid_campaign() {
+    label="$1"
+    node_pid="$2"
+    journal="$3"
+    waited=0
+    while ! grep -q '^cycle ' "$journal" 2>/dev/null; do
+        if ! kill -0 "$run_pid" 2>/dev/null; then
+            echo "$label: coordinator exited before its first cycle" >&2
+            exit 1
+        fi
+        if [ "$waited" -ge 6000 ]; then
+            echo "$label: no cycle completed" >&2
+            exit 1
+        fi
+        sleep 0.05
+        waited=$((waited + 1))
+    done
+    kill -9 "$node_pid" 2>/dev/null || true
 }
 
 # Attribution smoke: per-instruction root-cause attribution end to end
@@ -617,6 +668,7 @@ attr_smoke() {
         --isolate net --listen 127.0.0.1:0 --port-file "$port_file" \
         --min-nodes 3 --node-wait-ms 60000 \
         --shard-timeout-ms 2000 --backoff-ms 1 \
+        --checkpoint "$smoke_dir/net.ckpt" \
         > "$smoke_dir/net.json" 2> "$smoke_dir/run.log" &
     run_pid=$!
     trap 'kill "$run_pid" $w1 $w2 $w3 2>/dev/null || true' EXIT
@@ -635,8 +687,10 @@ attr_smoke() {
         waited=$((waited + 1))
     done
     port=$(cat "$port_file")
+    # Run in the background only: exec makes the job's pid the node's,
+    # so a kill reaches the node, not a shell around it.
     worker() {
-        env DAVF_TEST_NETFAULT="$2" \
+        exec env DAVF_TEST_NETFAULT="$2" \
             "$build_dir/tools/davf_worker" \
             --connect "127.0.0.1:$port" --benchmark popcount \
             --node "$1" 2>> "$smoke_dir/workers.log"
@@ -662,13 +716,18 @@ attr_smoke() {
         sleep 1
         waited=$((waited + 1))
     done
-    kill -9 "$w1" 2>/dev/null || true
+    kill_node_mid_campaign "attr smoke" "$w1" "$smoke_dir/net.ckpt"
     if ! wait "$run_pid"; then
         echo "attr smoke: net coordinator run failed" >&2
         cat "$smoke_dir/run.log" "$smoke_dir/workers.log" >&2
         exit 1
     fi
     trap - EXIT
+    if ! grep -q "net: node 'w1' lost" "$smoke_dir/run.log"; then
+        echo "attr smoke: the killed node w1 was never retired:" >&2
+        cat "$smoke_dir/run.log" >&2
+        exit 1
+    fi
 
     for f in threads4.json isolated.json resumed.json net.json; do
         if ! cmp -s "$smoke_dir/ref.json" "$smoke_dir/$f"; then
@@ -741,6 +800,7 @@ net_smoke() {
         --shard-timeout-ms "$shard_timeout_ms" --backoff-ms 1 \
         --store-dir "$smoke_dir/store" \
         --metrics-json "$smoke_dir/metrics.json" \
+        --checkpoint "$smoke_dir/net.ckpt" \
         > "$smoke_dir/net.json" 2> "$smoke_dir/run.log" &
     run_pid=$!
     trap 'kill "$run_pid" $w1 $w2 $w3 2>/dev/null || true' EXIT
@@ -761,8 +821,10 @@ net_smoke() {
     done
     port=$(cat "$port_file")
 
+    # Run in the background only: exec makes the job's pid the node's,
+    # so a kill reaches the node, not a shell around it.
     worker() {
-        env DAVF_TEST_NETFAULT="$2" \
+        exec env DAVF_TEST_NETFAULT="$2" \
             "$build_dir/tools/davf_worker" \
             --connect "127.0.0.1:$port" --benchmark popcount \
             --node "$1" 2>> "$smoke_dir/workers.log"
@@ -776,8 +838,8 @@ net_smoke() {
 
     # Once the whole fleet has joined (and each node has settled its
     # period), the campaign is running and the stalled node pins it for
-    # at least the shard deadline — a window in which killing a healthy
-    # node is genuinely mid-campaign.
+    # at least the shard deadline; w1 dies at the first completed
+    # cycle, genuinely mid-campaign.
     waited=0
     while ! grep -q '3 node(s) connected' "$smoke_dir/run.log" \
         || [ "$(grep -c 'golden: ' "$smoke_dir/workers.log")" -lt 3 ]; do
@@ -794,7 +856,7 @@ net_smoke() {
         sleep 1
         waited=$((waited + 1))
     done
-    kill -9 "$w1" 2>/dev/null || true
+    kill_node_mid_campaign "net smoke" "$w1" "$smoke_dir/net.ckpt"
 
     if ! wait "$run_pid"; then
         echo "net smoke: coordinator run failed" >&2
@@ -814,6 +876,11 @@ net_smoke() {
         echo "net smoke: not every node adopted the period" \
             "(adopted=$adopted):" >&2
         cat "$smoke_dir/workers.log" >&2
+        exit 1
+    fi
+    if ! grep -q "net: node 'w1' lost" "$smoke_dir/run.log"; then
+        echo "net smoke: the killed node w1 was never retired:" >&2
+        cat "$smoke_dir/run.log" >&2
         exit 1
     fi
     if grep -q "net: node 'w2' lost" "$smoke_dir/run.log"; then

@@ -13,23 +13,11 @@
  *     --stats              request server statistics instead of a query
  *                          (pretty-printed; --raw keeps one line)
  *     --raw                print the reply body exactly as received
- *     --benchmark NAME     workload (default libstrstr)
- *     --ecc                query the ECC-regfile workspace
- *     --sta-period         query the STA-clock workspace
- *     --structure NAME     structure (default ALU)
- *     --delays LO:HI:STEP  delay fractions (default 0.1:0.9:0.2)
- *     --savf               also request particle-strike sAVF
- *     --attribution        request per-instruction root-cause
- *                          attribution; davf rows in the reply gain an
- *                          "attribution" array (docs/ANALYSIS.md)
- *     --cycles N           injection cycles (default 8)
- *     --wires N            wire sample, 0 = all (default 400)
- *     --flops N            flop sample for sAVF, 0 = all (default 96)
- *     --seed N             sampling seed (default 1)
- *     --timeout-ms X       wall-clock budget per continuation simulation
- *                          (0 = none)
- *     --max-failure-rate X abandon a cell past this failure fraction
- *                          (default 0.05)
+ *     --benchmark ... --max-failure-rate X
+ *                          the query: davf_run's workspace and query
+ *                          flags with its defaults (service/cli.hh);
+ *                          --attribution adds an "attribution" array
+ *                          to the reply's davf rows (docs/ANALYSIS.md)
  *     --connect-retries N  extra connect attempts with exponential
  *                          backoff (default 0) — rides out a server
  *                          that is still building its workspace
@@ -54,6 +42,7 @@
 #include <string>
 #include <thread>
 
+#include "service/cli.hh"
 #include "service/protocol.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -70,10 +59,7 @@ struct Options
     std::string socket_path;
     bool stats = false;
     bool raw = false;
-    QuerySpec query;
-    double delay_lo = 0.1;
-    double delay_hi = 0.9;
-    double delay_step = 0.2;
+    QuerySpec query = defaultQuery();
     unsigned connect_retries = 0;
     double backoff_ms = 200.0;
     double connect_timeout_ms = 0.0;
@@ -98,46 +84,16 @@ usageError(const char *argv0, const std::string &detail)
     std::exit(2);
 }
 
-void
-parseDelays(const char *argv0, const char *spec, Options &opts)
-{
-    const std::string text = spec;
-    const size_t first = text.find(':');
-    const size_t second =
-        first == std::string::npos ? first : text.find(':', first + 1);
-    if (first == std::string::npos || second == std::string::npos
-        || text.find(':', second + 1) != std::string::npos) {
-        usageError(argv0, "--delays expects LO:HI:STEP, got '" + text
-                              + "'");
-    }
-    opts.delay_lo = parseDoubleStrict(text.substr(0, first), "--delays LO");
-    opts.delay_hi = parseDoubleStrict(
-        text.substr(first + 1, second - first - 1), "--delays HI");
-    opts.delay_step =
-        parseDoubleStrict(text.substr(second + 1), "--delays STEP");
-    if (opts.delay_lo > opts.delay_hi)
-        usageError(argv0, "--delays range is inverted: " + text);
-    if (opts.delay_lo < 0.0 || opts.delay_hi > 1.0)
-        usageError(argv0, "--delays fractions must lie in [0, 1]: " + text);
-    if (!(opts.delay_step > 0.0))
-        usageError(argv0, "--delays STEP must be > 0: " + text);
-}
-
 Options
 parse(int argc, char **argv)
 try {
     Options opts;
-    opts.query.sampling.maxInjectionCycles = 8;
-    opts.query.sampling.maxWires = 400;
-    opts.query.sampling.maxFlops = 96;
-    opts.query.sampling.maxFailureRate = 0.05;
-
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usageError(argv[0], std::string(argv[i]) + " expects a value");
-        return argv[++i];
-    };
+    auto need = [&](int &i) { return flagValue(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
+        // The query flags davf_run takes, with its defaults, so a query
+        // names the exact cells a CLI sweep would evaluate.
+        if (parseQueryFlag(argc, argv, i, opts.query))
+            continue;
         const std::string arg = argv[i];
         if (arg == "--socket") {
             opts.socket_path = need(i);
@@ -145,44 +101,6 @@ try {
             opts.stats = true;
         } else if (arg == "--raw") {
             opts.raw = true;
-        } else if (arg == "--benchmark") {
-            opts.query.workspace.benchmark = need(i);
-        } else if (arg == "--ecc") {
-            opts.query.workspace.ecc = true;
-        } else if (arg == "--sta-period") {
-            opts.query.workspace.staPeriod = true;
-        } else if (arg == "--structure") {
-            opts.query.structure = need(i);
-        } else if (arg == "--delays") {
-            parseDelays(argv[0], need(i), opts);
-        } else if (arg == "--savf") {
-            opts.query.runSavf = true;
-        } else if (arg == "--attribution") {
-            opts.query.sampling.attribution = true;
-        } else if (arg == "--cycles") {
-            opts.query.sampling.maxInjectionCycles =
-                static_cast<unsigned>(parseU64Strict(need(i), arg));
-        } else if (arg == "--wires") {
-            opts.query.sampling.maxWires =
-                static_cast<size_t>(parseU64Strict(need(i), arg));
-        } else if (arg == "--flops") {
-            opts.query.sampling.maxFlops =
-                static_cast<size_t>(parseU64Strict(need(i), arg));
-        } else if (arg == "--seed") {
-            opts.query.sampling.seed = parseU64Strict(need(i), arg);
-        } else if (arg == "--timeout-ms") {
-            opts.query.sampling.injectionTimeoutMs =
-                parseDoubleStrict(need(i), arg);
-            if (opts.query.sampling.injectionTimeoutMs < 0.0)
-                usageError(argv[0], "--timeout-ms must be >= 0");
-        } else if (arg == "--max-failure-rate") {
-            opts.query.sampling.maxFailureRate =
-                parseDoubleStrict(need(i), arg);
-            if (opts.query.sampling.maxFailureRate < 0.0
-                || opts.query.sampling.maxFailureRate > 1.0) {
-                usageError(argv[0],
-                           "--max-failure-rate must lie in [0, 1]");
-            }
         } else if (arg == "--connect-retries") {
             opts.connect_retries =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
@@ -200,16 +118,9 @@ try {
     }
     if (opts.socket_path.empty())
         usageError(argv[0], "--socket is required");
-
-    // The same range expansion davf_run uses, so a query names the
-    // exact delay values a CLI sweep would evaluate.
-    for (double d = opts.delay_lo; d <= opts.delay_hi + 1e-9;
-         d += opts.delay_step) {
-        opts.query.delays.push_back(d);
-    }
     return opts;
 } catch (const DavfError &error) {
-    // The strict numeric parsers name the flag and its bad value.
+    // The shared parsers name the flag and its bad value.
     usageError(argv[0], error.what());
 }
 

@@ -68,14 +68,11 @@
  *     --node-wait-ms X     how long to wait for --min-nodes before
  *                          proceeding with whatever connected
  *                          (default 30000)
- *     --store-dir D        content-addressed result store shared as a
- *                          cache tier (--isolate net only; a usage
- *                          error otherwise): shards found there are not
- *                          recomputed, fresh ones are written back
- *                          (read-only when another process, e.g. a
- *                          davf_serve, owns the directory: its
- *                          records are served, fresh ones are not
- *                          persisted)
+ *     --store-dir D        content-addressed result store as the
+ *                          campaign's cache tier in every isolation
+ *                          mode: stored shards are not recomputed,
+ *                          fresh ones are written back (read-only when
+ *                          another process, e.g. a davf_serve, owns D)
  *     --max-retries N      re-dispatches per shard after a failure
  *                          (default 2)
  *     --backoff-ms X       base of the exponential retry backoff
@@ -94,22 +91,19 @@
  *                          in chrome://tracing or ui.perfetto.dev)
  *     --list               list benchmarks and structures, then exit
  *
- * The hidden --worker-shard flag turns the process into a campaign
- * worker serving shards over stdin/stdout; it is appended automatically
- * when the supervisor re-executes this binary, together with the hidden
- * --worker-period HEX: the parent's measured clock period as a `%a`
- * hexfloat, which the worker adopts bit-exactly instead of re-running
- * the timed golden pass (not sent with --sta-period).
+ * The hidden --worker-shard and --worker-period flags (WorkerFlags in
+ * service/cli.hh) turn the process into a campaign worker; they are
+ * appended when the supervisor re-executes this binary.
  */
 
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "campaign/campaign.hh"
 #include "campaign/stop.hh"
@@ -121,6 +115,7 @@
 #include "net/frame.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "service/cli.hh"
 #include "service/result_store.hh"
 #include "service/scheduler.hh"
 #include "service/workspace.hh"
@@ -134,43 +129,28 @@ namespace {
 
 struct Options
 {
-    std::string benchmark = "libstrstr";
-    std::string structure = "ALU";
-    double delay_lo = 0.1;
-    double delay_hi = 0.9;
-    double delay_step = 0.2;
-    bool ecc = false;
-    bool run_savf = false;
-    bool sta_period = false;
+    service::QuerySpec query = service::defaultQuery();
+    unsigned threads = 0;
     bool json = false;
-    SamplingConfig sampling;
-    double max_failure_rate = 0.05;
     std::string csv_path;
     std::string checkpoint_path;
     bool resume = false;
 
-    bool isolate_process = false;
-    bool isolate_net = false;
+    IsolationMode isolate = IsolationMode::Thread;
     std::string listen = "127.0.0.1:0";
     std::string port_file;
     size_t min_nodes = 1;
     double node_wait_ms = 30000.0;
     std::string store_dir;
-    unsigned workers = 1;
-    unsigned max_retries = 2;
-    double backoff_ms = 50.0;
-    uint64_t worker_mem_mb = 0;
-    double shard_timeout_ms = 0.0;
-    std::string quarantine_dir;
-    std::string shard_metrics_csv;
+    SupervisorOptions fleet; ///< The dispatch and worker-pool flags.
     std::string metrics_json_path;
     std::string trace_json_path;
-    bool worker_shard = false; ///< Hidden: serve shards over stdio.
-    double worker_period = 0.0; ///< Hidden: the period to adopt.
+    service::WorkerFlags worker;
 };
 
-void
-printUsage(const char *argv0)
+/** Reject the run: usage + the offending flag/value, exit nonzero. */
+[[noreturn]] void
+usageError(const char *argv0, const std::string &detail)
 {
     std::fprintf(stderr,
                  "usage: %s [--benchmark N] [--structure N] "
@@ -186,7 +166,7 @@ printUsage(const char *argv0)
                  "[--isolate thread|process|net] [--workers N]\n"
                  "          [--listen HOST:PORT] [--port-file FILE] "
                  "[--min-nodes N]\n"
-                 "          [--node-wait-ms X] [--store-dir D (net only)]\n"
+                 "          [--node-wait-ms X] [--store-dir D]\n"
                  "          [--max-retries N] [--backoff-ms X]"
                  " [--worker-mem-mb N]\n"
                  "          [--shard-timeout-ms X] [--quarantine-dir D]\n"
@@ -194,93 +174,25 @@ printUsage(const char *argv0)
                  "          [--metrics-json FILE] [--trace-json FILE] "
                  "[--list]\n",
                  argv0);
-}
-
-/** Reject the run: usage + the offending flag/value, exit nonzero. */
-[[noreturn]] void
-usageError(const char *argv0, const std::string &detail)
-{
-    printUsage(argv0);
     std::fprintf(stderr, "error: %s\n", detail.c_str());
     std::exit(2);
-}
-
-void
-parseDelays(const char *argv0, const char *spec, Options &opts)
-{
-    const std::string text = spec;
-    const size_t first = text.find(':');
-    const size_t second =
-        first == std::string::npos ? first : text.find(':', first + 1);
-    if (first == std::string::npos || second == std::string::npos
-        || text.find(':', second + 1) != std::string::npos) {
-        usageError(argv0, "--delays expects LO:HI:STEP, got '" + text
-                              + "'");
-    }
-    opts.delay_lo = parseDoubleStrict(text.substr(0, first), "--delays LO");
-    opts.delay_hi = parseDoubleStrict(
-        text.substr(first + 1, second - first - 1), "--delays HI");
-    opts.delay_step =
-        parseDoubleStrict(text.substr(second + 1), "--delays STEP");
-    if (opts.delay_lo > opts.delay_hi) {
-        usageError(argv0, "--delays range is inverted: " + text);
-    }
-    if (opts.delay_lo < 0.0 || opts.delay_hi > 1.0) {
-        usageError(argv0,
-                   "--delays fractions must lie in [0, 1]: " + text);
-    }
-    if (!(opts.delay_step > 0.0)) {
-        usageError(argv0, "--delays STEP must be > 0: " + text);
-    }
 }
 
 Options
 parse(int argc, char **argv)
 try {
     Options opts;
-    opts.sampling.maxInjectionCycles = 8;
-    opts.sampling.maxWires = 400;
-    opts.sampling.maxFlops = 96;
-
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            usageError(argv[0], std::string(argv[i])
-                                    + " expects a value");
-        }
-        return argv[++i];
-    };
+    auto need = [&](int &i) { return service::flagValue(argc, argv, i); };
 
     for (int i = 1; i < argc; ++i) {
+        if (service::parseQueryFlag(argc, argv, i, opts.query)
+            || opts.worker.parse(argc, argv, i))
+            continue;
         const std::string arg = argv[i];
-        if (arg == "--benchmark") {
-            opts.benchmark = need(i);
-        } else if (arg == "--structure") {
-            opts.structure = need(i);
-        } else if (arg == "--delays") {
-            parseDelays(argv[0], need(i), opts);
-        } else if (arg == "--ecc") {
-            opts.ecc = true;
-        } else if (arg == "--savf") {
-            opts.run_savf = true;
-        } else if (arg == "--attribution") {
-            opts.sampling.attribution = true;
-        } else if (arg == "--sta-period") {
-            opts.sta_period = true;
-        } else if (arg == "--json") {
+        if (arg == "--json") {
             opts.json = true;
-        } else if (arg == "--cycles") {
-            opts.sampling.maxInjectionCycles =
-                static_cast<unsigned>(parseU64Strict(need(i), arg));
-        } else if (arg == "--wires") {
-            opts.sampling.maxWires =
-                static_cast<size_t>(parseU64Strict(need(i), arg));
-        } else if (arg == "--flops") {
-            opts.sampling.maxFlops =
-                static_cast<size_t>(parseU64Strict(need(i), arg));
-        } else if (arg == "--seed") {
-            opts.sampling.seed = parseU64Strict(need(i), arg);
         } else if (arg == "--threads") {
-            opts.sampling.threads =
+            opts.threads =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--csv") {
             opts.csv_path = need(i);
@@ -289,29 +201,18 @@ try {
         } else if (arg == "--resume") {
             opts.checkpoint_path = need(i);
             opts.resume = true;
-        } else if (arg == "--timeout-ms") {
-            opts.sampling.injectionTimeoutMs =
-                parseDoubleStrict(need(i), arg);
-            if (opts.sampling.injectionTimeoutMs < 0.0)
-                usageError(argv[0], "--timeout-ms must be >= 0");
-        } else if (arg == "--max-failure-rate") {
-            opts.max_failure_rate =
-                parseDoubleStrict(need(i), arg);
-            if (opts.max_failure_rate < 0.0
-                || opts.max_failure_rate > 1.0) {
-                usageError(argv[0],
-                           "--max-failure-rate must lie in [0, 1]");
-            }
         } else if (arg == "--isolate") {
             const std::string mode = need(i);
-            opts.isolate_process = mode == "process";
-            opts.isolate_net = mode == "net";
-            if (!opts.isolate_process && !opts.isolate_net
-                && mode != "thread") {
+            if (mode == "thread")
+                opts.isolate = IsolationMode::Thread;
+            else if (mode == "process")
+                opts.isolate = IsolationMode::Process;
+            else if (mode == "net")
+                opts.isolate = IsolationMode::Net;
+            else
                 usageError(argv[0],
                            "--isolate expects 'thread', 'process', or "
                            "'net', got '" + mode + "'");
-            }
         } else if (arg == "--listen") {
             opts.listen = need(i);
         } else if (arg == "--port-file") {
@@ -326,41 +227,31 @@ try {
         } else if (arg == "--store-dir") {
             opts.store_dir = need(i);
         } else if (arg == "--workers") {
-            opts.workers =
+            opts.fleet.workers =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
-            if (opts.workers == 0)
+            if (opts.fleet.workers == 0)
                 usageError(argv[0], "--workers must be >= 1");
         } else if (arg == "--max-retries") {
-            opts.max_retries =
+            opts.fleet.maxRetries =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--backoff-ms") {
-            opts.backoff_ms = parseDoubleStrict(need(i), arg);
-            if (opts.backoff_ms < 0.0)
+            opts.fleet.backoffBaseMs = parseDoubleStrict(need(i), arg);
+            if (opts.fleet.backoffBaseMs < 0.0)
                 usageError(argv[0], "--backoff-ms must be >= 0");
         } else if (arg == "--worker-mem-mb") {
-            opts.worker_mem_mb = parseU64Strict(need(i), arg);
+            opts.fleet.workerMemMb = parseU64Strict(need(i), arg);
         } else if (arg == "--shard-timeout-ms") {
-            opts.shard_timeout_ms = parseDoubleStrict(need(i), arg);
-            if (opts.shard_timeout_ms < 0.0)
+            opts.fleet.shardTimeoutMs = parseDoubleStrict(need(i), arg);
+            if (opts.fleet.shardTimeoutMs < 0.0)
                 usageError(argv[0], "--shard-timeout-ms must be >= 0");
         } else if (arg == "--quarantine-dir") {
-            opts.quarantine_dir = need(i);
+            opts.fleet.quarantineDir = need(i);
         } else if (arg == "--shard-metrics-csv") {
-            opts.shard_metrics_csv = need(i);
+            opts.fleet.metricsCsvPath = need(i);
         } else if (arg == "--metrics-json") {
             opts.metrics_json_path = need(i);
         } else if (arg == "--trace-json") {
             opts.trace_json_path = need(i);
-        } else if (arg == "--worker-shard") {
-            opts.worker_shard = true;
-        } else if (arg == "--worker-period") {
-            const char *value = need(i);
-            if (!textToPositiveHexDouble(value, opts.worker_period)) {
-                usageError(argv[0],
-                           std::string("--worker-period expects a "
-                                       "positive, finite hexfloat, got '")
-                               + value + "'");
-            }
         } else if (arg == "--list") {
             std::printf("benchmarks:");
             for (const auto &program : beebsBenchmarks())
@@ -375,20 +266,10 @@ try {
         }
     }
 
-    if (!opts.store_dir.empty() && !opts.isolate_net)
-        usageError(argv[0], "--store-dir needs --isolate net");
-    if (opts.worker_period > 0.0 && !opts.worker_shard)
-        usageError(argv[0], "--worker-period needs --worker-shard");
-    if (opts.worker_period > 0.0 && opts.sta_period)
-        usageError(argv[0], "--worker-period conflicts with --sta-period");
-    if (!findBenchmark(opts.benchmark)) {
-        usageError(argv[0],
-                   "--benchmark: unknown benchmark '" + opts.benchmark
-                       + "' (try --list)");
-    }
+    opts.worker.check(opts.query.workspace);
     return opts;
 } catch (const DavfError &error) {
-    // The strict numeric parsers name the flag and its bad value.
+    // The shared parsers name the flag and its bad value.
     usageError(argv[0], error.what());
 }
 
@@ -436,58 +317,51 @@ runTool(int argc, char **argv)
     // The shared Workspace loader performs the whole expensive setup —
     // assemble, SoC build, golden capture — identically to davf_serve
     // and the bench harnesses (see src/service/workspace.hh).
-    service::WorkspaceSpec ws_spec;
-    ws_spec.benchmark = opts.benchmark;
-    ws_spec.ecc = opts.ecc;
-    ws_spec.staPeriod = opts.sta_period;
+    const service::QuerySpec &query = opts.query;
     std::fprintf(stderr, "building IbexMini (%s regfile), assembling "
                  "%s, running golden capture...\n",
-                 opts.ecc ? "ECC" : "plain", opts.benchmark.c_str());
-    service::WorkspaceOptions ws_options;
-    ws_options.threads = opts.sampling.threads;
-    ws_options.measurePeriod = opts.worker_period == 0.0;
-    service::Workspace workspace(ws_spec, ws_options);
+                 query.workspace.ecc ? "ECC" : "plain",
+                 query.workspace.benchmark.c_str());
+    service::Workspace workspace(query.workspace,
+                                 opts.worker.workspaceOptions(opts.threads));
 
-    if (!workspace.structures().find(opts.structure)) {
+    if (!workspace.structures().find(query.structure)) {
         usageError(argv[0], "--structure: unknown structure '"
-                                + opts.structure + "' (try --list)");
+                                + query.structure + "' (try --list)");
     }
-
-    VulnerabilityEngine &engine = workspace.engine();
-    if (opts.worker_period > 0.0)
-        engine.adoptClockPeriod(opts.worker_period);
-    std::fprintf(stderr, "%s\n\n", goldenLine(engine).c_str());
 
     // Hidden worker mode: same engine build as above, then serve shard
     // requests from the supervising campaign over stdin/stdout.
-    if (opts.worker_shard)
-        return runCampaignWorker(engine, workspace.structures());
+    if (const std::optional<int> code = opts.worker.serve(workspace))
+        return *code;
+    VulnerabilityEngine &engine = workspace.engine();
+    std::fprintf(stderr, "%s\n\n", goldenLine(engine).c_str());
 
-    CampaignOptions campaign_options;
-    campaign_options.benchmark = opts.benchmark;
-    campaign_options.structures = {opts.structure};
-    for (double d = opts.delay_lo; d <= opts.delay_hi + 1e-9;
-         d += opts.delay_step) {
-        campaign_options.delays.push_back(d);
-    }
-    campaign_options.runSavf = opts.run_savf;
-    campaign_options.sampling = opts.sampling;
-    campaign_options.maxFailureRate = opts.max_failure_rate;
+    CampaignOptions campaign_options = service::queryCampaign(query);
+    campaign_options.sampling.threads = opts.threads;
     campaign_options.checkpointPath = opts.checkpoint_path;
     campaign_options.resume = opts.resume;
     campaign_options.csvPath = opts.csv_path;
-    campaign_options.structureLabel = opts.ecc ? " (ECC)" : "";
     campaign_options.stopFlag = &installStopHandlers();
+    campaign_options.isolate = opts.isolate;
+
+    // The result store as the campaign's cache tier, in every isolation
+    // mode. Only the parent opens it: worker mode has returned above.
+    std::unique_ptr<service::ResultStore> store;
+    if (!opts.store_dir.empty()) {
+        service::ResultStore::Options store_options;
+        store_options.dir = opts.store_dir;
+        store = std::make_unique<service::ResultStore>(store_options);
+        campaign_options.cache =
+            service::shardCacheHooks(*store, workspace.fingerprint());
+    }
 
     // Net mode: bind the coordinator, publish the port, give the fleet
     // a chance to assemble, and hand the dispatcher to the campaign.
     // Aggregation still runs through the same journal path, so the
     // report is byte-identical to a thread-mode run.
     std::unique_ptr<net::Coordinator> coordinator;
-    std::unique_ptr<service::ResultStore> net_store;
-    if (opts.isolate_net) {
-        campaign_options.isolate = IsolationMode::Net;
-
+    if (opts.isolate == IsolationMode::Net) {
         std::string host;
         uint16_t port = 0;
         net::parseHostPort(opts.listen, host, port);
@@ -501,40 +375,23 @@ runTool(int argc, char **argv)
 
         net::CoordinatorOptions net_options;
         net_options.fingerprint = workspace.fingerprint();
-        if (!opts.sta_period)
+        if (!query.workspace.staPeriod)
             net_options.clockPeriod = engine.clockPeriod();
-        net_options.maxRetries = opts.max_retries;
-        net_options.backoffBaseMs = opts.backoff_ms;
-        net_options.shardTimeoutMs = opts.shard_timeout_ms;
-        net_options.seed = opts.sampling.seed;
+        net_options.maxRetries = opts.fleet.maxRetries;
+        net_options.backoffBaseMs = opts.fleet.backoffBaseMs;
+        net_options.shardTimeoutMs = opts.fleet.shardTimeoutMs;
+        net_options.seed = query.sampling.seed;
         net_options.stopFlag = campaign_options.stopFlag;
-        net_options.localCycle =
-            [&workspace, &engine](const ShardSpec &spec) {
-                const Structure *structure =
-                    workspace.structures().find(spec.structure);
-                davf_assert(structure != nullptr,
-                            "local fallback: unknown structure");
-                return engine.delayAvfCycle(
-                    *structure, spec.delayFraction, spec.cycle,
-                    spec.sampling, spec.wireBegin, spec.wireEnd,
-                    spec.quarantined);
-            };
-        net_options.localSavf =
-            [&workspace, &engine](const ShardSpec &spec) {
-                const Structure *structure =
-                    workspace.structures().find(spec.structure);
-                davf_assert(structure != nullptr,
-                            "local fallback: unknown structure");
-                return engine.savf(*structure, spec.sampling);
-            };
-        if (!opts.store_dir.empty()) {
-            service::ResultStore::Options store_options;
-            store_options.dir = opts.store_dir;
-            net_store = std::make_unique<service::ResultStore>(
-                store_options);
-            campaign_options.cache = service::shardCacheHooks(
-                *net_store, workspace.fingerprint());
-        }
+        net_options.localCycle = [&](const ShardSpec &spec) {
+            return engine.delayAvfCycle(
+                workspace.structure(spec.structure), spec.delayFraction,
+                spec.cycle, spec.sampling, spec.wireBegin, spec.wireEnd,
+                spec.quarantined);
+        };
+        net_options.localSavf = [&](const ShardSpec &spec) {
+            return engine.savf(workspace.structure(spec.structure),
+                               spec.sampling);
+        };
 
         coordinator = std::make_unique<net::Coordinator>(
             listener, std::move(net_options));
@@ -551,27 +408,14 @@ runTool(int argc, char **argv)
         campaign_options.dispatcher = coordinator.get();
     }
 
-    if (opts.isolate_process) {
-        campaign_options.isolate = IsolationMode::Process;
-        SupervisorOptions &sup = campaign_options.supervisor;
+    if (opts.isolate == IsolationMode::Process) {
+        campaign_options.supervisor = opts.fleet;
         // Workers re-execute this binary with the same arguments (so
         // they build the same engine) plus the hidden worker flags; the
         // period rides along so they skip the timed golden pass.
-        sup.workerArgv.push_back(Subprocess::selfExePath());
-        for (int i = 1; i < argc; ++i)
-            sup.workerArgv.push_back(argv[i]);
-        sup.workerArgv.push_back("--worker-shard");
-        if (!opts.sta_period) {
-            sup.workerArgv.push_back("--worker-period");
-            sup.workerArgv.push_back(hexDouble(engine.clockPeriod()));
-        }
-        sup.workers = opts.workers;
-        sup.maxRetries = opts.max_retries;
-        sup.backoffBaseMs = opts.backoff_ms;
-        sup.workerMemMb = opts.worker_mem_mb;
-        sup.shardTimeoutMs = opts.shard_timeout_ms;
-        sup.quarantineDir = opts.quarantine_dir;
-        sup.metricsCsvPath = opts.shard_metrics_csv;
+        campaign_options.supervisor.workerArgv =
+            service::WorkerFlags::commandLine(
+                workspace, std::vector<std::string>(argv + 1, argv + argc));
     }
 
     Campaign campaign(engine, workspace.structures(), campaign_options);

@@ -26,12 +26,9 @@
  *     --max-retries N      re-dispatches per shard after a failure
  *     --worker-mem-mb N    RLIMIT_AS cap per worker in MiB, 0 = none
  *
- * The hidden --worker-shard flag turns the process into a campaign
- * worker serving shards over stdin/stdout; it is appended automatically
- * when the scheduler re-executes this binary, together with the hidden
- * --worker-period HEX: the server's measured clock period as a `%a`
- * hexfloat, which the worker adopts bit-exactly instead of re-running
- * the timed golden pass (not sent with --sta-period).
+ * The hidden --worker-shard and --worker-period flags (WorkerFlags in
+ * service/cli.hh) turn the process into a campaign worker; they are
+ * appended when the server's supervisor re-executes this binary.
  */
 
 #include <malloc.h>
@@ -45,13 +42,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "campaign/supervisor.hh"
 #include "obs/metrics.hh"
+#include "service/cli.hh"
 #include "service/protocol.hh"
 #include "service/result_store.hh"
 #include "service/scheduler.hh"
@@ -73,11 +73,8 @@ struct Options
     WorkspaceSpec workspace;
     unsigned threads = 0;
     bool isolate_process = false;
-    unsigned workers = 1;
-    unsigned max_retries = 2;
-    uint64_t worker_mem_mb = 0;
-    bool worker_shard = false; ///< Hidden: serve shards over stdio.
-    double worker_period = 0.0; ///< Hidden: the period to adopt.
+    SupervisorOptions pool; ///< The worker-pool flags.
+    WorkerFlags worker;
 };
 
 [[noreturn]] void
@@ -100,12 +97,11 @@ Options
 parse(int argc, char **argv)
 try {
     Options opts;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usageError(argv[0], std::string(argv[i]) + " expects a value");
-        return argv[++i];
-    };
+    auto need = [&](int &i) { return flagValue(argc, argv, i); };
     for (int i = 1; i < argc; ++i) {
+        if (parseWorkspaceFlag(argc, argv, i, opts.workspace)
+            || opts.worker.parse(argc, argv, i))
+            continue;
         const std::string arg = argv[i];
         if (arg == "--socket") {
             opts.socket_path = need(i);
@@ -114,12 +110,6 @@ try {
         } else if (arg == "--mem-capacity") {
             opts.mem_capacity =
                 static_cast<size_t>(parseU64Strict(need(i), arg));
-        } else if (arg == "--benchmark") {
-            opts.workspace.benchmark = need(i);
-        } else if (arg == "--ecc") {
-            opts.workspace.ecc = true;
-        } else if (arg == "--sta-period") {
-            opts.workspace.staPeriod = true;
         } else if (arg == "--threads") {
             opts.threads =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
@@ -133,38 +123,25 @@ try {
                 usageError(argv[0], "--isolate expects 'thread' or "
                                     "'process', got '" + mode + "'");
         } else if (arg == "--workers") {
-            opts.workers =
+            opts.pool.workers =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
-            if (opts.workers == 0)
+            if (opts.pool.workers == 0)
                 usageError(argv[0], "--workers must be >= 1");
         } else if (arg == "--max-retries") {
-            opts.max_retries =
+            opts.pool.maxRetries =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--worker-mem-mb") {
-            opts.worker_mem_mb = parseU64Strict(need(i), arg);
-        } else if (arg == "--worker-shard") {
-            opts.worker_shard = true;
-        } else if (arg == "--worker-period") {
-            const char *value = need(i);
-            if (!textToPositiveHexDouble(value, opts.worker_period)) {
-                usageError(argv[0],
-                           std::string("--worker-period expects a "
-                                       "positive, finite hexfloat, got '")
-                               + value + "'");
-            }
+            opts.pool.workerMemMb = parseU64Strict(need(i), arg);
         } else {
             usageError(argv[0], "unknown flag '" + arg + "'");
         }
     }
-    if (!opts.worker_shard && opts.socket_path.empty())
+    if (!opts.worker.shard && opts.socket_path.empty())
         usageError(argv[0], "--socket is required");
-    if (opts.worker_period > 0.0 && !opts.worker_shard)
-        usageError(argv[0], "--worker-period needs --worker-shard");
-    if (opts.worker_period > 0.0 && opts.workspace.staPeriod)
-        usageError(argv[0], "--worker-period conflicts with --sta-period");
+    opts.worker.check(opts.workspace);
     return opts;
 } catch (const DavfError &error) {
-    // The strict numeric parsers name the flag and its bad value.
+    // The shared parsers name the flag and its bad value.
     usageError(argv[0], error.what());
 }
 
@@ -323,21 +300,15 @@ runTool(int argc, char **argv)
                  opts.workspace.benchmark.c_str(),
                  opts.workspace.ecc ? "ECC" : "plain",
                  opts.workspace.staPeriod ? "STA" : "observed-max");
-    WorkspaceOptions ws_options;
-    ws_options.threads = opts.threads;
-    ws_options.measurePeriod = opts.worker_period == 0.0;
-    Workspace workspace(opts.workspace, ws_options);
-    VulnerabilityEngine &engine = workspace.engine();
-    if (opts.worker_period > 0.0)
-        engine.adoptClockPeriod(opts.worker_period);
+    Workspace workspace(opts.workspace,
+                        opts.worker.workspaceOptions(opts.threads));
 
     // Hidden worker mode: same workspace build, then serve shard
-    // requests from the scheduler's supervisor over stdin/stdout.
-    if (opts.worker_shard) {
-        std::fprintf(stderr, "%s\n", goldenLine(engine).c_str());
-        return runCampaignWorker(engine, workspace.structures());
-    }
+    // requests from the server's supervisor over stdin/stdout.
+    if (const std::optional<int> code = opts.worker.serve(workspace))
+        return *code;
 
+    VulnerabilityEngine &engine = workspace.engine();
     std::fprintf(stderr, "%s, fingerprint %s\n",
                  goldenLine(engine).c_str(),
                  workspace.fingerprint().c_str());
@@ -347,31 +318,25 @@ runTool(int argc, char **argv)
     store_options.memCapacity = opts.mem_capacity;
     ResultStore store(store_options);
 
+    // Process isolation: one worker pool serves every query's misses.
+    // Workers re-execute this binary with the workspace flags (so they
+    // build the same engine) plus the hidden worker flags; the period
+    // rides along so they skip the timed golden pass.
+    std::unique_ptr<Supervisor> supervisor;
+    if (opts.isolate_process) {
+        SupervisorOptions sup = opts.pool;
+        sup.workerArgv = WorkerFlags::commandLine(workspace);
+        sup.configHash = workspace.fingerprint();
+        sup.benchmark = opts.workspace.benchmark;
+        supervisor = std::make_unique<Supervisor>(
+            engine, workspace.structures(), std::move(sup));
+    }
+
     QueryScheduler::Options sched_options;
     sched_options.benchmark = opts.workspace.benchmark;
     sched_options.structureLabel = opts.workspace.ecc ? " (ECC)" : "";
     sched_options.threads = opts.threads;
-    if (opts.isolate_process) {
-        // Workers re-execute this binary with the same workspace flags
-        // (so they build the same engine) plus the hidden worker flags;
-        // the period rides along so they skip the timed golden pass.
-        sched_options.workerArgv.push_back(Subprocess::selfExePath());
-        sched_options.workerArgv.push_back("--benchmark");
-        sched_options.workerArgv.push_back(opts.workspace.benchmark);
-        if (opts.workspace.ecc)
-            sched_options.workerArgv.push_back("--ecc");
-        if (opts.workspace.staPeriod) {
-            sched_options.workerArgv.push_back("--sta-period");
-        } else {
-            sched_options.workerArgv.push_back("--worker-period");
-            sched_options.workerArgv.push_back(
-                hexDouble(engine.clockPeriod()));
-        }
-        sched_options.workerArgv.push_back("--worker-shard");
-        sched_options.workers = opts.workers;
-        sched_options.maxRetries = opts.max_retries;
-        sched_options.workerMemMb = opts.worker_mem_mb;
-    }
+    sched_options.dispatcher = supervisor.get();
     QueryScheduler scheduler(engine, workspace.structures(),
                              workspace.fingerprint(), store,
                              std::move(sched_options));

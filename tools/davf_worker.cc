@@ -36,9 +36,9 @@
 #include <cstring>
 #include <string>
 
-#include "isa/benchmarks.hh"
 #include "net/frame.hh"
 #include "net/worker.hh"
+#include "service/cli.hh"
 #include "service/workspace.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -50,15 +50,12 @@ namespace {
 struct Options
 {
     std::string connect;
-    std::string benchmark = "libstrstr";
-    bool ecc = false;
-    bool sta_period = false;
-    std::string node;
+    service::WorkspaceSpec workspace;
     net::NetWorkerOptions net;
 };
 
-void
-printUsage(const char *argv0)
+[[noreturn]] void
+usageError(const char *argv0, const std::string &detail)
 {
     std::fprintf(stderr,
                  "usage: %s --connect HOST:PORT [--benchmark N] [--ecc]"
@@ -67,12 +64,6 @@ printUsage(const char *argv0)
                  "[--backoff-ms X]\n"
                  "          [--connect-timeout-ms X]\n",
                  argv0);
-}
-
-[[noreturn]] void
-usageError(const char *argv0, const std::string &detail)
-{
-    printUsage(argv0);
     std::fprintf(stderr, "error: %s\n", detail.c_str());
     std::exit(2);
 }
@@ -81,26 +72,16 @@ Options
 parse(int argc, char **argv)
 try {
     Options opts;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            usageError(argv[0], std::string(argv[i])
-                                    + " expects a value");
-        }
-        return argv[++i];
-    };
+    auto need = [&](int &i) { return service::flagValue(argc, argv, i); };
 
     for (int i = 1; i < argc; ++i) {
+        if (service::parseWorkspaceFlag(argc, argv, i, opts.workspace))
+            continue;
         const std::string arg = argv[i];
         if (arg == "--connect") {
             opts.connect = need(i);
-        } else if (arg == "--benchmark") {
-            opts.benchmark = need(i);
-        } else if (arg == "--ecc") {
-            opts.ecc = true;
-        } else if (arg == "--sta-period") {
-            opts.sta_period = true;
         } else if (arg == "--node") {
-            opts.node = need(i);
+            opts.net.nodeName = need(i);
         } else if (arg == "--connect-retries") {
             opts.net.connectRetries =
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
@@ -120,13 +101,9 @@ try {
 
     if (opts.connect.empty())
         usageError(argv[0], "--connect HOST:PORT is required");
-    if (!findBenchmark(opts.benchmark)) {
-        usageError(argv[0], "--benchmark: unknown benchmark '"
-                                + opts.benchmark + "'");
-    }
     return opts;
 } catch (const DavfError &error) {
-    // The strict numeric parsers name the flag and its bad value.
+    // The shared parsers name the flag and its bad value.
     usageError(argv[0], error.what());
 }
 
@@ -136,21 +113,15 @@ runTool(int argc, char **argv)
     const Options opts = parse(argc, argv);
     net::NetWorkerOptions net = opts.net;
     net::parseHostPort(opts.connect, net.host, net.port);
-    net.nodeName = opts.node;
 
-    service::WorkspaceSpec ws_spec;
-    ws_spec.benchmark = opts.benchmark;
-    ws_spec.ecc = opts.ecc;
-    ws_spec.staPeriod = opts.sta_period;
     std::fprintf(stderr,
                  "worker: building IbexMini (%s regfile), assembling "
                  "%s, running golden capture...\n",
-                 opts.ecc ? "ECC" : "plain", opts.benchmark.c_str());
+                 opts.workspace.ecc ? "ECC" : "plain",
+                 opts.workspace.benchmark.c_str());
     // The untimed golden pass is all the fingerprint needs; the clock
     // period arrives in the coordinator's welcome (runNetWorker).
-    service::WorkspaceOptions ws_options;
-    ws_options.measurePeriod = false;
-    service::Workspace workspace(ws_spec, ws_options);
+    service::Workspace workspace(opts.workspace, {.measurePeriod = false});
 
     net.fingerprint = workspace.fingerprint();
 
