@@ -32,7 +32,7 @@
  * AttributionTap::WalkEnd (completion -> "out"/"uarch", watchdog ->
  * "uarch"). Everything is a pure function of (cycle, observed state),
  * so attribution tables are bit-identical across thread counts,
- * isolation modes, and resume.
+ * isolation modes, and reruns over a result store.
  */
 
 #ifndef DAVF_ANALYSIS_ATTRIBUTION_HH

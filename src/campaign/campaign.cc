@@ -1,6 +1,5 @@
 #include "campaign.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "core/report.hh"
@@ -18,14 +17,9 @@ namespace {
 struct CampaignMetrics
 {
     obs::Counter cellsComputed{"campaign.cells_computed"};
-    obs::Counter cellsFromCheckpoint{"campaign.cells_from_checkpoint"};
     obs::Counter cellsFailed{"campaign.cells_failed"};
-    obs::Counter checkpointSaves{"campaign.checkpoint_saves"};
-    obs::Counter checkpointWriteFailures{
-        "campaign.checkpoint_write_failures"};
     obs::Counter csvFlushes{"campaign.csv_flushes"};
     obs::Counter cellNs{"campaign.time.cell_ns"};
-    obs::Counter checkpointNs{"campaign.time.checkpoint_ns"};
 };
 
 CampaignMetrics &
@@ -75,8 +69,8 @@ campaignConfigHash(const CampaignOptions &options)
        << ";maxFlops=" << options.sampling.maxFlops
        << ";seed=" << options.sampling.seed
        << ";watchdogSlack=" << options.sampling.watchdogSlack;
-    // Appended only when enabled: attribution-off hashes must match
-    // journals written before the flag existed so they stay resumable.
+    // Appended only when enabled: attribution-off hashes match those
+    // of releases before the flag, so their quarantine records apply.
     if (options.sampling.attribution)
         os << ";attr=1";
     return fnv1a64Hex(os.str());
@@ -87,36 +81,7 @@ Campaign::Campaign(VulnerabilityEngine &the_engine,
                    CampaignOptions the_options)
     : engine(&the_engine), registry(&structures),
       options(std::move(the_options))
-{
-    journal.configHash = campaignConfigHash(options);
-}
-
-void
-Campaign::save() const
-{
-    if (options.checkpointPath.empty())
-        return;
-    const obs::Span span("campaign.checkpoint",
-                         &campaignMetrics().checkpointNs);
-    // A checkpoint is a convenience, not a result: if the disk fills
-    // (or an armed crash point throws) mid-sweep, losing checkpoint
-    // freshness must not lose the sweep. The atomic write discipline
-    // guarantees the previous journal survives the failed save, so a
-    // later resume still works from the last good state.
-    try {
-        saveCheckpoint(options.checkpointPath, journal);
-    } catch (const DavfError &error) {
-        if (error.kind() != ErrorKind::Io)
-            throw;
-        campaignMetrics().checkpointWriteFailures.add(1);
-        davf_warn("checkpoint save to '", options.checkpointPath,
-                  "' failed (campaign continues): ", error.what());
-        return;
-    }
-    campaignMetrics().checkpointSaves.add(1);
-    if (options.onCheckpointSaved)
-        options.onCheckpointSaved();
-}
+{}
 
 void
 Campaign::flushCsv(const CampaignSummary &summary) const
@@ -163,12 +128,10 @@ Campaign::run()
         resolved.push_back(structure);
     }
 
-    // The cell schedule, in deterministic order; the journal holds one
-    // cell per planned cell, in plan order, which is what makes its
-    // serialization canonical.
+    // The cell schedule, in deterministic order.
     struct PlannedCell
     {
-        CheckpointKey key;
+        CellKey key;
         const Structure *structure;
         double delay;
     };
@@ -186,60 +149,6 @@ Campaign::run()
                             resolved[s], 0.0});
         }
     }
-    journal.cells.clear();
-    for (const PlannedCell &planned : plan) {
-        journal.cells.emplace_back();
-        journal.cells.back().key = planned.key;
-    }
-
-    if (options.resume) {
-        if (options.checkpointPath.empty()) {
-            davf_throw(ErrorKind::BadArgument,
-                       "resume requested without a checkpoint path");
-        }
-        // Lenient about a torn final line only: the journal is written
-        // atomically, so a damaged tail means the file was copied or
-        // the filesystem crashed mid-write — losing that one record
-        // (it is re-simulated) beats refusing to resume.
-        CheckpointLoadStats stats;
-        Result<Checkpoint> loaded =
-            loadCheckpoint(options.checkpointPath, &stats);
-        if (!loaded)
-            throw loaded.error();
-        if (stats.truncatedTail) {
-            davf_warn("checkpoint '", options.checkpointPath,
-                      "': dropped torn final line \"",
-                      stats.droppedLine.substr(0, 80),
-                      "\"; its record will be recomputed");
-        } else if (stats.missingEnd) {
-            davf_warn("checkpoint '", options.checkpointPath,
-                      "': missing end record (truncated write?); "
-                      "resuming from the readable prefix");
-        }
-        if (loaded.value().configHash != journal.configHash) {
-            davf_throw(ErrorKind::BadArgument,
-                       "checkpoint '", options.checkpointPath,
-                       "' was written by a different campaign "
-                       "configuration (hash ",
-                       loaded.value().configHash, ", expected ",
-                       journal.configHash, ")");
-        }
-        for (CheckpointCell &cell : loaded.value().cells) {
-            CheckpointCell *planned = journal.find(cell.key);
-            if (!planned) {
-                davf_throw(ErrorKind::BadInput, "checkpoint '",
-                           options.checkpointPath, "': cell ",
-                           cell.key.kind, ' ', cell.key.structure, ' ',
-                           cell.key.delay, " is not in this campaign");
-            }
-            *planned = std::move(cell);
-        }
-    }
-
-    auto stop_requested = [&]() {
-        return options.stopFlag
-            && options.stopFlag->load(std::memory_order_relaxed);
-    };
 
     // A dispatcher runs whole cells: the caller's in any mode, else a
     // supervisor of the campaign's own in process mode. Without one,
@@ -249,7 +158,7 @@ Campaign::run()
                 "IsolationMode::Net needs a ShardDispatcher");
     if (!dispatcher && options.isolate == IsolationMode::Process) {
         SupervisorOptions sup = options.supervisor;
-        sup.configHash = journal.configHash;
+        sup.configHash = campaignConfigHash(options);
         sup.benchmark = options.benchmark;
         sup.seed = options.sampling.seed;
         sup.stopFlag = options.stopFlag;
@@ -269,9 +178,12 @@ Campaign::run()
     } sweep_guard{engine};
 
     CampaignSummary summary;
-    for (size_t index = 0; index < plan.size(); ++index) {
-        const PlannedCell &planned = plan[index];
-        CheckpointCell &entry = journal.cells[index];
+    for (const PlannedCell &planned : plan) {
+        if (options.stopFlag
+            && options.stopFlag->load(std::memory_order_relaxed)) {
+            summary.interrupted = true;
+            break;
+        }
 
         SamplingConfig config = options.sampling;
         config.stopFlag = options.stopFlag;
@@ -280,46 +192,6 @@ Campaign::run()
         CampaignCellResult cell;
         cell.key = planned.key;
         cell.delay = planned.delay;
-
-        // A journaled verdict is final. An ok davf cell's aggregate is
-        // derived from its journaled outcomes again, which simulates
-        // nothing; the failure-rate gate already passed when the
-        // verdict was written, so a stricter rate on resume cannot
-        // overturn it.
-        if (entry.state != CheckpointCell::State::Open) {
-            cell.fromCheckpoint = true;
-            cell.failed = entry.state == CheckpointCell::State::Failed;
-            cell.failReason = entry.failReason;
-            cell.savf = entry.savf;
-            if (!cell.failed && planned.key.kind == "davf") {
-                if (entry.cycles.size()
-                    != engine->injectionCycles(config).size()) {
-                    davf_throw(ErrorKind::BadInput, "checkpoint '",
-                               options.checkpointPath, "': finished cell ",
-                               planned.key.structure, ' ',
-                               planned.key.delay, " journals ",
-                               entry.cycles.size(), " of its cycles");
-                }
-                DelayAvfProgress progress;
-                progress.completed = entry.cycles;
-                config.maxFailureRate = 1.0;
-                cell.davf = engine->delayAvf(*planned.structure,
-                                             planned.delay, config,
-                                             &progress);
-            }
-            summary.cells.push_back(std::move(cell));
-            ++summary.cellsFromCheckpoint;
-            campaignMetrics().cellsFromCheckpoint.add(1);
-            if (entry.state == CheckpointCell::State::Failed)
-                ++summary.cellsFailed;
-            continue;
-        }
-
-        if (stop_requested()) {
-            summary.interrupted = true;
-            save();
-            break;
-        }
 
         const obs::Span cell_span("campaign.cell",
                                   &campaignMetrics().cellNs);
@@ -361,42 +233,29 @@ Campaign::run()
             spec.kind = ShardSpec::Kind::Cycle;
             spec.delayFraction = planned.delay;
 
-            // Journal every completed injection cycle: an interruption
-            // (even SIGKILL) loses at most one cycle of work.
-            auto journal_cycle = [&](const InjectionCycleOutcome &outcome) {
-                if (entry.addCycle(outcome))
-                    save();
-            };
-
-            // Completed cycles are the journaled ones plus the cache's
-            // hits; only the rest is computed.
+            // Completed cycles are the cache's hits; only the rest is
+            // computed.
             DelayAvfProgress progress;
-            progress.completed = entry.cycles;
             std::vector<uint64_t> todo;
             for (uint64_t cycle : engine->injectionCycles(config)) {
-                if (std::any_of(entry.cycles.begin(), entry.cycles.end(),
-                                [&](const InjectionCycleOutcome &out) {
-                                    return out.cycle == cycle;
-                                }))
-                    continue;
                 spec.cycle = cycle;
                 InjectionCycleOutcome hit;
                 SavfResult unused;
                 if (options.cache.lookup
                     && options.cache.lookup(spec, hit, unused)) {
                     ++summary.shardsFromCache;
-                    journal_cycle(hit);
                     progress.completed.push_back(std::move(hit));
                 } else {
                     todo.push_back(cycle);
                 }
             }
 
-            // Every computed outcome is journaled and cached. Calls are
-            // serialized by the engine or the dispatcher.
+            // Every computed outcome goes to the cache the moment it
+            // completes, so an interruption (even SIGKILL) loses only
+            // the cycles in flight. Calls are serialized by the engine
+            // or the dispatcher.
             progress.onCycleDone =
                 [&](const InjectionCycleOutcome &outcome) {
-                    journal_cycle(outcome);
                     ++summary.shardsComputed;
                     if (options.cache.store) {
                         ShardSpec computed = spec;
@@ -425,7 +284,7 @@ Campaign::run()
             if (dispatcher) {
                 // Workers compute the rest, the dispatcher retries (and,
                 // for processes, quarantines), and every completed
-                // outcome is journaled through the same onCycleDone as
+                // outcome is cached through the same onCycleDone as
                 // thread mode and joins the cell's completed cycles.
                 ShardDispatcher::CellResult shard =
                     dispatcher->runDavfCell(
@@ -454,18 +313,10 @@ Campaign::run()
             }
         }
         if (stopped) {
-            // Completed cycles are already journaled via onCycleDone;
-            // save once more and stop cleanly.
+            // Completed cycles are already cached via onCycleDone.
             summary.interrupted = true;
-            save();
             break;
         }
-
-        // The cell is final (completed or failed): journal its verdict.
-        entry.state = cell.failed ? CheckpointCell::State::Failed
-                                  : CheckpointCell::State::Ok;
-        entry.failReason = cell.failReason;
-        entry.savf = cell.savf;
 
         if (cell.failed) {
             ++summary.cellsFailed;
@@ -474,8 +325,6 @@ Campaign::run()
         ++summary.cellsComputed;
         campaignMetrics().cellsComputed.add(1);
         summary.cells.push_back(std::move(cell));
-
-        save();
         flushCsv(summary);
     }
 

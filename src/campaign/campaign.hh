@@ -5,28 +5,24 @@
  * A campaign is the cross product (structures × delays [× sAVF]) over
  * one prepared VulnerabilityEngine, run cell by cell with:
  *
- *  - **journaling**: after every completed cell — and after every
- *    completed injection cycle inside a cell — the journal is rewritten
- *    atomically (checkpoint.hh), so no interruption point loses more
- *    than one injection cycle of work;
- *  - **resume**: a rerun with CampaignOptions::resume adopts every
- *    journaled cycle outcome and cell verdict and derives each
- *    aggregate from the outcomes again, reproducing bit-identical
- *    results versus an uninterrupted run, at any thread count (the
- *    engine's per-cycle outcomes are deterministic and aggregated in
- *    cycle order);
+ *  - **a cache tier as its only durable record**: with
+ *    CampaignOptions::cache set, every scheduled shard (injection cycle
+ *    or sAVF cell) the cache already holds is adopted instead of being
+ *    computed, and every computed shard is handed to the cache as soon
+ *    as it completes. davf_run puts the result store behind it
+ *    (--store-dir), which appends and syncs each shard once, so an
+ *    interrupted or killed run loses at most the cycles in flight and
+ *    the same command continues it; davf_serve answers every query that
+ *    misses by running it as a one-structure campaign. Aggregates are
+ *    derived from the cycle outcomes in cycle order, so they are
+ *    bit-identical to an uninterrupted run at any thread count;
  *  - **fault isolation**: a cell whose failure rate crosses
  *    CampaignOptions::maxFailureRate is recorded as failed with its
  *    reason and the campaign moves on — one pathological structure
  *    cannot poison the sweep;
  *  - **cooperative stop**: when the stop flag (stop.hh) is raised, the
- *    engine returns between injections, the journal and the partial CSV
- *    are flushed, and run() reports interrupted;
- *  - **cache tier**: with CampaignOptions::cache set, a shard the cache
- *    already holds is adopted like a journaled cycle instead of being
- *    computed, and every computed shard is handed to the cache. davf_run
- *    puts the result store behind it, and davf_serve answers every
- *    query that misses by running it as a one-structure campaign.
+ *    engine returns between injections, the partial CSV is flushed,
+ *    and run() reports interrupted.
  */
 
 #ifndef DAVF_CAMPAIGN_CAMPAIGN_HH
@@ -38,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/checkpoint.hh"
 #include "campaign/supervisor.hh"
 #include "core/report.hh"
 #include "core/shard.hh"
@@ -65,9 +60,9 @@ enum class IsolationMode : uint8_t {
      * On remote worker nodes through a CampaignOptions::dispatcher
      * (the src/net coordinator), which this mode requires: shards
      * travel over TCP with heartbeats, retry, lost nodes retired, and
-     * local fallback, and every completed outcome flows through the
-     * same journal grammar, so aggregates stay bit-identical to Thread
-     * mode at any node count (docs/DISTRIBUTED.md).
+     * local fallback, and every completed outcome travels in the shared
+     * outcome codec (core/shard.hh), so aggregates stay bit-identical
+     * to Thread mode at any node count (docs/DISTRIBUTED.md).
      */
     Net,
 };
@@ -91,7 +86,7 @@ struct ShardCache
 /** What to run and how to survive it. */
 struct CampaignOptions
 {
-    /** Benchmark label recorded in the journal and CSV. */
+    /** Benchmark label recorded in the cell keys and CSV. */
     std::string benchmark = "unknown";
 
     /** Structure names, resolved against the registry at run(). */
@@ -111,12 +106,6 @@ struct CampaignOptions
      *  overrides sampling.maxFailureRate. */
     double maxFailureRate = 0.05;
 
-    /** Journal path; empty disables checkpointing. */
-    std::string checkpointPath;
-
-    /** Adopt an existing journal at checkpointPath. */
-    bool resume = false;
-
     /** CSV output path (atomically rewritten); empty disables. */
     std::string csvPath;
 
@@ -125,9 +114,6 @@ struct CampaignOptions
 
     /** Cooperative stop flag (see stop.hh); may be null. */
     const std::atomic<bool> *stopFlag = nullptr;
-
-    /** Test hook: called after every journal write. */
-    std::function<void()> onCheckpointSaved;
 
     /** Execution isolation for cell simulations. */
     IsolationMode isolate = IsolationMode::Thread;
@@ -152,12 +138,20 @@ struct CampaignOptions
     ShardCache cache;
 };
 
+/** Identity of one campaign cell. @c delay is canonicalDelay() text. */
+struct CellKey
+{
+    std::string kind; ///< "davf" or "savf".
+    std::string benchmark;
+    std::string structure;
+    std::string delay;
+};
+
 /** One cell's outcome as the campaign saw it. */
 struct CampaignCellResult
 {
-    CheckpointKey key;
-    double delay = 0.0;          ///< Parsed back from key.delay.
-    bool fromCheckpoint = false; ///< Journaled verdict, not recomputed.
+    CellKey key;
+    double delay = 0.0; ///< The delay fraction key.delay names.
     bool failed = false;
     std::string failReason;
 
@@ -175,7 +169,6 @@ struct CampaignSummary
     std::vector<CampaignCellResult> cells;
     bool interrupted = false;
     uint64_t cellsComputed = 0;
-    uint64_t cellsFromCheckpoint = 0;
     uint64_t cellsFailed = 0;
 
     /** Shards (injection cycles and sAVF cells) the cache tier served,
@@ -189,10 +182,9 @@ struct CampaignSummary
 };
 
 /**
- * The identity of a campaign configuration, as recorded in the journal.
- * Deliberately excludes thread count and operational limits (timeout,
- * failure rate, paths): those may change across a resume without
- * affecting results.
+ * The identity of a campaign configuration, which process isolation
+ * stamps on its quarantine records. Deliberately excludes thread count
+ * and operational limits (timeout, failure rate, paths).
  */
 std::string campaignConfigHash(const CampaignOptions &options);
 
@@ -214,20 +206,17 @@ class Campaign
              CampaignOptions options);
 
     /**
-     * Run (or resume) the sweep. Throws DavfError for unusable input:
-     * unknown structure name, a corrupt journal, or a journal written
-     * by a different configuration.
+     * Run the sweep, computing only the shards the cache tier lacks.
+     * Throws DavfError{NotFound} for an unknown structure name.
      */
     CampaignSummary run();
 
   private:
     void flushCsv(const CampaignSummary &summary) const;
-    void save() const;
 
     VulnerabilityEngine *engine;
     const StructureRegistry *registry;
     CampaignOptions options;
-    Checkpoint journal;
     std::unique_ptr<Supervisor> supervisor; ///< Process mode's dispatcher.
 };
 

@@ -80,7 +80,7 @@ struct ShardDispatcher::Cell
     bool stopped = false;
     std::vector<QuarantineRecord> quarantined;
 
-    /** Serializes delivery (on_cycle_done journals). */
+    /** Serializes delivery (on_cycle_done stores). */
     std::mutex deliverMutex;
     std::function<void(ShardJob &)> deliver;
 

@@ -148,7 +148,7 @@ struct FleetMetrics
 
 /**
  * The dispatch core (see file comment). The campaign hands it whole
- * cells and journals the per-cycle outcomes it delivers exactly as in
+ * cells and stores the per-cycle outcomes it delivers exactly as in
  * thread mode. One cell runs at a time.
  */
 class ShardDispatcher

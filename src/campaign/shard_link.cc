@@ -10,7 +10,7 @@
 #include <sstream>
 #include <thread>
 
-#include "campaign/checkpoint.hh"
+#include "core/shard.hh"
 #include "obs/trace.hh"
 #include "util/clock.hh"
 #include "util/hash.hh"

@@ -8,9 +8,9 @@
  * reply, returned as a transport-neutral ShardReply), the retry
  * backoff, and the quit-then-drain shutdown, all driven by the one
  * dispatch core, ShardDispatcher (fleet.hh). Worker side: the
- * serveShards() loop. Replies use the journal token grammar
- * (checkpoint.hh), which is why the link lives in src/campaign, and
- * they aggregate bit-identically to thread mode in every transport
+ * serveShards() loop. Replies use the outcome codec
+ * (core/shard.hh), the grammar of a result-store record, so they
+ * aggregate bit-identically to thread mode in every transport
  * (docs/ROBUSTNESS.md, "Failure classification and retries").
  */
 

@@ -4,7 +4,8 @@
  *
  * The first signal sets a stop flag that the engine checks between
  * injections (SamplingConfig::stopFlag); the campaign then flushes its
- * checkpoint and partial CSV and exits cleanly. A second signal while
+ * partial CSV and exits cleanly (completed cycles are already in its
+ * cache tier). A second signal while
  * stopping force-exits (status 130), so a wedged run can still be
  * killed with a double Ctrl-C.
  */

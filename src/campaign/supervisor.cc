@@ -152,7 +152,7 @@ loadQuarantineRecords(const std::string &dir)
     for (const std::filesystem::directory_entry &entry : it) {
         if (!entry.is_regular_file(ec))
             continue;
-        // Resume must never die on quarantine damage: an unreadable,
+        // A rerun must never die on quarantine damage: an unreadable,
         // empty, torn, or garbled record is skipped with a warning and
         // a counter — the worst consequence is re-bisecting (and
         // re-quarantining) the injection it described.
@@ -230,7 +230,7 @@ Supervisor::Supervisor(const VulnerabilityEngine &the_engine,
     davf_assert(!options.workerArgv.empty(),
                 "supervisor needs a worker command line");
     // Known-bad injections from earlier runs keep their exclusions, so
-    // a resumed campaign converges instead of re-crashing on the same
+    // a rerun campaign converges instead of re-crashing on the same
     // cell. Records from other configurations are ignored (their
     // sampled-wire indices mean something else).
     if (!options.quarantineDir.empty()) {

@@ -23,7 +23,7 @@
  *    of the cell completes. A worker that never starts is not a crash
  *    of the shard: it is never bisected, and fails the cell once its
  *    retries are used up;
- *  - shard replies carry the exact journal token grammar, so results
+ *  - shard replies carry the exact outcome codec (core/shard.hh), so results
  *    aggregate bit-identically to thread mode at any worker count.
  *
  * See docs/ROBUSTNESS.md for the wire protocol and the quarantine

@@ -11,14 +11,18 @@
  * operational fields (threads, stop flag, paths) are deliberately not
  * part of a shard.
  *
- * Serialization is the same space-separated text-token format as the
- * campaign journal, with doubles as C hexfloats for bit-exactness.
+ * Serialization is space-separated text tokens with doubles as C
+ * hexfloats for bit-exactness. The outcome codec below writes a shard's
+ * result in the same grammar: worker replies carry it, and a result
+ * store record holds it under the shard's spec, so a stored or shipped
+ * outcome aggregates bit-identically to a freshly computed one.
  */
 
 #ifndef DAVF_CORE_SHARD_HH
 #define DAVF_CORE_SHARD_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <string>
 #include <vector>
@@ -61,6 +65,25 @@ std::string serializeShardSpec(const ShardSpec &spec);
 
 /** Parse a serializeShardSpec() line; malformed input is an Err. */
 Result<ShardSpec> parseShardSpec(const std::string &text);
+
+/** Canonical exact text form of a delay fraction (C hexfloat). */
+std::string canonicalDelay(double delay);
+
+/**
+ * @name Outcome codec
+ * A cycle outcome or an sAVF result as space-separated hexfloat-exact
+ * tokens. A cycle outcome carries an optional trailing attribution
+ * section (" attr ...", written only when attribution ran, so
+ * attribution-off text is byte-identical to releases before it). The
+ * parsers stop after their own fields and leave an unrecognized tail
+ * to the caller (the worker reply's rusage suffix).
+ */
+/// @{
+std::string serializeOutcomeFields(const InjectionCycleOutcome &outcome);
+bool parseOutcomeFields(std::istream &is, InjectionCycleOutcome &outcome);
+std::string serializeSavfFields(const SavfResult &result);
+bool parseSavfFields(std::istream &is, SavfResult &result);
+/// @}
 
 } // namespace davf
 

@@ -23,8 +23,9 @@
  *    infrastructure failures never fail a cell and a campaign with no
  *    (surviving) workers degrades to exactly a thread-mode run.
  *
- * Replies carry the exact journal token grammar, and aggregation runs
- * through the checkpoint-resume path, so results are byte-identical
+ * Replies carry the exact outcome codec (core/shard.hh), and
+ * aggregation runs from the completed cycle outcomes as in thread
+ * mode, so results are byte-identical
  * to thread/process mode at any node count (docs/DISTRIBUTED.md).
  */
 

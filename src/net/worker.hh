@@ -10,7 +10,7 @@
  * settles its clock period from the welcome (net/frame.hh), and then
  * serves "shard <spec>" requests exactly like a pipe worker:
  * one shard at a time, sampling.threads forced to 1, "hb" heartbeats
- * while computing, replies in the journal token grammar so results
+ * while computing, replies in the outcome codec so results
  * aggregate bit-identically on the coordinator.
  *
  * A clean "quit" ends the worker with exit 0 — after its last reply

@@ -6,7 +6,7 @@
  * Design constraints, in priority order:
  *
  *  1. **Never perturb results.** Collection only ever writes to metric
- *     storage — reports, checkpoints, and store records are byte-identical
+ *     storage — reports, CSVs, and store records are byte-identical
  *     with metrics on or off. The engine guards any bookkeeping that
  *     allocates behind MetricsRegistry::enabled().
  *  2. **Compiled-in but cheap.** Collection is disabled by default; a

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "store/layout.hh"
 #include "store/migrate.hh"
 #include "util/crashpoint.hh"
@@ -24,6 +25,7 @@ struct StoreMetrics
     obs::Counter writes{"store.writes"};
     obs::Counter writeFailures{"store.write_failures"};
     obs::Counter unpublishedWrites{"store.unpublished_writes"};
+    obs::Counter writeNs{"store.time.write_ns"};
     obs::Gauge lruEntries{"store.lru_entries"};
     obs::Gauge lruBytes{"store.lru_bytes"};
 };
@@ -183,6 +185,7 @@ ResultStore::store(const std::string &key, const std::string &payload,
     // through the memory tier — a full disk must degrade a
     // serve/campaign to cache misses, never kill it.
     if (index != nullptr) {
+        const obs::Span span("store.write", &storeMetrics().writeNs);
         try {
             static const crashpoint::CrashPoint publish_point(
                 "store.publish");

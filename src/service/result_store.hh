@@ -4,9 +4,11 @@
  *
  * A record maps a **store key** — the workspace build fingerprint plus
  * the serialized shard spec (structure, d, cycle, wire range, sampling
- * knobs) — to the shard's outcome payload in the exact hexfloat token
- * grammar the campaign journal uses, so a served result aggregates
- * bit-identically to a freshly computed one.
+ * knobs) — to the shard's outcome payload in the exact hexfloat outcome
+ * codec (core/shard.hh), so a served result aggregates bit-identically
+ * to a freshly computed one. Records are appended and synced one by
+ * one, which makes the store a campaign's record of progress too: a
+ * rerun over the same directory computes only the missing shards.
  *
  * Tiers:
  *  - an in-memory LRU map (bounded entry count) absorbs the hot set;
@@ -22,8 +24,7 @@
  * serves the records published before its open, and its store() calls
  * fill only the memory tier (counted as `unpublishedWrites`).
  *
- * Loads are corruption-tolerant in the same spirit as the lenient
- * checkpoint loader: a truncated, wrong-version, or otherwise
+ * Loads are corruption-tolerant: a truncated, wrong-version, or otherwise
  * unparseable record — and a hash-collision record whose embedded key
  * disagrees — is reported as a miss (tallied in StoreStats), so the
  * caller recomputes and the rewrite repairs the store; the owner also

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <sstream>
 
-#include "campaign/checkpoint.hh"
+#include "core/shard.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "service/cli.hh"

@@ -19,8 +19,7 @@
  *    dispatcher (davf_serve --isolate process hands it a Supervisor) —
  *    and each fresh outcome is written back as it completes.
  *
- * Both ways aggregate the same outcomes through the checkpoint-resume
- * path, so a reply assembled from cached shards is bit-identical to a
+ * Both ways aggregate the same completed cycle outcomes, so a reply assembled from cached shards is bit-identical to a
  * cold evaluation (and to davf_run --json) at any thread or worker
  * count. A cell whose every outcome quarantined a wire needs the STA
  * fallback, which only the locked campaign runs.

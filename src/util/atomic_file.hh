@@ -1,10 +1,10 @@
 /**
  * @file
  * Crash-safe file replacement: write to a temporary sibling, fsync,
- * rename over the target, fsync the parent directory. A reader (or a
- * resumed campaign) therefore only ever sees either the complete old
- * contents or the complete new contents — never a truncated checkpoint
- * or a half CSV row — and a record that was published stays published
+ * rename over the target, fsync the parent directory. A reader
+ * therefore only ever sees either the complete old contents or the
+ * complete new contents — never a truncated quarantine record or a
+ * half CSV row — and a record that was published stays published
  * across a power cut (the directory fsync pins the rename).
  *
  * Every step is guarded by a named crash point

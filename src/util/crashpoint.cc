@@ -30,7 +30,6 @@ const char *const kKnownPoints[] = {
     "atomic_file.pre_rename",
     "atomic_file.pre_tmp_write",
     "atomic_file.write",
-    "checkpoint.save",
     "compact.rewrite",
     "fsck.repair",
     "index.append",

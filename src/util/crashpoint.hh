@@ -2,10 +2,10 @@
  * @file
  * Deterministic crash/fault injection at named persistence points.
  *
- * Every durable write path in this repo (util/atomic_file, the
- * campaign checkpoint journal, result-store record publishes,
- * supervisor quarantine records, net-mode shared-store writes, and the
- * davf_store fsck/compact rewrites) passes through a named
+ * Every durable write path in this repo (util/atomic_file, result-store
+ * record publishes and segment appends — which is where campaign
+ * progress lives — supervisor quarantine records, and the davf_store
+ * fsck/compact rewrites) passes through a named
  * **crash point**. With nothing armed, a crash point costs a single
  * relaxed atomic load — cheap enough to leave compiled into release
  * builds, which is the point: the recovery tests exercise the exact

@@ -16,7 +16,7 @@
  *
  * Result<T> is the non-throwing companion for paths where an error is
  * an expected outcome rather than an exception — e.g. parsing a
- * checkpoint file that may be from an older version.
+ * store record that may be from an older version.
  */
 
 #ifndef DAVF_UTIL_ERROR_HH
@@ -59,7 +59,7 @@ class DavfError : public std::runtime_error
 
     /**
      * Where davf_throw()/davf_fatal() raised it (null otherwise). Not
-     * part of what(): the message travels into journals, reports and
+     * part of what(): the message travels into reports, CSVs and
      * replies, which must not depend on the build directory. Only a
      * line a human reads on stderr (guardedMain's "fatal:") adds it.
      */

@@ -4,7 +4,7 @@
  * to disk or the wire: store keys and record sums, workspace
  * fingerprints, campaign config hashes, quarantine file names, and the
  * retry backoff's deterministic jitter. Changing it orphans every
- * existing store record, journal, and quarantine directory.
+ * existing store record and quarantine directory.
  */
 
 #ifndef DAVF_UTIL_HASH_HH

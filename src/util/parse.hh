@@ -45,8 +45,8 @@ double parseDoubleStrict(const std::string &text, const std::string &what);
 
 /**
  * @name Bit-exact double text
- * The C hexfloat ("%a") form every journal, shard, quarantine, and
- * protocol token uses for doubles, so a value survives the round trip
+ * The C hexfloat ("%a") form every store record, shard, quarantine,
+ * and protocol token uses for doubles, so a value survives the round trip
  * bit for bit.
  */
 /// @{

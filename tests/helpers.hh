@@ -5,22 +5,28 @@
  * the two-step-vs-brute-force DelayACE exactness check), a path
  * enumeration the STA cone DP is checked against, and plain per-wire /
  * per-flip reference loops the engine's batched path is checked
- * against.
+ * against, and two campaign cache-tier wrappers: a shard log that
+ * compares whole runs outcome by outcome, and a stop trigger that cuts
+ * a campaign short after a number of stored shards.
  */
 
 #ifndef DAVF_TESTS_HELPERS_HH
 #define DAVF_TESTS_HELPERS_HH
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "builder/builder.hh"
+#include "campaign/campaign.hh"
+#include "core/shard.hh"
 #include "core/vulnerability.hh"
 #include "core/workload.hh"
 #include "netlist/netlist.hh"
@@ -463,6 +469,62 @@ class CycleAttributionTap : public AttributionTap
         return event;
     }
 };
+
+/**
+ * Every shard a campaign hands its cache tier, as spec line -> outcome
+ * codec text. Two runs' logs are equal exactly when they stored the
+ * same outcomes, so bit-identity tests compare whole runs shard by
+ * shard; a run continued over a store logs into the same ShardLog as
+ * the run it continues.
+ */
+struct ShardLog
+{
+    std::mutex mutex;
+    std::map<std::string, std::string> shards;
+
+    /** @p inner (possibly unset), logging every stored shard first. */
+    ShardCache
+    wrap(ShardCache inner = {})
+    {
+        ShardCache cache;
+        cache.lookup = std::move(inner.lookup);
+        cache.store = [this, store = std::move(inner.store)](
+                          const ShardSpec &spec,
+                          const InjectionCycleOutcome &cycle,
+                          const SavfResult &savf) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex);
+                shards[serializeShardSpec(spec)] =
+                    spec.kind == ShardSpec::Kind::Cycle
+                    ? serializeOutcomeFields(cycle)
+                    : serializeSavfFields(savf);
+            }
+            if (store)
+                store(spec, cycle, savf);
+        };
+        return cache;
+    }
+};
+
+/** @p inner, raising @p stop once it has stored @p count shards: the
+ *  campaign then stops between injections, mid-cell. */
+inline ShardCache
+stopAfterStores(ShardCache inner, uint64_t count, std::atomic<bool> &stop)
+{
+    auto stored = std::make_shared<uint64_t>(0);
+    ShardCache cache;
+    cache.lookup = std::move(inner.lookup);
+    cache.store = [store = std::move(inner.store), stored, count,
+                   &stop](const ShardSpec &spec,
+                          const InjectionCycleOutcome &cycle,
+                          const SavfResult &savf) {
+        if (store)
+            store(spec, cycle, savf);
+        if (++*stored == count)
+            stop.store(true);
+    };
+    return cache;
+}
 
 } // namespace davf::test
 

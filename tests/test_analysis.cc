@@ -6,7 +6,7 @@
  *  - the RV32I(+M) disassembler used for attribution labels
  *    (round-tripped through the repo's own assembler, so the two can
  *    never drift on operand syntax);
- *  - the attr/attrtab journal grammar: outcome and result sections
+ *  - the attribution section of the outcome codec: outcome sections
  *    round-trip bit-exactly, percent-encoded mnemonics survive spaces
  *    and empty strings, damage is rejected, and unknown trailing
  *    tokens are left for the caller (the worker-reply rusage suffix);
@@ -17,9 +17,12 @@
  *  - engine-level identity on a real IbexMini workspace: the
  *    attribution table is bit-identical across thread counts, enabling
  *    attribution does not perturb any non-attribution counter, and an
- *    interrupted --attribution campaign resumed at a different thread
- *    count reproduces the uninterrupted journal, CSV, and attribution
- *    CSV byte-for-byte (both interruption directions).
+ *    interrupted --attribution campaign rerun over its result store at
+ *    a different thread count reproduces the uninterrupted outcomes,
+ *    CSV, and attribution CSV byte-for-byte (both interruption
+ *    directions);
+ *  - the real davf_run: a warm --attribution rerun over a result store
+ *    prints the same tables and attribution CSV, computing nothing.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +30,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,14 +40,16 @@
 
 #include "src/analysis/disasm.hh"
 #include "src/campaign/campaign.hh"
-#include "src/campaign/checkpoint.hh"
 #include "src/core/report.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/isa/assembler.hh"
 #include "src/service/protocol.hh"
+#include "src/service/result_store.hh"
+#include "src/service/scheduler.hh"
 #include "src/service/workspace.hh"
 #include "src/util/parse.hh"
+#include "tests/helpers.hh"
 
 namespace davf {
 namespace {
@@ -111,7 +116,7 @@ TEST(Disasm, UnknownWordsRenderAsData)
     EXPECT_EQ(analysis::disassemble(0x025353b3u), "divu x7, x6, x5");
 }
 
-// ---------------------------------------------- attr journal grammar
+// ------------------------------------------------ attr codec grammar
 
 InjectionCycleOutcome
 outcomeWithAttr()
@@ -146,7 +151,7 @@ TEST(AttrGrammar, OutcomeSectionRoundTripsBitExactly)
     EXPECT_EQ(back, out);
 
     // Attribution off: the section is absent and the bytes match the
-    // pre-flag grammar, so old journals parse and old resumes match.
+    // pre-flag grammar, so old store records parse and keep serving.
     InjectionCycleOutcome plain = out;
     plain.attr = CycleAttribution{};
     const std::string plain_text = serializeOutcomeFields(plain);
@@ -178,7 +183,7 @@ TEST(AttrGrammar, DamagedSectionsAreRejected)
     // fails, or it returns the full outcome, or — when the cut makes
     // the tail an unknown token the parser leaves for its caller —
     // the attribution-free outcome (the caller's trailing-token check
-    // then rejects the leftover, as the scheduler and journal do).
+    // then rejects the leftover, as the scheduler's store lookup does).
     InjectionCycleOutcome plain = outcomeWithAttr();
     plain.attr = CycleAttribution{};
     const size_t attr_at = text.find(" attr ");
@@ -280,9 +285,10 @@ TEST(AttrGrammar, QuerySpecAttrTokenRoundTrips)
 
 TEST(AttrGrammar, ConfigHashSeparatesAttributionCampaigns)
 {
-    // Attribution changes what a campaign computes, so it must fence
-    // resume compatibility — but the attribution-off hash has to match
-    // pre-flag journals, which is why the token is append-only.
+    // Attribution changes what a campaign computes, so it must change
+    // the configuration hash — but the attribution-off hash has to
+    // match pre-flag releases (their quarantine records still apply),
+    // which is why the token is append-only.
     CampaignOptions options;
     options.benchmark = "popcount";
     options.structures = {"ALU"};
@@ -396,10 +402,8 @@ TEST(AttrEngine, AttributionDoesNotPerturbTheCounters)
 
 /** Run one small --attribution campaign; returns its summary. */
 CampaignSummary
-runAttrCampaign(unsigned threads, const std::string &ckpt,
-                const std::string &csv, bool resume,
-                const std::atomic<bool> *stop = nullptr,
-                std::function<void()> on_saved = nullptr)
+runAttrCampaign(unsigned threads, const std::string &csv, ShardCache cache,
+                const std::atomic<bool> *stop = nullptr)
 {
     service::Workspace &ws = workspace();
     CampaignOptions opts;
@@ -409,118 +413,74 @@ runAttrCampaign(unsigned threads, const std::string &ckpt,
     opts.runSavf = false;
     opts.sampling = smallSampling();
     opts.sampling.threads = threads;
-    opts.checkpointPath = ckpt;
     opts.csvPath = csv;
-    opts.resume = resume;
     opts.stopFlag = stop;
-    opts.onCheckpointSaved = std::move(on_saved);
+    opts.cache = std::move(cache);
     Campaign campaign(ws.engine(), ws.structures(), opts);
     return campaign.run();
 }
 
 TEST(AttrEngine, InterruptedResumeReproducesTablesByteForByte)
 {
-    const std::string ref_ckpt = tempPath("attr_ref.ckpt");
     const std::string ref_csv = tempPath("attr_ref.csv");
 
-    // Reference: uninterrupted, 1 thread.
+    // Reference: uninterrupted, 1 thread, no store.
+    test::ShardLog ref_log;
     {
         const CampaignSummary summary =
-            runAttrCampaign(1, ref_ckpt, ref_csv, false);
+            runAttrCampaign(1, ref_csv, ref_log.wrap());
         EXPECT_FALSE(summary.interrupted);
         EXPECT_EQ(summary.cellsFailed, 0u);
     }
-    const std::string ref_journal = slurp(ref_ckpt);
     const std::string ref_attr_csv = slurp(ref_csv + ".attr");
-    EXPECT_NE(ref_journal.find(" attr "), std::string::npos);
+    ASSERT_FALSE(ref_log.shards.empty());
+    EXPECT_NE(ref_log.shards.begin()->second.find(" attr "),
+              std::string::npos);
     EXPECT_NE(ref_attr_csv.find("popcount"), std::string::npos);
 
-    // Both interruption directions: cut at one thread count, resume
-    // at another; journal, CSV, and attribution CSV must all equal
-    // the uninterrupted reference byte-for-byte.
+    // Both interruption directions: cut at one thread count, rerun
+    // over the store at another; the stored outcomes, CSV, and
+    // attribution CSV must all equal the uninterrupted reference
+    // byte-for-byte.
     struct Direction { unsigned cutThreads, resumeThreads; };
     for (const Direction dir : {Direction{1, 4}, Direction{4, 1}}) {
         const std::string tag = std::to_string(dir.cutThreads) + "to"
             + std::to_string(dir.resumeThreads);
-        const std::string cut_ckpt = tempPath("attr_" + tag + ".ckpt");
+        const std::string store_dir = tempPath("attr_" + tag);
         const std::string cut_csv = tempPath("attr_" + tag + ".csv");
+        std::filesystem::remove_all(store_dir);
 
+        test::ShardLog log;
         std::atomic<bool> stop{false};
-        uint64_t saves = 0;
-        const CampaignSummary cut = runAttrCampaign(
-            dir.cutThreads, cut_ckpt, cut_csv, false, &stop, [&] {
-                if (++saves == 2)
-                    stop.store(true);
-            });
-        EXPECT_TRUE(cut.interrupted) << tag;
-        ASSERT_GE(saves, 2u) << tag;
-
-        const CampaignSummary resumed = runAttrCampaign(
-            dir.resumeThreads, cut_ckpt, cut_csv, true);
-        EXPECT_FALSE(resumed.interrupted) << tag;
-        EXPECT_EQ(slurp(cut_ckpt), ref_journal) << tag;
+        {
+            service::ResultStore store({store_dir});
+            const CampaignSummary cut = runAttrCampaign(
+                dir.cutThreads, cut_csv,
+                log.wrap(test::stopAfterStores(
+                    service::shardCacheHooks(store, "fp"), 2, stop)),
+                &stop);
+            EXPECT_TRUE(cut.interrupted) << tag;
+            EXPECT_GE(cut.shardsComputed, 2u) << tag;
+        }
+        {
+            service::ResultStore store({store_dir});
+            const CampaignSummary resumed = runAttrCampaign(
+                dir.resumeThreads, cut_csv,
+                log.wrap(service::shardCacheHooks(store, "fp")));
+            EXPECT_FALSE(resumed.interrupted) << tag;
+            EXPECT_GE(resumed.shardsFromCache, 2u) << tag;
+        }
+        EXPECT_EQ(log.shards, ref_log.shards) << tag;
         EXPECT_EQ(slurp(cut_csv), slurp(ref_csv)) << tag;
         EXPECT_EQ(slurp(cut_csv + ".attr"), ref_attr_csv) << tag;
 
-        for (const std::string &path :
-             {cut_ckpt, cut_csv, cut_csv + ".attr"})
+        std::filesystem::remove_all(store_dir);
+        for (const std::string &path : {cut_csv, cut_csv + ".attr"})
             std::remove(path.c_str());
     }
 
-    // Resuming the complete journal recomputes nothing and rewrites
-    // the same bytes.
-    {
-        const CampaignSummary summary =
-            runAttrCampaign(2, ref_ckpt, ref_csv, true);
-        EXPECT_EQ(summary.cellsComputed, 0u);
-        EXPECT_EQ(summary.cellsFromCheckpoint, 2u);
-        EXPECT_EQ(slurp(ref_ckpt), ref_journal);
-        EXPECT_EQ(slurp(ref_csv + ".attr"), ref_attr_csv);
-    }
-
-    for (const std::string &path :
-         {ref_ckpt, ref_csv, ref_csv + ".attr"})
+    for (const std::string &path : {ref_csv, ref_csv + ".attr"})
         std::remove(path.c_str());
-}
-
-TEST(AttrEngine, JournalRoundTripsAttributionTables)
-{
-    // A cell's journaled outcomes carry their attribution sections, so
-    // the table derived from the parsed journal is the engine's own:
-    // resume and davf_trace attr rebuild tables, nothing stores them.
-    service::Workspace &ws = workspace();
-    DelayAvfProgress progress;
-    const DelayAvfResult result = ws.engine().delayAvf(
-        ws.structure("ALU"), 0.5, smallSampling(), &progress);
-    ASSERT_TRUE(result.attrValid);
-
-    Checkpoint checkpoint;
-    checkpoint.configHash = "test";
-    CheckpointCell cell;
-    cell.key = {"davf", "popcount", "ALU", canonicalDelay(0.5)};
-    cell.state = CheckpointCell::State::Ok;
-    for (const InjectionCycleOutcome &outcome : progress.completed)
-        cell.addCycle(outcome);
-    checkpoint.cells.push_back(cell);
-    const std::string text = serializeCheckpoint(checkpoint);
-    EXPECT_NE(text.find(" attr "), std::string::npos);
-
-    const Result<Checkpoint> back = parseCheckpoint(text);
-    ASSERT_TRUE(back.ok()) << back.error().what();
-    ASSERT_EQ(back.value().cells.size(), 1u);
-    const std::vector<InjectionCycleOutcome> &cycles =
-        back.value().cells[0].cycles;
-    const auto table = attributionTable(cycles);
-    ASSERT_TRUE(table.has_value());
-    EXPECT_EQ(*table, result.attribution);
-    EXPECT_EQ(serializeCheckpoint(back.value()), text);
-
-    // One outcome without attribution voids the table, as it voids the
-    // aggregate's.
-    std::vector<InjectionCycleOutcome> unattributed = cycles;
-    unattributed.back().attr = {};
-    EXPECT_FALSE(attributionTable(unattributed).has_value());
-    EXPECT_FALSE(attributionTable({}).has_value());
 }
 
 std::string
@@ -529,58 +489,48 @@ tool(const std::string &name)
     return std::string(DAVF_TOOLS_DIR) + "/" + name;
 }
 
-/** The attribution-table lines of a tool's output (column header, one
- *  line per instruction, one per destination), each with @p indent
- *  stripped; lines without it are skipped. */
-std::vector<std::string>
-tableLines(const std::string &text, const std::string &indent)
+TEST(AttrTools, WarmStoreRunPrintsTheSameTables)
 {
-    std::vector<std::string> lines;
-    std::istringstream is(text);
-    for (std::string line; std::getline(is, line);) {
-        if (line.compare(0, indent.size(), indent) != 0)
-            continue;
-        line.erase(0, indent.size());
-        if (line.rfind("pc ", 0) == 0 || line.rfind("0x", 0) == 0
-            || line.rfind(std::string(12, ' ') + "  -> ", 0) == 0)
-            lines.push_back(line);
+    // A warm `davf_run --attribution --store-dir D` derives every table
+    // from the stored cycle outcomes: it prints the cold run's report
+    // and attribution CSV byte-for-byte and computes no cycle.
+    const std::string store_dir = tempPath("tools_attr_store");
+    std::filesystem::remove_all(store_dir);
+    auto run = [&](const std::string &tag) {
+        const std::string base = tempPath("tools_attr_" + tag);
+        EXPECT_EQ(std::system((tool("davf_run")
+                               + " --benchmark popcount --structure ALU"
+                                 " --delays 0.5:0.7:0.2 --cycles 3"
+                                 " --wires 40 --attribution --store-dir "
+                               + store_dir + " --csv " + base
+                               + ".csv --metrics-json " + base
+                               + ".metrics > " + base + ".txt 2> /dev/null")
+                                  .c_str()),
+                  0);
+        return base;
+    };
+    const std::string cold = run("cold");
+    const std::string warm = run("warm");
+    const std::string text = slurp(cold + ".txt");
+    EXPECT_NE(text.find("attribution (d=0.50)"), std::string::npos) << text;
+    EXPECT_NE(text.find("attribution (d=0.70)"), std::string::npos) << text;
+    EXPECT_EQ(slurp(warm + ".txt"), text);
+    EXPECT_EQ(slurp(warm + ".csv.attr"), slurp(cold + ".csv.attr"));
+    auto cycles_computed = [](const std::string &base) -> uint64_t {
+        const std::string json = slurp(base + ".metrics");
+        const std::string key = "\"engine.cycles_computed\":";
+        const size_t at = json.find(key);
+        return at == std::string::npos
+            ? 0
+            : std::stoull(json.substr(at + key.size()));
+    };
+    EXPECT_GT(cycles_computed(cold), 0u);
+    EXPECT_EQ(cycles_computed(warm), 0u);
+    std::filesystem::remove_all(store_dir);
+    for (const std::string &base : {cold, warm}) {
+        for (const char *suffix : {".txt", ".csv", ".csv.attr", ".metrics"})
+            std::remove((base + suffix).c_str());
     }
-    return lines;
-}
-
-TEST(AttrTools, TraceAttrPrintsTheTablesDavfRunPrints)
-{
-    // davf_trace attr derives each table from the journaled outcomes;
-    // it must print the rows davf_run printed for the same campaign
-    // (indented by two spaces under a per-cell heading).
-    const std::string ckpt = tempPath("tools_attr.ckpt");
-    const std::string run_out = tempPath("tools_attr_run.txt");
-    const std::string trace_out = tempPath("tools_attr_trace.txt");
-    ASSERT_EQ(std::system((tool("davf_run")
-                           + " --benchmark popcount --structure ALU"
-                             " --delays 0.5:0.7:0.2 --cycles 3 --wires 40"
-                             " --attribution --checkpoint "
-                           + ckpt + " > " + run_out + " 2> /dev/null")
-                              .c_str()),
-              0);
-    ASSERT_EQ(std::system((tool("davf_trace") + " attr --checkpoint "
-                           + ckpt + " > " + trace_out)
-                              .c_str()),
-              0);
-    const std::string run_text = slurp(run_out);
-    const std::string trace_text = slurp(trace_out);
-    const std::vector<std::string> rows = tableLines(run_text, "");
-    EXPECT_GT(rows.size(), 4u) << run_text;
-    EXPECT_EQ(tableLines(trace_text, "  "), rows) << trace_text;
-    // One table per delay.
-    size_t tables = 0;
-    for (size_t at = trace_text.find("popcount ALU d=");
-         at != std::string::npos;
-         at = trace_text.find("popcount ALU d=", at + 1))
-        ++tables;
-    EXPECT_EQ(tables, 2u) << trace_text;
-    for (const std::string &path : {ckpt, run_out, trace_out})
-        std::remove(path.c_str());
 }
 
 } // namespace

@@ -5,16 +5,16 @@
  *  - the recoverable error taxonomy (DavfError kinds, Result<T>,
  *    library errors that used to exit());
  *  - atomic file writes;
- *  - checkpoint serialization: bit-exact double round-trips, rejection
- *    of corrupt/mismatched journals;
- *  - campaign checkpoint/resume: an interrupted-then-resumed sweep
- *    reproduces the uninterrupted journal and CSV byte-for-byte, at a
- *    different thread count;
+ *  - progress in the result store: a sweep interrupted mid-cell and
+ *    rerun over the same store, at a different thread count or under
+ *    process isolation, stores the uninterrupted run's outcomes and
+ *    CSV byte-for-byte, computing only the missing shards; a rerun over
+ *    a complete store computes nothing, and a cell that failed the
+ *    failure-rate gate fails again with the same reason;
  *  - per-injection fault isolation: timeouts become skip accounting,
  *    excessive failure rates fail the cell but not the campaign;
  *  - the cooperative SIGINT/SIGTERM stop flag;
- *  - lenient loading of journals with a torn final line, plus a
- *    fuzz-ish corpus over the checkpoint/shard/quarantine parsers;
+ *  - the shard and quarantine parsers, fuzz-ish;
  *  - supervised process isolation: bit-identity with thread mode at
  *    any worker count, and crash -> retry -> bisect -> quarantine;
  *  - the query scheduler's isolated path: worker replies byte-identical
@@ -41,7 +41,6 @@
 #include <string_view>
 
 #include "src/campaign/campaign.hh"
-#include "src/campaign/checkpoint.hh"
 #include "src/campaign/stop.hh"
 #include "src/campaign/supervisor.hh"
 #include "src/core/report.hh"
@@ -54,7 +53,6 @@
 #include "src/util/atomic_file.hh"
 #include "src/util/error.hh"
 #include "src/util/logging.hh"
-#include "src/util/rng.hh"
 #include "src/util/subprocess.hh"
 #include "tests/helpers.hh"
 
@@ -102,7 +100,7 @@ TEST(ErrorTaxonomy, ResultCarriesValueOrError)
 
 TEST(ErrorTaxonomy, ThrownMessageIsItsTextAlone)
 {
-    // what() travels into journals, reports and replies, so it must not
+    // what() travels into reports, CSVs and replies, so it must not
     // carry the build's source path; the location stays available for
     // the stderr "fatal:" line.
     try {
@@ -171,193 +169,6 @@ TEST(AtomicFile, UnwritablePathThrowsIo)
     }
 }
 
-// ------------------------------------------------------------ checkpoint
-
-/** A journaled outcome of @p cycle over four sampled wires. */
-InjectionCycleOutcome
-sampleOutcome(uint64_t cycle)
-{
-    InjectionCycleOutcome outcome;
-    outcome.cycle = cycle;
-    outcome.injections = 40;
-    outcome.staticInjections = 3;
-    outcome.delayAce = 4;
-    outcome.skippedErrors = 1;
-    outcome.skipReasons = {{"timeout", 1}};
-    outcome.wireDyn = {1, 0, 1, 1};
-    outcome.wireAce = {0, 0, 1, 0};
-    return outcome;
-}
-
-/** Every record kind: a finished davf cell, a failed one, a finished
- *  sAVF cell, and two open davf cells. */
-Checkpoint
-sampleCheckpoint()
-{
-    Checkpoint checkpoint;
-    checkpoint.configHash = "feedc0de";
-
-    CheckpointCell davf_cell;
-    davf_cell.key = {"davf", "md5", "ALU", canonicalDelay(1.0 / 3.0)};
-    davf_cell.state = CheckpointCell::State::Ok;
-    davf_cell.addCycle(sampleOutcome(40));
-    davf_cell.addCycle(sampleOutcome(17));
-    checkpoint.cells.push_back(davf_cell);
-
-    CheckpointCell failed_cell;
-    failed_cell.key = {"davf", "md5", "LSU", canonicalDelay(0.5)};
-    failed_cell.state = CheckpointCell::State::Failed;
-    failed_cell.failReason = "structure 'LSU': too many failures";
-    checkpoint.cells.push_back(failed_cell);
-
-    CheckpointCell savf_cell;
-    savf_cell.key = {"savf", "md5", "ALU", canonicalDelay(0.0)};
-    savf_cell.state = CheckpointCell::State::Ok;
-    savf_cell.savf.savf = 5e-324; // subnormal
-    savf_cell.savf.injections = 64;
-    savf_cell.savf.aceInjections = 44;
-    checkpoint.cells.push_back(savf_cell);
-
-    for (double d : {0.7, 0.9}) {
-        CheckpointCell open_cell;
-        open_cell.key = {"davf", "md5", "Regfile", canonicalDelay(d)};
-        open_cell.addCycle(sampleOutcome(17));
-        checkpoint.cells.push_back(open_cell);
-    }
-    return checkpoint;
-}
-
-TEST(CheckpointFormat, RoundTripsBitExactly)
-{
-    const Checkpoint before = sampleCheckpoint();
-    const std::string text = serializeCheckpoint(before);
-    const Result<Checkpoint> parsed = parseCheckpoint(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().what();
-    const Checkpoint &after = parsed.value();
-
-    EXPECT_EQ(after.configHash, before.configHash);
-    ASSERT_EQ(after.cells.size(), before.cells.size());
-    for (size_t i = 0; i < after.cells.size(); ++i) {
-        EXPECT_TRUE(after.cells[i].key == before.cells[i].key) << i;
-        EXPECT_EQ(after.cells[i].state, before.cells[i].state) << i;
-        EXPECT_EQ(after.cells[i].cycles, before.cells[i].cycles) << i;
-    }
-    // addCycle keeps schedule (ascending cycle) order.
-    ASSERT_EQ(after.cells[0].cycles.size(), 2u);
-    EXPECT_EQ(after.cells[0].cycles[0].cycle, 17u);
-    EXPECT_EQ(after.cells[1].failReason, before.cells[1].failReason);
-    // Hexfloat serialization must be bit-exact, including subnormals.
-    EXPECT_EQ(after.cells[2].savf.savf, 5e-324);
-    EXPECT_EQ(after.cells[2].savf.aceInjections, 44u);
-
-    // Serialization is deterministic.
-    EXPECT_EQ(serializeCheckpoint(after), text);
-}
-
-TEST(CheckpointFormat, RecordsParseInAnyOrderAndSerializeCanonically)
-{
-    const std::string text = serializeCheckpoint(sampleCheckpoint());
-    std::vector<std::string> records;
-    std::istringstream is(text);
-    for (std::string line; std::getline(is, line);)
-        records.push_back(line);
-    ASSERT_EQ(records.front(), "davf-checkpoint v2");
-    ASSERT_EQ(records.back(), "end");
-
-    // Reverse every record between the config line and the end: each
-    // cell's verdict now precedes its cycles, and cycles run backwards.
-    std::string shuffled = records[0] + "\n" + records[1] + "\n";
-    for (size_t i = records.size() - 2; i >= 2; --i)
-        shuffled += records[i] + "\n";
-    shuffled += "end\n";
-    ASSERT_NE(shuffled, text);
-
-    const Result<Checkpoint> parsed = parseCheckpoint(shuffled);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().what();
-    // Cells keep first-appearance order; sorting them back into the
-    // sample's order restores the canonical bytes.
-    Checkpoint reordered = parsed.value();
-    const Checkpoint sample = sampleCheckpoint();
-    std::vector<CheckpointCell> cells;
-    for (const CheckpointCell &want : sample.cells) {
-        const CheckpointCell *have = reordered.find(want.key);
-        ASSERT_NE(have, nullptr);
-        cells.push_back(*have);
-    }
-    reordered.cells = std::move(cells);
-    EXPECT_EQ(serializeCheckpoint(reordered), text);
-}
-
-TEST(CheckpointFormat, RejectsCorruptInput)
-{
-    const std::string head = "davf-checkpoint v2\nconfig abc\n";
-    const std::string cycle = "cycle davf b s 0x1p-1 "
-        + serializeOutcomeFields(sampleOutcome(17)) + "\n";
-    EXPECT_TRUE(parseCheckpoint(head + cycle + "end\n").ok());
-
-    EXPECT_FALSE(parseCheckpoint("").ok());
-    EXPECT_FALSE(parseCheckpoint("davf-checkpoint v999\nend\n").ok());
-    EXPECT_FALSE(parseCheckpoint(head).ok())
-        << "truncated journal (no end record) must be rejected";
-    EXPECT_FALSE(parseCheckpoint(head + "wat\nend\n").ok());
-    EXPECT_FALSE(parseCheckpoint(head + "cell savf b s 0x0p+0 ok\nend\n")
-                     .ok())
-        << "sAVF cell with missing result fields must be rejected";
-    EXPECT_FALSE(
-        parseCheckpoint(head + "cell davf b s 0x1p-1 ok 0x1p-2\nend\n")
-            .ok())
-        << "a davf verdict carries no aggregate";
-    EXPECT_FALSE(parseCheckpoint(head + cycle + cycle + "end\n").ok())
-        << "a cycle journaled twice must be rejected";
-    EXPECT_FALSE(parseCheckpoint(head + "cycle savf b s 0x0p+0 "
-                                 + serializeOutcomeFields(sampleOutcome(17))
-                                 + "\nend\n")
-                     .ok())
-        << "sAVF cells have no cycle records";
-    EXPECT_FALSE(parseCheckpoint(head + cycle
-                                 + "cell davf b s 0x1p-1 failed x\nend\n")
-                     .ok())
-        << "a failed cell journals no cycles";
-    EXPECT_FALSE(parseCheckpoint(head + "cell davf b s 0x1p-1 ok\n"
-                                 + "cell davf b s 0x1p-1 ok\nend\n")
-                     .ok())
-        << "one verdict per cell";
-    EXPECT_FALSE(parseCheckpoint("davf-checkpoint v2\nend\n").ok())
-        << "journal without a config record must be rejected";
-}
-
-TEST(CheckpointFormat, RefusesVersionOneJournalsNamingBothVersions)
-{
-    const Result<Checkpoint> parsed = parseCheckpoint(
-        "davf-checkpoint v1\nconfig abc\n"
-        "cell davf b s 0x1p-1 ok 0x0p+0\nend\n");
-    ASSERT_FALSE(parsed.ok());
-    const std::string message = parsed.error().what();
-    EXPECT_NE(message.find("davf-checkpoint v2"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("davf-checkpoint v1"), std::string::npos)
-        << message;
-    CheckpointLoadStats stats;
-    EXPECT_FALSE(parseCheckpoint("davf-checkpoint v1\nconfig abc\nend\n",
-                                 &stats)
-                     .ok())
-        << "lenient loading does not relax the version gate";
-}
-
-TEST(CheckpointFormat, SaveLoadRoundTrips)
-{
-    const std::string path = tempPath("journal.ckpt");
-    const Checkpoint before = sampleCheckpoint();
-    saveCheckpoint(path, before);
-    const Result<Checkpoint> loaded = loadCheckpoint(path);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(serializeCheckpoint(loaded.value()),
-              serializeCheckpoint(before));
-    std::remove(path.c_str());
-
-    EXPECT_FALSE(loadCheckpoint(tempPath("absent.ckpt")).ok());
-}
-
 // -------------------------------------------------------------- campaign
 
 struct CampaignFixture
@@ -403,104 +214,75 @@ TEST(Campaign, UnknownStructureThrowsNotFound)
     }
 }
 
-TEST(Campaign, ResumeRejectsForeignJournal)
-{
-    CampaignFixture fixture;
-    const std::string path = tempPath("foreign.ckpt");
-    Checkpoint foreign;
-    foreign.configHash = "0123456789abcdef"; // not this campaign's hash
-    saveCheckpoint(path, foreign);
-
-    CampaignOptions opts = fixture.options();
-    opts.checkpointPath = path;
-    opts.resume = true;
-    Campaign campaign(*fixture.engine, *fixture.registry, opts);
-    try {
-        campaign.run();
-        FAIL() << "expected DavfError";
-    } catch (const DavfError &error) {
-        EXPECT_EQ(error.kind(), ErrorKind::BadArgument);
-    }
-    std::remove(path.c_str());
-}
-
 TEST(Campaign, InterruptedResumeIsBitIdenticalAcrossThreadCounts)
 {
-    const std::string ref_ckpt = tempPath("ref.ckpt");
     const std::string ref_csv = tempPath("ref.csv");
-    const std::string cut_ckpt = tempPath("cut.ckpt");
     const std::string cut_csv = tempPath("cut.csv");
+    const std::string dir = tempPath("cut_store");
+    std::filesystem::remove_all(dir);
 
-    // Reference: uninterrupted, 1 thread.
+    // Reference: uninterrupted, 1 thread, no store.
+    test::ShardLog ref_log;
+    CampaignSummary ref;
     {
         CampaignFixture fixture;
         CampaignOptions opts = fixture.options();
         opts.sampling.threads = 1;
-        opts.checkpointPath = ref_ckpt;
         opts.csvPath = ref_csv;
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        const CampaignSummary summary = campaign.run();
-        EXPECT_FALSE(summary.interrupted);
-        EXPECT_EQ(summary.cellsComputed, 4u); // 3 delays + sAVF
-        EXPECT_EQ(summary.cellsFailed, 0u);
+        opts.cache = ref_log.wrap();
+        ref = Campaign(*fixture.engine, *fixture.registry, opts).run();
+        EXPECT_FALSE(ref.interrupted);
+        EXPECT_EQ(ref.cellsComputed, 4u); // 3 delays + sAVF
+        EXPECT_EQ(ref.cellsFailed, 0u);
     }
 
-    // Interrupted mid-sweep: raise the stop flag after a few journal
-    // writes (journal writes happen after every injection cycle, so
-    // this lands inside a cell).
+    // Interrupted mid-sweep: raise the stop flag after a few stored
+    // cycles (every injection cycle is stored as it completes, so this
+    // lands inside a cell).
+    test::ShardLog cut_log;
     std::atomic<bool> stop{false};
-    uint64_t saves = 0;
+    uint64_t cut_computed = 0;
     {
+        service::ResultStore store({dir});
         CampaignFixture fixture;
         CampaignOptions opts = fixture.options();
         opts.sampling.threads = 2;
-        opts.checkpointPath = cut_ckpt;
         opts.csvPath = cut_csv;
         opts.stopFlag = &stop;
-        opts.onCheckpointSaved = [&] {
-            if (++saves == 3)
-                stop.store(true);
-        };
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        const CampaignSummary summary = campaign.run();
+        opts.cache = cut_log.wrap(test::stopAfterStores(
+            service::shardCacheHooks(store, "fp"), 3, stop));
+        const CampaignSummary summary =
+            Campaign(*fixture.engine, *fixture.registry, opts).run();
         EXPECT_TRUE(summary.interrupted);
         EXPECT_LT(summary.cellsComputed, 4u);
+        cut_computed = summary.shardsComputed;
     }
-    ASSERT_GE(saves, 3u);
+    ASSERT_GE(cut_computed, 3u);
 
-    // Resume at a different thread count; result must be byte-identical
-    // to the uninterrupted reference — journal and CSV.
+    // Rerun over the same store at a different thread count: the
+    // stored cycles are adopted, only the rest is computed, and the
+    // outcomes and CSV are byte-identical to the uninterrupted run.
     {
+        service::ResultStore store({dir});
         CampaignFixture fixture;
         CampaignOptions opts = fixture.options();
         opts.sampling.threads = 3;
-        opts.checkpointPath = cut_ckpt;
         opts.csvPath = cut_csv;
-        opts.resume = true;
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        const CampaignSummary summary = campaign.run();
+        opts.cache = cut_log.wrap(service::shardCacheHooks(store, "fp"));
+        const CampaignSummary summary =
+            Campaign(*fixture.engine, *fixture.registry, opts).run();
         EXPECT_FALSE(summary.interrupted);
         EXPECT_EQ(summary.cells.size(), 4u);
-        EXPECT_GT(summary.cellsFromCheckpoint
-                      + summary.cellsComputed, 0u);
+        EXPECT_EQ(summary.shardsFromCache, cut_computed);
+        EXPECT_EQ(cut_computed + summary.shardsComputed,
+                  ref.shardsComputed);
     }
 
-    EXPECT_EQ(slurp(cut_ckpt), slurp(ref_ckpt));
+    EXPECT_EQ(cut_log.shards, ref_log.shards);
     EXPECT_EQ(slurp(cut_csv), slurp(ref_csv));
 
-    // Resuming a fully complete journal recomputes nothing.
-    {
-        CampaignFixture fixture;
-        CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ref_ckpt;
-        opts.resume = true;
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        const CampaignSummary summary = campaign.run();
-        EXPECT_EQ(summary.cellsComputed, 0u);
-        EXPECT_EQ(summary.cellsFromCheckpoint, 4u);
-    }
-
-    for (const auto &path : {ref_ckpt, ref_csv, cut_ckpt, cut_csv})
+    std::filesystem::remove_all(dir);
+    for (const auto &path : {ref_csv, cut_csv})
         std::remove(path.c_str());
 }
 
@@ -511,86 +293,26 @@ reportOf(const CampaignSummary &summary)
     return reportJson(reportRows(summary, ""));
 }
 
-TEST(Campaign, ShuffledJournalWithTwoOpenCellsResumesCanonically)
-{
-    const std::string ref_ckpt = tempPath("open2_ref.ckpt");
-    const std::string ref_csv = tempPath("open2_ref.csv");
-    const std::string ckpt = tempPath("open2.ckpt");
-    const std::string csv = tempPath("open2.csv");
-
-    std::string ref_report;
-    {
-        CampaignFixture fixture;
-        CampaignOptions opts = fixture.options();
-        opts.sampling.cycleFraction = 1.0; // all maxInjectionCycles
-        opts.sampling.threads = 1;
-        opts.checkpointPath = ref_ckpt;
-        opts.csvPath = ref_csv;
-        ref_report = reportOf(
-            Campaign(*fixture.engine, *fixture.registry, opts).run());
-    }
-    const std::string reference = slurp(ref_ckpt);
-
-    // A journal no single run writes: two davf cells open at once (the
-    // first two cycles of one, the last two of the other), no verdicts,
-    // and records interleaved across cells and out of cycle order.
-    std::string header;
-    std::vector<std::string> low, mid;
-    {
-        std::istringstream is(reference);
-        const std::string prefix = "cycle davf rndtrace Rnd ";
-        for (std::string line; std::getline(is, line);) {
-            if (line.rfind("davf-checkpoint ", 0) == 0
-                || line.rfind("config ", 0) == 0)
-                header += line + "\n";
-            else if (line.rfind(prefix + canonicalDelay(0.3) + " ", 0) == 0)
-                low.push_back(line);
-            else if (line.rfind(prefix + canonicalDelay(0.6) + " ", 0) == 0)
-                mid.push_back(line);
-        }
-    }
-    ASSERT_GE(low.size(), 3u);
-    ASSERT_GE(mid.size(), 3u);
-    writeFileAtomic(ckpt, header + mid[mid.size() - 1] + "\n" + low[1]
-                              + "\n" + mid[mid.size() - 2] + "\n"
-                              + low[0] + "\nend\n");
-
-    CampaignFixture fixture;
-    CampaignOptions opts = fixture.options();
-    opts.sampling.cycleFraction = 1.0;
-    opts.sampling.threads = 3;
-    opts.checkpointPath = ckpt;
-    opts.csvPath = csv;
-    opts.resume = true;
-    const CampaignSummary summary =
-        Campaign(*fixture.engine, *fixture.registry, opts).run();
-    EXPECT_FALSE(summary.interrupted);
-    EXPECT_EQ(summary.cellsComputed, 4u);
-    EXPECT_EQ(reportOf(summary), ref_report);
-    EXPECT_EQ(slurp(ckpt), reference);
-    EXPECT_EQ(slurp(csv), slurp(ref_csv));
-
-    for (const auto &path : {ref_ckpt, ref_csv, ckpt, csv})
-        std::remove(path.c_str());
-}
-
 TEST(Campaign, ResumingACompleteJournalComputesNothing)
 {
-    const std::string ckpt = tempPath("complete.ckpt");
+    // The store a finished campaign filled holds every shard of it: a
+    // rerun over it adopts them all and simulates nothing.
+    const std::string dir = tempPath("complete_store");
+    std::filesystem::remove_all(dir);
     std::string ref_report;
     {
+        service::ResultStore store({dir});
         CampaignFixture fixture;
         CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ckpt;
+        opts.cache = service::shardCacheHooks(store, "fp");
         ref_report = reportOf(
             Campaign(*fixture.engine, *fixture.registry, opts).run());
     }
-    const std::string reference = slurp(ckpt);
 
+    service::ResultStore store({dir});
     CampaignFixture fixture;
     CampaignOptions opts = fixture.options();
-    opts.checkpointPath = ckpt;
-    opts.resume = true;
+    opts.cache = service::shardCacheHooks(store, "fp");
     obs::MetricsRegistry::instance().reset();
     obs::MetricsRegistry::setEnabled(true);
     const CampaignSummary summary =
@@ -600,15 +322,14 @@ TEST(Campaign, ResumingACompleteJournalComputesNothing)
         obs::MetricsRegistry::instance().snapshot().counters;
     obs::MetricsRegistry::instance().reset();
 
-    EXPECT_EQ(summary.cellsFromCheckpoint, summary.cells.size());
     EXPECT_EQ(summary.cells.size(), 4u);
-    EXPECT_EQ(summary.cellsComputed, 0u);
+    EXPECT_EQ(summary.shardsComputed, 0u);
+    EXPECT_GT(summary.shardsFromCache, 0u);
     const auto computed = counters.find("engine.cycles_computed");
     EXPECT_EQ(computed == counters.end() ? 0u : computed->second, 0u);
-    // The aggregates are derived from the journaled outcomes again.
+    // The aggregates are derived from the stored outcomes again.
     EXPECT_EQ(reportOf(summary), ref_report);
-    EXPECT_EQ(slurp(ckpt), reference);
-    std::remove(ckpt.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Campaign, TimeoutsBecomeSkipsNotCrashes)
@@ -652,6 +373,44 @@ TEST(Campaign, ExcessiveFailuresFailTheCellNotTheCampaign)
         << "failed cells must not abort the sweep";
 }
 
+TEST(Campaign, RerunFailsAnExcessiveFailuresCellAgainFromTheStore)
+{
+    // A failed cell has no stored verdict, but its cycles are stored:
+    // a rerun re-aggregates them, computing nothing, and fails the
+    // cell with the same reason.
+    const std::string dir = tempPath("failed_store");
+    std::filesystem::remove_all(dir);
+    CampaignFixture fixture;
+    CampaignOptions opts = fixture.options();
+    opts.delays = {0.6};
+    opts.runSavf = false;
+    opts.sampling.injectionTimeoutMs = 1e-6; // ~100% failure rate
+    opts.maxFailureRate = 0.01;
+
+    std::string reason;
+    {
+        service::ResultStore store({dir});
+        opts.cache = service::shardCacheHooks(store, "fp");
+        const CampaignSummary summary =
+            Campaign(*fixture.engine, *fixture.registry, opts).run();
+        ASSERT_EQ(summary.cells.size(), 1u);
+        ASSERT_TRUE(summary.cells[0].failed);
+        EXPECT_GT(summary.shardsComputed, 0u);
+        reason = summary.cells[0].failReason;
+    }
+    service::ResultStore store({dir});
+    opts.cache = service::shardCacheHooks(store, "fp");
+    const CampaignSummary summary =
+        Campaign(*fixture.engine, *fixture.registry, opts).run();
+    ASSERT_EQ(summary.cells.size(), 1u);
+    EXPECT_TRUE(summary.cells[0].failed);
+    EXPECT_EQ(summary.cells[0].failKind, ErrorKind::ExcessiveFailures);
+    EXPECT_EQ(summary.cells[0].failReason, reason);
+    EXPECT_EQ(summary.shardsComputed, 0u);
+    EXPECT_EQ(summary.cellsFailed, 1u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Campaign, PresetStopFlagInterruptsBeforeWork)
 {
     CampaignFixture fixture;
@@ -673,145 +432,6 @@ TEST(StopFlag, SigintRaisesTheFlagCooperatively)
     EXPECT_TRUE(flag.load());
     resetStopFlag();
     EXPECT_FALSE(flag.load());
-}
-
-// --------------------------------------------- lenient checkpoint loading
-
-TEST(CheckpointFormat, LenientLoadDropsTornFinalLine)
-{
-    const std::string text = serializeCheckpoint(sampleCheckpoint());
-    // Tear the tail mid-record: drop "end\n" plus part of the final
-    // cycle line, the shape a crashed copy or torn write leaves.
-    const std::string torn = text.substr(0, text.size() - 12);
-
-    EXPECT_FALSE(parseCheckpoint(torn).ok())
-        << "strict parsing must still reject a torn journal";
-
-    CheckpointLoadStats stats;
-    const Result<Checkpoint> parsed = parseCheckpoint(torn, &stats);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().what();
-    EXPECT_TRUE(stats.truncatedTail);
-    EXPECT_FALSE(stats.droppedLine.empty());
-    // Everything before the torn line survives; the torn line was the
-    // last open cell's only cycle.
-    EXPECT_EQ(parsed.value().configHash, "feedc0de");
-    EXPECT_EQ(parsed.value().cells.size(), 4u);
-}
-
-TEST(CheckpointFormat, LenientLoadToleratesOnlyTheFinalLine)
-{
-    // A damaged line in the *middle* is corruption, not a torn write:
-    // both strict and lenient parsing must reject it.
-    std::string text = serializeCheckpoint(sampleCheckpoint());
-    const size_t pos = text.find("\ncell ");
-    ASSERT_NE(pos, std::string::npos);
-    text.insert(pos + 1, "cell davf broken\n");
-    EXPECT_FALSE(parseCheckpoint(text).ok());
-    CheckpointLoadStats stats;
-    EXPECT_FALSE(parseCheckpoint(text, &stats).ok());
-}
-
-TEST(CheckpointFormat, LenientLoadReportsMissingEnd)
-{
-    std::string text = serializeCheckpoint(sampleCheckpoint());
-    const size_t end_pos = text.rfind("end\n");
-    ASSERT_NE(end_pos, std::string::npos);
-    text.resize(end_pos); // intact records, missing end marker
-
-    EXPECT_FALSE(parseCheckpoint(text).ok());
-    CheckpointLoadStats stats;
-    const Result<Checkpoint> parsed = parseCheckpoint(text, &stats);
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_TRUE(stats.missingEnd);
-    EXPECT_FALSE(stats.truncatedTail);
-    EXPECT_EQ(parsed.value().cells.size(), 5u);
-}
-
-TEST(CheckpointFormat, FuzzedInputNeverCrashesTheParser)
-{
-    const std::string text = serializeCheckpoint(sampleCheckpoint());
-
-    // Every truncation point, strict and lenient: the parser must
-    // return a Result either way, never crash or throw.
-    for (size_t n = 0; n <= text.size(); ++n) {
-        const std::string prefix = text.substr(0, n);
-        (void)parseCheckpoint(prefix);
-        CheckpointLoadStats stats;
-        (void)parseCheckpoint(prefix, &stats);
-    }
-
-    // Deterministic byte mutations (flips, splices, truncations).
-    Rng rng(0xfadedfacade);
-    for (int round = 0; round < 400; ++round) {
-        std::string mutated = text;
-        const unsigned edits = 1 + unsigned(rng.below(4));
-        for (unsigned e = 0; e < edits; ++e) {
-            const size_t pos = size_t(rng.below(mutated.size()));
-            switch (rng.below(3)) {
-              case 0:
-                mutated[pos] = char(rng.below(256));
-                break;
-              case 1:
-                mutated.insert(pos, 1, char(rng.below(256)));
-                break;
-              default:
-                mutated.erase(pos, 1 + size_t(rng.below(8)));
-                break;
-            }
-            if (mutated.empty())
-                mutated.push_back('x');
-        }
-        (void)parseCheckpoint(mutated);
-        CheckpointLoadStats stats;
-        (void)parseCheckpoint(mutated, &stats);
-    }
-}
-
-TEST(Campaign, ResumeSurvivesTornFinalJournalLine)
-{
-    const std::string ref_ckpt = tempPath("torn_ref.ckpt");
-    const std::string ckpt = tempPath("torn.ckpt");
-
-    // Reference: a complete sweep.
-    {
-        CampaignFixture fixture;
-        CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ref_ckpt;
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        const CampaignSummary summary = campaign.run();
-        EXPECT_FALSE(summary.interrupted);
-        EXPECT_EQ(summary.cellsFailed, 0u);
-    }
-
-    // The same journal with its tail torn mid-line.
-    const std::string reference = slurp(ref_ckpt);
-    const size_t end_pos = reference.rfind("end\n");
-    ASSERT_NE(end_pos, std::string::npos);
-    ASSERT_GT(end_pos, 8u);
-    writeFileAtomic(ckpt, reference.substr(0, end_pos - 7));
-
-    EXPECT_FALSE(loadCheckpoint(ckpt).ok());
-    CheckpointLoadStats stats;
-    EXPECT_TRUE(loadCheckpoint(ckpt, &stats).ok());
-    EXPECT_TRUE(stats.truncatedTail);
-
-    // Resume recomputes only the lost record; the final journal is
-    // byte-identical to the uninterrupted reference.
-    {
-        CampaignFixture fixture;
-        CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ckpt;
-        opts.resume = true;
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        const CampaignSummary summary = campaign.run();
-        EXPECT_FALSE(summary.interrupted);
-        EXPECT_GT(summary.cellsComputed, 0u);
-        EXPECT_GT(summary.cellsFromCheckpoint, 0u);
-    }
-    EXPECT_EQ(slurp(ckpt), reference);
-
-    for (const auto &path : {ref_ckpt, ckpt})
-        std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ shard wire format
@@ -934,100 +554,134 @@ processOptions(const CampaignFixture &fixture, unsigned workers)
 
 TEST(Campaign, ProcessIsolationIsBitIdenticalToThreadMode)
 {
-    const std::string thread_ckpt = tempPath("iso_thread.ckpt");
     const std::string thread_csv = tempPath("iso_thread.csv");
 
+    test::ShardLog ref_log;
     {
         CampaignFixture fixture;
         CampaignOptions opts = fixture.options();
-        opts.checkpointPath = thread_ckpt;
         opts.csvPath = thread_csv;
+        opts.cache = ref_log.wrap();
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
         const CampaignSummary summary = campaign.run();
         EXPECT_FALSE(summary.interrupted);
         EXPECT_EQ(summary.cellsFailed, 0u);
     }
-    const std::string ref_journal = slurp(thread_ckpt);
     const std::string ref_csv = slurp(thread_csv);
 
-    // Process isolation at two different worker counts: journal and
-    // CSV must match thread mode byte for byte.
+    // Process isolation at two different worker counts: every stored
+    // outcome and the CSV must match thread mode byte for byte.
     for (unsigned workers : {1u, 3u}) {
         const std::string tag = std::to_string(workers);
-        const std::string ckpt = tempPath("iso_proc" + tag + ".ckpt");
         const std::string csv = tempPath("iso_proc" + tag + ".csv");
         CampaignFixture fixture;
         CampaignOptions opts = processOptions(fixture, workers);
-        opts.checkpointPath = ckpt;
         opts.csvPath = csv;
+        test::ShardLog log;
+        opts.cache = log.wrap();
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
         const CampaignSummary summary = campaign.run();
         EXPECT_FALSE(summary.interrupted);
         EXPECT_EQ(summary.cellsFailed, 0u);
         EXPECT_TRUE(summary.quarantined.empty());
-        EXPECT_EQ(slurp(ckpt), ref_journal) << workers << " workers";
+        EXPECT_EQ(log.shards, ref_log.shards) << workers << " workers";
         EXPECT_EQ(slurp(csv), ref_csv) << workers << " workers";
-        std::remove(ckpt.c_str());
         std::remove(csv.c_str());
     }
 
-    std::remove(thread_ckpt.c_str());
     std::remove(thread_csv.c_str());
+}
+
+TEST(Campaign, InterruptedProcessRunContinuesFromTheStore)
+{
+    // A process-isolated run stopped mid-cell, rerun over its store
+    // with another worker count, reports the bytes of an uninterrupted
+    // thread-mode run.
+    const std::string dir = tempPath("proc_store");
+    std::filesystem::remove_all(dir);
+    std::string ref_report;
+    {
+        CampaignFixture fixture;
+        CampaignOptions opts = fixture.options();
+        ref_report = reportOf(
+            Campaign(*fixture.engine, *fixture.registry, opts).run());
+    }
+
+    std::atomic<bool> stop{false};
+    {
+        service::ResultStore store({dir});
+        CampaignFixture fixture;
+        CampaignOptions opts = processOptions(fixture, 2);
+        opts.stopFlag = &stop;
+        opts.cache = test::stopAfterStores(
+            service::shardCacheHooks(store, "fp"), 3, stop);
+        const CampaignSummary summary =
+            Campaign(*fixture.engine, *fixture.registry, opts).run();
+        EXPECT_TRUE(summary.interrupted);
+        EXPECT_GE(summary.shardsComputed, 3u);
+    }
+
+    service::ResultStore store({dir});
+    CampaignFixture fixture;
+    CampaignOptions opts = processOptions(fixture, 3);
+    opts.cache = service::shardCacheHooks(store, "fp");
+    const CampaignSummary summary =
+        Campaign(*fixture.engine, *fixture.registry, opts).run();
+    EXPECT_FALSE(summary.interrupted);
+    EXPECT_GE(summary.shardsFromCache, 3u);
+    EXPECT_EQ(reportOf(summary), ref_report);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Campaign, LaneWidthIsBitIdenticalAcrossIsolation)
 {
     // The engine's lane width is a speed knob: a campaign over an
     // engine that batches one continuation and one cone at a time must
-    // produce the same journal and CSV bytes as the default run, in
+    // store the same outcomes and CSV bytes as the default run, in
     // thread mode and under process isolation — so supervised fleets
     // may mix engines of any width.
-    const std::string ref_ckpt = tempPath("tsim_ref.ckpt");
     const std::string ref_csv = tempPath("tsim_ref.csv");
+    test::ShardLog ref_log;
     {
         CampaignFixture fixture;
         CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ref_ckpt;
         opts.csvPath = ref_csv;
+        opts.cache = ref_log.wrap();
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
         EXPECT_FALSE(campaign.run().interrupted);
     }
-    const std::string ref_journal = slurp(ref_ckpt);
     const std::string ref_csv_bytes = slurp(ref_csv);
-    std::remove(ref_ckpt.c_str());
     std::remove(ref_csv.c_str());
 
     {
-        const std::string ckpt = tempPath("tsim_narrow.ckpt");
         const std::string csv = tempPath("tsim_narrow.csv");
         CampaignFixture fixture(11, 2);
         CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ckpt;
         opts.csvPath = csv;
+        test::ShardLog log;
+        opts.cache = log.wrap();
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
         EXPECT_FALSE(campaign.run().interrupted);
-        EXPECT_EQ(slurp(ckpt), ref_journal) << "thread mode";
+        EXPECT_EQ(log.shards, ref_log.shards) << "thread mode";
         EXPECT_EQ(slurp(csv), ref_csv_bytes) << "thread mode";
-        std::remove(ckpt.c_str());
         std::remove(csv.c_str());
     }
 
     {
         // A narrow supervisor engine driving default-width workers:
         // the two widths mix freely within one campaign.
-        const std::string ckpt = tempPath("tsim_proc.ckpt");
         const std::string csv = tempPath("tsim_proc.csv");
         CampaignFixture fixture(11, 3);
         CampaignOptions opts = processOptions(fixture, 2);
-        opts.checkpointPath = ckpt;
         opts.csvPath = csv;
+        test::ShardLog log;
+        opts.cache = log.wrap();
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
         const CampaignSummary summary = campaign.run();
         EXPECT_FALSE(summary.interrupted);
         EXPECT_EQ(summary.cellsFailed, 0u);
-        EXPECT_EQ(slurp(ckpt), ref_journal) << "process mode";
+        EXPECT_EQ(log.shards, ref_log.shards) << "process mode";
         EXPECT_EQ(slurp(csv), ref_csv_bytes) << "process mode";
-        std::remove(ckpt.c_str());
         std::remove(csv.c_str());
     }
 }
@@ -1036,8 +690,6 @@ TEST(Campaign, WorkerCrashIsRetriedBisectedAndQuarantined)
 {
     const std::string qdir = tempPath("crash_qdir");
     const std::string metrics = tempPath("crash_metrics.csv");
-    const std::string ckpt = tempPath("crash.ckpt");
-    const std::string ckpt2 = tempPath("crash2.ckpt");
     std::filesystem::remove_all(qdir);
     std::remove(metrics.c_str());
 
@@ -1048,7 +700,8 @@ TEST(Campaign, WorkerCrashIsRetriedBisectedAndQuarantined)
     opts.supervisor.maxRetries = 1;
     opts.supervisor.quarantineDir = qdir;
     opts.supervisor.metricsCsvPath = metrics;
-    opts.checkpointPath = ckpt;
+    test::ShardLog log;
+    opts.cache = log.wrap();
 
     // Aim the deterministic crash hook at one (cycle, wire) injection;
     // the workers inherit the environment and die there with SIGABRT.
@@ -1090,10 +743,6 @@ TEST(Campaign, WorkerCrashIsRetriedBisectedAndQuarantined)
     ASSERT_EQ(loaded.size(), 1u);
     EXPECT_EQ(loaded[0], record);
 
-    // Workers died with SIGABRT mid-shard, but the journal (written
-    // only by the supervisor process) stays strictly parseable.
-    ASSERT_TRUE(loadCheckpoint(ckpt).ok());
-
     // Per-attempt metrics recorded crashes and successes.
     const std::string csv = slurp(metrics);
     EXPECT_NE(csv.find("outcome,wall_ms,max_rss_kb"), std::string::npos);
@@ -1101,26 +750,26 @@ TEST(Campaign, WorkerCrashIsRetriedBisectedAndQuarantined)
     EXPECT_NE(csv.find(",ok,"), std::string::npos);
 
     // Convergence: with the fault disarmed but the quarantine records
-    // kept, a fresh campaign reproduces the exact same journal without
-    // a single crash (the known-bad injection stays excluded).
+    // kept, a fresh campaign stores the exact same outcomes without a
+    // single crash (the known-bad injection stays excluded).
+    test::ShardLog log2;
     {
         CampaignFixture fixture2;
         CampaignOptions opts2 = processOptions(fixture2, 2);
         opts2.delays = {0.6};
         opts2.runSavf = false;
         opts2.supervisor.quarantineDir = qdir;
-        opts2.checkpointPath = ckpt2;
+        opts2.cache = log2.wrap();
         Campaign campaign(*fixture2.engine, *fixture2.registry, opts2);
         const CampaignSummary summary = campaign.run();
         EXPECT_FALSE(summary.interrupted);
         EXPECT_TRUE(summary.quarantined.empty())
             << "no new quarantines expected";
     }
-    EXPECT_EQ(slurp(ckpt2), slurp(ckpt));
+    EXPECT_EQ(log2.shards, log.shards);
 
     std::filesystem::remove_all(qdir);
-    for (const auto &path : {metrics, ckpt, ckpt2})
-        std::remove(path.c_str());
+    std::remove(metrics.c_str());
 }
 
 TEST(Campaign, QuarantineBudgetRunsOutWhileAnotherWorkerBisects)
@@ -1223,9 +872,7 @@ TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
     // not be bisected, or the quarantine directory would exclude a
     // healthy injection from every later run.
     const std::string qdir = tempPath("nostart_qdir");
-    const std::string ckpt = tempPath("nostart.ckpt");
     std::filesystem::remove_all(qdir);
-    std::remove(ckpt.c_str());
 
     CampaignFixture fixture;
     CampaignOptions opts = processOptions(fixture, 1);
@@ -1234,7 +881,6 @@ TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
     opts.runSavf = false;
     opts.supervisor.maxRetries = 1;
     opts.supervisor.quarantineDir = qdir;
-    opts.checkpointPath = ckpt;
     Campaign campaign(*fixture.engine, *fixture.registry, opts);
     const CampaignSummary summary = campaign.run();
 
@@ -1254,20 +900,10 @@ TEST(Campaign, WorkerThatCannotStartFailsTheCellWithoutQuarantine)
     }
     std::filesystem::remove_all(qdir);
 
-    // The journaled reason names the failure, not the source file that
-    // raised it: journals must not depend on the build directory.
-    const Result<Checkpoint> journal = loadCheckpoint(ckpt);
-    ASSERT_TRUE(journal.ok()) << journal.error().what();
-    ASSERT_EQ(journal.value().cells.size(), 1u);
-    EXPECT_EQ(journal.value().cells[0].state,
-              CheckpointCell::State::Failed);
-    EXPECT_NE(journal.value().cells[0].failReason.find(
-                  "campaign worker failed to start"),
-              std::string::npos);
-    EXPECT_EQ(journal.value().cells[0].failReason.find(".cc:"),
-              std::string::npos)
-        << journal.value().cells[0].failReason;
-    std::remove(ckpt.c_str());
+    // The reason names the failure, not the source file that raised
+    // it: reports must not depend on the build directory.
+    EXPECT_EQ(summary.cells[0].failReason.find(".cc:"), std::string::npos)
+        << summary.cells[0].failReason;
 }
 
 // ------------------------------------------ isolated query scheduler

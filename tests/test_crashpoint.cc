@@ -13,9 +13,10 @@
  *  - quarantine records: save-point kills never leave a torn file and
  *    torn files never break loading;
  *  - the recovery matrix: every registered crash point x
- *    {kill, torn, enospc} against a checkpointed campaign, a store
- *    round-trip, and fsck/compact of a damaged store — after recovery
- *    the surviving artifacts are byte-identical to an undisturbed run.
+ *    {kill, torn, enospc} against a campaign whose progress lives in a
+ *    result store, a store round-trip, and fsck/compact of a damaged
+ *    store — after recovery (a rerun over the same store) the
+ *    surviving artifacts are byte-identical to an undisturbed run.
  *
  * Kill-action matrix cases re-execute this binary (--crash-child=...)
  * so the SIGKILL lands in a scratch process, which is why this test
@@ -39,9 +40,9 @@
 #include <unistd.h>
 
 #include "src/campaign/campaign.hh"
-#include "src/campaign/checkpoint.hh"
 #include "src/campaign/supervisor.hh"
 #include "src/service/result_store.hh"
+#include "src/service/scheduler.hh"
 #include "src/store/index_fsck.hh"
 #include "src/store/index_store.hh"
 #include "src/store/layout.hh"
@@ -98,8 +99,8 @@ struct ArmGuard
 TEST(CrashSpec, ParsesPointActionAndHitCount)
 {
     crashpoint::Spec spec =
-        crashpoint::parseSpec("checkpoint.save=kill");
-    EXPECT_EQ(spec.point, "checkpoint.save");
+        crashpoint::parseSpec("quarantine.save=kill");
+    EXPECT_EQ(spec.point, "quarantine.save");
     EXPECT_EQ(spec.hitCount, 1u);
     EXPECT_EQ(spec.action, crashpoint::Action::Kill);
 
@@ -123,12 +124,12 @@ TEST(CrashSpec, MalformedInputArmsNothing)
     const char *bad[] = {
         nullptr,
         "",
-        "checkpoint.save",        // no action
+        "quarantine.save",        // no action
         "=kill",                  // no point
-        "checkpoint.save=",       // empty action
-        "checkpoint.save=explode",
-        "checkpoint.save:0=kill", // hit counts are 1-based
-        "checkpoint.save:x=kill",
+        "quarantine.save=",       // empty action
+        "quarantine.save=explode",
+        "quarantine.save:0=kill", // hit counts are 1-based
+        "quarantine.save:x=kill",
         "no.such.point=kill",     // unknown name warns, arms nothing
     };
     for (const char *text : bad) {
@@ -169,37 +170,35 @@ TEST(CrashSpec, DamageOffsetIsMidPayload)
 
 TEST(CrashPointFire, ThrowIsCatchableAndFiresExactlyOnce)
 {
-    const std::string path = tempPath("oneshot.ckpt");
-    Checkpoint checkpoint;
-    checkpoint.configHash = "feedc0de";
+    const std::string path = tempPath("oneshot.txt");
 
-    ArmGuard armed("checkpoint.save=throw");
+    ArmGuard armed("atomic_file.pre_tmp_write=throw");
     try {
-        saveCheckpoint(path, checkpoint);
+        writeFileAtomic(path, "first");
         FAIL() << "armed point did not fire";
     } catch (const DavfError &error) {
         EXPECT_EQ(error.kind(), ErrorKind::Io);
-        EXPECT_NE(std::string(error.what()).find("checkpoint.save"),
+        EXPECT_NE(std::string(error.what())
+                      .find("atomic_file.pre_tmp_write"),
                   std::string::npos)
             << error.what();
     }
     // Latched: the same point never fires twice in one process.
-    saveCheckpoint(path, checkpoint);
-    EXPECT_TRUE(loadCheckpoint(path).ok());
+    writeFileAtomic(path, "second");
+    EXPECT_EQ(slurp(path), "second");
     std::remove(path.c_str());
 }
 
 TEST(CrashPointFire, HitCountDelaysTheFire)
 {
-    const std::string path = tempPath("hitcount.ckpt");
-    Checkpoint checkpoint;
-    checkpoint.configHash = "feedc0de";
+    const std::string path = tempPath("hitcount.txt");
 
-    ArmGuard armed("checkpoint.save:3=throw");
-    saveCheckpoint(path, checkpoint); // hit 1
-    saveCheckpoint(path, checkpoint); // hit 2
-    EXPECT_THROW(saveCheckpoint(path, checkpoint), DavfError); // hit 3
-    saveCheckpoint(path, checkpoint); // latched off again
+    ArmGuard armed("atomic_file.pre_tmp_write:3=throw");
+    writeFileAtomic(path, "1"); // hit 1
+    writeFileAtomic(path, "2"); // hit 2
+    EXPECT_THROW(writeFileAtomic(path, "3"), DavfError); // hit 3
+    writeFileAtomic(path, "4"); // latched off again
+    EXPECT_EQ(slurp(path), "4");
     std::remove(path.c_str());
 }
 
@@ -485,34 +484,6 @@ makeDamagedStore(const std::string &dir)
     writeRaw(dir + "/README", "not a record");
 }
 
-// --------------------------------------------------------- checkpoint files
-
-TEST(CheckpointCrash, GarbledJournalIsRefusedStrictAndLenient)
-{
-    // Torn tails are recoverable (the lenient loader drops them); a
-    // garbled byte mid-journal is corruption and must be refused, so a
-    // resume never silently adopts damaged outcomes.
-    Checkpoint checkpoint;
-    checkpoint.configHash = "feedc0de";
-    CheckpointCell cell;
-    cell.key = {"davf", "md5", "ALU", canonicalDelay(0.5)};
-    cell.state = CheckpointCell::State::Ok;
-    InjectionCycleOutcome outcome;
-    outcome.cycle = 3;
-    outcome.injections = 4;
-    outcome.delayAce = 1;
-    cell.addCycle(outcome);
-    checkpoint.cells.push_back(cell);
-    std::string text = serializeCheckpoint(checkpoint);
-
-    const size_t pos = text.find("cell davf");
-    ASSERT_NE(pos, std::string::npos);
-    text[pos] = 'x';
-    EXPECT_FALSE(parseCheckpoint(text).ok());
-    CheckpointLoadStats stats;
-    EXPECT_FALSE(parseCheckpoint(text, &stats).ok());
-}
-
 // --------------------------------------------------------- recovery matrix
 
 /** The campaign fixture every matrix child rebuilds identically. */
@@ -575,98 +546,91 @@ runChild(const std::vector<std::string> &args)
 
 TEST(CrashMatrix, CampaignRecoversByteIdenticalFromEveryPoint)
 {
-    const std::string ref_ckpt = tempPath("matrix_ref.ckpt");
+    const std::string ref_dir = tempPath("matrix_ref");
     const std::string ref_csv = tempPath("matrix_ref.csv");
+    fs::remove_all(ref_dir);
 
     // The undisturbed reference, produced by the same child code path.
     ExitStatus ref = runChild({"--crash-child=campaign",
-                               "--ckpt=" + ref_ckpt,
-                               "--csv=" + ref_csv});
+                               "--dir=" + ref_dir, "--csv=" + ref_csv});
     ASSERT_TRUE(ref.exited && ref.code == 0) << ref.describe();
-    const std::string ref_journal = slurp(ref_ckpt);
     const std::string ref_report = slurp(ref_csv);
-    ASSERT_FALSE(ref_journal.empty());
     ASSERT_FALSE(ref_report.empty());
 
-    // Every registered point x the ISSUE's action set. Points that a
-    // plain checkpointed campaign never reaches must be harmless to
-    // arm: the run completes undisturbed. Points it does reach must be
-    // survivable: after recovery, the journal and CSV are
-    // byte-identical to the reference.
+    // Every registered point x {kill, torn, enospc}. Points a campaign
+    // over a result store never reaches must be harmless to arm: the
+    // run completes undisturbed. Points it does reach must be
+    // survivable: a rerun over the same store completes, its CSV is
+    // byte-identical to the reference, and the store checks clean.
     for (const std::string &point : crashpoint::knownPoints()) {
         for (const char *action : {"kill", "torn", "enospc"}) {
             SCOPED_TRACE(point + "=" + action);
-            const std::string tag =
-                point + "." + action;
-            const std::string ckpt = tempPath("m_" + tag + ".ckpt");
+            const std::string tag = point + "." + action;
+            const std::string dir = tempPath("m_" + tag);
             const std::string csv = tempPath("m_" + tag + ".csv");
-            std::remove(ckpt.c_str());
+            fs::remove_all(dir);
             std::remove(csv.c_str());
 
             ExitStatus hit = runChild({"--crash-child=campaign",
                                        "--spec=" + point + "=" + action,
-                                       "--ckpt=" + ckpt,
-                                       "--csv=" + csv});
+                                       "--dir=" + dir, "--csv=" + csv});
             if (!(hit.exited && hit.code == 0)) {
-                // The point fired fatally; a fresh process must
-                // recover from whatever the crash left behind.
-                std::vector<std::string> recover = {
-                    "--crash-child=campaign", "--ckpt=" + ckpt,
-                    "--csv=" + csv};
-                if (fs::exists(ckpt))
-                    recover.push_back("--resume");
-                const ExitStatus status = runChild(recover);
+                // The point fired: a fresh process rerun over the
+                // store must recover from whatever the crash left.
+                const ExitStatus status = runChild(
+                    {"--crash-child=campaign", "--dir=" + dir,
+                     "--csv=" + csv});
                 EXPECT_TRUE(status.exited && status.code == 0)
                     << status.describe();
             }
-            EXPECT_EQ(slurp(ckpt), ref_journal);
             EXPECT_EQ(slurp(csv), ref_report);
-            std::remove(ckpt.c_str());
+            EXPECT_TRUE(store::fsckIndexStore(dir).clean());
+            fs::remove_all(dir);
             std::remove(csv.c_str());
         }
     }
-    std::remove(ref_ckpt.c_str());
+    fs::remove_all(ref_dir);
     std::remove(ref_csv.c_str());
 }
 
 TEST(CrashMatrix, LateHitCountCrashesMidSweepAndStillRecovers)
 {
-    const std::string ref_ckpt = tempPath("late_ref.ckpt");
+    const std::string ref_dir = tempPath("late_ref");
     const std::string ref_csv = tempPath("late_ref.csv");
+    fs::remove_all(ref_dir);
     ExitStatus ref = runChild({"--crash-child=campaign",
-                               "--ckpt=" + ref_ckpt,
-                               "--csv=" + ref_csv});
+                               "--dir=" + ref_dir, "--csv=" + ref_csv});
     ASSERT_TRUE(ref.exited && ref.code == 0) << ref.describe();
 
-    // Crashes landing mid-sweep (not on the first save) leave a
-    // journal with adopted cells plus partial state — the interesting
-    // resume shape.
+    // Crashes landing mid-sweep (not on the first write) leave a store
+    // holding some cycles of the sweep — the interesting rerun shape.
     for (const char *spec :
-         {"checkpoint.save:4=kill", "atomic_file.write:3=torn"}) {
+         {"index.append:2=kill", "atomic_file.write:3=torn"}) {
         SCOPED_TRACE(spec);
-        const std::string ckpt = tempPath(std::string("late_") + spec);
-        const std::string csv = ckpt + ".csv";
-        std::remove(ckpt.c_str());
+        const std::string dir = tempPath(std::string("late_") + spec);
+        const std::string csv = dir + ".csv";
+        fs::remove_all(dir);
         std::remove(csv.c_str());
 
         ExitStatus hit = runChild({"--crash-child=campaign",
                                    std::string("--spec=") + spec,
-                                   "--ckpt=" + ckpt, "--csv=" + csv});
+                                   "--dir=" + dir, "--csv=" + csv});
         EXPECT_TRUE(hit.signaled && hit.signal == SIGKILL)
             << hit.describe();
-        ASSERT_TRUE(fs::exists(ckpt)) << "no journal to resume from";
+        const std::string segments = dir + "/" + store::kDataFileName;
+        ASSERT_TRUE(fs::exists(segments) && fs::file_size(segments) > 0)
+            << "no stored cycle to continue from";
 
-        const ExitStatus status =
-            runChild({"--crash-child=campaign", "--ckpt=" + ckpt,
-                      "--csv=" + csv, "--resume"});
+        const ExitStatus status = runChild(
+            {"--crash-child=campaign", "--dir=" + dir, "--csv=" + csv});
         EXPECT_TRUE(status.exited && status.code == 0)
             << status.describe();
-        EXPECT_EQ(slurp(ckpt), slurp(ref_ckpt));
         EXPECT_EQ(slurp(csv), slurp(ref_csv));
-        std::remove(ckpt.c_str());
+        EXPECT_TRUE(store::fsckIndexStore(dir).clean());
+        fs::remove_all(dir);
         std::remove(csv.c_str());
     }
-    std::remove(ref_ckpt.c_str());
+    fs::remove_all(ref_dir);
     std::remove(ref_csv.c_str());
 }
 
@@ -778,48 +742,54 @@ TEST(CrashMatrix, EnvironmentVariableArmsBeforeMain)
     // The end-to-end arming path users and CI drive: the spec rides in
     // via DAVF_TEST_CRASHPOINT and must be armed by the time the first
     // persistence call happens — no in-process arm() involved.
-    const std::string ckpt = tempPath("env_arm.ckpt");
+    const std::string dir = tempPath("env_arm");
     const std::string csv = tempPath("env_arm.csv");
-    std::remove(ckpt.c_str());
+    fs::remove_all(dir);
     std::remove(csv.c_str());
 
     Subprocess child;
     child.spawn({"/usr/bin/env",
-                 "DAVF_TEST_CRASHPOINT=checkpoint.save=kill",
+                 "DAVF_TEST_CRASHPOINT=index.append=kill",
                  Subprocess::selfExePath(), "--crash-child=campaign",
-                 "--ckpt=" + ckpt, "--csv=" + csv});
+                 "--dir=" + dir, "--csv=" + csv});
     child.closeWrite();
     const ExitStatus status = child.wait();
     EXPECT_TRUE(status.signaled && status.signal == SIGKILL)
         << status.describe();
-    EXPECT_FALSE(fs::exists(ckpt))
-        << "the kill fires before the first journal byte lands";
+    const std::string segments = dir + "/" + store::kDataFileName;
+    EXPECT_TRUE(!fs::exists(segments) || fs::file_size(segments) == 0)
+        << "the kill fires before the first stored byte lands";
+    fs::remove_all(dir);
     std::remove(csv.c_str());
 }
 
 // ----------------------------------------------------------- child modes
 
-/** Child options parsed from --spec= / --ckpt= / --csv= / --dir=. */
+/** Child options parsed from --spec= / --csv= / --dir=. */
 struct ChildArgs
 {
     std::string spec;
-    std::string ckpt;
     std::string csv;
     std::string dir;
-    bool resume = false;
 };
 
 int
 campaignChild(const ChildArgs &args)
 {
+    service::ResultStore store({args.dir});
     MatrixFixture fixture;
     CampaignOptions opts = fixture.options();
-    opts.checkpointPath = args.ckpt;
     opts.csvPath = args.csv;
-    opts.resume = args.resume;
+    opts.cache = service::shardCacheHooks(store, "matrix");
     Campaign campaign(*fixture.engine, *fixture.registry, opts);
     const CampaignSummary summary = campaign.run();
-    return summary.interrupted || summary.cellsFailed != 0 ? 4 : 0;
+    // A publish swallowed by the store's non-fatal path (throw/enospc
+    // actions) lost a stored cycle: surface it so the matrix driver
+    // reruns, which computes exactly that cycle again.
+    return summary.interrupted || summary.cellsFailed != 0
+            || store.stats().writeFailures != 0
+        ? 4
+        : 0;
 }
 
 int
@@ -877,15 +847,10 @@ main(int argc, char **argv)
             out = std::string(arg.substr(prefix.size()));
             return true;
         };
-        if (take("--crash-child=", child_mode)
+        take("--crash-child=", child_mode)
             || take("--spec=", child_args.spec)
-            || take("--ckpt=", child_args.ckpt)
             || take("--csv=", child_args.csv)
-            || take("--dir=", child_args.dir)) {
-            continue;
-        }
-        if (arg == "--resume")
-            child_args.resume = true;
+            || take("--dir=", child_args.dir);
     }
     if (!child_mode.empty())
         return davf::crashChildMain(child_mode, child_args);

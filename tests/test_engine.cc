@@ -22,8 +22,8 @@
 #include <new>
 
 #include "src/builder/ecc.hh"
-#include "src/campaign/checkpoint.hh"
 #include "src/core/report.hh"
+#include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/obs/metrics.hh"
 #include "src/obs/trace.hh"
@@ -609,7 +609,7 @@ TEST(Engine, SavfDeterministicAcrossThreads)
  *
  * The engine resolves every continuation and cone in lane batches. The
  * lane width must be a pure speed knob: at any width, thread count,
- * shard range, and across checkpoint/resume, InjectionCycleOutcomes,
+ * shard range, and across a stored-then-resumed cell, InjectionCycleOutcomes,
  * aggregates and JSON reports are byte-identical to the plain per-wire
  * and per-flip reference loops in tests/helpers.hh — that is what keeps
  * davf_serve's persistent store valid regardless of which engine
@@ -810,7 +810,7 @@ TEST(VectorDifferential, SavfJsonBitIdenticalAcrossThreads)
 
 TEST(VectorDifferential, ResumeMidCellCrossesPaths)
 {
-    // Half the injection cycles computed (and checkpointed) by the
+    // Half the injection cycles computed (and stored) by the
     // reference loop, the rest by the engine after a "resume" — the
     // aggregate must equal the uninterrupted reference; likewise for
     // outcomes handed between engines of different lane widths.
@@ -836,7 +836,7 @@ TEST(VectorDifferential, ResumeMidCellCrossesPaths)
             .value());
 
     // Adopt outcomes for the first half of the schedule, as a resumed
-    // campaign would from its journal's partial-cell records.
+    // campaign would from the cycles its result store holds.
     DelayAvfProgress resume;
     resume.completed = outcomesIn(reference_outcomes, cycles, 0, half);
     ASSERT_FALSE(resume.completed.empty());
@@ -871,8 +871,8 @@ TEST(VectorDifferential, ResumeMidCellCrossesPaths)
  * batches on the lane-parallel timed simulator, at the engine's lane
  * width. Like the continuation batches, the width must be a pure speed
  * knob: byte-identical outcomes and reports against the reference
- * loop's scalar cones at any lane count, thread count, and across
- * checkpoint/resume.
+ * loop's scalar cones at any lane count, thread count, and across a
+ * stored-then-resumed cell.
  */
 /// @{
 
@@ -978,7 +978,7 @@ TEST(TsimDifferential, DelayAvfJsonBitIdenticalAcrossThreadsAndLanes)
 
 TEST(TsimDifferential, ResumeCrossesTsimPaths)
 {
-    // Half the injection cycles checkpointed by the reference loop's
+    // Half the injection cycles stored by the reference loop's
     // scalar cones, the rest computed lane-batched after a resume — and
     // outcomes handed between lane widths — must equal an uninterrupted
     // reference run.
@@ -1268,8 +1268,8 @@ TEST(EngineDeathTest, UnsetPeriodIsNeverReadSilently)
 TEST(Observability, MetricsAndTracingNeverPerturbResults)
 {
     // The observability layer's contract: with collection and tracing
-    // on, every result byte — report JSON, per-cycle checkpoint/store
-    // records — is identical to a run with them off, across thread
+    // on, every result byte — report JSON, per-cycle store records —
+    // is identical to a run with them off, across thread
     // counts and lane widths, and equal to the reference loop's.
     // Metrics may only *observe*.
     const auto circuit = test::makeRandomCircuit(333, 10, 70, 16);
@@ -1285,8 +1285,8 @@ TEST(Observability, MetricsAndTracingNeverPerturbResults)
     config.recordPerWire = true;
 
     // One run's complete byte surface: the report JSON plus every
-    // serialized per-cycle outcome (the checkpoint-journal / result-
-    // store payload), in cycle order.
+    // serialized per-cycle outcome (the result-store payload), in
+    // cycle order.
     auto bytesOf = [](const DelayAvfResult &result,
                       const std::map<uint64_t, std::string> &records) {
         std::string bytes = davfJson(result);

@@ -29,8 +29,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/campaign/checkpoint.hh"
 #include "src/campaign/fleet.hh"
+#include "src/core/shard.hh"
 #include "src/net/frame.hh"
 #include "src/obs/metrics.hh"
 

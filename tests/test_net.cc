@@ -26,6 +26,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -490,11 +491,11 @@ struct NetHarness
     }
 };
 
-/** Thread-mode reference journal + CSV for the fixture campaign,
+/** Thread-mode reference outcomes + CSV for the fixture campaign,
  *  computed once and shared by every bit-identity test below. */
 struct Reference
 {
-    std::string journal;
+    std::map<std::string, std::string> shards;
     std::string csv;
 };
 
@@ -502,43 +503,41 @@ const Reference &
 threadModeReference()
 {
     static const Reference ref = [] {
-        const std::string ckpt = tempPath("thread_ref.ckpt");
         const std::string csv = tempPath("thread_ref.csv");
         NetFixture fixture;
         CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ckpt;
         opts.csvPath = csv;
+        test::ShardLog log;
+        opts.cache = log.wrap();
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
         const CampaignSummary summary = campaign.run();
         EXPECT_FALSE(summary.interrupted);
         EXPECT_EQ(summary.cellsFailed, 0u);
-        Reference result{slurp(ckpt), slurp(csv)};
-        std::remove(ckpt.c_str());
+        Reference result{log.shards, slurp(csv)};
         std::remove(csv.c_str());
         return result;
     }();
     return ref;
 }
 
-/** Run the fixture campaign through @p harness and require the journal
- *  and CSV to be byte-identical to the thread-mode reference. */
+/** Run the fixture campaign through @p harness and require its stored
+ *  outcomes and CSV to be byte-identical to the thread-mode reference. */
 void
 expectNetRunMatchesReference(NetHarness &harness, const std::string &tag)
 {
     const Reference &ref = threadModeReference();
-    const std::string ckpt = tempPath(tag + ".ckpt");
     const std::string csv = tempPath(tag + ".csv");
     CampaignOptions opts = harness.netOptions();
-    opts.checkpointPath = ckpt;
     opts.csvPath = csv;
+    test::ShardLog log;
+    opts.cache = log.wrap();
     Campaign campaign(*harness.fixture.engine, *harness.fixture.registry,
                       opts);
     const CampaignSummary summary = campaign.run();
     EXPECT_FALSE(summary.interrupted) << tag;
     EXPECT_EQ(summary.cellsFailed, 0u) << tag;
-    EXPECT_EQ(slurp(ckpt), ref.journal) << tag;
+    EXPECT_EQ(log.shards, ref.shards) << tag;
     EXPECT_EQ(slurp(csv), ref.csv) << tag;
-    std::remove(ckpt.c_str());
     std::remove(csv.c_str());
 }
 
@@ -578,20 +577,48 @@ TEST(NetCampaign, NarrowLaneCoordinatorMatchesReference)
     harness.spawnWorker("w0");
     ASSERT_EQ(harness.coordinator->waitForNodes(1, 30000.0), 1u);
 
+    expectNetRunMatchesReference(harness, "tsim_net");
+}
+
+TEST(NetCampaign, InterruptedRunContinuesFromTheStore)
+{
+    // A net run stopped mid-cell, rerun over its store by a fresh
+    // fleet, stores the thread-mode reference's outcomes and writes its
+    // CSV, computing only what the first run did not store.
     const Reference &ref = threadModeReference();
-    const std::string ckpt = tempPath("tsim_net.ckpt");
-    const std::string csv = tempPath("tsim_net.csv");
-    CampaignOptions opts = harness.netOptions();
-    opts.checkpointPath = ckpt;
-    opts.csvPath = csv;
-    Campaign campaign(*harness.fixture.engine, *harness.fixture.registry,
-                      opts);
-    const CampaignSummary summary = campaign.run();
-    EXPECT_FALSE(summary.interrupted);
-    EXPECT_EQ(summary.cellsFailed, 0u);
-    EXPECT_EQ(slurp(ckpt), ref.journal);
+    const std::string dir = tempPath("net_rerun");
+    const std::string csv = tempPath("net_rerun.csv");
+    std::filesystem::remove_all(dir);
+    test::ShardLog log;
+    std::atomic<bool> stop{false};
+    auto run = [&](bool cut) {
+        service::ResultStore store(service::ResultStore::Options{.dir = dir});
+        NetFixture fixture;
+        net::CoordinatorOptions options;
+        options.stopFlag = &stop;
+        NetHarness harness(fixture, std::move(options));
+        harness.spawnWorker("w0");
+        harness.spawnWorker("w1");
+        EXPECT_EQ(harness.coordinator->waitForNodes(2, 30000.0), 2u);
+        CampaignOptions opts = harness.netOptions();
+        opts.csvPath = csv;
+        opts.stopFlag = &stop;
+        opts.cache =
+            log.wrap(service::shardCacheHooks(store, kTestFingerprint));
+        if (cut)
+            opts.cache = test::stopAfterStores(std::move(opts.cache), 3, stop);
+        return Campaign(*fixture.engine, *fixture.registry, opts).run();
+    };
+    const CampaignSummary cut = run(true);
+    EXPECT_TRUE(cut.interrupted);
+    EXPECT_GE(cut.shardsComputed, 3u);
+    stop.store(false);
+    const CampaignSummary rest = run(false);
+    EXPECT_FALSE(rest.interrupted);
+    EXPECT_EQ(rest.shardsFromCache, cut.shardsComputed);
+    EXPECT_EQ(log.shards, ref.shards);
     EXPECT_EQ(slurp(csv), ref.csv);
-    std::remove(ckpt.c_str());
+    std::filesystem::remove_all(dir);
     std::remove(csv.c_str());
 }
 

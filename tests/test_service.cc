@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/campaign/checkpoint.hh"
 #include "src/core/report.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"

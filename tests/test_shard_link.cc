@@ -30,9 +30,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/campaign/checkpoint.hh"
 #include "src/campaign/fleet.hh"
 #include "src/campaign/shard_link.hh"
+#include "src/core/shard.hh"
 #include "src/net/frame.hh"
 #include "src/obs/metrics.hh"
 #include "src/util/clock.hh"

@@ -44,7 +44,8 @@ tsan_check() {
 # and the deterministic crash hook armed. The supervisor must retry,
 # bisect the crash down to one injection, quarantine it, and still
 # complete with exit 0 — under sanitizers, so the worker protocol and
-# the bisection path get ASan/UBSan coverage on every CI run. Only the
+# the bisection path get ASan/UBSan coverage on every CI run — and keep
+# its progress in the result store it was given. Only the
 # parent measures the clock period: every worker, respawns included,
 # must print a "golden: ... (adopted)" line.
 # RLIMIT_AS (--worker-mem-mb) is incompatible with ASan's shadow
@@ -62,7 +63,7 @@ isolation_smoke() {
         --max-retries 1 --backoff-ms 1 --max-failure-rate 0.5 \
         --quarantine-dir "$smoke_dir/quarantine" \
         --shard-metrics-csv "$smoke_dir/shards.csv" \
-        --checkpoint "$smoke_dir/journal.ckpt" \
+        --store-dir "$smoke_dir/store" \
         --csv "$smoke_dir/davf.csv" 2> "$smoke_dir/run.log"
     measured=$(grep -c '^golden: .*(measured)$' "$smoke_dir/run.log" || true)
     adopted=$(grep -c '^golden: .*(adopted)$' "$smoke_dir/run.log" || true)
@@ -77,7 +78,7 @@ isolation_smoke() {
         echo "isolation smoke: no quarantine records written" >&2
         exit 1
     fi
-    for f in shards.csv journal.ckpt davf.csv; do
+    for f in shards.csv store/segments.davf davf.csv; do
         if [ ! -s "$smoke_dir/$f" ]; then
             echo "isolation smoke: missing $f" >&2
             exit 1
@@ -243,10 +244,11 @@ serve_smoke() {
 # Crash soak: the durability model against the real binaries
 # (docs/ROBUSTNESS.md). Phase 1 kill -9s davf_run at every registered
 # crash point (env-armed via DAVF_TEST_CRASHPOINT, iterating the list
-# `davf_store crashpoints` prints), resumes from whatever the kill
-# left behind, and requires the final --json report byte-identical to
-# an undisturbed run — plus targeted torn/enospc cases on the journal
-# write. Phase 2 tears a result-store record inside a crashing
+# `davf_store crashpoints` prints), reruns the same command over the
+# result store the kill left behind, and requires the final --json
+# report and --csv byte-identical to an undisturbed run and the store
+# fsck-clean — plus targeted torn/enospc cases on the store append.
+# Phase 2 tears a result-store record inside a crashing
 # davf_serve, requires `davf_store fsck` to find and repair the
 # damage, and requires a restarted server to converge on the exact
 # cold-run reply. Runs under both configs so the recovery paths get
@@ -263,14 +265,14 @@ crash_soak() {
             --benchmark popcount --structure ALU --delays 0.5:0.9:0.4 \
             --cycles 2 --wires 12 "$@"
     }
-    sweep --checkpoint "$soak_dir/ref.ckpt" > "$soak_dir/ref.json"
+    sweep --csv "$soak_dir/ref.csv" > "$soak_dir/ref.json"
 
-    # One kill per registered point (hit 2, so at least one journal
-    # write can land first when the point sits on the write path),
-    # plus the two damage shapes on the journal write itself.
+    # One kill per registered point (hit 2, so at least one stored
+    # cycle can land first when the point sits on the write path),
+    # plus the two damage shapes on the store append itself.
     specs=$("$build_dir/tools/davf_store" crashpoints \
             | sed 's/$/:2=kill/')
-    specs="$specs atomic_file.write=torn atomic_file.write:2=enospc"
+    specs="$specs index.append=torn index.append:2=enospc"
     for spec in $specs; do
         tag=$(echo "$spec" | tr ':=' '__')
         wdir="$soak_dir/$tag"
@@ -280,16 +282,12 @@ crash_soak() {
             "$build_dir/tools/davf_run" --json \
             --benchmark popcount --structure ALU \
             --delays 0.5:0.9:0.4 --cycles 2 --wires 12 \
-            --checkpoint "$wdir/ck.ckpt" \
+            --store-dir "$wdir/store" --csv "$wdir/out.csv" \
             > "$wdir/out.json" 2> "$wdir/run.log" || rc=$?
         if [ "$rc" -ne 0 ]; then
-            # The point fired fatally: recover in a fresh process,
-            # resuming if the crash left a (possibly torn) journal.
-            resume_args=""
-            [ -f "$wdir/ck.ckpt" ] \
-                && resume_args="--resume $wdir/ck.ckpt"
-            # shellcheck disable=SC2086
-            sweep $resume_args --checkpoint "$wdir/ck.ckpt" \
+            # The point fired fatally: rerun the same command in a
+            # fresh process over whatever the crash left in the store.
+            sweep --store-dir "$wdir/store" --csv "$wdir/out.csv" \
                 > "$wdir/out.json" 2>> "$wdir/run.log"
         fi
         if ! cmp -s "$soak_dir/ref.json" "$wdir/out.json"; then
@@ -297,8 +295,14 @@ crash_soak() {
             cat "$wdir/run.log" >&2
             exit 1
         fi
-        if ! cmp -s "$soak_dir/ref.ckpt" "$wdir/ck.ckpt"; then
-            echo "crash soak: $spec: journal differs after recovery" >&2
+        if ! cmp -s "$soak_dir/ref.csv" "$wdir/out.csv"; then
+            echo "crash soak: $spec: CSV differs after recovery" >&2
+            exit 1
+        fi
+        if ! "$build_dir/tools/davf_store" fsck "$wdir/store" \
+            2>> "$wdir/run.log"; then
+            echo "crash soak: $spec: store not clean after recovery" >&2
+            cat "$wdir/run.log" >&2
             exit 1
         fi
     done
@@ -541,6 +545,12 @@ parse_smoke() {
     expect_usage "$client" --socket "$smoke_dir/s.sock" --benchmark nosuch
     expect_usage "$build_dir/tools/davf_worker" --connect 127.0.0.1:1 \
         --benchmark nosuch
+    expect_usage "$trace" --benchmark nosuch
+    # The campaign journal is gone: its flags and the verb that read it
+    # are unknown (progress lives in --store-dir).
+    expect_usage "$run" --checkpoint "$smoke_dir/j.ckpt"
+    expect_usage "$run" --resume "$smoke_dir/j.ckpt"
+    expect_usage "$trace" attr
     if [ -e "$smoke_dir/s.sock" ]; then
         echo "parse smoke: a rejected davf_serve bound its socket" >&2
         exit 1
@@ -584,16 +594,17 @@ parse_smoke() {
     echo "=== parse smoke ok" >&2
 }
 
-# kill -9 the node process $2 as soon as the journal $3 of the net
-# campaign $run_pid holds a completed cycle: the kill lands
-# mid-campaign, while the stalled node pins it, so the coordinator must
-# retire the node it lost. $1 labels the errors.
+# kill -9 the node process $2 as soon as the result store $3 of the net
+# campaign $run_pid holds a completed cycle (the segment file has no
+# header, so any byte is a stored frame): the kill lands mid-campaign,
+# while the stalled node pins it, so the coordinator must retire the
+# node it lost. $1 labels the errors.
 kill_node_mid_campaign() {
     label="$1"
     node_pid="$2"
-    journal="$3"
+    store="$3"
     waited=0
-    while ! grep -q '^cycle ' "$journal" 2>/dev/null; do
+    while [ ! -s "$store/segments.davf" ]; do
         if ! kill -0 "$run_pid" 2>/dev/null; then
             echo "$label: coordinator exited before its first cycle" >&2
             exit 1
@@ -611,8 +622,8 @@ kill_node_mid_campaign() {
 # Attribution smoke: per-instruction root-cause attribution end to end
 # against the real binaries (docs/ANALYSIS.md). The attributed report
 # must be byte-identical across thread counts, worker processes, a
-# three-node net fleet with one node kill -9'd mid-campaign, and a
-# journal resume; stripping the attribution arrays must reproduce the
+# three-node net fleet with one node kill -9'd mid-campaign, and a warm
+# rerun over the result store that computes nothing; stripping the attribution arrays must reproduce the
 # attribution-off report exactly (the walks ride outside the counted
 # simulations); and every JSON artifact must pass davf_jsonlint. Runs
 # under both configs so the lockstep tables and divergence walks get
@@ -630,8 +641,8 @@ attr_smoke() {
     # Reference: attributed, in-process, single-threaded.
     # shellcheck disable=SC2086
     "$build_dir/tools/davf_run" --json --threads 1 --attribution \
-        $sweep_args --checkpoint "$smoke_dir/ref.ckpt" \
-        > "$smoke_dir/ref.json"
+        $sweep_args --store-dir "$smoke_dir/store" \
+        --csv "$smoke_dir/ref.csv" > "$smoke_dir/ref.json"
     "$build_dir/tools/davf_jsonlint" "$smoke_dir/ref.json"
     if ! grep -q '"attribution":\[{"pc":' "$smoke_dir/ref.json"; then
         echo "attr smoke: no attribution tables in the report" >&2
@@ -647,15 +658,20 @@ attr_smoke() {
         --isolate process --workers 2 $sweep_args \
         > "$smoke_dir/isolated.json"
 
-    # Resuming the completed journal recomputes nothing and must
-    # reproduce both the report and the journal byte-for-byte.
-    cp "$smoke_dir/ref.ckpt" "$smoke_dir/resume.ckpt"
+    # A warm rerun over the reference's store computes nothing and
+    # must reproduce the report and the attribution CSV byte-for-byte.
     # shellcheck disable=SC2086
     "$build_dir/tools/davf_run" --json --attribution $sweep_args \
-        --checkpoint "$smoke_dir/resume.ckpt" \
-        --resume "$smoke_dir/resume.ckpt" > "$smoke_dir/resumed.json"
-    if ! cmp -s "$smoke_dir/ref.ckpt" "$smoke_dir/resume.ckpt"; then
-        echo "attr smoke: journal differs after resume" >&2
+        --store-dir "$smoke_dir/store" --csv "$smoke_dir/warm.csv" \
+        --metrics-json "$smoke_dir/warm-metrics.json" \
+        > "$smoke_dir/resumed.json"
+    computed=$(sed -n \
+        's/.*"engine\.cycles_computed":\([0-9]*\).*/\1/p' \
+        "$smoke_dir/warm-metrics.json")
+    if ! cmp -s "$smoke_dir/ref.csv.attr" "$smoke_dir/warm.csv.attr" \
+        || [ "${computed:-0}" -ne 0 ]; then
+        echo "attr smoke: warm rerun differs or computed" \
+            "$computed cycle(s)" >&2
         exit 1
     fi
 
@@ -668,7 +684,7 @@ attr_smoke() {
         --isolate net --listen 127.0.0.1:0 --port-file "$port_file" \
         --min-nodes 3 --node-wait-ms 60000 \
         --shard-timeout-ms 2000 --backoff-ms 1 \
-        --checkpoint "$smoke_dir/net.ckpt" \
+        --store-dir "$smoke_dir/net-store" \
         > "$smoke_dir/net.json" 2> "$smoke_dir/run.log" &
     run_pid=$!
     trap 'kill "$run_pid" $w1 $w2 $w3 2>/dev/null || true' EXIT
@@ -716,7 +732,7 @@ attr_smoke() {
         sleep 1
         waited=$((waited + 1))
     done
-    kill_node_mid_campaign "attr smoke" "$w1" "$smoke_dir/net.ckpt"
+    kill_node_mid_campaign "attr smoke" "$w1" "$smoke_dir/net-store"
     if ! wait "$run_pid"; then
         echo "attr smoke: net coordinator run failed" >&2
         cat "$smoke_dir/run.log" "$smoke_dir/workers.log" >&2
@@ -749,16 +765,8 @@ attr_smoke() {
         exit 1
     fi
 
-    # The journal pretty-printer sees the tables.
-    "$build_dir/tools/davf_trace" attr \
-        --checkpoint "$smoke_dir/ref.ckpt" > "$smoke_dir/trace.txt"
-    if ! grep -q 'instruction' "$smoke_dir/trace.txt"; then
-        echo "attr smoke: davf_trace attr printed no tables" >&2
-        cat "$smoke_dir/trace.txt" >&2
-        exit 1
-    fi
     echo "=== attr smoke ok (tables bit-identical across threads," \
-        "process, net, resume)" >&2
+        "process, net, warm store rerun)" >&2
 }
 
 # Net smoke: the distributed fabric under fire (docs/DISTRIBUTED.md).
@@ -800,7 +808,6 @@ net_smoke() {
         --shard-timeout-ms "$shard_timeout_ms" --backoff-ms 1 \
         --store-dir "$smoke_dir/store" \
         --metrics-json "$smoke_dir/metrics.json" \
-        --checkpoint "$smoke_dir/net.ckpt" \
         > "$smoke_dir/net.json" 2> "$smoke_dir/run.log" &
     run_pid=$!
     trap 'kill "$run_pid" $w1 $w2 $w3 2>/dev/null || true' EXIT
@@ -856,7 +863,7 @@ net_smoke() {
         sleep 1
         waited=$((waited + 1))
     done
-    kill_node_mid_campaign "net smoke" "$w1" "$smoke_dir/net.ckpt"
+    kill_node_mid_campaign "net smoke" "$w1" "$smoke_dir/store"
 
     if ! wait "$run_pid"; then
         echo "net smoke: coordinator run failed" >&2

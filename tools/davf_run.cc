@@ -8,9 +8,10 @@
  *
  * Sweeps run through the resilient campaign layer (src/campaign/):
  * SIGINT/SIGTERM stop cooperatively between injections after flushing
- * the journal and CSV, `--checkpoint` journals progress after every
- * injection cycle, and `--resume` continues an interrupted sweep with
- * bit-identical aggregate results (see docs/ROBUSTNESS.md).
+ * the CSV, and with `--store-dir` every injection cycle is stored the
+ * moment it completes, so rerunning the same command continues an
+ * interrupted or killed sweep with bit-identical aggregate results
+ * (see docs/ROBUSTNESS.md).
  *
  * Usage:
  *   davf_run [options]
@@ -41,8 +42,6 @@
  *                          line is byte-identical to a davf_serve reply
  *                          for the same query
  *     --csv FILE           write results as CSV (atomic rewrite)
- *     --checkpoint FILE    journal campaign progress to FILE
- *     --resume FILE        resume the campaign journaled in FILE
  *     --timeout-ms X       wall-clock budget per continuation simulation
  *                          (0 = none)
  *     --max-failure-rate X abandon a cell if > X of injections fail
@@ -69,10 +68,14 @@
  *                          proceeding with whatever connected
  *                          (default 30000)
  *     --store-dir D        content-addressed result store as the
- *                          campaign's cache tier in every isolation
- *                          mode: stored shards are not recomputed,
- *                          fresh ones are written back (read-only when
- *                          another process, e.g. a davf_serve, owns D)
+ *                          campaign's cache tier and its progress
+ *                          record, in every isolation mode: stored
+ *                          shards are not recomputed, and each fresh
+ *                          one is appended and synced as it completes,
+ *                          so a rerun of an interrupted command
+ *                          continues it (read-only, persisting
+ *                          nothing, when another process, e.g. a
+ *                          davf_serve, owns D)
  *     --max-retries N      re-dispatches per shard after a failure
  *                          (default 2)
  *     --backoff-ms X       base of the exponential retry backoff
@@ -133,8 +136,6 @@ struct Options
     unsigned threads = 0;
     bool json = false;
     std::string csv_path;
-    std::string checkpoint_path;
-    bool resume = false;
 
     IsolationMode isolate = IsolationMode::Thread;
     std::string listen = "127.0.0.1:0";
@@ -159,9 +160,7 @@ usageError(const char *argv0, const std::string &detail)
                  " [--seed N]\n"
                  "          [--threads N] [--savf] [--attribution]\n"
                  "          [--sta-period] "
-                 "[--json] [--csv FILE]\n"
-                 "          [--checkpoint FILE] [--resume FILE] "
-                 "[--timeout-ms X]\n"
+                 "[--json] [--csv FILE] [--timeout-ms X]\n"
                  "          [--max-failure-rate X] "
                  "[--isolate thread|process|net] [--workers N]\n"
                  "          [--listen HOST:PORT] [--port-file FILE] "
@@ -196,11 +195,6 @@ try {
                 static_cast<unsigned>(parseU64Strict(need(i), arg));
         } else if (arg == "--csv") {
             opts.csv_path = need(i);
-        } else if (arg == "--checkpoint") {
-            opts.checkpoint_path = need(i);
-        } else if (arg == "--resume") {
-            opts.checkpoint_path = need(i);
-            opts.resume = true;
         } else if (arg == "--isolate") {
             const std::string mode = need(i);
             if (mode == "thread")
@@ -339,14 +333,13 @@ runTool(int argc, char **argv)
 
     CampaignOptions campaign_options = service::queryCampaign(query);
     campaign_options.sampling.threads = opts.threads;
-    campaign_options.checkpointPath = opts.checkpoint_path;
-    campaign_options.resume = opts.resume;
     campaign_options.csvPath = opts.csv_path;
     campaign_options.stopFlag = &installStopHandlers();
     campaign_options.isolate = opts.isolate;
 
-    // The result store as the campaign's cache tier, in every isolation
-    // mode. Only the parent opens it: worker mode has returned above.
+    // The result store as the campaign's cache tier and progress
+    // record, in every isolation mode. Only the parent opens it: worker
+    // mode has returned above.
     std::unique_ptr<service::ResultStore> store;
     if (!opts.store_dir.empty()) {
         service::ResultStore::Options store_options;
@@ -358,7 +351,7 @@ runTool(int argc, char **argv)
 
     // Net mode: bind the coordinator, publish the port, give the fleet
     // a chance to assemble, and hand the dispatcher to the campaign.
-    // Aggregation still runs through the same journal path, so the
+    // Aggregation still runs from the same cycle outcomes, so the
     // report is byte-identical to a thread-mode run.
     std::unique_ptr<net::Coordinator> coordinator;
     if (opts.isolate == IsolationMode::Net) {
@@ -453,15 +446,14 @@ runTool(int argc, char **argv)
             continue;
         }
         const DelayAvfResult &result = cell.davf;
-        std::printf("%-8.2f%12.5f%12.5f%10.3f%10.3f%8llu%8llu%9llu%s\n",
+        std::printf("%-8.2f%12.5f%12.5f%10.3f%10.3f%8llu%8llu%9llu\n",
                     cell.delay, result.delayAvf, result.orDelayAvf,
                     result.staticWireFraction,
                     result.dynamicWireFraction,
                     static_cast<unsigned long long>(result.sdc),
                     static_cast<unsigned long long>(result.due),
                     static_cast<unsigned long long>(
-                        result.skippedErrors),
-                    cell.fromCheckpoint ? "  (resumed)" : "");
+                        result.skippedErrors));
     }
 
     for (const CampaignCellResult &cell : summary.cells) {
@@ -498,13 +490,12 @@ runTool(int argc, char **argv)
             continue;
         }
         std::printf("\nsAVF = %.5f (%llu/%llu ACE; SDC %llu, "
-                    "DUE %llu)%s\n",
+                    "DUE %llu)\n",
                     savf.savf,
                     static_cast<unsigned long long>(savf.aceInjections),
                     static_cast<unsigned long long>(savf.injections),
                     static_cast<unsigned long long>(savf.sdc),
-                    static_cast<unsigned long long>(savf.due),
-                    cell.fromCheckpoint ? "  (resumed)" : "");
+                    static_cast<unsigned long long>(savf.due));
     }
 
     if (!summary.quarantined.empty()) {
@@ -517,13 +508,20 @@ runTool(int argc, char **argv)
     }
 
     if (summary.interrupted) {
-        std::fprintf(stderr,
-                     "\ninterrupted: progress %s; rerun with --resume "
-                     "to continue\n",
-                     opts.checkpoint_path.empty()
-                         ? "not journaled (no --checkpoint)"
-                         : ("saved to '" + opts.checkpoint_path + "'")
-                               .c_str());
+        if (opts.store_dir.empty()) {
+            std::fprintf(stderr, "\ninterrupted: progress not kept (no "
+                                 "--store-dir)\n");
+        } else if (store->stats().unpublishedWrites > 0) {
+            std::fprintf(stderr,
+                         "\ninterrupted: progress not kept (another "
+                         "process owns '%s', which is read-only here)\n",
+                         opts.store_dir.c_str());
+        } else {
+            std::fprintf(stderr,
+                         "\ninterrupted: progress kept in '%s'; rerun "
+                         "with the same --store-dir to continue\n",
+                         opts.store_dir.c_str());
+        }
         return 130;
     }
     return summary.cellsFailed > 0 ? 3 : 0;

@@ -7,6 +7,8 @@
  * Usage:
  *   davf_trace [options]
  *     --benchmark NAME   workload (default libstrstr)
+ *     --ecc              protect the register file with SEC ECC
+ *     --sta-period       use the STA longest path as the clock
  *     --structure NAME   structure whose wires to scan (default ALU)
  *     --cycle N          injection cycle (default: golden middle)
  *     --d FRACTION       SDF duration as a fraction of the period
@@ -17,24 +19,18 @@
  *     --out PREFIX       output files PREFIX.golden.vcd and
  *                        PREFIX.faulty.vcd (default davf_trace)
  *
- * The `attr` verb pretty-prints per-instruction attribution tables
- * journaled by an --attribution campaign (docs/ANALYSIS.md):
- *   davf_trace attr --checkpoint FILE
+ * The design is built through the shared workspace loader
+ * (service/workspace.hh), exactly as davf_run builds it.
  */
 
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "campaign/checkpoint.hh"
 #include "core/vulnerability.hh"
-#include "isa/assembler.hh"
-#include "isa/benchmarks.hh"
+#include "service/cli.hh"
+#include "service/workspace.hh"
 #include "sim/vcd.hh"
-#include "soc/ibex_mini.hh"
-#include "soc/soc_workload.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
 
@@ -42,79 +38,10 @@ using namespace davf;
 
 namespace {
 
-/** `davf_trace attr`: dump the attribution tables in a journal. */
-int
-runAttr(int argc, char **argv)
-{
-    std::string path;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--checkpoint" && i + 1 < argc) {
-            path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s attr --checkpoint FILE\n", argv[0]);
-            return 2;
-        }
-    }
-    if (path.empty()) {
-        std::fprintf(stderr, "usage: %s attr --checkpoint FILE\n",
-                     argv[0]);
-        return 2;
-    }
-
-    const Result<Checkpoint> loaded = loadCheckpoint(path, nullptr);
-    if (!loaded) {
-        std::fprintf(stderr, "error: %s\n", loaded.error().what());
-        return 1;
-    }
-
-    // A finished davf cell's table is derived from its journaled
-    // cycle outcomes, exactly as the campaign aggregated it.
-    size_t tables = 0;
-    for (const CheckpointCell &cell : loaded.value().cells) {
-        if (cell.key.kind != "davf"
-            || cell.state != CheckpointCell::State::Ok) {
-            continue;
-        }
-        const std::optional<std::vector<DelayAvfResult::AttrRow>> table =
-            attributionTable(cell.cycles);
-        if (!table)
-            continue;
-        ++tables;
-        std::printf("%s %s d=%s — %zu instruction(s)\n",
-                    cell.key.benchmark.c_str(),
-                    cell.key.structure.c_str(), cell.key.delay.c_str(),
-                    table->size());
-        std::printf("  %-12s%-22s%12s%12s%12s\n", "pc", "instruction",
-                    "injections", "delay-ace", "corrupted");
-        for (const DelayAvfResult::AttrRow &row : *table) {
-            std::printf("  0x%08llx  %-22s%12llu%12llu%12llu\n",
-                        static_cast<unsigned long long>(row.pc),
-                        row.mnemonic.c_str(),
-                        static_cast<unsigned long long>(row.injections),
-                        static_cast<unsigned long long>(row.delayAce),
-                        static_cast<unsigned long long>(
-                            row.firstCorruptions));
-            for (const auto &[dest, count] : row.destinations) {
-                std::printf("  %-12s  -> %s: %llu\n", "", dest.c_str(),
-                            static_cast<unsigned long long>(count));
-            }
-        }
-    }
-    if (tables == 0) {
-        std::printf("no attribution tables in '%s' (was the campaign "
-                    "run with --attribution?)\n", path.c_str());
-    }
-    return 0;
-}
-
 int
 runTool(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "attr") == 0)
-        return runAttr(argc, argv);
-    std::string benchmark = "libstrstr";
+    service::WorkspaceSpec workspace_spec;
     std::string structure_name = "ALU";
     std::string prefix = "davf_trace";
     uint64_t cycle = 0;
@@ -124,18 +51,11 @@ runTool(int argc, char **argv)
 
     try {
         for (int i = 1; i < argc; ++i) {
+            if (service::parseWorkspaceFlag(argc, argv, i, workspace_spec))
+                continue;
             const std::string arg = argv[i];
-            auto need = [&]() -> const char * {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "missing value for %s\n",
-                                 arg.c_str());
-                    std::exit(2);
-                }
-                return argv[++i];
-            };
-            if (arg == "--benchmark")
-                benchmark = need();
-            else if (arg == "--structure")
+            auto need = [&] { return service::flagValue(argc, argv, i); };
+            if (arg == "--structure")
                 structure_name = need();
             else if (arg == "--cycle")
                 cycle = parseU64Strict(need(), arg);
@@ -162,17 +82,11 @@ runTool(int argc, char **argv)
         return 2;
     }
 
-    const BenchmarkProgram &program = beebsBenchmark(benchmark);
-    IbexMini soc({}, assemble(program.source));
-    SocWorkload workload(soc);
-    EngineOptions options;
-    options.periodMode =
-        EngineOptions::PeriodMode::ObservedMaxPlusMargin;
-    VulnerabilityEngine engine(soc.netlist(),
-                               CellLibrary::defaultLibrary(), workload,
-                               options);
+    service::Workspace workspace(workspace_spec);
+    const Netlist &netlist = workspace.soc().netlist();
+    VulnerabilityEngine &engine = workspace.engine();
     const Structure *structure =
-        soc.structures().find(structure_name);
+        workspace.structures().find(structure_name);
     if (!structure) {
         std::fprintf(stderr, "unknown structure %s\n",
                      structure_name.c_str());
@@ -210,13 +124,13 @@ runTool(int argc, char **argv)
 
     std::printf("injection: wire '%s', cycle %llu, d = %.1f ps "
                 "(%.0f%% of %.1f ps)\n",
-                soc.netlist().wireName(wire).c_str(),
+                netlist.wireName(wire).c_str(),
                 static_cast<unsigned long long>(cycle), d,
                 100 * fraction, engine.clockPeriod());
     std::printf("dynamically reachable set (%zu):\n", errors.size());
     for (const auto &[elem, value] : errors) {
         std::printf("  %s <- %d\n",
-                    soc.netlist().stateElemName(elem).c_str(),
+                    netlist.stateElemName(elem).c_str(),
                     value ? 1 : 0);
     }
     const FailureKind verdict = engine.groupVerdict(errors, cycle);
@@ -229,10 +143,10 @@ runTool(int argc, char **argv)
     // Nets to trace: the wronged state elements' cells' outputs plus
     // the faulted wire's net.
     std::vector<NetId> nets;
-    nets.push_back(soc.netlist().wire(wire).net);
+    nets.push_back(netlist.wire(wire).net);
     for (const auto &[elem, value] : errors) {
-        const StateElem &state_elem = soc.netlist().stateElem(elem);
-        const Cell &cell = soc.netlist().cell(state_elem.cell);
+        const StateElem &state_elem = netlist.stateElem(elem);
+        const Cell &cell = netlist.cell(state_elem.cell);
         for (NetId out : cell.outputs)
             nets.push_back(out);
         if (state_elem.kind == StateElemKind::BehavInput)
@@ -241,8 +155,8 @@ runTool(int argc, char **argv)
 
     // Golden trace.
     {
-        CycleSimulator sim(soc.netlist());
-        VcdWriter vcd(soc.netlist(), nets);
+        CycleSimulator sim(netlist);
+        VcdWriter vcd(netlist, nets);
         for (uint64_t i = 0; i <= cycle + tail; ++i) {
             vcd.sample(sim);
             sim.step();
@@ -251,8 +165,8 @@ runTool(int argc, char **argv)
     }
     // Faulty trace: identical prefix, forced errors at the edge.
     {
-        CycleSimulator sim(soc.netlist());
-        VcdWriter vcd(soc.netlist(), nets);
+        CycleSimulator sim(netlist);
+        VcdWriter vcd(netlist, nets);
         for (uint64_t i = 0; i < cycle; ++i) {
             vcd.sample(sim);
             sim.step();
